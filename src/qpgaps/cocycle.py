@@ -220,13 +220,15 @@ def degree_of(R, samples=4096, v=None, redraws=3, tol=0.05):
     winding over [0, 1] with angles taken mod pi is always an integer; the
     constant rotation by 2 pi x has degree 2 in this normalization.
     """
-    rng_shift = 0.0
+    # x_j = j / samples for j <= samples; the endpoint x = 1 wraps onto the
+    # periodic grid (index 0 for period 1, index `samples` for period 2)
+    mats = R.sample(R.period * samples).take(np.arange(samples + 1), axis=0,
+                                             mode="wrap").real
     for attempt in range(redraws):
         vec = v if v is not None else np.array(
             [math.cos(0.4 + 1.3 * attempt), math.sin(0.4 + 1.3 * attempt)]
         )
-        xs = np.linspace(0.0, 1.0, samples + 1)
-        vals = R(xs).real @ vec
+        vals = mats @ vec
         norms = np.hypot(vals[:, 0], vals[:, 1])
         if norms.min() < 1e-10 * max(norms.max(), 1e-300):
             v = None
@@ -256,7 +258,7 @@ def conjugate(c, R, band_limit=None, det_tol=1e-8):
     then the pointwise inverse).  Raises when R is near-singular on the axis.
     """
     Rm = R.R if isinstance(R, Conjugacy) else R
-    dets = np.linalg.det(Rm(np.linspace(0.0, Rm.period, 512, endpoint=False)))
+    dets = np.linalg.det(Rm.sample(512))
     if np.abs(dets - 1.0).max() > det_tol:
         raise ValueError(f"conjugacy determinant strays from 1 by {np.abs(dets-1).max():.2e}")
     A = c.A
@@ -277,7 +279,6 @@ def conjugate(c, R, band_limit=None, det_tol=1e-8):
 def strip_growth(c, eta, K, grid=256, points=24):
     """Strip norms ||A_k||_eta on a logarithmic schedule of k up to K."""
     ks = sorted({max(1, int(round(K ** (i / (points - 1))))) for i in range(points)})
-    xs = np.arange(grid) / grid
     out = []
     lines = [0.0] if eta == 0.0 else [eta, -eta]
     prods = {d: np.broadcast_to(np.eye(2, dtype=complex), (grid, 2, 2)).copy() for d in lines}
@@ -287,7 +288,8 @@ def strip_growth(c, eta, K, grid=256, points=24):
     for k_target in ks:
         while step < k_target:
             for d in lines:
-                prods[d] = np.matmul(c.matrices(xs + 1j * d + step * alpha), prods[d])
+                vals = c.A.sample(c.A.period * grid, d, step * alpha)[:grid]
+                prods[d] = np.matmul(vals, prods[d])
                 if (step + 1) % RENORM_EVERY == 0:
                     s = np.abs(prods[d]).reshape(grid, 4).max(axis=1)
                     s[s == 0.0] = 1.0

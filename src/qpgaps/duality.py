@@ -335,12 +335,11 @@ def _decay_fit(u_hat, trunc):
 def duality_residual(lam, f, freq, sol, grid=1024):
     """sup-norm defect of the wave relation S(x) U(x) = e^{2 pi i theta} U(x+alpha)."""
     u = sol.u_map()
-    xs = np.arange(grid) / grid
-    ux = u(xs)
-    ux_sh = u(xs + freq.value)
-    ux_m = u(xs - freq.value)
+    ux = u.sample(grid)
+    ux_sh = u.sample(grid, shift=freq.value)
+    ux_m = u.sample(grid, shift=-freq.value)
     phase = np.exp(2j * math.pi * sol.theta)
-    fvals = f(xs)
+    fvals = f.sample(f.period * grid)[:grid]
     # second component of the relation is the identity u(x) = u(x); only the
     # first row carries content
     top = (sol.energy - lam * fvals) * phase * ux - ux_m - phase * phase * ux_sh
@@ -452,10 +451,9 @@ def assemble_wave(sol, lam, f, freq, grid=1024, tol=1e-6):
     from .cocycle import schrodinger_cocycle
 
     A = schrodinger_cocycle(lam, f, sol.energy).A
-    xs = np.arange(grid) / grid
-    Av = A(xs)
-    Uv = U_hat(xs)
-    Uv_sh = U_hat(xs + freq.value)
+    Av = A.sample(A.period * grid)[:grid]
+    Uv = U_hat.sample(2 * grid)[:grid]           # x in [0, 1) of the period-2 wave
+    Uv_sh = U_hat.sample(2 * grid, shift=freq.value)[:grid]
     lhs = np.einsum("nij,nj->ni", Av, Uv)
     scale = max(float(np.abs(Uv).max()), 1e-300)
     res_plus = float(np.abs(lhs - Uv_sh).max()) / scale

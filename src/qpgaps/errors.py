@@ -43,6 +43,14 @@ class BlochError(QPGapsError):
     """No acceptable dual eigenpair found near the requested energy."""
 
 
+class SpectrumError(QPGapsError):
+    """A consistency check on a computed spectrum failed; carries the check's name."""
+
+    def __init__(self, check, message):
+        self.check = check
+        super().__init__(f"spectrum check '{check}' failed: {message}")
+
+
 class StageError(QPGapsError):
     """A pipeline stage failed; carries the stage name."""
 

@@ -3,9 +3,14 @@
 Values may be scalar, 2-vector or 2x2-matrix; coefficients are stored densely
 for k in [-N, N].  Evaluation extends to complex strips with an explicit tail
 bound derived from the measured coefficient decay, so that nothing is ever
-evaluated where the truncation error is out of control.  Products are exact
-convolutions (direct O(N^2), fine at desk scale); optional truncation records
-the dropped l1 mass instead of discarding it silently.
+evaluated where the truncation error is out of control.  There are two
+evaluation paths, one per kind of input: `FourierMap.sample` evaluates a
+uniform grid (optionally shifted, and on a line Im z = delta) as one inverse
+FFT of the coefficients folded mod the grid size, O(N log N); calling the map
+sums the series directly at arbitrary points, O(points * N), and serves the
+scattered points of orbits.  Products are exact convolutions (direct O(N^2),
+fine at desk scale); optional truncation records the dropped l1 mass instead
+of discarding it silently.
 """
 
 from __future__ import annotations
@@ -205,10 +210,35 @@ class FourierMap:
         out = np.tensordot(phases, self.coeffs, axes=(1, 0))
         return out[0] if scalar_input else out.reshape(z_in.shape + self.value_shape)
 
-    def sample(self, n_points, delta=0.0):
-        """Values on the uniform grid x_j = j * period / n_points (+ i delta)."""
-        x = np.arange(n_points) * (self.period / n_points)
-        return self(x + 1j * delta if delta else x)
+    def sample(self, n_points, delta=0.0, shift=0.0):
+        """Values at z_j = shift + j * period / n_points + i delta, j < n_points.
+
+        The grid path of evaluation; calling the map is the direct path, kept
+        for scattered points.  Each coefficient takes the factor
+        e^{2 pi i k (shift + i delta) / period}, with the largest exponent
+        factored out so that every term stays bounded by its coefficient.
+        Folding the coefficients mod n_points is exact on the grid, since
+        e^{2 pi i k j / n_points} depends on k mod n_points only, and one
+        inverse FFT sums the folded series.  The phase k * shift / period is
+        reduced mod 1 before it is scaled by 2 pi, so it keeps its accuracy
+        at large k.
+        """
+        if delta:
+            self._check_strip(abs(delta))
+        n = self.band_limit
+        k = np.arange(-n, n + 1)
+        expo = (-2.0 * math.pi * delta / self.period) * k
+        top = float(expo.max())
+        turns = np.mod(k * ((shift % self.period) / self.period), 1.0)
+        ph = np.exp(expo - top + 2j * math.pi * turns)
+        c = self.coeffs * ph.reshape((2 * n + 1,) + (1,) * len(self.value_shape))
+        # place coefficient k at an index congruent to k mod n_points, then fold
+        lead = (-n) % n_points
+        rows = -(-(lead + 2 * n + 1) // n_points)
+        padded = np.zeros((rows * n_points,) + self.value_shape, dtype=complex)
+        padded[lead : lead + 2 * n + 1] = c
+        folded = padded.reshape((rows, n_points) + self.value_shape).sum(axis=0)
+        return (n_points * np.exp(top)) * np.fft.ifft(folded, axis=0)
 
     # ---- algebra ---------------------------------------------------------
     def _aligned(self, other):

@@ -16,11 +16,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import duality, reducibility, spectrum
-from .errors import StageError
+from .errors import QPGapsError, StageError
 from .fourier import FourierMap
 
 WIDTH_STABLE_REL = 0.10
 WIDTH_STABLE_ABS = 1e-13
+# numerical breakdowns that move the Bloch search on to its next rung; any
+# other exception is a programming error and propagates
+LOCATE_ERRORS = (QPGapsError, np.linalg.LinAlgError, ArithmeticError)
 
 
 @dataclass
@@ -140,7 +143,7 @@ def analyze_gap(lam, f, freq, m, config=None):
                     f"no resonance within {cfg.resonance_tol:.0e} "
                     f"(best distance {sol.resonance_dist:.2e})"
                 )
-            except Exception as exc:
+            except LOCATE_ERRORS as exc:
                 last_exc = exc
         # displaced tiny gaps: target the resonant phases for the label itself
         try:
@@ -151,7 +154,7 @@ def analyze_gap(lam, f, freq, m, config=None):
             if duality.detect_resonance(sol, freq, n_max=cfg.n_max,
                                         tol=cfg.resonance_tol) is not None:
                 return sol
-        except Exception as exc:
+        except LOCATE_ERRORS as exc:
             last_exc = exc
         raise last_exc
 
@@ -194,8 +197,8 @@ def analyze_gap(lam, f, freq, m, config=None):
     dossier.gram_det = ident.gram_det
     dossier.lower_bound_ok = ident.lower_bound_ok
 
-    _stage("perturbation", reducibility.perturbation_matrix, red, lam, f,
-           sol.energy, freq)
+    pert = _stage("perturbation", reducibility.perturbation_matrix, red, lam, f,
+                  sol.energy, freq)
 
     # the step self-orients: mu_eff > 0 at an upper edge gives eps < 0, and the
     # mirrored pattern at a lower edge gives eps > 0
@@ -211,7 +214,6 @@ def analyze_gap(lam, f, freq, m, config=None):
     dossier.rho_shifted = shift.rho_shifted
 
     if cfg.run_averaging:
-        pert = reducibility.perturbation_matrix(red, lam, f, sol.energy, freq)
         try:
             dossier.rotation_form = _stage(
                 "averaging", rotation_form_at_edge, red, ident, pert, eps_m,

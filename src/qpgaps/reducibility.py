@@ -18,7 +18,7 @@ import numpy as np
 
 from .arithmetic import rotation_phase_fracs
 from .cocycle import Conjugacy, degree_of, rotation_number, schrodinger_cocycle
-from .errors import FrameError, SmallDivisorError
+from .errors import FrameError, SmallDivisorError, StripDomainError
 from .fourier import FourierMap, matmul, matrix_exp, mul, strip_norm
 
 DIVISOR_CUTOFF = 1e-12
@@ -90,12 +90,12 @@ def solve_homological_scalar(nu, freq, sign=1, divisor_cutoff=DIVISOR_CUTOFF,
         coeffs[i] = sign * nu.coeffs[i] / div[i]
     phi = FourierMap(coeffs, period=1, entire=nu.entire)
 
-    xs = np.arange(grid) / grid
     ph = np.exp(2j * math.pi * fr)
     shifted = FourierMap(phi.coeffs * ph, period=1, entire=nu.entire)
-    lhs = sign * (shifted(xs) - phi(xs))
-    rhs = nu(xs) - nu.average()
-    sup_nu = max(float(np.abs(rhs).max()), float(np.abs(nu(xs)).max()), 1e-300)
+    lhs = sign * (shifted.sample(grid) - phi.sample(grid))
+    nu_vals = nu.sample(grid)
+    rhs = nu_vals - nu.average()
+    sup_nu = max(float(np.abs(rhs).max()), float(np.abs(nu_vals).max()), 1e-300)
     resid = float(np.abs(lhs - rhs).max())
     if resid > residual_tol * sup_nu:
         raise ArithmeticError(
@@ -158,11 +158,10 @@ def solve_homological_parabolic(pert, parabolic, freq, divisor_cutoff=DIVISOR_CU
         Y = FourierMap(Y, period=1, entire=pert.entire)
 
     if residual_tol is not math.inf:
-        xs = np.arange(grid) / grid
         P = parabolic.matrix
-        lhs = np.matmul(Y(xs + float(freq.value if hasattr(freq, "value") else freq)), P) \
-            - np.matmul(P, Y(xs))
-        rhs = pert(xs) - pert.average()
+        alpha = float(freq.value if hasattr(freq, "value") else freq)
+        lhs = np.matmul(Y.sample(grid, shift=alpha), P) - np.matmul(P, Y.sample(grid))
+        rhs = pert.sample(grid) - pert.average()
         scale = max(float(np.abs(rhs).max()), 1e-300)
         resid = float(np.abs(lhs - rhs).max()) / scale
         if resid > residual_tol:
@@ -248,11 +247,13 @@ def averaging_step(parabolic, pert, eps, freq, delta, divisor_cutoff=DIVISOR_CUT
     pert_next = (G - FourierMap.constant(const_next)) * (1.0 / eps**2)
     pert_next = pert_next.trim(1e-16)
 
-    xs = (np.arange(grid) + 0.3) / grid
+    x0 = 0.3 / grid
     lhs = np.matmul(
-        np.matmul(np.linalg.inv(R_step(xs + alpha)), full(xs)), R_step(xs)
+        np.matmul(np.linalg.inv(R_step.sample(grid, shift=x0 + alpha)),
+                  full.sample(grid, shift=x0)),
+        R_step.sample(grid, shift=x0),
     )
-    rhs = const_next[None, :, :] + eps**2 * pert_next(xs)
+    rhs = const_next[None, :, :] + eps**2 * pert_next.sample(grid, shift=x0)
     scale = max(float(np.abs(lhs).max()), 1.0)
     resid = float(np.abs(lhs - rhs).max()) / scale
     if resid > identity_tol:
@@ -373,9 +374,8 @@ def log_expansion(parabolic, const_final, eps, first_order=None):
 def remainder_sup(parabolic, const_final, pert_final, eps, L_pieces, grid=1024):
     """Sup of the third-order log remainder over the axis."""
     L0, L1, L2 = L_pieces
-    xs = np.arange(grid) / grid
     sgn = parabolic.sign
-    vals = sgn * (const_final[None, :, :] + eps**3 * pert_final(xs))
+    vals = sgn * (const_final[None, :, :] + eps**3 * pert_final.sample(grid))
     logs = _log_2x2(vals)
     rem = (logs - (L0 + eps * L1 + eps**2 * L2)[None, :, :]) / eps**3
     return float(np.abs(rem).max())
@@ -395,13 +395,12 @@ def build_frame(V, floor=1e-8, grid=4096, band_limit=None, det_tol=1e-10,
         raise ValueError("frame needs an R^2-valued map")
     m = grid
     while True:
-        xs = np.arange(m) * (V.period / m)
-        vals = V(xs).real
+        vals = V.sample(m).real
         norms2 = (vals**2).sum(axis=1)
         j0 = int(np.argmin(norms2))
         if norms2[j0] <= floor**2:
             raise FrameError(
-                f"vector field nearly vanishes at x={xs[j0]:.6f}: "
+                f"vector field nearly vanishes at x={j0 * V.period / m:.6f}: "
                 f"||V||={math.sqrt(norms2[j0]):.3e}"
             )
         inv2 = 1.0 / norms2
@@ -485,8 +484,7 @@ def reduce_at_edge(energy, wave, freq, lam, f, divisor_cutoff=DIVISOR_CUTOFF,
     alpha = freq.value
     B = matmul(R1.shift(alpha).adjugate(), A2, R1).trim(1e-16)
 
-    xs = np.arange(2048) / 1024.0       # two periods when period == 2
-    Bv = B(xs).real
+    Bv = B.sample(1024 * B.period).real     # one period at spacing 1/1024
     diag_dev = max(
         float(np.abs(Bv[:, 0, 0] - s).max()),
         float(np.abs(Bv[:, 1, 1] - s).max()),
@@ -507,10 +505,9 @@ def reduce_at_edge(energy, wave, freq, lam, f, divisor_cutoff=DIVISOR_CUTOFF,
     R = matmul(R1, shear.lift2() if R1.period == 2 else shear).trim(1e-16)
 
     target = np.array([[s, mu], [0.0, s]])
-    xs1 = np.arange(grid) / grid
-    Rv = R(xs1).real
-    Rv_sh = R(xs1 + alpha).real
-    Av = A(xs1).real
+    Rv = R.sample(R.period * grid)[:grid].real
+    Rv_sh = R.sample(R.period * grid, shift=alpha)[:grid].real
+    Av = A.sample(A.period * grid)[:grid].real
     M = np.matmul(_adj(Rv_sh), np.matmul(Av, Rv))
     off_normal = float(np.abs(M - target[None, :, :]).max())
 
@@ -528,7 +525,7 @@ def reduce_at_edge(energy, wave, freq, lam, f, divisor_cutoff=DIVISOR_CUTOFF,
     if delta is not None and delta > 0:
         try:
             diags["frame_strip_norm"] = strip_norm(R, delta, grid=1024).value
-        except Exception:
+        except StripDomainError:
             diags["frame_strip_norm"] = math.inf
     if off_normal > residual_tol:
         diags["off_normal_flag"] = True
@@ -553,18 +550,17 @@ def _adj(mats):
 
 
 def _det_deviation(R, grid=1024):
-    xs = np.arange(grid) * (R.period / grid)
-    d = np.linalg.det(R(xs).real)
+    d = np.linalg.det(R.sample(grid).real)
     return float(np.abs(d - 1.0).max())
 
 
 def _mu_from_iterate(R, A, alpha, sign, mu, l, grid=1024):
     """Read l*mu from the corner of R^{-1}(x+l alpha) A_l(x) R(x)."""
-    xs = np.arange(grid) / grid
     P = np.broadcast_to(np.eye(2), (grid, 2, 2)).copy()
     for j in range(l):
-        P = np.matmul(A(xs + j * alpha).real, P)
-    M = np.matmul(_adj(R(xs + l * alpha).real), np.matmul(P, R(xs).real))
+        P = np.matmul(A.sample(A.period * grid, shift=j * alpha)[:grid].real, P)
+    M = np.matmul(_adj(R.sample(R.period * grid, shift=l * alpha)[:grid].real),
+                  np.matmul(P, R.sample(R.period * grid)[:grid].real))
     corner = M[:, 0, 1].mean()
     return float(corner / (l * sign ** (l - 1)))
 
@@ -599,9 +595,8 @@ def average_identities(reduction, freq, grid=4096):
     s = reduction.parabolic.sign
     mu = reduction.parabolic.mu
     alpha = float(freq.value if hasattr(freq, "value") else freq)
-    xs = np.arange(grid) * (R.period / grid)
-    Rv = R(xs).real
-    Rs = R(xs + alpha).real
+    Rv = R.sample(grid).real
+    Rs = R.sample(grid, shift=alpha).real
     r11, r12 = Rv[:, 0, 0], Rv[:, 0, 1]
     r21 = Rv[:, 1, 0]
     s11, s12 = Rs[:, 0, 0], Rs[:, 0, 1]
@@ -657,10 +652,11 @@ def perturbation_matrix(reduction, lam, f, energy, freq, probe_eps=1e-4,
 
     alpha = freq.value
     A_eps = schrodinger_cocycle(lam, f, energy + probe_eps).A
-    xs = np.arange(grid) / grid
-    lhs = np.matmul(_adj(R(xs + alpha).real),
-                    np.matmul(A_eps(xs).real, R(xs).real))
-    rhs = reduction.parabolic.matrix[None, :, :] + probe_eps * pert(xs).real
+    lhs = np.matmul(_adj(R.sample(R.period * grid, shift=alpha)[:grid].real),
+                    np.matmul(A_eps.sample(A_eps.period * grid)[:grid].real,
+                              R.sample(R.period * grid)[:grid].real))
+    rhs = (reduction.parabolic.matrix[None, :, :]
+           + probe_eps * pert.sample(grid).real)
     resid = float(np.abs(lhs - rhs).max())
     if resid > identity_tol:
         raise ArithmeticError(

@@ -19,6 +19,7 @@ import numpy as np
 
 from .arithmetic import Frequency
 from .cocycle import rotation_number, schrodinger_cocycle
+from .errors import SpectrumError
 
 BISECT_TOL = 1e-13
 MERGE_TOL = 10.0 * BISECT_TOL
@@ -171,7 +172,8 @@ def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL,
     )
     cap = 4.0 + 2.0 * abs(lam) * potential_sup(f)
     if bs.measure > cap + 1e-6:
-        raise AssertionError(f"band measure {bs.measure} exceeds the norm bound {cap}")
+        raise SpectrumError("measure-bound",
+                            f"band measure {bs.measure} exceeds the norm bound {cap}")
     return bs
 
 
@@ -300,7 +302,7 @@ def label_gaps(bs, freq, rho_tol=1e-4, mirrored=False, rho_skip_width=RHO_SKIP_W
         )
     labels = [r.label for r in records]
     if len(set(labels)) != len(labels):
-        raise AssertionError("gap labels are not distinct")
+        raise SpectrumError("distinct-labels", "gap labels are not distinct")
     return records
 
 

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpgaps.errors import StripDomainError
 from qpgaps.fourier import (FourierMap, matmul, matrix_exp, mul, strip_norm)
@@ -184,3 +186,55 @@ def test_from_function_recovers_cosine_coefficients():
     assert f.coeff(1) == pytest.approx(1.0, abs=1e-12)
     assert f.coeff(-1) == pytest.approx(1.0, abs=1e-12)
     assert abs(f.coeff(0)) < 1e-12
+
+
+# ---- grid evaluation (sample) against the direct sum (__call__) ----------------
+
+@st.composite
+def grid_cases(draw):
+    """A random map and a shifted grid on a line Im z = delta.
+
+    The band limit is either below n_points / 2 (no two coefficients share a
+    residue mod n_points) or above n_points (the fold overlaps).  delta is set
+    through its depth 2 pi |delta| band / period, up to the range where the
+    direct sum switches to its scaled branch (depth >= 650).
+    """
+    n_points = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        band = draw(st.integers(n_points + 1, 3 * n_points + 8))
+    else:
+        band = draw(st.integers(0, (n_points - 1) // 2))
+    shape = draw(st.sampled_from([(), (2,), (2, 2)]))
+    period = draw(st.sampled_from([1, 2]))
+    depth = draw(st.floats(0.0, 700.0))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    delta = sign * depth * period / (2.0 * math.pi * max(band, 1))
+    shift = draw(st.floats(-2.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = (2 * band + 1,) + shape
+    coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return FourierMap(coeffs, period), n_points, delta, shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_cases())
+def test_sample_matches_direct_sum(case):
+    m, n_points, delta, shift = case
+    z = shift + np.arange(n_points) * (m.period / n_points) + 1j * delta
+    fast = m.sample(n_points, delta, shift)
+    direct = m(z)
+    assert fast.shape == direct.shape == (n_points,) + m.value_shape
+    # l1 norm of the coefficients as weighted on the line Im z = delta
+    weights = np.exp(-2.0 * math.pi * delta * m.k_range() / m.period)
+    scale = float((m.magnitudes() * weights).sum())
+    assert np.abs(fast - direct).max() <= 1e-12 * scale
+
+
+@settings(max_examples=50, deadline=None)
+@given(depth=st.floats(0.21, 5.0), sign=st.sampled_from([1.0, -1.0]),
+       n_points=st.integers(1, 256), shift=st.floats(-1.0, 1.0))
+def test_sample_refuses_points_past_the_strip(depth, sign, n_points, shift):
+    # 1 / (2 + cos 2 pi x) has poles at |Im z| = arccosh(2) / (2 pi) ~ 0.2096
+    m = FourierMap.from_function(lambda x: 1.0 / (2.0 + math.cos(2 * math.pi * x)), 24)
+    with pytest.raises(StripDomainError):
+        m.sample(n_points, sign * depth, shift)

@@ -115,11 +115,17 @@ def test_mirrored_edge_config(golden, amo):
     assert d.width <= abs(d.epsilon_m)
 
 
-def test_rotation_form_prediction_m3(golden, amo):
+def test_rotation_form_prediction_m3(golden, amo, monkeypatch):
     """At the m=3 upper edge the double step runs at eps_m and the normalized
-    rotation form predicts the measured rotation-number shift."""
+    rotation form predicts the measured rotation-number shift.  The averaging
+    reuses the perturbation stage's matrix instead of computing it again."""
+    calls = []
+    original = pl.reducibility.perturbation_matrix
+    monkeypatch.setattr(pl.reducibility, "perturbation_matrix",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
     cfg = pl.PipelineConfig(q_target=250, run_averaging=True)
     d = pl.analyze_gap(0.25, amo, golden, 3, cfg)
+    assert len(calls) == 1
     rf = d.rotation_form
     assert rf is not None
     assert rf["upper_right"] < 0.0
@@ -147,3 +153,20 @@ def test_dossier_displaced_tiny_gap_m7(golden, amo):
     assert d.width_bounded
     assert d.shift_differs
     assert abs(d.degree) == 7
+
+
+def test_bloch_ladder_lets_programming_errors_through(golden, amo, monkeypatch):
+    """A bug inside the dual search is not a numerical breakdown: it stops the
+    ladder at once instead of being swallowed on the way to the fallback."""
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the dual search")
+
+    fallback = []
+    monkeypatch.setattr(pl.duality, "find_bloch", broken)
+    monkeypatch.setattr(pl.duality, "find_bloch_resonant",
+                        lambda *a, **k: fallback.append(1))
+    with pytest.raises(StageError) as err:
+        pl.analyze_gap(0.25, amo, golden, 1, pl.PipelineConfig(q_target=150))
+    assert err.value.stage == "bloch"
+    assert isinstance(err.value.cause, TypeError)
+    assert not fallback

@@ -8,7 +8,7 @@ from qpgaps import duality as du
 from qpgaps import reducibility as red
 from qpgaps import spectrum as sp
 from qpgaps.cocycle import degree_of, schrodinger_cocycle
-from qpgaps.errors import FrameError, SmallDivisorError
+from qpgaps.errors import FrameError, SmallDivisorError, StripDomainError
 from qpgaps.fourier import FourierMap, matmul, mul
 
 
@@ -266,6 +266,24 @@ def test_reduce_free_edge_closed_form(golden, amo):
     assert r.parabolic.mu == pytest.approx(-1.0, abs=1e-9)
     assert r.off_normal_residual < 1e-9
     assert r.mu_iterate == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_frame_strip_norm_diagnostic_catches_only_strip_errors(golden, amo, monkeypatch):
+    sol = du.find_bloch(0.0, amo, golden, 2.0, trunc=16, theta_grid=16)
+    du.detect_resonance(sol, golden, n_max=4)
+    wave = du.assemble_wave(sol, 0.0, amo, golden)
+
+    def raising(exc):
+        def strip_norm(*args, **kwargs):
+            raise exc
+        return strip_norm
+
+    monkeypatch.setattr(red, "strip_norm", raising(StripDomainError("past the strip")))
+    r = red.reduce_at_edge(sol.energy, wave, golden, 0.0, amo, delta=0.05)
+    assert r.diagnostics["frame_strip_norm"] == math.inf
+    monkeypatch.setattr(red, "strip_norm", raising(IndexError("bug")))
+    with pytest.raises(IndexError):
+        red.reduce_at_edge(sol.energy, wave, golden, 0.0, amo, delta=0.05)
 
 
 def test_reduce_m1_residuals_and_mu_cross_check(golden, amo):

@@ -7,6 +7,7 @@ import pytest
 from qpgaps import arithmetic as ar
 from qpgaps import spectrum as sp
 from qpgaps.cocycle import amo_potential, rotation_number, schrodinger_cocycle
+from qpgaps.errors import QPGapsError, SpectrumError
 from qpgaps.fourier import FourierMap
 
 
@@ -243,3 +244,20 @@ def test_extended_precision_refinement_agrees(golden, amo):
     assert abs(refined.e_minus - r.e_minus) < 1e-11
     assert abs(refined.e_plus - r.e_plus) < 1e-11
     assert refined.label == r.label and refined.ids == r.ids
+
+
+def test_measure_bound_breach_raises_typed_error(amo, monkeypatch):
+    monkeypatch.setattr(sp.BandStructure, "measure", property(lambda self: 1e9))
+    with pytest.raises(QPGapsError) as err:
+        sp.band_structure(0.25, amo, (5, 8))
+    assert isinstance(err.value, SpectrumError)
+    assert err.value.check == "measure-bound"
+
+
+def test_repeated_labels_raise_typed_error(golden, amo, monkeypatch):
+    bs = sp.band_structure(0.25, amo, (5, 8))
+    monkeypatch.setattr(sp, "_label_from_ids", lambda j, p, q, mirrored=False: 0)
+    with pytest.raises(QPGapsError) as err:
+        sp.label_gaps(bs, golden, rho_skip_width=math.inf)
+    assert isinstance(err.value, SpectrumError)
+    assert err.value.check == "distinct-labels"
