@@ -2,7 +2,10 @@
 
 The cache is advisory: a missing, unreadable or mismatched entry means
 recompute, never a wrong answer.  Keys are SHA-256 of the canonical JSON of
-every numeric input; entries embed the key so corruption is detectable.
+every numeric input; entries embed the key and a checksum of their canonical
+payload, so a changed digit is detected as well as a renamed or unparseable
+file.  Entries are written through a unique temporary file and renamed into
+place, so concurrent writers of one key never share a partial file.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 
 import numpy as np
 
@@ -59,11 +63,16 @@ def store_band_structure(cache_dir, key, bs):
         "flagged": bs.flagged,
         "potential": _f_signature(bs.potential),
     }
+    payload["checksum"] = content_hash(payload)
     path = os.path.join(cache_dir, key + ".json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(canonical_json(payload))
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=key + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(canonical_json(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
@@ -77,6 +86,8 @@ def load_band_structure(cache_dir, key, strict=False):
             payload = json.load(fh)
         if payload.get("key") != key:
             raise CacheCorruptionError(f"key mismatch in {path}")
+        if payload.pop("checksum", None) != content_hash(payload):
+            raise CacheCorruptionError(f"checksum mismatch in {path}")
         coeffs = np.array([a + 1j * b for a, b in payload["potential"]["coeffs"]])
         f = FourierMap(coeffs, payload["potential"]["period"])
         return BandStructure(

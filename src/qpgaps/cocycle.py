@@ -71,10 +71,7 @@ def transfer(c, k, x, renorm_every=RENORM_EVERY):
     for j in range(k):
         P = np.matmul(c.matrices(x_arr + j * alpha), P)
         if (j + 1) % renorm_every == 0:
-            s = np.abs(P).reshape(len(x_arr), 4).max(axis=1)
-            s = np.where(s == 0.0, 1.0, s)
-            P /= s[:, None, None]
-            logs += np.log(s)
+            logs += np.log(_renormalize(P))
     if scalar_input:
         return P[0], float(logs[0])
     return P, logs
@@ -88,6 +85,15 @@ def lyapunov(c, k, phases=64):
     return float(np.mean((logs + np.log(norms)) / k))
 
 
+def _renormalize(P):
+    """Divides each 2x2 matrix of the stack P in place by its largest entry
+    (1 for a zero matrix) and returns those scales."""
+    s = np.abs(P).reshape(len(P), 4).max(axis=1)
+    s[s == 0.0] = 1.0
+    P /= s[:, None, None]
+    return s
+
+
 def _prefix_directions(mats, v0):
     """Directions v0, M_0 v0, M_1 M_0 v0, ... via a doubling prefix scan.
 
@@ -99,12 +105,24 @@ def _prefix_directions(mats, v0):
     s = 1
     while s < n:
         X[s:] = np.matmul(X[s:], X[:-s])
-        scale = np.abs(X).reshape(n, 4).max(axis=1)
-        scale[scale == 0.0] = 1.0
-        X /= scale[:, None, None]
+        _renormalize(X)
         s *= 2
     w = X @ v0
     return np.vstack([v0[None, :], w])
+
+
+def _orbit_directions(c, n, x0):
+    """The real step matrices A(x0 + j alpha), j < n, and the directions
+    (1, 0), M_0 (1, 0), M_1 M_0 (1, 0), ... of their prefix products.
+
+    Raises ValueError when the cocycle is not real on the real axis, where
+    neither the angle nor the sign of a component would mean anything.
+    """
+    mats = c.matrices(x0 + c.alpha * np.arange(n))
+    if np.abs(mats.imag).max() > 1e-9 * max(np.abs(mats.real).max(), 1.0):
+        raise ValueError("rotation number needs a real cocycle on the real axis")
+    mats = mats.real
+    return mats, _prefix_directions(mats, np.array([1.0, 0.0]))
 
 
 def _bump_weights(n):
@@ -122,12 +140,7 @@ def _angle_increments(c, n, x0):
     positive-trace matrix -M.  This matches the oscillation-theory convention
     in which every deep-potential step advances the angle forward.
     """
-    xs = x0 + c.alpha * np.arange(n)
-    mats = c.matrices(xs)
-    if np.abs(mats.imag).max() > 1e-9 * max(np.abs(mats.real).max(), 1.0):
-        raise ValueError("rotation number needs a real cocycle on the real axis")
-    mats = mats.real
-    w = _prefix_directions(mats, np.array([1.0, 0.0]))
+    mats, w = _orbit_directions(c, n, x0)
     phi = np.arctan2(w[:, 1], w[:, 0])
     d = np.diff(phi)
     d = (d + math.pi) % (2.0 * math.pi) - math.pi
@@ -190,9 +203,7 @@ def rotation_number_counting(c, iterations=1 << 18, x0=0.0):
     what makes this a genuine cross-check of rotation_number.
     """
     n = int(iterations)
-    xs = x0 + c.alpha * np.arange(n)
-    mats = c.matrices(xs).real
-    w = _prefix_directions(mats, np.array([1.0, 0.0]))
+    _, w = _orbit_directions(c, n, x0)
     signs = np.sign(w[:, 0])
     signs[signs == 0.0] = 1.0
     flips = np.count_nonzero(signs[1:] != signs[:-1])
@@ -291,10 +302,7 @@ def strip_growth(c, eta, K, grid=256, points=24):
                 vals = c.A.sample(c.A.period * grid, d, step * alpha)[:grid]
                 prods[d] = np.matmul(vals, prods[d])
                 if (step + 1) % RENORM_EVERY == 0:
-                    s = np.abs(prods[d]).reshape(grid, 4).max(axis=1)
-                    s[s == 0.0] = 1.0
-                    prods[d] /= s[:, None, None]
-                    logs[d] += np.log(s)
+                    logs[d] += np.log(_renormalize(prods[d]))
             step += 1
         best = 0.0
         for d in lines:

@@ -5,6 +5,13 @@ potential coefficients, diagonal 2 cos 2 pi (theta + n alpha).  At a gap edge
 the band function over theta attains an extremum; the minimizing phase comes
 with an eigenvector localized around some site, which after recentering gives
 the normalized Bloch coefficients with u_0 = 1 and |u_k| <= 1.
+
+One path refines and normalizes every eigenpair once its phase is chosen:
+`_nearest_pair` solves for the interior eigenpair nearest an energy,
+`_refine` doubles the truncation at that phase, and `_normalized` recenters,
+scales and fills the `BlochSolution`.  `find_bloch` and `find_bloch_resonant`
+differ only in how they choose the phase; `snap_to_resonance` re-solves at
+the exact resonant phase and normalizes without refining.
 """
 
 from __future__ import annotations
@@ -16,11 +23,16 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BlochError
-from .fourier import FourierMap, mul
+from .fourier import FourierMap
 
 DUAL_START_N = 256
 DUAL_TAIL_TOL = 1e-10
 THETA_XTOL = 1e-12
+# half-widths of the energy windows tried in turn, by caller
+_PROBE_WINDOWS = (0.5, 2.0, 8.0, 32.0)
+_PAIR_WINDOWS = (1e-9, 1e-6)
+_SLOPE_WINDOWS = tuple(1e-6 * 32.0 ** k for k in range(4))
+_SNAP_WINDOWS = tuple(1e-9 * 32.0 ** k for k in range(6))
 
 
 def dual_matrix(lam, f, freq, theta, trunc):
@@ -61,24 +73,29 @@ def _dual_banded(lam, f, freq, theta, trunc):
     return ab
 
 
-def _eigs_near(lam, f, freq, theta, trunc, e_lo, e_hi, vectors=False):
-    ab = _dual_banded(lam, f, freq, theta, trunc)
-    return scipy.linalg.eig_banded(
-        ab, lower=False, select="v", select_range=(e_lo, e_hi),
-        eigvals_only=not vectors,
-    )
-
-
 def _interior_eigs(lam, f, freq, theta, trunc, e_lo, e_hi, margin=4):
     """Eigenpairs in the window whose vectors live away from the truncation
     boundary.  Truncating the dual operator plants spurious edge states inside
     spectral gaps; an honest localized eigenvector peaks well inside."""
-    w, v = _eigs_near(lam, f, freq, theta, trunc, e_lo, e_hi, vectors=True)
+    ab = _dual_banded(lam, f, freq, theta, trunc)
+    w, v = scipy.linalg.eig_banded(ab, lower=False, select="v", select_range=(e_lo, e_hi))
     if len(w) == 0:
         return w, v
     peaks = np.abs(v).argmax(axis=0)
     keep = np.abs(peaks - trunc) <= trunc - max(margin, trunc // 4)
     return w[keep], v[:, keep]
+
+
+def _nearest_pair(lam, f, freq, theta, trunc, energy, windows):
+    """Interior eigenpair nearest `energy`, from the first half-width in
+    `windows` whose window holds one; BlochError when none does."""
+    for w in windows:
+        vals, vecs = _interior_eigs(lam, f, freq, theta, trunc, energy - w, energy + w)
+        if len(vals):
+            k = int(np.argmin(np.abs(vals - energy)))
+            return float(vals[k]), vecs[:, k]
+    raise BlochError(f"no interior dual eigenvalue within {windows[-1]:.1e} of "
+                     f"E={energy} at theta={theta} (trunc {trunc})")
 
 
 @dataclass
@@ -112,29 +129,26 @@ class BlochSolution:
         }
 
 
-def _band_objective(lam, f, freq, trunc, target, side, window):
-    """theta -> edge-relevant interior eigenvalue for the search."""
+def _band_objective(lam, f, freq, trunc, target, side):
+    """theta -> edge-relevant interior eigenvalue for the search: the one
+    nearest `target`, or the first one above or below it."""
+    if side == "nearest":
+        return lambda theta: _nearest_pair(lam, f, freq, theta, trunc, target,
+                                           _PROBE_WINDOWS)[0]
 
     def probe(theta):
-        w = window
-        while True:
+        for w in _PROBE_WINDOWS:
             if side == "above":
                 vals, _ = _interior_eigs(lam, f, freq, theta, trunc, target, target + w)
                 above = vals[vals > target]
                 if len(above):
                     return float(above[0])
-            elif side == "below":
+            else:
                 vals, _ = _interior_eigs(lam, f, freq, theta, trunc, target - w, target)
                 below = vals[vals < target]
                 if len(below):
                     return float(below[-1])
-            else:
-                vals, _ = _interior_eigs(lam, f, freq, theta, trunc, target - w, target + w)
-                if len(vals):
-                    return float(vals[np.argmin(np.abs(vals - target))])
-            w *= 4.0
-            if w > 64.0:
-                raise BlochError(f"no interior dual eigenvalue near E={target} at theta={theta}")
+        raise BlochError(f"no interior dual eigenvalue near E={target} at theta={theta}")
 
     return probe
 
@@ -155,6 +169,46 @@ def _golden_minimize(fn, a, b, xtol):
     return (a + b) / 2.0
 
 
+def _refine(lam, f, freq, theta, trunc, energy, vec, tail_tol, max_trunc):
+    """Doubles the truncation at the fixed phase theta, re-solving the pair
+    nearest the previous eigenvalue, until the eigenvalue moves by less than
+    1e-9 and the outer quarters of the eigenvector sum to less than tail_tol,
+    or the truncation reaches max_trunc.  BlochError when a doubled
+    truncation loses the eigenvalue.  Returns (energy, vec, trunc).
+    """
+    while trunc < max_trunc:
+        e_next, vec = _nearest_pair(lam, f, freq, theta, 2 * trunc, energy, _PAIR_WINDOWS)
+        moved = abs(e_next - energy)
+        energy, trunc = e_next, 2 * trunc
+        quarter = (2 * trunc + 1) // 4
+        tail = float(np.abs(vec[:quarter]).max() + np.abs(vec[-quarter:]).max())
+        if moved < 1e-9 and tail < tail_tol:
+            break
+    return energy, vec, trunc
+
+
+def _normalized(lam, f, freq, theta, trunc, energy, vec):
+    """The eigenvector shifted to its largest entry n0 (theta moves by
+    n0 alpha) and scaled so u_0 = 1, as a BlochSolution with its duality
+    residual and decay fit.  Returns (solution, n0)."""
+    center = int(np.argmax(np.abs(vec)))
+    n0 = center - trunc
+    if abs(vec[center]) < 1e-12:
+        raise BlochError("dual eigenvector has no usable peak to normalize")
+    src = np.arange(-trunc, trunc + 1) + n0
+    ok = (src >= -trunc) & (src <= trunc)
+    u_hat = np.zeros(2 * trunc + 1, dtype=complex)
+    u_hat[ok] = vec[src[ok] + trunc]
+    u_hat /= u_hat[trunc]
+    if np.abs(u_hat).max() > 1.0 + 1e-6:
+        raise BlochError("normalized Bloch coefficients exceed 1")
+    sol = BlochSolution(energy=energy, theta=float((theta + n0 * freq.value) % 1.0),
+                        u_hat=u_hat, trunc=trunc)
+    sol.duality_residual = duality_residual(lam, f, freq, sol)
+    sol.decay_rate, sol.decay_onset = _decay_fit(u_hat, trunc)
+    return sol, n0
+
+
 def find_bloch(lam, f, freq, energy, trunc=None, theta_grid=64, side="nearest",
                floor=None, tail_tol=DUAL_TAIL_TOL, max_trunc=4096):
     """Dual eigenpair at (or nearest) a gap-edge energy.
@@ -162,70 +216,32 @@ def find_bloch(lam, f, freq, energy, trunc=None, theta_grid=64, side="nearest",
     side="above"/"below" seeks the band-function extremum on that side of
     `floor` (defaults to `energy`), which is how a true gap edge is pinned
     from an approximant estimate; side="nearest" just minimizes the distance
-    of the closest eigenvalue to `energy`.  The truncation doubles until the
-    selected eigenvalue moves < 1e-10 and the coefficient tail is negligible.
-    The eigenvector is recentered at its largest entry (shifting theta by a
-    multiple of alpha) and scaled so u_0 = 1, all |u_k| <= 1.
+    of the closest eigenvalue to `energy`.  The phase is located once at the
+    starting truncation; `_refine` then doubles the truncation (stopping rule
+    in its docstring) and `_normalized` recenters the eigenvector at its
+    largest entry (shifting theta by a multiple of alpha) and scales it so
+    u_0 = 1, all |u_k| <= 1.
     """
     trunc = trunc or DUAL_START_N
     target = floor if floor is not None else energy
+    probe = _band_objective(lam, f, freq, trunc, target, side)
+    if side == "nearest":
+        objective = lambda th: abs(probe(th) - energy)
+    else:
+        sgn = 1.0 if side == "above" else -1.0
+        objective = lambda th: sgn * probe(th)
+    thetas = (np.arange(theta_grid) + 0.5) / (2.0 * theta_grid)   # [0, 1/2]
+    vals = [objective(t) for t in thetas]
+    i0 = int(np.argmin(vals))
+    lo = thetas[max(0, i0 - 1)]
+    hi = thetas[min(len(thetas) - 1, i0 + 1)]
+    theta_star = _golden_minimize(objective, lo, hi, THETA_XTOL)
 
-    def locate_theta(tr):
-        probe = _band_objective(lam, f, freq, tr, target, side, window=0.5)
-        if side == "nearest":
-            objective = lambda th: abs(probe(th) - energy)
-        else:
-            sgn = 1.0 if side == "above" else -1.0
-            objective = lambda th: sgn * probe(th)
-        thetas = (np.arange(theta_grid) + 0.5) / (2.0 * theta_grid)   # [0, 1/2]
-        vals = [objective(t) for t in thetas]
-        i0 = int(np.argmin(vals))
-        lo = thetas[max(0, i0 - 1)]
-        hi = thetas[min(len(thetas) - 1, i0 + 1)]
-        th = _golden_minimize(objective, lo, hi, THETA_XTOL)
-        return th, probe(th)
-
-    def eigenpair(tr, th, e_near):
-        w, v = _interior_eigs(lam, f, freq, th, tr, e_near - 1e-9, e_near + 1e-9)
-        if not len(w):
-            w, v = _interior_eigs(lam, f, freq, th, tr, e_near - 1e-6, e_near + 1e-6)
-        if not len(w):
-            raise BlochError(f"lost the selected eigenvalue near E={e_near}")
-        j = int(np.argmin(np.abs(w - e_near)))
-        return float(w[j]), v[:, j]
-
-    theta_star, e_star = locate_theta(trunc)
-    e_star, vec = eigenpair(trunc, theta_star, e_star)
-    # theta is stable once located; higher truncations only re-solve the pair
-    while trunc < max_trunc:
-        e_next, vec_next = eigenpair(2 * trunc, theta_star, e_star)
-        moved = abs(e_next - e_star)
-        e_star, vec, trunc = e_next, vec_next, 2 * trunc
-        size = 2 * trunc + 1
-        tail = float(np.abs(vec[: size // 4]).max() + np.abs(vec[-(size // 4):]).max())
-        if moved < 1e-9 and tail < tail_tol:
-            break
-
-    center = int(np.argmax(np.abs(vec)))
-    n0 = center - trunc
-    if abs(vec[center]) < 1e-12:
-        raise BlochError("dual eigenvector has no usable peak to normalize")
-    theta_eff = float((theta_star + n0 * freq.value) % 1.0)
-    ks = np.arange(-trunc, trunc + 1)
-    src = ks + n0
-    ok = (src >= -trunc) & (src <= trunc)
-    shifted = np.zeros(2 * trunc + 1, dtype=complex)
-    shifted[ok] = vec[src[ok] + trunc]
-    shifted /= shifted[trunc]
-
-    sol = BlochSolution(
-        energy=e_star, theta=theta_eff, u_hat=shifted, trunc=trunc,
-    )
-    sol.duality_residual = duality_residual(lam, f, freq, sol)
-    sol.decay_rate, sol.decay_onset = _decay_fit(shifted, trunc)
-    if np.abs(shifted).max() > 1.0 + 1e-6:
-        raise BlochError("normalized Bloch coefficients exceed 1")
-    return sol
+    e_star, vec = _nearest_pair(lam, f, freq, theta_star, trunc, probe(theta_star),
+                                _PAIR_WINDOWS)
+    e_star, vec, trunc = _refine(lam, f, freq, theta_star, trunc, e_star, vec,
+                                 tail_tol, max_trunc)
+    return _normalized(lam, f, freq, theta_star, trunc, e_star, vec)[0]
 
 
 def find_bloch_resonant(lam, f, freq, energy, n_candidates, trunc=None,
@@ -235,8 +251,8 @@ def find_bloch_resonant(lam, f, freq, energy, n_candidates, trunc=None,
     When the blind band-extremum search cannot lock a displaced tiny gap, the
     resonance itself pins the phase: for each candidate integer n the two
     phases (n alpha + j)/2, j in {0, 1}, are probed and the interior
-    eigenvalue nearest `energy` wins.  Truncation refinement and
-    normalization follow the extremum-based path.
+    eigenvalue nearest `energy` wins.  Truncation refinement (`_refine`) and
+    normalization (`_normalized`) are those of `find_bloch`.
     """
     trunc = trunc or DUAL_START_N
     w = window if window is not None else 0.05
@@ -247,16 +263,16 @@ def find_bloch_resonant(lam, f, freq, energy, n_candidates, trunc=None,
             theta_c = ((n_t * freq.value + j) / 2.0) % 1.0
             vals, vecs = _interior_eigs(lam, f, freq, theta_c, trunc,
                                         energy - w, energy + w)
-            if not len(vals):
-                continue
             for k in np.argsort(np.abs(vals - energy))[:4]:
                 e_k = float(vals[int(k)])
                 # only a theta-extremal eigenvalue is a gap edge; a generic
                 # in-band eigenvalue at the same (resonant) phase moves at
                 # order-one speed in theta
                 try:
-                    e_p = _nearest_interior(lam, f, freq, theta_c + d_th, trunc, e_k)
-                    e_m = _nearest_interior(lam, f, freq, theta_c - d_th, trunc, e_k)
+                    e_p, _ = _nearest_pair(lam, f, freq, theta_c + d_th, trunc, e_k,
+                                           _SLOPE_WINDOWS)
+                    e_m, _ = _nearest_pair(lam, f, freq, theta_c - d_th, trunc, e_k,
+                                           _SLOPE_WINDOWS)
                 except BlochError:
                     continue
                 slope = abs(e_p - e_m) / (2.0 * d_th)
@@ -269,48 +285,9 @@ def find_bloch_resonant(lam, f, freq, energy, n_candidates, trunc=None,
         raise BlochError(f"no theta-extremal interior dual eigenvalue within {w} "
                          f"of E={energy} at any resonant phase")
     _, theta_star, e_star, vec = best
-
-    while trunc < max_trunc:
-        vals, vecs = _interior_eigs(lam, f, freq, theta_star, 2 * trunc,
-                                    e_star - 1e-6, e_star + 1e-6)
-        if not len(vals):
-            break
-        k = int(np.argmin(np.abs(vals - e_star)))
-        e_next, vec_next = float(vals[k]), vecs[:, k]
-        moved = abs(e_next - e_star)
-        e_star, vec, trunc = e_next, vec_next, 2 * trunc
-        size = 2 * trunc + 1
-        tail = float(np.abs(vec[: size // 4]).max() + np.abs(vec[-(size // 4):]).max())
-        if moved < 1e-9 and tail < tail_tol:
-            break
-
-    center = int(np.argmax(np.abs(vec)))
-    n0 = center - trunc
-    if abs(vec[center]) < 1e-12:
-        raise BlochError("dual eigenvector has no usable peak to normalize")
-    theta_eff = float((theta_star + n0 * freq.value) % 1.0)
-    ks = np.arange(-trunc, trunc + 1)
-    src = ks + n0
-    ok = (src >= -trunc) & (src <= trunc)
-    shifted = np.zeros(2 * trunc + 1, dtype=complex)
-    shifted[ok] = vec[src[ok] + trunc]
-    shifted /= shifted[trunc]
-    sol = BlochSolution(energy=e_star, theta=theta_eff, u_hat=shifted, trunc=trunc)
-    sol.duality_residual = duality_residual(lam, f, freq, sol)
-    sol.decay_rate, sol.decay_onset = _decay_fit(shifted, trunc)
-    if np.abs(shifted).max() > 1.0 + 1e-6:
-        raise BlochError("normalized Bloch coefficients exceed 1")
-    return sol
-
-
-def _nearest_interior(lam, f, freq, theta, trunc, energy, w0=1e-6):
-    w = w0
-    while w <= 1.0:
-        vals, _ = _interior_eigs(lam, f, freq, theta, trunc, energy - w, energy + w)
-        if len(vals):
-            return float(vals[np.argmin(np.abs(vals - energy))])
-        w *= 32.0
-    raise BlochError(f"no interior eigenvalue near E={energy}")
+    e_star, vec, trunc = _refine(lam, f, freq, theta_star, trunc, e_star, vec,
+                                 tail_tol, max_trunc)
+    return _normalized(lam, f, freq, theta_star, trunc, e_star, vec)[0]
 
 
 def _decay_fit(u_hat, trunc):
@@ -380,36 +357,13 @@ def snap_to_resonance(sol, lam, f, freq):
         raise BlochError("no resonance to snap to")
     j = round(2.0 * sol.theta - sol.n_tilde * freq.value)
     theta_s = ((sol.n_tilde * freq.value + j) / 2.0) % 1.0
-    trunc = sol.trunc
-    w = 1e-9
-    while True:
-        vals, vecs = _interior_eigs(lam, f, freq, theta_s, trunc,
-                                    sol.energy - w, sol.energy + w)
-        if len(vals):
-            break
-        w *= 32.0
-        if w > 1.0:
-            raise BlochError("snapped phase lost the eigenvalue")
-    k = int(np.argmin(np.abs(vals - sol.energy)))
-    e_star, vec = float(vals[k]), vecs[:, k]
-    center = int(np.argmax(np.abs(vec)))
-    n0 = center - trunc
-    if n0 != 0:
-        theta_s = (theta_s + n0 * freq.value) % 1.0
-        sol.n_tilde += 2 * n0
-        ks = np.arange(-trunc, trunc + 1)
-        src = ks + n0
-        ok = (src >= -trunc) & (src <= trunc)
-        shifted = np.zeros(2 * trunc + 1, dtype=complex)
-        shifted[ok] = vec[src[ok] + trunc]
-        vec = shifted
-    vec = vec / vec[trunc]
-    sol.theta = float(theta_s)
-    sol.energy = float(e_star)
-    sol.u_hat = vec
-    sol.duality_residual = duality_residual(lam, f, freq, sol)
-    sol.decay_rate, sol.decay_onset = _decay_fit(vec, trunc)
-    sol.resonance_dist = abs((2.0 * theta_s - sol.n_tilde * freq.value + 0.5) % 1.0 - 0.5)
+    e_star, vec = _nearest_pair(lam, f, freq, theta_s, sol.trunc, sol.energy,
+                                _SNAP_WINDOWS)
+    snapped, n0 = _normalized(lam, f, freq, theta_s, sol.trunc, e_star, vec)
+    snapped.n_tilde = sol.n_tilde + 2 * n0
+    snapped.resonance_dist = abs((2.0 * snapped.theta - snapped.n_tilde * freq.value
+                                  + 0.5) % 1.0 - 0.5)
+    vars(sol).update(vars(snapped))
     return sol
 
 

@@ -3,8 +3,10 @@ import os
 
 import pytest
 
-from qpgaps import cli
-from qpgaps.errors import ConfigError
+from qpgaps import cache, cli
+from qpgaps.cocycle import amo_potential
+from qpgaps.errors import CacheCorruptionError, ConfigError
+from qpgaps.spectrum import BandStructure
 
 
 def run(argv):
@@ -63,6 +65,44 @@ def test_cache_corruption_detected_and_recovered(tmp_path):
     assert run(["cache", "verify", "--cache-dir", str(cdir)]) == 4
     # advisory cache: damaged entry means recompute, not failure
     assert run(args) == 0
+
+
+def test_cache_changed_digit_detected(tmp_path):
+    cdir = tmp_path / "cache"
+    assert run(["spectrum", "--lam", "0.25", "--freq", "golden", "--q", "34",
+                "--out", str(tmp_path / "o"), "--cache-dir", str(cdir)]) == 0
+    (name,) = [n for n in os.listdir(cdir) if n.endswith(".json")]
+    key = name[:-5]
+    assert cache.load_band_structure(cdir, key) is not None
+    text = read(cdir / name)
+    edge = repr(json.loads(text)["bands"][0][1])
+    changed = edge[:-1] + ("1" if edge[-1] != "1" else "2")
+    with open(cdir / name, "w") as fh:
+        fh.write(text.replace(edge, changed, 1))
+    assert json.loads(read(cdir / name))["bands"][0][1] == float(changed)
+    assert cache.load_band_structure(cdir, key) is None
+    with pytest.raises(CacheCorruptionError, match="checksum"):
+        cache.cache_verify(cdir)
+    assert run(["cache", "verify", "--cache-dir", str(cdir)]) == 4
+
+
+def test_cache_writers_use_distinct_temp_files(tmp_path, monkeypatch):
+    bs = BandStructure(approximant=(1, 1), lam=0.0, potential=amo_potential(),
+                       bands=((-2.0, 2.0),), theta_grid=1)
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append(src)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    for _ in range(2):
+        cache.store_band_structure(str(tmp_path), "k", bs)
+    assert len(set(replaced)) == 2
+    assert all(os.path.dirname(t) == str(tmp_path) for t in replaced)
+    assert os.listdir(tmp_path) == ["k.json"]
+    assert cache.load_band_structure(str(tmp_path), "k", strict=True).bands == bs.bands
 
 
 def test_decay_deterministic_across_jobs(tmp_path):

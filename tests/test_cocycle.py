@@ -105,6 +105,13 @@ def test_rotation_number_agrees_with_counting(golden, amo):
         assert r1.value == pytest.approx(r2.value, abs=5e-5)
 
 
+@pytest.mark.parametrize("route", [rotation_number, rotation_number_counting])
+def test_rotation_routes_reject_complex_cocycle(golden, amo, route):
+    c = schrodinger_cocycle(0.25, amo, 0.33 + 0.1j, golden)
+    with pytest.raises(ValueError, match="real cocycle"):
+        route(c, iterations=1024)
+
+
 def test_conjugate_by_identity(golden, amo):
     c = schrodinger_cocycle(0.25, amo, 1.0, golden)
     cc = conjugate(c, FourierMap.identity())

@@ -146,3 +146,48 @@ def test_find_bloch_deterministic(golden, amo):
     assert a.energy == b.energy
     assert a.theta == b.theta
     assert np.array_equal(a.u_hat, b.u_hat)
+
+
+def test_find_bloch_resonant_at_displaced_m7_gap(golden, amo):
+    # the 144/233 m = 7 gap is the one the dossier's extremum ladder misses;
+    # candidates and window are the ones pipeline.locate_bloch passes
+    bs = sp.band_structure(0.25, amo, (144, 233), e_resolution=1e-12)
+    rec = [r for r in sp.label_gaps(bs, golden, rho_skip_width=math.inf)
+           if r.label == 7][0]
+    disp = 50.0 * abs(golden.value - 144 / 233)
+    sol = du.find_bloch_resonant(0.25, amo, golden, rec.e_plus, (7, -7), trunc=128,
+                                 window=max(8.0 * rec.width, 2.0 * disp, 1e-6))
+    assert sol.u_hat[sol.trunc] == 1.0
+    assert np.abs(sol.u_hat).max() <= 1.0
+    assert sol.duality_residual < 1e-12
+    assert du.detect_resonance(sol, golden) == -7
+    du.snap_to_resonance(sol, 0.25, amo, golden)
+    assert sol.resonance_dist == 0.0
+
+
+def test_find_bloch_resonant_far_from_spectrum(golden, amo):
+    with pytest.raises(BlochError):
+        du.find_bloch_resonant(0.25, amo, golden, 10.0, (7, -7), trunc=64)
+
+
+def test_resonant_refinement_raises_when_doubling_loses_the_pair(golden, amo, monkeypatch):
+    interior_eigs = du._interior_eigs
+
+    def lost_above_16(lam, f, freq, theta, trunc, e_lo, e_hi):
+        w, v = interior_eigs(lam, f, freq, theta, trunc, e_lo, e_hi)
+        return (w, v) if trunc <= 16 else (w[:0], v[:, :0])
+
+    # free dual operator: at theta = 0 the site-0 eigenvalue 2 is theta-extremal
+    sol = du.find_bloch_resonant(0.0, amo, golden, 2.0, (0,), trunc=16)
+    assert sol.energy == 2.0 and sol.trunc == 32
+    monkeypatch.setattr(du, "_interior_eigs", lost_above_16)
+    with pytest.raises(BlochError, match="trunc 32"):
+        du.find_bloch_resonant(0.0, amo, golden, 2.0, (0,), trunc=16)
+
+
+def test_snap_needs_a_resonance(golden, amo):
+    sol = du.BlochSolution(energy=0.0, theta=0.123456, u_hat=np.array([1.0 + 0j]),
+                           trunc=0)
+    assert sol.n_tilde is None
+    with pytest.raises(BlochError, match="no resonance"):
+        du.snap_to_resonance(sol, 0.25, amo, golden)
