@@ -1,10 +1,10 @@
 """SL(2,R) cocycles over an irrational rotation.
 
-Transfer products carry a separate accumulated log-scale so hyperbolic growth
-never overflows.  The fibered rotation number is a weighted Birkhoff average
-of the lifted projective angle increments; consecutive directions along the
-orbit come from a doubling prefix-scan of the step matrices, which keeps the
-whole computation vectorized.
+One engine, _propagate, pushes vectors or products through a stack of step
+matrices with a separate log-scale, so hyperbolic growth never overflows;
+transfer products, Lyapunov exponents and strip growth use it.  The fibered
+rotation number is a weighted Birkhoff average of the lifted projective angle
+increments along directions from a blocked prefix scan built on the engine.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class Cocycle:
         return self.freq.value if isinstance(self.freq, Frequency) else float(self.freq)
 
     def matrices(self, xs):
-        """A(x) at an array of (possibly complex) points, as (len, 2, 2)."""
+        """A(x) at an array of (possibly complex) points, as (*shape, 2, 2)."""
         return self.A(np.asarray(xs))
 
 
@@ -55,7 +55,48 @@ def schrodinger_cocycle(lam, f, energy, freq=None):
     return Cocycle(freq if freq is not None else 0.0, A)
 
 
-def transfer(c, k, x, renorm_every=RENORM_EVERY):
+def _propagate(steps, V, out=None):
+    """V <- steps[j] @ V for each step of a (n, *batch, 2, 2) stack; V is
+    (*batch, 2, m).  Every RENORM_EVERY steps and after the last, V is divided
+    by its largest entry magnitude, a positive scale that keeps directions and
+    signs.  Returns (V, log_scale): the true result is exp(log_scale) * V.
+    out[j], when given, receives a positive multiple of V after step j.
+    """
+    log_scale = np.zeros(V.shape[:-2])
+    for j, M in enumerate(steps):
+        V = M @ V
+        if (j + 1) % RENORM_EVERY == 0 or j == len(steps) - 1:
+            s = np.abs(V).max(axis=(-2, -1), keepdims=True)
+            s[s == 0.0] = 1.0
+            V /= s
+            log_scale += np.log(s[..., 0, 0])
+        if out is not None:
+            out[j] = V
+    return V, log_scale
+
+
+def _scan_directions(steps):
+    """Positive multiples of (1, 0), M_0 (1, 0), M_1 M_0 (1, 0), ... for a
+    (n, *batch, 2, 2) stack, by a blocked prefix scan: the steps behind one
+    identity, padded with identities into B blocks of L ~ sqrt(n), give the
+    block totals; (1, 0) chained through the totals gives each block's start,
+    and the starts pushed through their blocks fill in the rest.
+    """
+    n, tail = len(steps) + 1, steps.shape[1:]
+    L = math.isqrt(n - 1) + 1
+    B = -(-n // L)
+    eye = np.broadcast_to(np.eye(2), (B * L - n + 1,) + tail)
+    blocks = np.concatenate([eye[:1], steps, eye[1:]]).reshape((B, L) + tail).swapaxes(0, 1)
+    totals, _ = _propagate(blocks, np.broadcast_to(np.eye(2), blocks.shape[1:]))
+    starts = np.empty(totals.shape[:-1] + (1,))
+    starts[0] = [[1.0], [0.0]]
+    _propagate(totals[:-1], starts[0], out=starts[1:])
+    trail = np.empty((L,) + starts.shape)
+    _propagate(blocks, starts, out=trail)
+    return trail.swapaxes(0, 1).reshape((B * L,) + starts.shape[1:-1])[:n]
+
+
+def transfer(c, k, x):
     """Ordered product A(x+(k-1)a) ... A(x), renormalized against overflow.
 
     Returns (unit-scaled matrix, log_scale): the true product is
@@ -63,18 +104,10 @@ def transfer(c, k, x, renorm_every=RENORM_EVERY):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=complex))
-    scalar_input = np.asarray(x).ndim == 0
-    alpha = c.alpha
-    P = np.broadcast_to(np.eye(2, dtype=complex), (len(x_arr), 2, 2)).copy()
-    logs = np.zeros(len(x_arr))
-    for j in range(k):
-        P = np.matmul(c.matrices(x_arr + j * alpha), P)
-        if (j + 1) % renorm_every == 0:
-            logs += np.log(_renormalize(P))
-    if scalar_input:
-        return P[0], float(logs[0])
-    return P, logs
+    x = np.asarray(x, dtype=complex)
+    steps = c.matrices(np.add.outer(c.alpha * np.arange(k), x))
+    P, logs = _propagate(steps, np.broadcast_to(np.eye(2), steps.shape[1:]))
+    return (P, float(logs)) if x.ndim == 0 else (P, logs)
 
 
 def lyapunov(c, k, phases=64):
@@ -83,32 +116,6 @@ def lyapunov(c, k, phases=64):
     P, logs = transfer(c, k, xs)
     norms = np.linalg.norm(P, ord=2, axis=(1, 2))
     return float(np.mean((logs + np.log(norms)) / k))
-
-
-def _renormalize(P):
-    """Divides each 2x2 matrix of the stack P in place by its largest entry
-    (1 for a zero matrix) and returns those scales."""
-    s = np.abs(P).reshape(len(P), 4).max(axis=1)
-    s[s == 0.0] = 1.0
-    P /= s[:, None, None]
-    return s
-
-
-def _prefix_directions(mats, v0):
-    """Directions v0, M_0 v0, M_1 M_0 v0, ... via a doubling prefix scan.
-
-    Only directions matter, so each round renormalizes by the max entry
-    (positive scale factors preserve all projective data).
-    """
-    X = mats.astype(float).copy()
-    n = len(X)
-    s = 1
-    while s < n:
-        X[s:] = np.matmul(X[s:], X[:-s])
-        _renormalize(X)
-        s *= 2
-    w = X @ v0
-    return np.vstack([v0[None, :], w])
 
 
 def _orbit_directions(c, n, x0):
@@ -121,8 +128,7 @@ def _orbit_directions(c, n, x0):
     mats = c.matrices(x0 + c.alpha * np.arange(n))
     if np.abs(mats.imag).max() > 1e-9 * max(np.abs(mats.real).max(), 1.0):
         raise ValueError("rotation number needs a real cocycle on the real axis")
-    mats = mats.real
-    return mats, _prefix_directions(mats, np.array([1.0, 0.0]))
+    return mats.real, _scan_directions(mats.real)
 
 
 def _bump_weights(n):
@@ -258,10 +264,6 @@ def degree_of(R, samples=4096, v=None, redraws=3, tol=0.05):
     raise DegreeError(f"projective winding ill-defined after {redraws} draws")
 
 
-def conjugacy_from_map(R):
-    return Conjugacy(R=R, degree=degree_of(R))
-
-
 def conjugate(c, R, band_limit=None, det_tol=1e-8):
     """The conjugated cocycle (alpha, R^{-1}(x+alpha) A(x) R(x)).
 
@@ -290,23 +292,20 @@ def conjugate(c, R, band_limit=None, det_tol=1e-8):
 def strip_growth(c, eta, K, grid=256, points=24):
     """Strip norms ||A_k||_eta on a logarithmic schedule of k up to K."""
     ks = sorted({max(1, int(round(K ** (i / (points - 1))))) for i in range(points)})
-    out = []
     lines = [0.0] if eta == 0.0 else [eta, -eta]
-    prods = {d: np.broadcast_to(np.eye(2, dtype=complex), (grid, 2, 2)).copy() for d in lines}
-    logs = {d: np.zeros(grid) for d in lines}
-    alpha = c.alpha
+    base = np.add.outer(1j * np.array(lines), np.arange(grid) / grid)
+    P = np.broadcast_to(np.eye(2), base.shape + (2, 2))
+    logs = np.zeros(base.shape)
     step = 0
+    out = []
     for k_target in ks:
+        # RENORM_EVERY steps at a time, so memory does not grow with K
         while step < k_target:
-            for d in lines:
-                vals = c.A.sample(c.A.period * grid, d, step * alpha)[:grid]
-                prods[d] = np.matmul(vals, prods[d])
-                if (step + 1) % RENORM_EVERY == 0:
-                    logs[d] += np.log(_renormalize(prods[d]))
-            step += 1
-        best = 0.0
-        for d in lines:
-            norms = np.linalg.norm(prods[d], ord=2, axis=(1, 2))
-            best = max(best, float(np.max(logs[d] + np.log(norms))))
-        out.append((k_target, best))
+            n = min(RENORM_EVERY, k_target - step)
+            xs = np.add.outer(c.alpha * np.arange(step, step + n), base)
+            P, ls = _propagate(c.matrices(xs), P)
+            logs += ls
+            step += n
+        norms = np.linalg.norm(P, ord=2, axis=(-2, -1))
+        out.append((k_target, float(np.max(logs + np.log(norms)))))
     return [(k, math.exp(v)) if v < 700 else (k, math.inf) for k, v in out]

@@ -189,7 +189,7 @@ class FourierMap:
     def __call__(self, z):
         z_in = np.asarray(z, dtype=complex)
         scalar_input = z_in.ndim == 0
-        zs = np.atleast_1d(z_in)
+        zs = z_in.reshape(-1)
         y = zs.imag
         ymax = float(np.abs(y).max()) if zs.size else 0.0
         if ymax > 0.0:
@@ -328,12 +328,6 @@ class FourierMap:
         if not self.is_vector:
             raise ValueError("not a vector map")
         return FourierMap(self.coeffs[:, i].copy(), self.period, entire=self.entire)
-
-    def trace_map(self):
-        return self.entry(0, 0) + self.entry(1, 1)
-
-    def transpose_map(self):
-        return FourierMap(np.swapaxes(self.coeffs, 1, 2).copy(), self.period, entire=self.entire)
 
     def adjugate(self):
         """[[d,-b],[-c,a]]; the pointwise inverse when det == 1."""
@@ -487,12 +481,6 @@ def matmul(*maps, band_limit=None):
     for m in maps[1:]:
         out = mul(out, m, band_limit=band_limit)
     return out
-
-
-def det_map(a):
-    if not a.is_matrix:
-        raise ValueError("det of a non-matrix map")
-    return mul(a.entry(0, 0), a.entry(1, 1)) - mul(a.entry(0, 1), a.entry(1, 0))
 
 
 def shift(a, alpha, phase_fracs=None):

@@ -188,19 +188,6 @@ class AveragingReport:
         }
 
 
-def reports_to_jsonl(reports, config=None):
-    """One JSON object per averaging report, with the run config on each line."""
-    import json
-
-    lines = []
-    for r in reports:
-        d = r.to_dict()
-        if config is not None:
-            d["config"] = config
-        lines.append(json.dumps(d, sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class AveragingStep:
     const_next: np.ndarray           # P + eps [pert]
@@ -713,7 +700,7 @@ class ShiftCheck:
     combined_error: float
 
 
-def rotation_shift_check(e_edge, eps_m, freq, lam, f, target_err=1e-8, **rho_kwargs):
+def rotation_shift_check(e_edge, eps_m, freq, lam, f, target_err=1e-8):
     """Whether the rotation number moves between E and E + eps_m.
 
     A genuine (non-collapsed) gap must see the rotation number change when
@@ -721,9 +708,9 @@ def rotation_shift_check(e_edge, eps_m, freq, lam, f, target_err=1e-8, **rho_kwa
     must not.
     """
     r1 = rotation_number(schrodinger_cocycle(lam, f, e_edge, freq),
-                         target_err=target_err, **rho_kwargs)
+                         target_err=target_err)
     r2 = rotation_number(schrodinger_cocycle(lam, f, e_edge + eps_m, freq),
-                         target_err=target_err, **rho_kwargs)
+                         target_err=target_err)
     bars = 3.0 * (r1.error + r2.error) + 1e-12
     return ShiftCheck(
         differs=abs(r1.value - r2.value) > bars,

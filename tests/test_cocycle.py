@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpgaps import arithmetic as ar
-from qpgaps.cocycle import (Cocycle, amo_potential, conjugate, degree_of, lyapunov,
-                            rotation_number, rotation_number_counting,
+from qpgaps.cocycle import (Cocycle, _scan_directions, amo_potential, conjugate, degree_of,
+                            lyapunov, rotation_number, rotation_number_counting,
                             schrodinger_cocycle, strip_growth, transfer)
 from qpgaps.errors import DegreeError
 from qpgaps.fourier import FourierMap, matrix_exp, mul
@@ -196,3 +198,79 @@ def test_strip_growth_hyperbolic_rate(golden, amo):
                        grid=16, points=5)
     k, v = out[-1]
     assert math.log(v) / k == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=5e-3)
+
+
+# Orbit lengths around the renormalization period (32), a prime, a non-square
+# and one just past a square, where the blocks of the scan do not fill evenly.
+ORBIT_LENGTHS = [1, 2, 31, 32, 33, 97, 1000, 4097]
+
+
+def plain_directions(steps):
+    """Reference: (1, 0) pushed through the steps one at a time, normalized
+    after every step."""
+    v = np.zeros(steps.shape[1:-1])
+    v[..., 0] = 1.0
+    out = [v]
+    for M in steps:
+        v = np.einsum("...ij,...j->...i", M, v)
+        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        out.append(v)
+    return np.array(out)
+
+
+def plain_product(c, k, x):
+    """Reference: A(x+(k-1)a) ... A(x), one evaluation and one product per
+    step, normalized after every step; returns (matrix, log scale)."""
+    P = np.broadcast_to(np.eye(2, dtype=complex), np.shape(x) + (2, 2))
+    logs = np.zeros(np.shape(x))
+    for j in range(k):
+        P = c.A(np.asarray(x) + j * c.alpha) @ P
+        s = np.linalg.norm(P, axis=(-2, -1))
+        P = P / s[..., None, None]
+        logs = logs + np.log(s)
+    return P, logs
+
+
+def random_sl2r(rng, shape):
+    """R(a) diag(e^t, e^-t) R(b) with t up to 1: elliptic to strongly hyperbolic."""
+    def rot(a):
+        return np.stack([np.stack([np.cos(a), -np.sin(a)], -1),
+                         np.stack([np.sin(a), np.cos(a)], -1)], -2)
+    t = rng.uniform(0.0, 1.0, shape)
+    diag = np.zeros(shape + (2, 2))
+    diag[..., 0, 0], diag[..., 1, 1] = np.exp(t), np.exp(-t)
+    a, b = rng.uniform(0, 2 * math.pi, (2,) + shape)
+    return rot(a) @ diag @ rot(b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from(ORBIT_LENGTHS), batch=st.sampled_from([(), (3,)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_scan_directions_match_plain_product(n, batch, seed):
+    steps = random_sl2r(np.random.default_rng(seed), (n,) + batch)
+    got = _scan_directions(steps)
+    ref = plain_directions(steps)
+    assert got.shape == ref.shape == (n + 1,) + batch + (2,)
+    # directions as lines, mod pi
+    d = np.arctan2(got[..., 1], got[..., 0]) - np.arctan2(ref[..., 1], ref[..., 0])
+    assert np.abs((d + math.pi / 2) % math.pi - math.pi / 2).max() <= 1e-10
+    # the counting route reads the sign of the first component; it is fixed
+    # wherever that component is not lost in rounding
+    clear = np.abs(ref[..., 0]) > 1e-9
+    assert np.array_equal(np.sign(got[..., 0])[clear], np.sign(ref[..., 0])[clear])
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.sampled_from(ORBIT_LENGTHS), batch=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_transfer_matches_plain_product(golden, k, batch, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    coeffs *= np.array([0.25, 0.5, 1.0, 0.5, 0.25])[:, None, None]
+    c = Cocycle(golden, FourierMap(coeffs))
+    x = rng.uniform(0, 1, 3) if batch else float(rng.uniform(0, 1))
+    M, ls = transfer(c, k, x)
+    ref, ref_ls = plain_product(c, k, x)
+    assert np.shape(M) == np.shape(ref) and np.shape(ls) == np.shape(ref_ls)
+    got = M * np.exp(np.asarray(ls) - ref_ls)[..., None, None]
+    assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpgaps import arithmetic as ar
 from qpgaps import spectrum as sp
@@ -142,6 +144,28 @@ def test_thin_gaps_measured_at_extrapolated_center(golden, amo):
     for r in recs34:
         assert r.rho_energy == r.midpoint()
         assert r.rho_resid == _rho_resid_at(r.midpoint(), r.label, golden, amo)[0]
+
+
+@pytest.fixture(scope="module")
+def low_gaps_233(golden, amo):
+    bs = sp.band_structure(0.25, amo, (144, 233))
+    return {r.label: r for r in sp.label_gaps(bs, golden, rho_skip_width=math.inf)
+            if 1 <= abs(r.label) <= 4}
+
+
+@settings(max_examples=20, deadline=None)
+@given(label=st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), u=st.floats(0.25, 0.75))
+def test_rho_locked_to_label_inside_gap(golden, amo, low_gaps_233, label, u):
+    """2 rho = m alpha (mod 1) anywhere in the middle half of the gap labeled m.
+
+    |m| >= 5 stay out: their 144/233 gaps are displaced from the true gaps by
+    about |m| * 8.2e-6 in rotation units, comparable to their widths, so
+    interior points of the approximant gap can lie in the true spectrum.
+    """
+    r = low_gaps_233[label]
+    rr = rotation_number(schrodinger_cocycle(0.25, amo, r.e_minus + u * r.width, golden),
+                         target_err=1e-8)
+    assert sp._circle_dist(2.0 * rr.value, (label * golden.value) % 1.0) <= 1e-9
 
 
 def test_mirrored_convention_flips_labels(golden, amo):
