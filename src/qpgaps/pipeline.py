@@ -16,11 +16,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import duality, reducibility, spectrum
-from .errors import QPGapsError, StageError
+from .errors import BlochError, QPGapsError, StageError
 from .fourier import FourierMap
 
 WIDTH_STABLE_REL = 0.10
 WIDTH_STABLE_ABS = 1e-13
+BLOCH_TRUNC = 128                # starting dual truncation for the Bloch search
+STRIP_DELTA = 0.05               # strip half-width for frame norms and averaging
 # numerical breakdowns that move the Bloch search on to its next rung; any
 # other exception is a programming error and propagates
 LOCATE_ERRORS = (QPGapsError, np.linalg.LinAlgError, ArithmeticError)
@@ -30,27 +32,8 @@ LOCATE_ERRORS = (QPGapsError, np.linalg.LinAlgError, ArithmeticError)
 class PipelineConfig:
     q_target: int = 250              # use the largest convergent with q <= this
     theta_samples: int = None        # per band_structure default when None
-    e_resolution: float = 1e-12
-    bloch_trunc: int = 128
-    theta_grid: int = 64
-    n_max: int = 64                  # resonance search range
-    resonance_tol: float = 1e-5
-    divisor_cutoff: float = 1e-12
-    rho_tol: float = 1e-4
-    l_iterate: int = 64
     edge: str = "upper"              # anchor at E_m^+; "lower" mirrors
-    beta: float = 0.0                # strip bookkeeping parameter
-    mirrored_labels: bool = False
     run_averaging: bool = False      # drive the double step at eps_m when admissible
-
-    @property
-    def delta(self):
-        return max(5.0 * self.beta, 0.05)
-
-    def to_dict(self):
-        d = asdict(self)
-        d["theta_samples"] = self.theta_samples
-        return d
 
 
 @dataclass
@@ -105,10 +88,8 @@ def analyze_gap(lam, f, freq, m, config=None):
     if pq is None:
         raise StageError("spectrum", ValueError(f"no convergent with q <= {cfg.q_target}"))
     bs = _stage("spectrum", spectrum.band_structure, lam, f, pq,
-                theta_samples=cfg.theta_samples, e_resolution=cfg.e_resolution)
-    records = _stage("label", spectrum.label_gaps, bs, freq,
-                     rho_tol=cfg.rho_tol, mirrored=cfg.mirrored_labels,
-                     rho_skip_width=math.inf)
+                theta_samples=cfg.theta_samples)
+    records = _stage("label", spectrum.label_gaps, bs, freq, rho_skip_width=math.inf)
     matches = [r for r in records if r.label == m]
     if not matches:
         raise StageError("label", ValueError(f"no gap with label {m} at q={pq[1]}"))
@@ -124,39 +105,26 @@ def analyze_gap(lam, f, freq, m, config=None):
     side = "below" if mirror else "above"
 
     def locate_bloch():
-        # the approximant displaces tiny gaps by up to ~|alpha - p/q| times the
-        # local state density, so the floor ladder also probes absolute offsets
+        # rung 1: the band extremum beside the gap's own floor
+        floor = anchor + 0.5 * rec.width if mirror else anchor - 0.5 * rec.width
+        try:
+            sol = duality.find_bloch(lam, f, freq, anchor, trunc=BLOCH_TRUNC,
+                                     side=side, floor=floor)
+            if duality.detect_resonance(sol, freq) is not None:
+                return sol
+        except LOCATE_ERRORS:
+            pass
+        # rung 2: the label's resonant phases 2 theta = +-m alpha, in a window
+        # wide enough for the approximant's displacement of tiny gaps (up to
+        # ~|alpha - p/q| times the local state density)
         p, q = pq
         disp = 50.0 * abs(freq.value - p / q)
-        offsets = [0.5 * rec.width, 1.0 * rec.width, 2.0 * rec.width,
-                   4.0 * rec.width, disp, 4.0 * disp]
-        last_exc = None
-        for off in offsets:
-            floor = anchor + off if mirror else anchor - off
-            try:
-                sol = duality.find_bloch(lam, f, freq, anchor, trunc=cfg.bloch_trunc,
-                                         theta_grid=cfg.theta_grid, side=side, floor=floor)
-                if duality.detect_resonance(sol, freq, n_max=cfg.n_max,
-                                            tol=cfg.resonance_tol) is not None:
-                    return sol
-                last_exc = ValueError(
-                    f"no resonance within {cfg.resonance_tol:.0e} "
-                    f"(best distance {sol.resonance_dist:.2e})"
-                )
-            except LOCATE_ERRORS as exc:
-                last_exc = exc
-        # displaced tiny gaps: target the resonant phases for the label itself
-        try:
-            sol = duality.find_bloch_resonant(
-                lam, f, freq, anchor, (m, -m), trunc=cfg.bloch_trunc,
-                window=max(8.0 * rec.width, 2.0 * disp, 1e-6),
-            )
-            if duality.detect_resonance(sol, freq, n_max=cfg.n_max,
-                                        tol=cfg.resonance_tol) is not None:
-                return sol
-        except LOCATE_ERRORS as exc:
-            last_exc = exc
-        raise last_exc
+        sol = duality.find_bloch_resonant(lam, f, freq, anchor, (m, -m), trunc=BLOCH_TRUNC,
+                                          window=max(8.0 * rec.width, 2.0 * disp, 1e-6))
+        if duality.detect_resonance(sol, freq) is None:
+            raise BlochError(f"no resonance at 2 theta = +-{m} alpha "
+                             f"(best distance {sol.resonance_dist:.2e})")
+        return sol
 
     sol = _stage("bloch", locate_bloch)
     _stage("bloch", duality.snap_to_resonance, sol, lam, f, freq)
@@ -170,8 +138,7 @@ def analyze_gap(lam, f, freq, m, config=None):
     dossier.wave_residual = wave.residual
 
     red = _stage("reduce", reducibility.reduce_at_edge, sol.energy, wave, freq, lam, f,
-                 divisor_cutoff=cfg.divisor_cutoff, l_iterate=cfg.l_iterate,
-                 delta=cfg.delta)
+                 delta=STRIP_DELTA)
     if red.off_normal_residual > 1e-8:
         raise StageError("reduce", ArithmeticError(
             f"off-normal-form residual {red.off_normal_residual:.2e} above 1e-08"))
@@ -217,7 +184,7 @@ def analyze_gap(lam, f, freq, m, config=None):
         try:
             dossier.rotation_form = _stage(
                 "averaging", rotation_form_at_edge, red, ident, pert, eps_m,
-                freq, cfg.delta, shift)
+                freq, STRIP_DELTA, shift)
         except StageError as exc:
             # inadmissible step size (|eps_m| too large at small labels) is an
             # expected outcome, recorded rather than fatal
@@ -292,14 +259,12 @@ class DecayCampaign:
 
 def _decay_convergent_worker(payload):
     """Labeled gap intervals for one convergent (top-level: pool-picklable)."""
-    lam, f_text, freq_record, pq, theta_samples, e_resolution, rho_tol, mirrored = payload
+    lam, f_text, freq_record, pq, theta_samples = payload
     from .arithmetic import Frequency
     f = FourierMap.from_text(f_text)
     freq = Frequency.from_record(freq_record)
-    bs = spectrum.band_structure(lam, f, tuple(pq), theta_samples=theta_samples,
-                                 e_resolution=e_resolution)
-    recs = spectrum.label_gaps(bs, freq, rho_tol=rho_tol, mirrored=mirrored,
-                               rho_skip_width=math.inf)
+    bs = spectrum.band_structure(lam, f, tuple(pq), theta_samples=theta_samples)
+    recs = spectrum.label_gaps(bs, freq, rho_skip_width=math.inf)
     return [(r.label, r.e_minus, r.e_plus) for r in recs]
 
 
@@ -320,11 +285,8 @@ def decay_campaign(lam, f, freq, m_values, config=None, min_convergents=2, jobs=
         raise ValueError(f"need at least {min_convergents} usable convergents")
     pqs = pqs[-4:]
 
-    payloads = [
-        (lam, f.to_text(), freq.to_record(), pq, cfg.theta_samples,
-         cfg.e_resolution, cfg.rho_tol, cfg.mirrored_labels)
-        for pq in pqs
-    ]
+    payloads = [(lam, f.to_text(), freq.to_record(), pq, cfg.theta_samples)
+                for pq in pqs]
     if jobs and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -392,8 +354,7 @@ def homogeneity_campaign(lam, f, freq, sigmas, config=None, e_samples=512):
     argument runs on)."""
     cfg = config or PipelineConfig()
     pq = freq.largest_convergent(cfg.q_target)
-    bs = spectrum.band_structure(lam, f, pq, theta_samples=cfg.theta_samples,
-                                 e_resolution=cfg.e_resolution)
+    bs = spectrum.band_structure(lam, f, pq, theta_samples=cfg.theta_samples)
     rows = []
     for s in sigmas:
         res = spectrum.homogeneity_scan(bs, s, e_samples=e_samples)

@@ -45,19 +45,10 @@ class ParabolicForm:
         return self.collapsed or self.sign * self.mu > 0
 
 
-def _phase_fracs(freq, band_limit):
-    if hasattr(freq, "signed_frac"):
-        return rotation_phase_fracs(freq, band_limit)
-    alpha = float(freq)
-    ks = np.arange(-band_limit, band_limit + 1)
-    t = ks * alpha
-    return (t - np.round(t)).tolist()
-
-
 def _divisors(freq, band_limit):
     """e^{2 pi i k alpha} - 1 for |k| <= band_limit, from extended-precision
     fractional parts so tiny divisors keep full relative accuracy."""
-    fr = np.asarray(_phase_fracs(freq, band_limit))
+    fr = np.asarray(rotation_phase_fracs(freq, band_limit))
     return np.exp(2j * math.pi * fr) - 1.0, fr
 
 
@@ -159,7 +150,7 @@ def solve_homological_parabolic(pert, parabolic, freq, divisor_cutoff=DIVISOR_CU
 
     if residual_tol is not math.inf:
         P = parabolic.matrix
-        alpha = float(freq.value if hasattr(freq, "value") else freq)
+        alpha = freq.value
         lhs = np.matmul(Y.sample(grid, shift=alpha), P) - np.matmul(P, Y.sample(grid))
         rhs = pert.sample(grid) - pert.average()
         scale = max(float(np.abs(rhs).max()), 1e-300)
@@ -225,7 +216,7 @@ def averaging_step(parabolic, pert, eps, freq, delta, divisor_cutoff=DIVISOR_CUT
         )
     R_step = matrix_exp(eY)
     R_inv = matrix_exp(-1.0 * eY)
-    alpha = float(freq.value if hasattr(freq, "value") else freq)
+    alpha = freq.value
 
     P_map = FourierMap.constant(parabolic.matrix)
     full = P_map + eps * pert
@@ -288,7 +279,7 @@ def double_step(parabolic, pert, eps, freq, delta, divisor_cutoff=DIVISOR_CUTOFF
         raise ArithmeticError(f"second step inadmissible: ||eps^2 Y|| = {norm_eY2:.3f} > 0.5")
     R2 = matrix_exp(eY2)
     R2_inv = matrix_exp(-1.0 * eY2)
-    alpha = float(freq.value if hasattr(freq, "value") else freq)
+    alpha = freq.value
 
     middle = FourierMap.constant(s1.const_next) + (eps**2) * s1.pert_next
     G2 = matmul(R2_inv.shift(alpha), middle, R2).trim(1e-18)
@@ -581,7 +572,7 @@ def average_identities(reduction, freq, grid=4096):
     R = reduction.conjugacy.R
     s = reduction.parabolic.sign
     mu = reduction.parabolic.mu
-    alpha = float(freq.value if hasattr(freq, "value") else freq)
+    alpha = freq.value
     Rv = R.sample(grid).real
     Rs = R.sample(grid, shift=alpha).real
     r11, r12 = Rv[:, 0, 0], Rv[:, 0, 1]

@@ -2,10 +2,11 @@ import json
 import math
 
 import pytest
+import scipy.linalg
 
 from qpgaps import arithmetic as ar
 from qpgaps import pipeline as pl
-from qpgaps.errors import StageError
+from qpgaps.errors import BlochError, StageError
 
 
 @pytest.fixture(scope="module")
@@ -144,15 +145,78 @@ def test_rotation_form_inadmissible_at_m1(golden, amo):
     assert "averaging-inadmissible" in d.flags
 
 
-def test_dossier_displaced_tiny_gap_m7(golden, amo):
+def test_dossier_displaced_tiny_gap_m7(golden, amo, monkeypatch):
     """Labels whose gap width falls below the approximant displacement need
-    the resonant-phase fallback; the full dossier still closes."""
+    the resonant-phase rung; the full dossier still closes, and the Bloch
+    search spends one side-search before it instead of a blind ladder."""
+    calls = []
+    original = scipy.linalg.eig_banded
+    monkeypatch.setattr(scipy.linalg, "eig_banded",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
     d = pl.analyze_gap(0.25, amo, golden, 7, pl.PipelineConfig(q_target=250))
     assert abs(d.n_tilde) == 7
     assert d.off_normal_residual < 1e-8
     assert d.width_bounded
     assert d.shift_differs
     assert abs(d.degree) == 7
+    assert len(calls) <= 160
+
+
+def test_dossier_m9_certifies_its_upper_edge(golden, amo):
+    """At 144/233 the m=9 resonant rung finds the upper-edge wave: the
+    parabolic sign pattern holds and the energy step points down."""
+    d = pl.analyze_gap(0.25, amo, golden, 9, pl.PipelineConfig(q_target=250))
+    assert abs(d.n_tilde) == 9
+    assert "edge-sign-pattern" not in d.flags
+    assert d.epsilon_m < 0.0
+    assert d.width_bounded
+    assert d.shift_differs
+
+
+@pytest.fixture(scope="module")
+def liouville():
+    return ar.synth_liouville(0.2, 3, seed=14)        # convergents (31, 497)
+
+
+@pytest.mark.parametrize("lam, freq_name, q_target, m", [
+    (0.25, "golden", 34, 1),
+    (0.01, "liouville", 500, 1),
+    (0.01, "liouville", 500, 2),
+    (0.01, "liouville", 500, 3),
+    (0.01, "liouville", 500, 4),
+])
+def test_side_search_rung_comes_first(lam, freq_name, q_target, m, amo, request):
+    """Dossiers the resonant rung alone gets wrong: at 21/34 its window picks a
+    flat non-edge eigenvalue, and at the Liouville frequency it returns a
+    far resonance.  The side-search rung runs first and certifies them all."""
+    freq = request.getfixturevalue(freq_name)
+    d = pl.analyze_gap(lam, amo, freq, m, pl.PipelineConfig(q_target=q_target))
+    assert abs(d.n_tilde) == m
+    assert d.width_bounded
+    assert d.shift_differs
+    assert d.flags == ()
+    assert d.off_normal_residual <= 1e-12
+
+
+@pytest.mark.parametrize("lam, m, n_tilde", [(0.05, 1, 1), (0.25, 3, 5)])
+def test_side_search_rung_keeps_stronger_liouville_dossiers(lam, m, n_tilde, amo, liouville):
+    """At these couplings the resonant rung alone returns a far resonance
+    (n = -63 or 31) whose frame the reduction cannot flatten.  With the
+    side-search rung first both dossiers close; the m=3 one still carries
+    the wave of the n=5 gap, as the dossier has no label guard yet."""
+    d = pl.analyze_gap(lam, amo, liouville, m, pl.PipelineConfig(q_target=500))
+    assert abs(d.n_tilde) == n_tilde
+    assert d.off_normal_residual < 1e-8
+
+
+def test_bloch_search_without_resonance_raises_bloch_error(golden, amo, monkeypatch):
+    """When neither rung lands on a resonant phase the bloch stage fails with
+    the typed dual-search error."""
+    monkeypatch.setattr(pl.duality, "detect_resonance", lambda *a, **k: None)
+    with pytest.raises(StageError) as err:
+        pl.analyze_gap(0.25, amo, golden, 1, pl.PipelineConfig(q_target=150))
+    assert err.value.stage == "bloch"
+    assert isinstance(err.value.cause, BlochError)
 
 
 def test_bloch_ladder_lets_programming_errors_through(golden, amo, monkeypatch):
