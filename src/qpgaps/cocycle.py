@@ -81,18 +81,24 @@ def _scan_directions(steps):
     identity, padded with identities into B blocks of L ~ sqrt(n), give the
     block totals; (1, 0) chained through the totals gives each block's start,
     and the starts pushed through their blocks fill in the rest.
+
+    Totals and starts are carried in extended precision (np.longdouble): a
+    start near the contracting direction of a total loses digits to
+    cancellation that the plain step-by-step push keeps, and a later run of
+    steps can magnify that loss well past the plain push's own error.
     """
     n, tail = len(steps) + 1, steps.shape[1:]
     L = math.isqrt(n - 1) + 1
     B = -(-n // L)
     eye = np.broadcast_to(np.eye(2), (B * L - n + 1,) + tail)
     blocks = np.concatenate([eye[:1], steps, eye[1:]]).reshape((B, L) + tail).swapaxes(0, 1)
-    totals, _ = _propagate(blocks, np.broadcast_to(np.eye(2), blocks.shape[1:]))
-    starts = np.empty(totals.shape[:-1] + (1,))
+    wide_eye = np.broadcast_to(np.eye(2, dtype=np.longdouble), blocks.shape[1:])
+    totals, _ = _propagate(blocks, wide_eye)
+    starts = np.empty(totals.shape[:-1] + (1,), dtype=np.longdouble)
     starts[0] = [[1.0], [0.0]]
     _propagate(totals[:-1], starts[0], out=starts[1:])
     trail = np.empty((L,) + starts.shape)
-    _propagate(blocks, starts, out=trail)
+    _propagate(blocks, starts.astype(float), out=trail)
     return trail.swapaxes(0, 1).reshape((B * L,) + starts.shape[1:-1])[:n]
 
 

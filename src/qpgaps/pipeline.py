@@ -133,6 +133,9 @@ def analyze_gap(lam, f, freq, m, config=None):
     dossier.n_tilde = sol.n_tilde
     dossier.duality_residual = sol.duality_residual
     dossier.label_over_resonance = abs(m) / max(abs(sol.n_tilde), 1)
+    if abs(sol.n_tilde) != abs(m):
+        # the wave belongs to another gap's resonance
+        flags.append("resonance-label-mismatch")
 
     wave = _stage("wave", duality.assemble_wave, sol, lam, f, freq)
     dossier.wave_residual = wave.residual

@@ -2,10 +2,11 @@
 
 For alpha = p/q the spectrum is the union over the phase theta of the q
 Floquet bands; band edges are eigenvalues of the periodic and antiperiodic
-q x q problems.  The per-theta band set is (1/q)-periodic in theta (cyclic
-invariance of the transfer trace), so only theta in [0, 1/q) is ever sampled:
-a grid of T distinct values there carries the same information as T*q values
-around the whole circle.
+q x q problems, each found by one banded solve of bandwidth 2 after the
+sites are interleaved as 0, 1, q-1, 2, q-2, ...  The per-theta band set is
+(1/q)-periodic in theta (cyclic invariance of the transfer trace), so only
+theta in [0, 1/q) is ever sampled: a grid of T distinct values there carries
+the same information as T*q values around the whole circle.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
 from .arithmetic import Frequency
 from .cocycle import rotation_number, schrodinger_cocycle
@@ -81,25 +83,28 @@ def bracket_interval(lam, f):
 
 def floquet_edges(lam, f, p, q, theta):
     """Sorted band edges at fixed theta: eigenvalues of the periodic and
-    antiperiodic Bloch problems for the q-periodic approximant."""
-    ns = np.arange(q)
-    diag = lam * f((theta + ns * (p / q)) % 1.0).real
+    antiperiodic Bloch problems for the q-periodic approximant.
+
+    The sites form a cycle, so after the interleaved order 0, 1, q-1, 2,
+    q-2, ... every coupling lies within distance 2 of the diagonal, and each
+    boundary condition is one banded solve of bandwidth 2.
+    """
+    ks = np.arange(q)
+    row = np.where(ks <= q // 2, 2 * ks - 1, 2 * (q - ks))
+    row[0] = 0
+    diag = lam * f((theta + ks * (p / q)) % 1.0).real
+    # cycle edge (k, k+1 mod q) lands at (band offset, column) of the lower
+    # storage; at q = 2 both edges share one entry, and at q = 1 the one edge
+    # is a self-loop that counts twice on the diagonal
+    nxt = row[(ks + 1) % q]
+    off, col = np.abs(row - nxt), np.minimum(row, nxt)
+    weight = np.where(off == 0, 2.0, 1.0)
     edges = []
     for bc in (+1.0, -1.0):
-        H = np.zeros((q, q))
-        H[np.arange(q), np.arange(q)] = diag
-        if q == 1:
-            H[0, 0] += 2.0 * bc
-        elif q == 2:
-            H[0, 1] = 1.0 + bc
-            H[1, 0] = 1.0 + bc
-        else:
-            idx = np.arange(q - 1)
-            H[idx, idx + 1] = 1.0
-            H[idx + 1, idx] = 1.0
-            H[0, q - 1] = bc
-            H[q - 1, 0] = bc
-        edges.append(np.linalg.eigvalsh(H))
+        ab = np.zeros((3, q))
+        ab[0, row] = diag
+        np.add.at(ab, (off, col), weight * np.where(ks == q - 1, bc, 1.0))
+        edges.append(scipy.linalg.eigvals_banded(ab, lower=True))
     return np.sort(np.concatenate(edges))
 
 

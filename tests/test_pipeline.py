@@ -202,11 +202,12 @@ def test_side_search_rung_comes_first(lam, freq_name, q_target, m, amo, request)
 def test_side_search_rung_keeps_stronger_liouville_dossiers(lam, m, n_tilde, amo, liouville):
     """At these couplings the resonant rung alone returns a far resonance
     (n = -63 or 31) whose frame the reduction cannot flatten.  With the
-    side-search rung first both dossiers close; the m=3 one still carries
-    the wave of the n=5 gap, as the dossier has no label guard yet."""
+    side-search rung first both dossiers close; the m=3 one carries the wave
+    of the n=5 gap, and the label guard flags it."""
     d = pl.analyze_gap(lam, amo, liouville, m, pl.PipelineConfig(q_target=500))
     assert abs(d.n_tilde) == n_tilde
     assert d.off_normal_residual < 1e-8
+    assert ("resonance-label-mismatch" in d.flags) == (n_tilde != m)
 
 
 def test_bloch_search_without_resonance_raises_bloch_error(golden, amo, monkeypatch):

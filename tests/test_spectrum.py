@@ -21,6 +21,45 @@ def test_free_operator_single_band(golden, amo):
     assert hi == pytest.approx(2.0, abs=1e-10)
 
 
+def plain_floquet_edges(lam, f, p, q, theta):
+    """Reference: the dense periodic and antiperiodic q x q Jacobi matrices in
+    site order, each solved by eigvalsh."""
+    ns = np.arange(q)
+    diag = lam * f((theta + ns * (p / q)) % 1.0).real
+    edges = []
+    for bc in (+1.0, -1.0):
+        H = np.diag(diag)
+        if q == 1:
+            H[0, 0] += 2.0 * bc
+        elif q == 2:
+            H[0, 1] = H[1, 0] = 1.0 + bc
+        else:
+            idx = np.arange(q - 1)
+            H[idx, idx + 1] = H[idx + 1, idx] = 1.0
+            H[0, q - 1] = H[q - 1, 0] = bc
+        edges.append(np.linalg.eigvalsh(H))
+    return np.sort(np.concatenate(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), q=st.integers(1, 64), theta=st.floats(0.0, 1.0),
+       lam=st.floats(-3.0, 3.0), trig=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_floquet_edges_match_dense_reference(amo, data, q, theta, lam, trig, seed):
+    """The banded solve gives the dense reference's edges for every q, the
+    merged couplings of q = 1 and q = 2 included, for the AMO potential and
+    for random real trigonometric polynomials."""
+    p = data.draw(st.integers(0, q - 1).filter(lambda p: math.gcd(p, q) == 1))
+    f = amo
+    if trig:
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=9) + 1j * rng.normal(size=9)
+        f = FourierMap(0.5 * (c + c[::-1].conj()))
+    got = sp.floquet_edges(lam, f, p, q, theta)
+    ref = plain_floquet_edges(lam, f, p, q, theta)
+    assert got.shape == ref.shape == (2 * q,)
+    assert np.abs(got - ref).max() <= 1e-12
+
+
 def test_half_frequency_matches_trace_oracle(amo):
     """alpha = 1/2: band condition |tr A_2| <= 2 with the hand-derived trace
     (E - f1)(E - f2) - 2, solved per theta by a quartic root finder."""
