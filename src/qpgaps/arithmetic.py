@@ -207,11 +207,11 @@ def _ratio(freq, k):
     return -math.log(d) / abs(k)
 
 
-def estimate_beta(freq, k_max, tail_exponent=TAIL_EXPONENT):
+def estimate_beta(freq, k_max):
     """Estimate beta(alpha) from convergent denominators q <= k_max.
 
     The limsup defining beta ignores any finite prefix, so the estimator only
-    examines the tail window q >= k_max**tail_exponent (falling back to the
+    examines the tail window q >= k_max**TAIL_EXPONENT (falling back to the
     deepest convergent when the window is empty).  The maximum of
     -ln||k alpha||/k over the window is attained at a convergent denominator;
     brute_force_beta provides the cross-check.
@@ -219,7 +219,7 @@ def estimate_beta(freq, k_max, tail_exponent=TAIL_EXPONENT):
     denominators = sorted({q for _, q in freq.convergents if 1 <= q <= k_max})
     if not denominators:
         raise ValueError(f"no convergent with q <= {k_max}")
-    k_lo = max(1, int(k_max**tail_exponent))
+    k_lo = max(1, int(k_max**TAIL_EXPONENT))
     examined = [q for q in denominators if q >= k_lo]
     if not examined:
         examined = [denominators[-1]]
@@ -258,14 +258,14 @@ def brute_force_beta(freq, k_lo, k_max):
     return best, arg
 
 
-def synth_liouville(target_beta, levels, seed, q_cap=Q_CAP, tail=8):
+def synth_liouville(target_beta, levels, seed):
     """Construct alpha whose convergents satisfy q_{n+1} in [e^{b q_n}, 2 e^{b q_n}].
 
     a_1 is drawn from the seed (reproducible orbit randomization); its floor
     scales like 1/target_beta so that the finite-range beta estimate over the
     built growth levels lands within 10% of the target.  Growth stops early,
     with the truncated flag set, when the next denominator would overflow
-    q_cap; a short all-ones tail keeps the value irrational past the last
+    Q_CAP; a tail of eight ones keeps the value irrational past the last
     built level.
     """
     if not target_beta > 0:
@@ -280,7 +280,7 @@ def synth_liouville(target_beta, levels, seed, q_cap=Q_CAP, tail=8):
     q_prev, q = 1, a1
     growth_levels = []
     truncated = False
-    log_cap = math.log(q_cap)
+    log_cap = math.log(Q_CAP)
     for n in range(1, levels):
         if target_beta * q > log_cap:
             truncated = True
@@ -290,7 +290,7 @@ def synth_liouville(target_beta, levels, seed, q_cap=Q_CAP, tail=8):
         quotients.append(a_next)
         growth_levels.append(n)
         q_prev, q = q, a_next * q + q_prev
-    quotients.extend([1] * tail)
+    quotients.extend([1] * 8)
     return from_cf(quotients, truncated=truncated, growth_levels=growth_levels)
 
 

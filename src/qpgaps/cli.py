@@ -16,8 +16,7 @@ import os
 import sys
 
 from . import __version__, cache, duality, pipeline, spectrum
-from .arithmetic import (Frequency, estimate_beta, expand_cf, golden_mean,
-                         sqrt2_minus_1, synth_liouville)
+from .arithmetic import estimate_beta, expand_cf, golden_mean, sqrt2_minus_1, synth_liouville
 from .cocycle import amo_potential
 from .errors import CacheCorruptionError, ConfigError, QPGapsError, StageError
 from .fourier import FourierMap
@@ -37,12 +36,13 @@ def parse_config_file(path):
     return out
 
 
-def resolve_frequency(spec, depth=40):
-    """Built-in aliases: golden, sqrt2m1, liouville:beta=<x>:seed=<s>, or a number."""
+def resolve_frequency(spec):
+    """Built-in aliases: golden, sqrt2m1, liouville:beta=<x>:seed=<s>, or a
+    number; expansions run to depth 40."""
     if spec == "golden":
-        return golden_mean(depth)
+        return golden_mean(40)
     if spec == "sqrt2m1":
-        return sqrt2_minus_1(depth)
+        return sqrt2_minus_1(40)
     if spec.startswith("liouville:"):
         kv = {}
         for part in spec.split(":")[1:]:
@@ -56,7 +56,7 @@ def resolve_frequency(spec, depth=40):
             raise ConfigError(f"bad liouville alias '{spec}': {exc}") from exc
         return synth_liouville(beta, levels, seed)
     try:
-        return expand_cf(float(spec), depth)
+        return expand_cf(float(spec), 40)
     except QPGapsError as exc:
         raise ConfigError(f"cannot expand '{spec}': {exc}") from exc
     except ValueError as exc:
@@ -145,11 +145,17 @@ def _common_setup(args):
     return opts, freq, f, h, cfg_dict
 
 
+def _convergent(freq, q):
+    """The largest convergent with denominator <= q; ConfigError when none is."""
+    pq = freq.largest_convergent(q)
+    if pq is None:
+        raise ConfigError(f"no convergent with q <= {q}")
+    return pq
+
+
 def cmd_spectrum(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
-    pq = freq.largest_convergent(opts["q"])
-    if pq is None:
-        raise ConfigError(f"no convergent with q <= {opts['q']}")
+    pq = _convergent(freq, opts["q"])
     bs = _band_structure_cached(opts["lam"], f, pq, opts["theta_samples"], 1e-12,
                                 args.cache_dir)
     out = os.path.join(opts["out"], "bands.csv")
@@ -163,7 +169,7 @@ def cmd_spectrum(args):
 
 def cmd_gaps(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
-    pq = freq.largest_convergent(opts["q"])
+    pq = _convergent(freq, opts["q"])
     bs = _band_structure_cached(opts["lam"], f, pq, opts["theta_samples"], 1e-12,
                                 args.cache_dir)
     records = spectrum.label_gaps(bs, freq)
@@ -208,6 +214,7 @@ def cmd_decay(args):
 def cmd_homogeneity(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
     sigmas = [float(s) for s in (args.sigmas or "1e-2,3e-3,1e-3").split(",")]
+    _convergent(freq, opts["q"])          # the campaign picks the same one
     cfg = pipeline.PipelineConfig(q_target=opts["q"], theta_samples=opts["theta_samples"])
     camp = pipeline.homogeneity_campaign(opts["lam"], f, freq, sigmas, cfg)
     lines = ["sigma,min_ratio,argmin_E,gap_sum,gap_sum_over_sigma"]
@@ -301,11 +308,6 @@ def build_parser():
         sp.add_argument("--theta-samples", dest="theta_samples", type=int, default=None)
         sp.add_argument("--out", type=str, default=None, help="output directory")
         sp.add_argument("--config", type=str, default=None, help="key = value file")
-        sp.add_argument("--cache-dir", dest="cache_dir", type=str, default=None)
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="worker count for sweeps (output independent of it)")
-        sp.add_argument("--emit-plot-data", action="store_true")
-        sp.add_argument("--precision", choices=("double", "extended"), default="double")
 
     for name, fn in (("spectrum", cmd_spectrum), ("gaps", cmd_gaps),
                      ("decay", cmd_decay), ("homogeneity", cmd_homogeneity),
@@ -313,6 +315,15 @@ def build_parser():
         sp = sub.add_parser(name)
         add_common(sp)
         sp.set_defaults(fn=fn)
+    for name in ("spectrum", "gaps"):
+        sub.choices[name].add_argument("--cache-dir", dest="cache_dir", type=str,
+                                       default=None)
+    for name in ("spectrum", "decay", "homogeneity"):
+        sub.choices[name].add_argument("--emit-plot-data", action="store_true")
+    sub.choices["gaps"].add_argument("--precision", choices=("double", "extended"),
+                                     default="double")
+    sub.choices["decay"].add_argument("--jobs", type=int, default=None,
+                                      help="worker count (output independent of it)")
     sub.choices["decay"].add_argument("--m-max", dest="m_max", type=int, default=None)
     sub.choices["homogeneity"].add_argument("--sigmas", type=str, default=None,
                                             help="comma-separated window half-widths")

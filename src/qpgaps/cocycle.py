@@ -16,7 +16,7 @@ import numpy as np
 
 from .arithmetic import Frequency
 from .errors import DegreeError
-from .fourier import FourierMap, matmul, mul, shift, strip_norm
+from .fourier import FourierMap, matmul
 
 RENORM_EVERY = 32
 ROTATION_START_ITERATIONS = 4096
@@ -124,14 +124,14 @@ def lyapunov(c, k, phases=64):
     return float(np.mean((logs + np.log(norms)) / k))
 
 
-def _orbit_directions(c, n, x0):
-    """The real step matrices A(x0 + j alpha), j < n, and the directions
+def _orbit_directions(c, n):
+    """The real step matrices A(j alpha), j < n, and the directions
     (1, 0), M_0 (1, 0), M_1 M_0 (1, 0), ... of their prefix products.
 
     Raises ValueError when the cocycle is not real on the real axis, where
     neither the angle nor the sign of a component would mean anything.
     """
-    mats = c.matrices(x0 + c.alpha * np.arange(n))
+    mats = c.matrices(c.alpha * np.arange(n))
     if np.abs(mats.imag).max() > 1e-9 * max(np.abs(mats.real).max(), 1.0):
         raise ValueError("rotation number needs a real cocycle on the real axis")
     return mats.real, _scan_directions(mats.real)
@@ -142,7 +142,7 @@ def _bump_weights(n):
     return np.exp(-1.0 / (t * (1.0 - t)))
 
 
-def _angle_increments(c, n, x0):
+def _angle_increments(c, n):
     """Canonically lifted angle increments of the projective action.
 
     For an SL(2,R) step with trace > -2 the displacement of any direction is
@@ -152,7 +152,7 @@ def _angle_increments(c, n, x0):
     positive-trace matrix -M.  This matches the oscillation-theory convention
     in which every deep-potential step advances the angle forward.
     """
-    mats, w = _orbit_directions(c, n, x0)
+    mats, w = _orbit_directions(c, n)
     phi = np.arctan2(w[:, 1], w[:, 0])
     d = np.diff(phi)
     d = (d + math.pi) % (2.0 * math.pi) - math.pi
@@ -178,7 +178,7 @@ class RotationResult:
         return self.value
 
 
-def rotation_number(c, iterations=None, x0=0.0, target_err=ROTATION_TARGET_ERR,
+def rotation_number(c, iterations=None, target_err=ROTATION_TARGET_ERR,
                     max_iterations=ROTATION_MAX_ITERATIONS):
     """Fibered rotation number of (alpha, A), A homotopic to the identity.
 
@@ -189,7 +189,7 @@ def rotation_number(c, iterations=None, x0=0.0, target_err=ROTATION_TARGET_ERR,
     """
     n = int(iterations) if iterations else ROTATION_START_ITERATIONS
     while True:
-        d = _angle_increments(c, n, x0)
+        d = _angle_increments(c, n)
         wts = _bump_weights(n)
         est = float(np.dot(wts, d) / wts.sum()) / (2.0 * math.pi)
         h = n // 2
@@ -204,7 +204,7 @@ def rotation_number(c, iterations=None, x0=0.0, target_err=ROTATION_TARGET_ERR,
         n *= 4
 
 
-def rotation_number_counting(c, iterations=1 << 18, x0=0.0):
+def rotation_number_counting(c, iterations=1 << 18):
     """Rotation number through eigenvalue counting, as an independent route.
 
     The leading principal minors of the Dirichlet box of size n satisfy the
@@ -215,7 +215,7 @@ def rotation_number_counting(c, iterations=1 << 18, x0=0.0):
     what makes this a genuine cross-check of rotation_number.
     """
     n = int(iterations)
-    _, w = _orbit_directions(c, n, x0)
+    _, w = _orbit_directions(c, n)
     signs = np.sign(w[:, 0])
     signs[signs == 0.0] = 1.0
     flips = np.count_nonzero(signs[1:] != signs[:-1])
@@ -236,41 +236,36 @@ class Conjugacy:
     degree: int
 
 
-def degree_of(R, samples=4096, v=None, redraws=3, tol=0.05):
-    """Winding number in RP^1 of x -> direction of R(x) v over x in [0, 1].
+def degree_of(R):
+    """Winding number in RP^1 of x -> direction of R(x) v over x in [0, 1],
+    on 4096 grid steps, for up to three fixed test vectors v.
 
     PSL-valued maps stored with period 2 are 1-periodic up to sign, so the
     winding over [0, 1] with angles taken mod pi is always an integer; the
     constant rotation by 2 pi x has degree 2 in this normalization.
     """
-    # x_j = j / samples for j <= samples; the endpoint x = 1 wraps onto the
-    # periodic grid (index 0 for period 1, index `samples` for period 2)
-    mats = R.sample(R.period * samples).take(np.arange(samples + 1), axis=0,
-                                             mode="wrap").real
-    for attempt in range(redraws):
-        vec = v if v is not None else np.array(
-            [math.cos(0.4 + 1.3 * attempt), math.sin(0.4 + 1.3 * attempt)]
-        )
+    # x_j = j / 4096 for j <= 4096; the endpoint x = 1 wraps onto the
+    # periodic grid (index 0 for period 1, index 4096 for period 2)
+    mats = R.sample(R.period * 4096).take(np.arange(4097), axis=0, mode="wrap").real
+    for attempt in range(3):
+        vec = np.array([math.cos(0.4 + 1.3 * attempt), math.sin(0.4 + 1.3 * attempt)])
         vals = mats @ vec
         norms = np.hypot(vals[:, 0], vals[:, 1])
         if norms.min() < 1e-10 * max(norms.max(), 1e-300):
-            v = None
             continue
         phi = np.arctan2(vals[:, 1], vals[:, 0])
         d = np.diff(phi)
         d = (d + math.pi / 2.0) % math.pi - math.pi / 2.0
         if np.abs(d).max() > math.pi / 2.0 - 1e-9:
-            v = None
             continue
         total = float(d.sum()) / math.pi
         k = round(total)
-        if abs(total - k) < tol:
+        if abs(total - k) < 0.05:
             return k
-        v = None
-    raise DegreeError(f"projective winding ill-defined after {redraws} draws")
+    raise DegreeError("projective winding ill-defined after 3 draws")
 
 
-def conjugate(c, R, band_limit=None, det_tol=1e-8):
+def conjugate(c, R):
     """The conjugated cocycle (alpha, R^{-1}(x+alpha) A(x) R(x)).
 
     R may be a Conjugacy or a bare matrix map with det == 1 (its adjugate is
@@ -278,14 +273,14 @@ def conjugate(c, R, band_limit=None, det_tol=1e-8):
     """
     Rm = R.R if isinstance(R, Conjugacy) else R
     dets = np.linalg.det(Rm.sample(512))
-    if np.abs(dets - 1.0).max() > det_tol:
+    if np.abs(dets - 1.0).max() > 1e-8:
         raise ValueError(f"conjugacy determinant strays from 1 by {np.abs(dets-1).max():.2e}")
     A = c.A
     if Rm.period == 2 and A.period == 1:
         A = A.lift2()
     elif Rm.period == 1 and A.period == 2:
         Rm = Rm.lift2()
-    B = matmul(Rm.shift(c.alpha).adjugate(), A, Rm, band_limit=band_limit)
+    B = matmul(Rm.shift(c.alpha).adjugate(), A, Rm)
     B = B.trim(1e-16)
     if B.period == 2:
         try:

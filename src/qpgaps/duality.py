@@ -26,7 +26,9 @@ from .errors import BlochError
 from .fourier import FourierMap
 
 DUAL_START_N = 256
+DUAL_MAX_TRUNC = 4096
 DUAL_TAIL_TOL = 1e-10
+WAVE_GRID = 1024            # grid for the wave-relation residuals
 THETA_XTOL = 1e-12
 # half-widths of the energy windows tried in turn, by caller
 _PROBE_WINDOWS = (0.5, 2.0, 8.0, 32.0)
@@ -73,7 +75,7 @@ def _dual_banded(lam, f, freq, theta, trunc):
     return ab
 
 
-def _interior_eigs(lam, f, freq, theta, trunc, e_lo, e_hi, margin=4):
+def _interior_eigs(lam, f, freq, theta, trunc, e_lo, e_hi):
     """Eigenpairs in the window whose vectors live away from the truncation
     boundary.  Truncating the dual operator plants spurious edge states inside
     spectral gaps; an honest localized eigenvector peaks well inside."""
@@ -82,7 +84,7 @@ def _interior_eigs(lam, f, freq, theta, trunc, e_lo, e_hi, margin=4):
     if len(w) == 0:
         return w, v
     peaks = np.abs(v).argmax(axis=0)
-    keep = np.abs(peaks - trunc) <= trunc - max(margin, trunc // 4)
+    keep = np.abs(peaks - trunc) <= trunc - max(4, trunc // 4)
     return w[keep], v[:, keep]
 
 
@@ -169,10 +171,11 @@ def _golden_minimize(fn, a, b, xtol):
     return (a + b) / 2.0
 
 
-def _refine(lam, f, freq, theta, trunc, energy, vec, tail_tol, max_trunc):
+def _refine(lam, f, freq, theta, trunc, energy, vec, max_trunc):
     """Doubles the truncation at the fixed phase theta, re-solving the pair
     nearest the previous eigenvalue, until the eigenvalue moves by less than
-    1e-9 and the outer quarters of the eigenvector sum to less than tail_tol,
+    1e-9 and the outer quarters of the eigenvector sum to less than
+    DUAL_TAIL_TOL,
     or the truncation reaches max_trunc.  BlochError when a doubled
     truncation loses the eigenvalue.  Returns (energy, vec, trunc).
     """
@@ -182,7 +185,7 @@ def _refine(lam, f, freq, theta, trunc, energy, vec, tail_tol, max_trunc):
         energy, trunc = e_next, 2 * trunc
         quarter = (2 * trunc + 1) // 4
         tail = float(np.abs(vec[:quarter]).max() + np.abs(vec[-quarter:]).max())
-        if moved < 1e-9 and tail < tail_tol:
+        if moved < 1e-9 and tail < DUAL_TAIL_TOL:
             break
     return energy, vec, trunc
 
@@ -210,7 +213,7 @@ def _normalized(lam, f, freq, theta, trunc, energy, vec):
 
 
 def find_bloch(lam, f, freq, energy, trunc=None, theta_grid=64, side="nearest",
-               floor=None, tail_tol=DUAL_TAIL_TOL, max_trunc=4096):
+               floor=None, max_trunc=DUAL_MAX_TRUNC):
     """Dual eigenpair at (or nearest) a gap-edge energy.
 
     side="above"/"below" seeks the band-function extremum on that side of
@@ -239,13 +242,11 @@ def find_bloch(lam, f, freq, energy, trunc=None, theta_grid=64, side="nearest",
 
     e_star, vec = _nearest_pair(lam, f, freq, theta_star, trunc, probe(theta_star),
                                 _PAIR_WINDOWS)
-    e_star, vec, trunc = _refine(lam, f, freq, theta_star, trunc, e_star, vec,
-                                 tail_tol, max_trunc)
+    e_star, vec, trunc = _refine(lam, f, freq, theta_star, trunc, e_star, vec, max_trunc)
     return _normalized(lam, f, freq, theta_star, trunc, e_star, vec)[0]
 
 
-def find_bloch_resonant(lam, f, freq, energy, n_candidates, trunc=None,
-                        window=None, tail_tol=DUAL_TAIL_TOL, max_trunc=4096):
+def find_bloch_resonant(lam, f, freq, energy, n_candidates, trunc=None, window=None):
     """Dual eigenpair at an explicitly resonant phase.
 
     When the blind band-extremum search cannot lock a displaced tiny gap, the
@@ -286,7 +287,7 @@ def find_bloch_resonant(lam, f, freq, energy, n_candidates, trunc=None,
                          f"of E={energy} at any resonant phase")
     _, theta_star, e_star, vec = best
     e_star, vec, trunc = _refine(lam, f, freq, theta_star, trunc, e_star, vec,
-                                 tail_tol, max_trunc)
+                                 DUAL_MAX_TRUNC)
     return _normalized(lam, f, freq, theta_star, trunc, e_star, vec)[0]
 
 
@@ -309,14 +310,14 @@ def _decay_fit(u_hat, trunc):
     return (float(slope), onset)
 
 
-def duality_residual(lam, f, freq, sol, grid=1024):
+def duality_residual(lam, f, freq, sol):
     """sup-norm defect of the wave relation S(x) U(x) = e^{2 pi i theta} U(x+alpha)."""
     u = sol.u_map()
-    ux = u.sample(grid)
-    ux_sh = u.sample(grid, shift=freq.value)
-    ux_m = u.sample(grid, shift=-freq.value)
+    ux = u.sample(WAVE_GRID)
+    ux_sh = u.sample(WAVE_GRID, shift=freq.value)
+    ux_m = u.sample(WAVE_GRID, shift=-freq.value)
     phase = np.exp(2j * math.pi * sol.theta)
-    fvals = f.sample(f.period * grid)[:grid]
+    fvals = f.sample(f.period * WAVE_GRID)[:WAVE_GRID]
     # second component of the relation is the identity u(x) = u(x); only the
     # first row carries content
     top = (sol.energy - lam * fvals) * phase * ux - ux_m - phase * phase * ux_sh
@@ -378,12 +379,13 @@ class AssembledWave:
     energy: float = math.nan
 
 
-def assemble_wave(sol, lam, f, freq, grid=1024, tol=1e-6):
+def assemble_wave(sol, lam, f, freq):
     """Builds the two-component wave and its half-period twist.
 
     The sign in A(x) U_hat(x) = +- U_hat(x+alpha) is (-1)^j with
     j = 2 theta - n alpha (an integer at resonance); it is measured from the
-    grid residual and cross-checked against that parity.
+    grid residual, which must stay below 1e-6, and cross-checked against
+    that parity.
     """
     if sol.n_tilde is None:
         raise BlochError("resonance integer undetected; run detect_resonance first")
@@ -405,9 +407,9 @@ def assemble_wave(sol, lam, f, freq, grid=1024, tol=1e-6):
     from .cocycle import schrodinger_cocycle
 
     A = schrodinger_cocycle(lam, f, sol.energy).A
-    Av = A.sample(A.period * grid)[:grid]
-    Uv = U_hat.sample(2 * grid)[:grid]           # x in [0, 1) of the period-2 wave
-    Uv_sh = U_hat.sample(2 * grid, shift=freq.value)[:grid]
+    Av = A.sample(A.period * WAVE_GRID)[:WAVE_GRID]
+    Uv = U_hat.sample(2 * WAVE_GRID)[:WAVE_GRID]     # x in [0, 1) of the period-2 wave
+    Uv_sh = U_hat.sample(2 * WAVE_GRID, shift=freq.value)[:WAVE_GRID]
     lhs = np.einsum("nij,nj->ni", Av, Uv)
     scale = max(float(np.abs(Uv).max()), 1e-300)
     res_plus = float(np.abs(lhs - Uv_sh).max()) / scale
@@ -415,8 +417,8 @@ def assemble_wave(sol, lam, f, freq, grid=1024, tol=1e-6):
     sign = 1 if res_plus <= res_minus else -1
     residual = min(res_plus, res_minus)
     parity = round((2.0 * sol.theta - n_t * freq.value))
-    if residual > tol:
-        raise BlochError(f"half-period wave relation residual {residual:.2e} above {tol:.1e}")
+    if residual > 1e-6:
+        raise BlochError(f"half-period wave relation residual {residual:.2e} above 1.0e-06")
     return AssembledWave(U=U, U_hat=U_hat, sign=sign, residual=residual,
                          parity_integer=int(parity), n_tilde=int(n_t),
                          energy=sol.energy)

@@ -88,8 +88,8 @@ class FourierMap:
 
     # ---- constructors ----------------------------------------------------
     @staticmethod
-    def zero(band_limit=0, shape=(), period=1):
-        return FourierMap(np.zeros((2 * band_limit + 1,) + shape, dtype=complex), period)
+    def zero(band_limit=0, shape=()):
+        return FourierMap(np.zeros((2 * band_limit + 1,) + shape, dtype=complex))
 
     @staticmethod
     def constant(value, period=1):
@@ -105,9 +105,9 @@ class FourierMap:
         return FourierMap(c, period)
 
     @staticmethod
-    def harmonic(k, amplitude=1.0, period=1):
-        """amplitude * e^{2 pi i k x / period}"""
-        return FourierMap.from_coeff_dict({k: amplitude}, period)
+    def harmonic(k, period=1):
+        """e^{2 pi i k x / period}"""
+        return FourierMap.from_coeff_dict({k: 1.0}, period)
 
     @staticmethod
     def cosine(period=1):
@@ -115,23 +115,23 @@ class FourierMap:
         return FourierMap.from_coeff_dict({1: 0.5, -1: 0.5}, period)
 
     @staticmethod
-    def from_function(fn, band_limit, period=1, oversample=4, entire=False):
-        """Coefficients of a smooth periodic function via an FFT on a fine grid.
+    def from_function(fn, band_limit):
+        """Coefficients of a smooth 1-periodic function via an FFT on a grid
+        oversampled four times.
 
-        The result carries entire=False by default: it is a truncation of
-        sampled data, so strip evaluation stays tail-checked.
+        The result carries entire=False: it is a truncation of sampled data,
+        so strip evaluation stays tail-checked.
         """
         m = 1
-        while m < oversample * (2 * band_limit + 1):
+        while m < 4 * (2 * band_limit + 1):
             m *= 2
-        x = np.arange(m) * (period / m)
-        vals = np.asarray([fn(xi) for xi in x], dtype=complex)
+        vals = np.asarray([fn(xi) for xi in np.arange(m) / m], dtype=complex)
         hat = np.fft.fft(vals, axis=0) / m
         n = band_limit
         c = np.zeros((2 * n + 1,) + vals.shape[1:], dtype=complex)
         for k in range(-n, n + 1):
             c[n + k] = hat[k % m]
-        return FourierMap(c, period, entire=entire)
+        return FourierMap(c, entire=False)
 
     @staticmethod
     def identity(period=1):
@@ -283,18 +283,11 @@ class FourierMap:
     def imag_part(self):
         return (-0.5j) * (self - self.conj_map())
 
-    def shift(self, alpha, phase_fracs=None):
-        """Composition with x -> x + alpha: coeff_k *= e^{2 pi i k alpha / period}.
-
-        phase_fracs optionally supplies extended-precision signed fractional
-        parts of k*alpha/period (index k + band_limit) for small-divisor work.
-        """
+    def shift(self, alpha):
+        """Composition with x -> x + alpha: coeff_k *= e^{2 pi i k alpha / period}."""
         n = self.band_limit
-        if phase_fracs is not None:
-            ph = np.exp(2j * math.pi * np.asarray(phase_fracs))
-        else:
-            k = np.arange(-n, n + 1)
-            ph = np.exp(2j * math.pi * k * (alpha / self.period))
+        k = np.arange(-n, n + 1)
+        ph = np.exp(2j * math.pi * k * (alpha / self.period))
         shaped = ph.reshape((2 * n + 1,) + (1,) * len(self.value_shape))
         return FourierMap(self.coeffs * shaped, self.period, entire=self.entire)
 
@@ -323,11 +316,6 @@ class FourierMap:
         if not self.is_matrix:
             raise ValueError("not a matrix map")
         return FourierMap(self.coeffs[:, i, j].copy(), self.period, entire=self.entire)
-
-    def component(self, i):
-        if not self.is_vector:
-            raise ValueError("not a vector map")
-        return FourierMap(self.coeffs[:, i].copy(), self.period, entire=self.entire)
 
     def adjugate(self):
         """[[d,-b],[-c,a]]; the pointwise inverse when det == 1."""
@@ -366,9 +354,6 @@ class FourierMap:
     # ---- norms -------------------------------------------------------------
     def l1_norm(self):
         return float(self.magnitudes().sum())
-
-    def sup_norm(self, grid=STRIP_GRID):
-        return strip_norm(self, 0.0, grid).value
 
     # ---- serialization -----------------------------------------------------
     def to_text(self):
@@ -424,14 +409,6 @@ def _pad(m, band_limit):
     return FourierMap(c, m.period, entire=m.entire)
 
 
-def add(a, b):
-    return a + b
-
-
-def _conv(ca, cb):
-    return np.convolve(ca, cb)
-
-
 def mul(a, b, band_limit=None):
     """Pointwise product as exact coefficient convolution.
 
@@ -444,10 +421,10 @@ def mul(a, b, band_limit=None):
     na, nb = a.band_limit, b.band_limit
     n_out = na + nb
     if not a.value_shape and not b.value_shape:
-        res = FourierMap(_conv(a.coeffs, b.coeffs), a.period)
+        res = FourierMap(np.convolve(a.coeffs, b.coeffs), a.period)
     elif not a.value_shape:
         flat = b.coeffs.reshape(b.coeffs.shape[0], -1)
-        cols = [_conv(a.coeffs, flat[:, j]) for j in range(flat.shape[1])]
+        cols = [np.convolve(a.coeffs, flat[:, j]) for j in range(flat.shape[1])]
         out = np.stack(cols, axis=1).reshape((2 * n_out + 1,) + b.value_shape)
         res = FourierMap(out, a.period)
     elif not b.value_shape:
@@ -456,12 +433,13 @@ def mul(a, b, band_limit=None):
         out = np.zeros((2 * n_out + 1, 2, 2), dtype=complex)
         for i in range(2):
             for j in range(2):
-                out[:, i, j] = sum(_conv(a.coeffs[:, i, l], b.coeffs[:, l, j]) for l in range(2))
+                out[:, i, j] = sum(np.convolve(a.coeffs[:, i, l], b.coeffs[:, l, j])
+                                   for l in range(2))
         res = FourierMap(out, a.period)
     elif a.is_matrix and b.is_vector:
         out = np.zeros((2 * n_out + 1, 2), dtype=complex)
         for i in range(2):
-            out[:, i] = sum(_conv(a.coeffs[:, i, l], b.coeffs[:, l]) for l in range(2))
+            out[:, i] = sum(np.convolve(a.coeffs[:, i, l], b.coeffs[:, l]) for l in range(2))
         res = FourierMap(out, a.period)
     else:
         raise ValueError(f"unsupported product shapes {a.value_shape} x {b.value_shape}")
@@ -476,32 +454,24 @@ def mul(a, b, band_limit=None):
     return res
 
 
-def matmul(*maps, band_limit=None):
+def matmul(*maps):
     out = maps[0]
     for m in maps[1:]:
-        out = mul(out, m, band_limit=band_limit)
+        out = mul(out, m)
     return out
 
 
-def shift(a, alpha, phase_fracs=None):
-    return a.shift(alpha, phase_fracs)
-
-
-def average(a):
-    return a.average()
-
-
-def matrix_exp(a, tol=1e-17, max_terms=120, band_limit=None):
+def matrix_exp(a):
     """exp of a matrix map by plain series; caller keeps ||a|| comfortably < 1."""
     if not a.is_matrix:
         raise ValueError("matrix_exp needs a matrix map")
     acc = FourierMap.identity(a.period)
     term = FourierMap.identity(a.period)
-    for j in range(1, max_terms + 1):
-        term = mul(term, a, band_limit=band_limit) * (1.0 / j)
+    for j in range(1, 121):
+        term = mul(term, a) * (1.0 / j)
         term = term.trim(1e-18)
         acc = acc + term
-        if term.l1_norm() < tol * max(1.0, acc.l1_norm()):
+        if term.l1_norm() < 1e-17 * max(1.0, acc.l1_norm()):
             return acc.trim(1e-18)
     raise ArithmeticError("matrix exponential series did not converge; norm too large")
 
@@ -526,11 +496,12 @@ def _op_norm(vals):
     return np.abs(vals)
 
 
-def strip_norm(a, delta, grid=STRIP_GRID, rel_tol=1e-10, max_grid=1 << 16):
+def strip_norm(a, delta, grid=STRIP_GRID):
     """sup of ||a(z)|| over the strip |Im z| <= delta.
 
     By the maximum principle the sup sits on the boundary lines Im z = +-delta;
-    both are sampled and the grid doubles until the result is stable.
+    both are sampled and the grid doubles until the result is stable to
+    1e-10 relative, or reaches 2^16 points.
     """
     m = grid
     prev = None
@@ -539,9 +510,9 @@ def strip_norm(a, delta, grid=STRIP_GRID, rel_tol=1e-10, max_grid=1 << 16):
         best = float(vals.max())
         if delta != 0.0:
             best = max(best, float(_op_norm(a.sample(m, -delta)).max()))
-        if prev is not None and abs(best - prev) <= rel_tol * max(best, 1e-300):
+        if prev is not None and abs(best - prev) <= 1e-10 * max(best, 1e-300):
             return StripNormReport(delta=delta, value=best, grid=m)
-        if m >= max_grid:
+        if m >= 1 << 16:
             return StripNormReport(delta=delta, value=best, grid=m)
         prev = best
         m *= 2

@@ -9,14 +9,13 @@ sizes and write tables plus a machine-readable claims summary.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import duality, reducibility, spectrum
-from .errors import BlochError, QPGapsError, StageError
+from .errors import BlochError, ConfigError, QPGapsError, StageError
 from .fourier import FourierMap
 
 WIDTH_STABLE_REL = 0.10
@@ -271,10 +270,12 @@ def _decay_convergent_worker(payload):
     return [(r.label, r.e_minus, r.e_plus) for r in recs]
 
 
-def decay_campaign(lam, f, freq, m_values, config=None, min_convergents=2, jobs=1):
+def decay_campaign(lam, f, freq, m_values, config=None, jobs=1):
     """Gap widths per label across convergents, with the exponential fit.
 
-    Widths enter the fit once stable (relative change < 10% or absolute
+    The convergents used are the last four, at most, with 2 max|m| + 2 <=
+    q <= q_target; fewer than two is a ConfigError.  Widths enter the fit
+    once stable (relative change < 10% or absolute
     change < 1e-13 between the last two convergents); unstable labels are
     kept in the table but dropped from the fit.  jobs > 1 fans the
     per-convergent work over processes; results are merged in convergent
@@ -284,8 +285,9 @@ def decay_campaign(lam, f, freq, m_values, config=None, min_convergents=2, jobs=
     m_set = sorted({abs(int(m)) for m in m_values if m != 0})
     pqs = [pq for pq in freq.convergents
            if 2 * max(m_set) + 2 <= pq[1] <= cfg.q_target]
-    if len(pqs) < min_convergents:
-        raise ValueError(f"need at least {min_convergents} usable convergents")
+    if len(pqs) < 2:
+        raise ConfigError(f"need at least 2 usable convergents with "
+                          f"{2 * max(m_set) + 2} <= q <= {cfg.q_target}, have {len(pqs)}")
     pqs = pqs[-4:]
 
     payloads = [(lam, f.to_text(), freq.to_record(), pq, cfg.theta_samples)
@@ -351,7 +353,7 @@ class HomogeneityCampaign:
         }
 
 
-def homogeneity_campaign(lam, f, freq, sigmas, config=None, e_samples=512):
+def homogeneity_campaign(lam, f, freq, sigmas, config=None):
     """Window-measure ratios at the finest convergent, plus the summed width
     of gaps meeting the extremal window (the bookkeeping the homogeneity
     argument runs on)."""
@@ -360,7 +362,7 @@ def homogeneity_campaign(lam, f, freq, sigmas, config=None, e_samples=512):
     bs = spectrum.band_structure(lam, f, pq, theta_samples=cfg.theta_samples)
     rows = []
     for s in sigmas:
-        res = spectrum.homogeneity_scan(bs, s, e_samples=e_samples)
+        res = spectrum.homogeneity_scan(bs, s)
         gap_sum = spectrum.window_gap_sum(bs, res.argmin_energy, s)
         rows.append((s, res.min_ratio, res.argmin_energy, gap_sum, gap_sum / s))
     return HomogeneityCampaign(approximant=pq, rows=tuple(rows))

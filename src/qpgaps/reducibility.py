@@ -17,12 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import rotation_phase_fracs
-from .cocycle import Conjugacy, degree_of, rotation_number, schrodinger_cocycle
+from .cocycle import Conjugacy, _propagate, degree_of, rotation_number, schrodinger_cocycle
 from .errors import FrameError, SmallDivisorError, StripDomainError
 from .fourier import FourierMap, matmul, matrix_exp, mul, strip_norm
 
 DIVISOR_CUTOFF = 1e-12
 MU_COLLAPSE_TOL = 1e-12
+FINE_GRID = 4096       # homological, frame and off-normal checks; frame averages
+CHECK_GRID = 2048      # parabolic-solve, averaging and perturbation identities
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,7 @@ def _divisors(freq, band_limit):
     return np.exp(2j * math.pi * fr) - 1.0, fr
 
 
-def solve_homological_scalar(nu, freq, sign=1, divisor_cutoff=DIVISOR_CUTOFF,
-                             residual_tol=1e-10, grid=4096):
+def solve_homological_scalar(nu, freq, sign=1, divisor_cutoff=DIVISOR_CUTOFF):
     """Zero-mean solution of  +-phi(x+alpha) -+ phi(x) = nu(x) - [nu].
 
     Coefficients are nu_k / (e^{2 pi i k alpha} - 1) up to the overall sign;
@@ -83,21 +84,19 @@ def solve_homological_scalar(nu, freq, sign=1, divisor_cutoff=DIVISOR_CUTOFF,
 
     ph = np.exp(2j * math.pi * fr)
     shifted = FourierMap(phi.coeffs * ph, period=1, entire=nu.entire)
-    lhs = sign * (shifted.sample(grid) - phi.sample(grid))
-    nu_vals = nu.sample(grid)
+    lhs = sign * (shifted.sample(FINE_GRID) - phi.sample(FINE_GRID))
+    nu_vals = nu.sample(FINE_GRID)
     rhs = nu_vals - nu.average()
     sup_nu = max(float(np.abs(rhs).max()), float(np.abs(nu_vals).max()), 1e-300)
     resid = float(np.abs(lhs - rhs).max())
-    if resid > residual_tol * sup_nu:
+    if resid > 1e-10 * sup_nu:
         raise ArithmeticError(
-            f"homological reconstruction residual {resid:.2e} above "
-            f"{residual_tol:.0e} * ||nu||"
+            f"homological reconstruction residual {resid:.2e} above 1e-10 * ||nu||"
         )
     return phi
 
 
-def solve_homological_parabolic(pert, parabolic, freq, divisor_cutoff=DIVISOR_CUTOFF,
-                                residual_tol=1e-9, grid=2048):
+def solve_homological_parabolic(pert, parabolic, freq, divisor_cutoff=DIVISOR_CUTOFF):
     """Y with  Y(x+alpha) P - P Y(x) = pert - [pert]  and zero-mean entries.
 
     For P = [[1, mu], [0, 1]] the entries resolve in the order 21 (single
@@ -110,53 +109,45 @@ def solve_homological_parabolic(pert, parabolic, freq, divisor_cutoff=DIVISOR_CU
     """
     if not pert.is_matrix or pert.period != 1:
         raise ValueError("perturbation must be a 1-periodic matrix map")
-    if parabolic.sign == -1:
-        flipped = solve_homological_parabolic(
-            -1.0 * pert, ParabolicForm(1, -parabolic.mu), freq,
-            divisor_cutoff=divisor_cutoff, residual_tol=math.inf, grid=grid,
-        )
-        Y = flipped
-    else:
-        mu = parabolic.mu
-        n = pert.band_limit
-        div, _ = _divisors(freq, n)
-        ks = np.arange(-n, n + 1)
-        e = div + 1.0                      # e^{2 pi i k alpha}
-        P21 = pert.coeffs[:, 1, 0]
-        P11 = pert.coeffs[:, 0, 0]
-        P22 = pert.coeffs[:, 1, 1]
-        P12 = pert.coeffs[:, 0, 1]
-        scale = float(np.abs(pert.coeffs).max()) if pert.coeffs.size else 0.0
-        Y = np.zeros_like(pert.coeffs)
-        for i, k in enumerate(ks):
-            if k == 0:
-                continue
-            needed = max(abs(P21[i]), abs(P11[i]), abs(P22[i]), abs(P12[i]))
-            if needed <= 1e-18 * max(scale, 1.0) and abs(mu) * abs(P21[i]) == 0.0:
-                continue
-            if abs(div[i]) < divisor_cutoff:
-                entry = "21" if abs(P21[i]) > 0 else "12"
-                raise SmallDivisorError(int(k), abs(div[i]), divisor_cutoff, entry=entry)
-            d, d2 = div[i], div[i] ** 2
-            y21 = P21[i] / d
-            y11 = (mu * P21[i] + d * P11[i]) / d2
-            y22 = (d * P22[i] - mu * e[i] * P21[i]) / d2
-            y12 = (P12[i] + mu * (y22 - e[i] * y11)) / d
-            Y[i, 0, 0] = y11
-            Y[i, 0, 1] = y12
-            Y[i, 1, 0] = y21
-            Y[i, 1, 1] = y22
-        Y = FourierMap(Y, period=1, entire=pert.entire)
+    mu = parabolic.sign * parabolic.mu
+    data = pert if parabolic.sign == 1 else -1.0 * pert
+    n = pert.band_limit
+    div, _ = _divisors(freq, n)
+    ks = np.arange(-n, n + 1)
+    e = div + 1.0                      # e^{2 pi i k alpha}
+    P21 = data.coeffs[:, 1, 0]
+    P11 = data.coeffs[:, 0, 0]
+    P22 = data.coeffs[:, 1, 1]
+    P12 = data.coeffs[:, 0, 1]
+    scale = float(np.abs(data.coeffs).max()) if data.coeffs.size else 0.0
+    Y = np.zeros_like(data.coeffs)
+    for i, k in enumerate(ks):
+        if k == 0:
+            continue
+        needed = max(abs(P21[i]), abs(P11[i]), abs(P22[i]), abs(P12[i]))
+        if needed <= 1e-18 * max(scale, 1.0) and abs(mu) * abs(P21[i]) == 0.0:
+            continue
+        if abs(div[i]) < divisor_cutoff:
+            entry = "21" if abs(P21[i]) > 0 else "12"
+            raise SmallDivisorError(int(k), abs(div[i]), divisor_cutoff, entry=entry)
+        d, d2 = div[i], div[i] ** 2
+        y21 = P21[i] / d
+        y11 = (mu * P21[i] + d * P11[i]) / d2
+        y22 = (d * P22[i] - mu * e[i] * P21[i]) / d2
+        y12 = (P12[i] + mu * (y22 - e[i] * y11)) / d
+        Y[i, 0, 0] = y11
+        Y[i, 0, 1] = y12
+        Y[i, 1, 0] = y21
+        Y[i, 1, 1] = y22
+    Y = FourierMap(Y, period=1, entire=pert.entire)
 
-    if residual_tol is not math.inf:
-        P = parabolic.matrix
-        alpha = freq.value
-        lhs = np.matmul(Y.sample(grid, shift=alpha), P) - np.matmul(P, Y.sample(grid))
-        rhs = pert.sample(grid) - pert.average()
-        scale = max(float(np.abs(rhs).max()), 1e-300)
-        resid = float(np.abs(lhs - rhs).max()) / scale
-        if resid > residual_tol:
-            raise ArithmeticError(f"matrix homological residual {resid:.2e} above {residual_tol:.0e}")
+    P = parabolic.matrix
+    lhs = (np.matmul(Y.sample(CHECK_GRID, shift=freq.value), P)
+           - np.matmul(P, Y.sample(CHECK_GRID)))
+    rhs = pert.sample(CHECK_GRID) - pert.average()
+    resid = float(np.abs(lhs - rhs).max()) / max(float(np.abs(rhs).max()), 1e-300)
+    if resid > 1e-9:
+        raise ArithmeticError(f"matrix homological residual {resid:.2e} above 1e-09")
     return Y
 
 
@@ -187,8 +178,7 @@ class AveragingStep:
     report: AveragingReport
 
 
-def averaging_step(parabolic, pert, eps, freq, delta, divisor_cutoff=DIVISOR_CUTOFF,
-                   identity_tol=1e-9, grid=2048):
+def averaging_step(parabolic, pert, eps, freq, delta):
     """One quadratic averaging step for the cocycle P + eps * pert(x).
 
     Conjugating by e^{eps Y} with Y solving the parabolic homological
@@ -200,8 +190,7 @@ def averaging_step(parabolic, pert, eps, freq, delta, divisor_cutoff=DIVISOR_CUT
     # drop the convolution noise floor first: coefficients near 1e-16 of the
     # peak carry no content but explode under e^{2 pi delta k} on the strip
     pert = pert.trim(1e-13)
-    Y = solve_homological_parabolic(pert, parabolic, freq,
-                                    divisor_cutoff=divisor_cutoff).trim(1e-13)
+    Y = solve_homological_parabolic(pert, parabolic, freq).trim(1e-13)
     n = max(Y.band_limit, 1)
     div, _ = _divisors(freq, n)
     nonzero = np.abs(div) > 0
@@ -225,17 +214,17 @@ def averaging_step(parabolic, pert, eps, freq, delta, divisor_cutoff=DIVISOR_CUT
     pert_next = (G - FourierMap.constant(const_next)) * (1.0 / eps**2)
     pert_next = pert_next.trim(1e-16)
 
-    x0 = 0.3 / grid
+    x0 = 0.3 / CHECK_GRID
     lhs = np.matmul(
-        np.matmul(np.linalg.inv(R_step.sample(grid, shift=x0 + alpha)),
-                  full.sample(grid, shift=x0)),
-        R_step.sample(grid, shift=x0),
+        np.matmul(np.linalg.inv(R_step.sample(CHECK_GRID, shift=x0 + alpha)),
+                  full.sample(CHECK_GRID, shift=x0)),
+        R_step.sample(CHECK_GRID, shift=x0),
     )
-    rhs = const_next[None, :, :] + eps**2 * pert_next.sample(grid, shift=x0)
+    rhs = const_next[None, :, :] + eps**2 * pert_next.sample(CHECK_GRID, shift=x0)
     scale = max(float(np.abs(lhs).max()), 1.0)
     resid = float(np.abs(lhs - rhs).max()) / scale
-    if resid > identity_tol:
-        raise ArithmeticError(f"averaging identity residual {resid:.2e} above {identity_tol:.0e}")
+    if resid > 1e-9:
+        raise ArithmeticError(f"averaging identity residual {resid:.2e} above 1e-09")
 
     step_dev = R_step - FourierMap.identity()
     step_dev.strip_tol = 1e-5
@@ -260,8 +249,7 @@ class DoubleStep:
     reports: tuple
 
 
-def double_step(parabolic, pert, eps, freq, delta, divisor_cutoff=DIVISOR_CUTOFF,
-                grid=2048):
+def double_step(parabolic, pert, eps, freq, delta):
     """Two averaging steps: first on the strip delta, second on the axis.
 
     After step one the constant part is no longer parabolic; the second
@@ -269,10 +257,8 @@ def double_step(parabolic, pert, eps, freq, delta, divisor_cutoff=DIVISOR_CUTOFF
     an extra third-order contribution that the remainder absorbs:
     result = const_final + eps^3 * pert_final(x).
     """
-    s1 = averaging_step(parabolic, pert, eps, freq, delta,
-                        divisor_cutoff=divisor_cutoff, grid=grid)
-    Y2 = solve_homological_parabolic(s1.pert_next.trim(1e-13), parabolic, freq,
-                                     divisor_cutoff=divisor_cutoff).trim(1e-13)
+    s1 = averaging_step(parabolic, pert, eps, freq, delta)
+    Y2 = solve_homological_parabolic(s1.pert_next.trim(1e-13), parabolic, freq).trim(1e-13)
     eY2 = (eps**2) * Y2
     norm_eY2 = strip_norm(eY2, 0.0, grid=512).value
     if norm_eY2 > 0.5:
@@ -299,17 +285,18 @@ def double_step(parabolic, pert, eps, freq, delta, divisor_cutoff=DIVISOR_CUTOFF
                       composite_map=composite, reports=(s1.report, report2))
 
 
-def _log_2x2(mats, tol=1e-14, max_terms=60):
-    """Principal logarithm of near-unipotent 2x2 matrices on a grid (series)."""
+def _log_2x2(mats):
+    """Principal logarithm of near-unipotent 2x2 matrices on a grid (series
+    of at most 60 terms, stopped once a term falls below 1e-14)."""
     eye = np.eye(2)
     K = mats - eye
     term = K.copy()
     out = K.copy()
-    for j in range(2, max_terms + 1):
+    for j in range(2, 61):
         term = np.matmul(term, K)
         piece = ((-1) ** (j + 1) / j) * term
         out += piece
-        if np.abs(piece).max() < tol:
+        if np.abs(piece).max() < 1e-14:
             return out
     raise ArithmeticError("matrix-log series did not converge; spectrum too far from 1")
 
@@ -329,18 +316,16 @@ def first_order_log_term(averages, mu):
     ])
 
 
-def log_expansion(parabolic, const_final, eps, first_order=None):
+def log_expansion(parabolic, const_final, eps, first_order):
     """Pieces (L0, L1, L2) with log(const_final) = L0 + eps L1 + eps^2 L2.
 
-    L0 is the nilpotent log of the unipotent factor; L1 comes from the
-    closed form when the frame averages are supplied, else from a central
-    difference at the caller's expense; L2 is the exact remainder at this eps.
+    L0 is the nilpotent log of the unipotent factor; L1 is the caller's
+    first-order term (first_order_log_term of the frame averages); L2 is the
+    exact remainder at this eps.
     """
     sgn = parabolic.sign
     L0 = np.array([[0.0, sgn * parabolic.mu], [0.0, 0.0]])
     L = _log_2x2((sgn * const_final)[None, :, :])[0]
-    if first_order is None:
-        raise ValueError("supply the first-order term (closed form or finite difference)")
     L1 = first_order
     L2 = (L - L0 - eps * L1) / eps**2
     # the constant part alone is not unimodular (its determinant defect lives
@@ -349,41 +334,41 @@ def log_expansion(parabolic, const_final, eps, first_order=None):
     return L0, L1, L2
 
 
-def remainder_sup(parabolic, const_final, pert_final, eps, L_pieces, grid=1024):
-    """Sup of the third-order log remainder over the axis."""
+def remainder_sup(parabolic, const_final, pert_final, eps, L_pieces):
+    """Sup of the third-order log remainder over the axis (1024 grid points)."""
     L0, L1, L2 = L_pieces
     sgn = parabolic.sign
-    vals = sgn * (const_final[None, :, :] + eps**3 * pert_final.sample(grid))
+    vals = sgn * (const_final[None, :, :] + eps**3 * pert_final.sample(1024))
     logs = _log_2x2(vals)
     rem = (logs - (L0 + eps * L1 + eps**2 * L2)[None, :, :]) / eps**3
     return float(np.abs(rem).max())
 
 
-def build_frame(V, floor=1e-8, grid=4096, band_limit=None, det_tol=1e-10,
-                max_grid=1 << 16):
+def build_frame(V):
     """Frame [V, T V / ||V||^2] with T the quarter turn (x,y) -> (-y, x).
 
     det == 1 pointwise by construction.  The second column needs 1/||V||^2 as
-    a series, recovered by FFT on a fine grid; a near-vanishing ||V|| squeezes
-    the analyticity strip of that reciprocal, so the grid and band double
-    until the frame determinant holds to det_tol.  An inf ||V|| below the
-    floor is an error naming where the vector field nearly vanishes.
+    a series, recovered by FFT on a grid of FINE_GRID points or more; a
+    near-vanishing ||V|| squeezes the analyticity strip of that reciprocal, so
+    the grid and band double until the frame determinant holds to 1e-10, or
+    the grid reaches 2^16 points.  An inf ||V|| below 1e-8 is an error naming
+    where the vector field nearly vanishes.
     """
     if not V.is_vector:
         raise ValueError("frame needs an R^2-valued map")
-    m = grid
+    m = FINE_GRID
     while True:
         vals = V.sample(m).real
         norms2 = (vals**2).sum(axis=1)
         j0 = int(np.argmin(norms2))
-        if norms2[j0] <= floor**2:
+        if norms2[j0] <= 1e-8**2:
             raise FrameError(
                 f"vector field nearly vanishes at x={j0 * V.period / m:.6f}: "
                 f"||V||={math.sqrt(norms2[j0]):.3e}"
             )
         inv2 = 1.0 / norms2
         hat = np.fft.fft(inv2) / m
-        n = band_limit or min(m // 3, max(2 * V.band_limit + 64, m // 8))
+        n = min(m // 3, max(2 * V.band_limit + 64, m // 8))
         inv_c = np.zeros(2 * n + 1, dtype=complex)
         for k in range(-n, n + 1):
             inv_c[n + k] = hat[k % m]
@@ -400,12 +385,12 @@ def build_frame(V, floor=1e-8, grid=4096, band_limit=None, det_tol=1e-10,
         c[nb - V.band_limit : nb + V.band_limit + 1, :, 0] = V.coeffs
         c[nb - col2.band_limit : nb + col2.band_limit + 1, :, 1] = col2.coeffs
         frame = FourierMap(c, period=V.period, entire=False).trim(1e-17)
-        if _det_deviation(frame) <= det_tol or m >= max_grid:
+        if _det_deviation(frame) <= 1e-10 or m >= 1 << 16:
             return frame
         m *= 2
 
 
-def select_frame_vector(re_map, im_map, n_tilde, min_integral=math.sqrt(2.0)):
+def select_frame_vector(re_map, im_map, n_tilde):
     """Choose the real or imaginary part of the half-period wave as the frame
     vector: the one whose resonant Fourier mass passes the sqrt(2) bound (both
     may; then the larger wins, ties to the real part)."""
@@ -420,7 +405,7 @@ def select_frame_vector(re_map, im_map, n_tilde, min_integral=math.sqrt(2.0)):
         cands.append((weight, name, Vm))
     cands.sort(key=lambda t: (-t[0], t[1] != "re"))
     weight, name, Vm = cands[0]
-    if weight < min_integral:
+    if weight < math.sqrt(2.0):
         raise FrameError(
             f"neither component clears the resonant-integral bound: best {weight:.4f}"
         )
@@ -439,9 +424,7 @@ class Reduction:
     diagnostics: dict
 
 
-def reduce_at_edge(energy, wave, freq, lam, f, divisor_cutoff=DIVISOR_CUTOFF,
-                   frame_floor=1e-8, l_iterate=64, grid=4096, delta=None,
-                   residual_tol=1e-8):
+def reduce_at_edge(energy, wave, freq, lam, f, delta=None):
     """Full reduction of the Schrodinger cocycle at a gap-edge energy.
 
     wave is an AssembledWave at that energy.  Steps: split the half-period
@@ -455,7 +438,7 @@ def reduce_at_edge(energy, wave, freq, lam, f, divisor_cutoff=DIVISOR_CUTOFF,
     re_map = Uh.real_part()
     im_map = Uh.imag_part()
     V, choice, weight = select_frame_vector(re_map, im_map, wave.n_tilde)
-    R1 = build_frame(V, floor=frame_floor, grid=grid)
+    R1 = build_frame(V)
 
     A = schrodinger_cocycle(lam, f, energy).A
     A2 = A.lift2() if R1.period == 2 else A
@@ -472,7 +455,7 @@ def reduce_at_edge(energy, wave, freq, lam, f, divisor_cutoff=DIVISOR_CUTOFF,
     nu = nu2.collapse1(tol=1e-7) if nu2.period == 2 else nu2
     nu = nu.real_part().trim(1e-16)
 
-    phi = solve_homological_scalar(nu, freq, sign=s, divisor_cutoff=divisor_cutoff)
+    phi = solve_homological_scalar(nu, freq, sign=s)
     mu = float(nu.average().real)
 
     shear_c = np.zeros((2 * phi.band_limit + 1, 2, 2), dtype=complex)
@@ -483,13 +466,10 @@ def reduce_at_edge(energy, wave, freq, lam, f, divisor_cutoff=DIVISOR_CUTOFF,
     R = matmul(R1, shear.lift2() if R1.period == 2 else shear).trim(1e-16)
 
     target = np.array([[s, mu], [0.0, s]])
-    Rv = R.sample(R.period * grid)[:grid].real
-    Rv_sh = R.sample(R.period * grid, shift=alpha)[:grid].real
-    Av = A.sample(A.period * grid)[:grid].real
-    M = np.matmul(_adj(Rv_sh), np.matmul(Av, Rv))
+    M = _conjugated(R, A.sample(A.period * FINE_GRID)[:FINE_GRID].real, alpha)
     off_normal = float(np.abs(M - target[None, :, :]).max())
 
-    mu_it = _mu_from_iterate(R, A, alpha, s, mu, l_iterate, grid=1024)
+    mu_it = _mu_from_iterate(R, A, alpha, s)
     deg = degree_of(R)
 
     diags = {
@@ -505,7 +485,7 @@ def reduce_at_edge(energy, wave, freq, lam, f, divisor_cutoff=DIVISOR_CUTOFF,
             diags["frame_strip_norm"] = strip_norm(R, delta, grid=1024).value
         except StripDomainError:
             diags["frame_strip_norm"] = math.inf
-    if off_normal > residual_tol:
+    if off_normal > 1e-8:
         diags["off_normal_flag"] = True
     return Reduction(
         conjugacy=Conjugacy(R=R, degree=deg),
@@ -527,19 +507,28 @@ def _adj(mats):
     return out
 
 
-def _det_deviation(R, grid=1024):
-    d = np.linalg.det(R.sample(grid).real)
+def _det_deviation(R):
+    d = np.linalg.det(R.sample(1024).real)
     return float(np.abs(d - 1.0).max())
 
 
-def _mu_from_iterate(R, A, alpha, sign, mu, l, grid=1024):
-    """Read l*mu from the corner of R^{-1}(x+l alpha) A_l(x) R(x)."""
-    P = np.broadcast_to(np.eye(2), (grid, 2, 2)).copy()
-    for j in range(l):
-        P = np.matmul(A.sample(A.period * grid, shift=j * alpha)[:grid].real, P)
-    M = np.matmul(_adj(R.sample(R.period * grid, shift=l * alpha)[:grid].real),
-                  np.matmul(P, R.sample(R.period * grid)[:grid].real))
-    corner = M[:, 0, 1].mean()
+def _conjugated(R, mats, shift):
+    """adj(R(x + shift)) mats(x) R(x) at the points x_j = j / len(mats) of
+    [0, 1); adj(R) is the inverse of the unimodular R."""
+    n = len(mats)
+    Rv = R.sample(R.period * n)[:n].real
+    Rv_sh = R.sample(R.period * n, shift=shift)[:n].real
+    return np.matmul(_adj(Rv_sh), np.matmul(mats, Rv))
+
+
+def _mu_from_iterate(R, A, alpha, sign):
+    """Read l*mu from the corner of R^{-1}(x+l alpha) A_l(x) R(x), l = 64,
+    on 1024 grid points; A_l runs through the orbit engine."""
+    l, grid = 64, 1024
+    steps = np.stack([A.sample(A.period * grid, shift=j * alpha)[:grid].real
+                      for j in range(l)])
+    P, logs = _propagate(steps, np.broadcast_to(np.eye(2), (grid, 2, 2)))
+    corner = (np.exp(logs) * _conjugated(R, P, l * alpha)[:, 0, 1]).mean()
     return float(corner / (l * sign ** (l - 1)))
 
 
@@ -561,7 +550,7 @@ class AverageIdentities:
         return (self.r11_sq, self.r11_r12, self.r12_sq)
 
 
-def average_identities(reduction, freq, grid=4096):
+def average_identities(reduction, freq):
     """Structural identities of the reducing map and the three frame averages.
 
     The row entries of the map at x and x + alpha hang together: the lower row
@@ -573,8 +562,8 @@ def average_identities(reduction, freq, grid=4096):
     s = reduction.parabolic.sign
     mu = reduction.parabolic.mu
     alpha = freq.value
-    Rv = R.sample(grid).real
-    Rs = R.sample(grid, shift=alpha).real
+    Rv = R.sample(FINE_GRID).real
+    Rs = R.sample(FINE_GRID, shift=alpha).real
     r11, r12 = Rv[:, 0, 0], Rv[:, 0, 1]
     r21 = Rv[:, 1, 0]
     s11, s12 = Rs[:, 0, 0], Rs[:, 0, 1]
@@ -601,7 +590,7 @@ def average_identities(reduction, freq, grid=4096):
 
 
 def perturbation_matrix(reduction, lam, f, energy, freq, probe_eps=1e-4,
-                        identity_tol=1e-8, grid=2048):
+                        identity_tol=1e-8):
     """The first-order energy-perturbation matrix of the reduced cocycle.
 
     Closed form in the entries of the reducing map (sign-aware):
@@ -630,11 +619,9 @@ def perturbation_matrix(reduction, lam, f, energy, freq, probe_eps=1e-4,
 
     alpha = freq.value
     A_eps = schrodinger_cocycle(lam, f, energy + probe_eps).A
-    lhs = np.matmul(_adj(R.sample(R.period * grid, shift=alpha)[:grid].real),
-                    np.matmul(A_eps.sample(A_eps.period * grid)[:grid].real,
-                              R.sample(R.period * grid)[:grid].real))
+    lhs = _conjugated(R, A_eps.sample(A_eps.period * CHECK_GRID)[:CHECK_GRID].real, alpha)
     rhs = (reduction.parabolic.matrix[None, :, :]
-           + probe_eps * pert.sample(grid).real)
+           + probe_eps * pert.sample(CHECK_GRID).real)
     resid = float(np.abs(lhs - rhs).max())
     if resid > identity_tol:
         raise ArithmeticError(
@@ -660,10 +647,10 @@ def gap_edge_epsilon(averages, parabolic):
     return -2.0 * mu_eff * r11 / den
 
 
-def elliptic_normalize(D, tol=1e-12):
+def elliptic_normalize(D):
     """Conjugate a trace-free D with det D > 0 and D[0,1] < 0 to the rotation
     generator sqrt(det D) * [[0, -1], [1, 0]] by the explicit unit-determinant
-    Q built from the entries."""
+    Q built from the entries, checked to 1e-12 relative."""
     D = np.asarray(D, dtype=float)
     if abs(D[0, 0] + D[1, 1]) > 1e-10 * max(1.0, np.abs(D).max()):
         raise ValueError("matrix must be trace-free")
@@ -678,7 +665,7 @@ def elliptic_normalize(D, tol=1e-12):
     Q = np.array([[0.0, s / root], [-root / s, d1 / (root * s)]])
     target = math.sqrt(det) * np.array([[0.0, -1.0], [1.0, 0.0]])
     got = np.linalg.inv(Q) @ D @ Q
-    if np.abs(got - target).max() > tol * max(1.0, math.sqrt(det)):
+    if np.abs(got - target).max() > 1e-12 * max(1.0, math.sqrt(det)):
         raise ArithmeticError("normalization defect above tolerance")
     return Q, math.sqrt(det)
 
@@ -691,17 +678,15 @@ class ShiftCheck:
     combined_error: float
 
 
-def rotation_shift_check(e_edge, eps_m, freq, lam, f, target_err=1e-8):
+def rotation_shift_check(e_edge, eps_m, freq, lam, f):
     """Whether the rotation number moves between E and E + eps_m.
 
     A genuine (non-collapsed) gap must see the rotation number change when
     stepping across its certified width bound; a collapsed gap (eps_m = 0)
     must not.
     """
-    r1 = rotation_number(schrodinger_cocycle(lam, f, e_edge, freq),
-                         target_err=target_err)
-    r2 = rotation_number(schrodinger_cocycle(lam, f, e_edge + eps_m, freq),
-                         target_err=target_err)
+    r1 = rotation_number(schrodinger_cocycle(lam, f, e_edge, freq))
+    r2 = rotation_number(schrodinger_cocycle(lam, f, e_edge + eps_m, freq))
     bars = 3.0 * (r1.error + r2.error) + 1e-12
     return ShiftCheck(
         differs=abs(r1.value - r2.value) > bars,

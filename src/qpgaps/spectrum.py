@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .arithmetic import Frequency
 from .cocycle import rotation_number, schrodinger_cocycle
 from .errors import SpectrumError
 
@@ -126,15 +125,14 @@ def _merge(intervals, tol=MERGE_TOL):
     return [tuple(b) for b in out]
 
 
-def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL,
-                   max_rounds=5):
+def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL):
     """Union of Floquet bands over the phase for the approximant p/q.
 
     theta_samples counts grid points around the full circle; after reduction
     by the (1/q)-periodicity, T = max(4, theta_samples/q) distinct phases are
-    solved, then T doubles until the union is stable to e_resolution (band
-    count and edge movement).  Bands still moving at the refinement cap are
-    flagged rather than silently accepted.
+    solved, then T doubles, at most five times, until the union is stable to
+    e_resolution (band count and edge movement).  Bands still moving at that
+    cap are flagged rather than silently accepted.
     """
     p, q = p_over_q
     if q < 1 or math.gcd(p, q) != 1:
@@ -154,7 +152,7 @@ def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL,
 
     bands = union_at(t_count)
     flagged = False
-    for _ in range(max_rounds):
+    for _ in range(5):
         t_next = t_count * 2
         nxt = union_at(t_next)
         stable = len(nxt) == len(bands) and all(
@@ -167,7 +165,7 @@ def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL,
     else:
         flagged = True
 
-    ref = cache[Fraction(0, 1)] if Fraction(0, 1) in cache else cache[min(cache)]
+    ref = cache[Fraction(0, 1)]
     bs = BandStructure(
         approximant=(p, q), lam=lam, potential=f,
         bands=tuple((float(a), float(b)) for a, b in bands),
@@ -258,8 +256,7 @@ def _previous_gap_midpoints(bs, freq, mirrored):
     return freq.value - p0 / q0, mids
 
 
-def label_gaps(bs, freq, rho_tol=1e-4, mirrored=False, rho_skip_width=RHO_SKIP_WIDTH,
-               rho_target_err=None, rho_max_iterations=1 << 17):
+def label_gaps(bs, freq, rho_tol=1e-4, mirrored=False, rho_skip_width=RHO_SKIP_WIDTH):
     """Label every gap of bs by the integer m with 2 rho = m alpha (mod 1).
 
     The candidate label solves the index congruence at the approximant; the
@@ -274,7 +271,8 @@ def label_gaps(bs, freq, rho_tol=1e-4, mirrored=False, rho_skip_width=RHO_SKIP_W
     built once, on first need), or at the midpoint when that convergent has
     no open gap with the label.  The point is chosen before any measurement
     and does not depend on the target m alpha; rho_energy records it.
-    Gaps thinner than rho_skip_width keep a NaN residual.
+    Each rotation number targets an error of min(rho_tol / 20, 1e-5) within
+    2^17 steps.  Gaps thinner than rho_skip_width keep a NaN residual.
     """
     p, q = bs.approximant
     if (p, q) not in set(freq.convergents):
@@ -297,8 +295,8 @@ def label_gaps(bs, freq, rho_tol=1e-4, mirrored=False, rho_skip_width=RHO_SKIP_W
             if m in mids:
                 energy = mid - delta * (mid - mids[m]) / (delta - delta0)
         c = schrodinger_cocycle(bs.lam, bs.potential, energy, freq)
-        rr = rotation_number(c, target_err=rho_target_err or min(rho_tol / 20.0, 1e-5),
-                             max_iterations=rho_max_iterations)
+        rr = rotation_number(c, target_err=min(rho_tol / 20.0, 1e-5),
+                             max_iterations=1 << 17)
         target = (m * freq.value) % 1.0
         resid = _circle_dist(2.0 * rr.value, target)
         records.append(
@@ -322,15 +320,13 @@ class DecayFit:
     floored: bool = False           # some widths sat at the double-precision floor
 
 
-def gap_decay_fit(records, m_max=None):
+def gap_decay_fit(records):
     """Least squares of ln(width) against |m|; gamma is minus the slope."""
     table = {}
     excluded = []
     floored = False
     for r in records:
         m = abs(r.label)
-        if m_max is not None and m > m_max:
-            continue
         if r.width <= 0.0:
             excluded.append((m, "collapsed"))
             continue
@@ -376,22 +372,24 @@ def _trace_mp(lam, f, p, q, theta, energy, dps):
         return a11 + a22
 
 
-def refine_gap_extended(bs, record, dps=50, theta=0.0, max_steps=200):
+def refine_gap_extended(bs, record, dps=50):
     """Re-resolve a gap's edges by bisection on |trace| - 2 in extended precision.
 
     Double precision floors widths near 1e-12; the trace excursion past the
     band condition survives in higher precision, so both crossings of the
-    relevant level +-2 are bisected to ~10^(5-dps) absolute.  Intended for
-    per-theta-stable (large q) structures; theta picks the slice.
+    relevant level +-2 are bisected to ~10^(5-dps) absolute, in at most 200
+    steps each.  The bisection runs on the theta = 0 slice; when that slice
+    holds no gap at the midpoint, SpectrumError names the check
+    "extended-slice".
     """
     lam, f = bs.lam, bs.potential
     p, q = bs.approximant
     mid = record.midpoint()
-    t_mid = _trace_mp(lam, f, p, q, theta, mid, dps)
-    level = 2.0 if t_mid > 0 else -2.0
-    outside = abs(float(t_mid)) > 2.0
-    if not outside:
-        raise ValueError("midpoint trace is inside the band condition; not a gap slice")
+    t_mid = _trace_mp(lam, f, p, q, 0.0, mid, dps)
+    if not abs(float(t_mid)) > 2.0:
+        raise SpectrumError("extended-slice",
+                            f"gap m={record.label}: the theta = 0 trace at the midpoint "
+                            f"{mid!r} is inside the band condition")
 
     from mpmath import mp, mpf
 
@@ -399,10 +397,10 @@ def refine_gap_extended(bs, record, dps=50, theta=0.0, max_steps=200):
         # sign change of |tr| - 2 between lo (inside gap) and hi (inside band)
         with mp.workdps(dps):
             a, b = mpf(lo), mpf(hi)
-            fa = abs(_trace_mp(lam, f, p, q, theta, a, dps)) - 2
-            for _ in range(max_steps):
+            fa = abs(_trace_mp(lam, f, p, q, 0.0, a, dps)) - 2
+            for _ in range(200):
                 m = (a + b) / 2
-                fm = abs(_trace_mp(lam, f, p, q, theta, m, dps)) - 2
+                fm = abs(_trace_mp(lam, f, p, q, 0.0, m, dps)) - 2
                 if (fm > 0) == (fa > 0):
                     a, fa = m, fm
                 else:
@@ -508,13 +506,12 @@ class HolderReport:
     pairs_used: int
 
 
-def holder_check(lam, f, freq, e_pairs=64, seed=0, min_de=1e-10, de_range=(1e-7, 1e-1),
-                 rho_target_err=1e-8):
+def holder_check(lam, f, freq, e_pairs=64, seed=0, rho_target_err=1e-8):
     """Largest observed |d rho| / |dE|^(1/2) over sampled energy pairs.
 
-    Pairs are drawn with log-uniform separations concentrated near the
-    bracketing interval so the square-root modulus gets stressed at band
-    edges; identical pairs are excluded by min_de.
+    Pairs are drawn with log-uniform separations in [1e-7, 1e-1] concentrated
+    near the bracketing interval so the square-root modulus gets stressed at
+    band edges.
     """
     rng = np.random.default_rng(seed)
     lo, hi = bracket_interval(lam, f)
@@ -523,9 +520,7 @@ def holder_check(lam, f, freq, e_pairs=64, seed=0, min_de=1e-10, de_range=(1e-7,
     used = 0
     for _ in range(e_pairs):
         e1 = rng.uniform(lo, hi)
-        de = 10.0 ** rng.uniform(math.log10(de_range[0]), math.log10(de_range[1]))
-        if de < min_de:
-            continue
+        de = 10.0 ** rng.uniform(math.log10(1e-7), math.log10(1e-1))
         e2 = e1 + de * rng.choice((-1.0, 1.0))
         r1 = rotation_number(schrodinger_cocycle(lam, f, e1, freq), target_err=rho_target_err)
         r2 = rotation_number(schrodinger_cocycle(lam, f, e2, freq), target_err=rho_target_err)

@@ -193,3 +193,21 @@ def test_gaps_extended_precision_flag(tmp_path):
               "--precision", "extended", "--out", str(out)])
     assert rc == 0
     assert (out / "gaps.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--q", "0"], ["gaps", "--q", "0"],
+                                  ["homogeneity", "--q", "0"], ["decay", "--q", "3"]],
+                         ids=lambda argv: argv[0])
+def test_too_small_q_is_a_config_error(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+
+
+@pytest.mark.parametrize("argv", [["reduce", "--jobs", "2"], ["dual", "--cache-dir", "c"],
+                                  ["decay", "--precision", "extended"]],
+                         ids=lambda argv: argv[0])
+def test_flag_on_a_subcommand_that_ignores_it_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -324,3 +324,15 @@ def test_repeated_labels_raise_typed_error(golden, amo, monkeypatch):
         sp.label_gaps(bs, golden, rho_skip_width=math.inf)
     assert isinstance(err.value, SpectrumError)
     assert err.value.check == "distinct-labels"
+
+
+def test_extended_refinement_names_a_slice_without_the_gap(golden, amo):
+    # at 144/233 the theta = 0 slice holds no gap with |m| >= 15: the trace at
+    # the union gap's midpoint meets the band condition there, so bisection on
+    # that slice has no crossing to find
+    bs = sp.band_structure(0.25, amo, (144, 233))
+    rec = next(r for r in sp.label_gaps(bs, golden, rho_skip_width=math.inf)
+               if r.label == 15)
+    with pytest.raises(SpectrumError) as info:
+        sp.refine_gap_extended(bs, rec)
+    assert info.value.check == "extended-slice"
