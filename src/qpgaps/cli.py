@@ -136,10 +136,11 @@ COMMON = [
 
 def _common_setup(args):
     opts = _merge_options(args, COMMON + [("out", str, "out")])
+    if not math.isfinite(opts["lam"]):
+        raise ConfigError(f"coupling must be finite, got {opts['lam']!r}")
     freq = resolve_frequency(opts["freq"])
     f = resolve_potential(opts["potential"])
-    cfg_dict = {k: (v if not isinstance(v, float) or math.isfinite(v) else repr(v))
-                for k, v in opts.items() if k not in ("jobs", "out")}
+    cfg_dict = {k: v for k, v in opts.items() if k not in ("jobs", "out")}
     cfg_dict["command"] = args.command
     h = cache.content_hash(cfg_dict)
     return opts, freq, f, h, cfg_dict
@@ -213,7 +214,12 @@ def cmd_decay(args):
 
 def cmd_homogeneity(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
-    sigmas = [float(s) for s in (args.sigmas or "1e-2,3e-3,1e-3").split(",")]
+    try:
+        sigmas = [float(s) for s in (args.sigmas or "1e-2,3e-3,1e-3").split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--sigmas: {exc}") from exc
+    if not all(0.0 < s < math.inf for s in sigmas):
+        raise ConfigError(f"--sigmas must all be positive and finite, got {args.sigmas}")
     _convergent(freq, opts["q"])          # the campaign picks the same one
     cfg = pipeline.PipelineConfig(q_target=opts["q"], theta_samples=opts["theta_samples"])
     camp = pipeline.homogeneity_campaign(opts["lam"], f, freq, sigmas, cfg)
@@ -245,8 +251,10 @@ def cmd_reduce(args):
 
 def cmd_dual(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
-    if args.energy is None:
-        raise ConfigError("dual needs --energy")
+    if args.energy is None or not math.isfinite(args.energy):
+        raise ConfigError(f"dual needs a finite --energy, got {args.energy}")
+    if args.trunc is not None and args.trunc < 1:
+        raise ConfigError(f"--trunc must be positive, got {args.trunc}")
     sol = duality.find_bloch(opts["lam"], f, freq, args.energy,
                              trunc=args.trunc or 128)
     duality.detect_resonance(sol, freq)
@@ -259,6 +267,8 @@ def cmd_dual(args):
 def cmd_beta(args):
     opts = _merge_options(args, [("alpha", str, "golden"), ("kmax", int, 10000),
                                  ("out", str, "out")])
+    if opts["kmax"] < 1:
+        raise ConfigError(f"kmax must be positive, got {opts['kmax']}")
     freq = resolve_frequency(opts["alpha"])
     est = estimate_beta(freq, opts["kmax"])
     h = cache.content_hash({"command": "beta", "alpha": opts["alpha"], "kmax": opts["kmax"]})

@@ -268,20 +268,18 @@ def degree_of(R):
 def conjugate(c, R):
     """The conjugated cocycle (alpha, R^{-1}(x+alpha) A(x) R(x)).
 
-    R may be a Conjugacy or a bare matrix map with det == 1 (its adjugate is
-    then the pointwise inverse).  Raises when R is near-singular on the axis.
+    R is a matrix map with det == 1 (its adjugate is then the pointwise
+    inverse).  Raises when det R strays from 1 on the axis.
     """
-    Rm = R.R if isinstance(R, Conjugacy) else R
-    dets = np.linalg.det(Rm.sample(512))
+    dets = np.linalg.det(R.sample(512))
     if np.abs(dets - 1.0).max() > 1e-8:
         raise ValueError(f"conjugacy determinant strays from 1 by {np.abs(dets-1).max():.2e}")
     A = c.A
-    if Rm.period == 2 and A.period == 1:
+    if R.period == 2 and A.period == 1:
         A = A.lift2()
-    elif Rm.period == 1 and A.period == 2:
-        Rm = Rm.lift2()
-    B = matmul(Rm.shift(c.alpha).adjugate(), A, Rm)
-    B = B.trim(1e-16)
+    elif R.period == 1 and A.period == 2:
+        R = R.lift2()
+    B = matmul(R.shift(c.alpha).adjugate(), A, R).trim(1e-16)
     if B.period == 2:
         try:
             B = B.collapse1(tol=1e-9)

@@ -7,11 +7,13 @@ with an eigenvector localized around some site, which after recentering gives
 the normalized Bloch coefficients with u_0 = 1 and |u_k| <= 1.
 
 One path refines and normalizes every eigenpair once its phase is chosen:
-`_nearest_pair` solves for the interior eigenpair nearest an energy,
-`_refine` doubles the truncation at that phase, and `_normalized` recenters,
-scales and fills the `BlochSolution`.  `find_bloch` and `find_bloch_resonant`
-differ only in how they choose the phase; `snap_to_resonance` re-solves at
-the exact resonant phase and normalizes without refining.
+`_nearest_pair` solves for the interior eigenpair nearest an energy (on
+either side, or strictly above or below it; the same call probes the band
+function while `find_bloch` searches for the phase), `_refine` doubles the
+truncation at that phase, and `_normalized` recenters, scales and fills the
+`BlochSolution`.  `find_bloch` and `find_bloch_resonant` differ only in how
+they choose the phase; `snap_to_resonance` re-solves at the exact resonant
+phase and normalizes without refining.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BlochError
-from .fourier import FourierMap
+from .fourier import FourierMap, mul
 
 DUAL_START_N = 256
 DUAL_MAX_TRUNC = 4096
@@ -88,15 +90,22 @@ def _interior_eigs(lam, f, freq, theta, trunc, e_lo, e_hi):
     return w[keep], v[:, keep]
 
 
-def _nearest_pair(lam, f, freq, theta, trunc, energy, windows):
-    """Interior eigenpair nearest `energy`, from the first half-width in
-    `windows` whose window holds one; BlochError when none does."""
+def _nearest_pair(lam, f, freq, theta, trunc, energy, windows, side):
+    """Interior eigenpair nearest `energy` on the given side ("nearest" for
+    either; "above" or "below" for strictly that side), from the first
+    half-width in `windows` whose window on that side holds one; BlochError
+    when none does."""
     for w in windows:
-        vals, vecs = _interior_eigs(lam, f, freq, theta, trunc, energy - w, energy + w)
+        lo = energy if side == "above" else energy - w
+        hi = energy if side == "below" else energy + w
+        vals, vecs = _interior_eigs(lam, f, freq, theta, trunc, lo, hi)
+        if side != "nearest":
+            keep = vals > energy if side == "above" else vals < energy
+            vals, vecs = vals[keep], vecs[:, keep]
         if len(vals):
             k = int(np.argmin(np.abs(vals - energy)))
             return float(vals[k]), vecs[:, k]
-    raise BlochError(f"no interior dual eigenvalue within {windows[-1]:.1e} of "
+    raise BlochError(f"no interior dual eigenvalue ({side}) within {windows[-1]:.1e} of "
                      f"E={energy} at theta={theta} (trunc {trunc})")
 
 
@@ -131,30 +140,6 @@ class BlochSolution:
         }
 
 
-def _band_objective(lam, f, freq, trunc, target, side):
-    """theta -> edge-relevant interior eigenvalue for the search: the one
-    nearest `target`, or the first one above or below it."""
-    if side == "nearest":
-        return lambda theta: _nearest_pair(lam, f, freq, theta, trunc, target,
-                                           _PROBE_WINDOWS)[0]
-
-    def probe(theta):
-        for w in _PROBE_WINDOWS:
-            if side == "above":
-                vals, _ = _interior_eigs(lam, f, freq, theta, trunc, target, target + w)
-                above = vals[vals > target]
-                if len(above):
-                    return float(above[0])
-            else:
-                vals, _ = _interior_eigs(lam, f, freq, theta, trunc, target - w, target)
-                below = vals[vals < target]
-                if len(below):
-                    return float(below[-1])
-        raise BlochError(f"no interior dual eigenvalue near E={target} at theta={theta}")
-
-    return probe
-
-
 def _golden_minimize(fn, a, b, xtol):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
@@ -180,7 +165,8 @@ def _refine(lam, f, freq, theta, trunc, energy, vec, max_trunc):
     truncation loses the eigenvalue.  Returns (energy, vec, trunc).
     """
     while trunc < max_trunc:
-        e_next, vec = _nearest_pair(lam, f, freq, theta, 2 * trunc, energy, _PAIR_WINDOWS)
+        e_next, vec = _nearest_pair(lam, f, freq, theta, 2 * trunc, energy, _PAIR_WINDOWS,
+                                    "nearest")
         moved = abs(e_next - energy)
         energy, trunc = e_next, 2 * trunc
         quarter = (2 * trunc + 1) // 4
@@ -227,7 +213,8 @@ def find_bloch(lam, f, freq, energy, trunc=None, theta_grid=64, side="nearest",
     """
     trunc = trunc or DUAL_START_N
     target = floor if floor is not None else energy
-    probe = _band_objective(lam, f, freq, trunc, target, side)
+    probe = lambda th: _nearest_pair(lam, f, freq, th, trunc, target, _PROBE_WINDOWS,
+                                     side)[0]
     if side == "nearest":
         objective = lambda th: abs(probe(th) - energy)
     else:
@@ -241,7 +228,7 @@ def find_bloch(lam, f, freq, energy, trunc=None, theta_grid=64, side="nearest",
     theta_star = _golden_minimize(objective, lo, hi, THETA_XTOL)
 
     e_star, vec = _nearest_pair(lam, f, freq, theta_star, trunc, probe(theta_star),
-                                _PAIR_WINDOWS)
+                                _PAIR_WINDOWS, "nearest")
     e_star, vec, trunc = _refine(lam, f, freq, theta_star, trunc, e_star, vec, max_trunc)
     return _normalized(lam, f, freq, theta_star, trunc, e_star, vec)[0]
 
@@ -271,9 +258,9 @@ def find_bloch_resonant(lam, f, freq, energy, n_candidates, trunc=None, window=N
                 # order-one speed in theta
                 try:
                     e_p, _ = _nearest_pair(lam, f, freq, theta_c + d_th, trunc, e_k,
-                                           _SLOPE_WINDOWS)
+                                           _SLOPE_WINDOWS, "nearest")
                     e_m, _ = _nearest_pair(lam, f, freq, theta_c - d_th, trunc, e_k,
-                                           _SLOPE_WINDOWS)
+                                           _SLOPE_WINDOWS, "nearest")
                 except BlochError:
                     continue
                 slope = abs(e_p - e_m) / (2.0 * d_th)
@@ -359,7 +346,7 @@ def snap_to_resonance(sol, lam, f, freq):
     j = round(2.0 * sol.theta - sol.n_tilde * freq.value)
     theta_s = ((sol.n_tilde * freq.value + j) / 2.0) % 1.0
     e_star, vec = _nearest_pair(lam, f, freq, theta_s, sol.trunc, sol.energy,
-                                _SNAP_WINDOWS)
+                                _SNAP_WINDOWS, "nearest")
     snapped, n0 = _normalized(lam, f, freq, theta_s, sol.trunc, e_star, vec)
     snapped.n_tilde = sol.n_tilde + 2 * n0
     snapped.resonance_dist = abs((2.0 * snapped.theta - snapped.n_tilde * freq.value
@@ -390,19 +377,11 @@ def assemble_wave(sol, lam, f, freq):
     if sol.n_tilde is None:
         raise BlochError("resonance integer undetected; run detect_resonance first")
     n_t = sol.n_tilde
-    trunc = sol.trunc
     phase = np.exp(2j * math.pi * sol.theta)
-    shift_ph = np.exp(-2j * math.pi * np.arange(-trunc, trunc + 1) * freq.value)
-    U_c = np.zeros((2 * trunc + 1, 2), dtype=complex)
-    U_c[:, 0] = phase * sol.u_hat
-    U_c[:, 1] = sol.u_hat * shift_ph
-    U = FourierMap(U_c, period=1, entire=False)
-
-    m2 = 2 * trunc + abs(n_t)
-    Uh_c = np.zeros((2 * m2 + 1, 2), dtype=complex)
-    for k in range(-trunc, trunc + 1):
-        Uh_c[m2 + 2 * k + n_t] = U_c[trunc + k]
-    U_hat = FourierMap(Uh_c, period=2, entire=False)
+    shift_ph = np.exp(-2j * math.pi * np.arange(-sol.trunc, sol.trunc + 1) * freq.value)
+    U = FourierMap(np.stack([phase * sol.u_hat, sol.u_hat * shift_ph], axis=1), period=1,
+                   entire=False)
+    U_hat = mul(FourierMap.harmonic(n_t, period=2), U.lift2())
 
     from .cocycle import schrodinger_cocycle
 

@@ -8,9 +8,11 @@ evaluation paths, one per kind of input: `FourierMap.sample` evaluates a
 uniform grid (optionally shifted, and on a line Im z = delta) as one inverse
 FFT of the coefficients folded mod the grid size, O(N log N); calling the map
 sums the series directly at arbitrary points, O(points * N), and serves the
-scattered points of orbits.  Products are exact convolutions (direct O(N^2),
-fine at desk scale); optional truncation records the dropped l1 mass instead
-of discarding it silently.
+scattered points of orbits.  The way back, grid values to coefficients, is
+one FFT (`FourierMap.from_samples`); `assemble` builds a 2x2 map from entry
+or column maps.  Products are exact convolutions (direct O(N^2), fine at desk
+scale); optional truncation records the dropped l1 mass instead of
+discarding it silently.
 """
 
 from __future__ import annotations
@@ -117,21 +119,25 @@ class FourierMap:
     @staticmethod
     def from_function(fn, band_limit):
         """Coefficients of a smooth 1-periodic function via an FFT on a grid
-        oversampled four times.
-
-        The result carries entire=False: it is a truncation of sampled data,
-        so strip evaluation stays tail-checked.
-        """
+        oversampled four times (see from_samples)."""
         m = 1
         while m < 4 * (2 * band_limit + 1):
             m *= 2
         vals = np.asarray([fn(xi) for xi in np.arange(m) / m], dtype=complex)
+        return FourierMap.from_samples(vals, band_limit, 1)
+
+    @staticmethod
+    def from_samples(vals, band_limit, period):
+        """Coefficients |k| <= band_limit of the map whose values on the
+        uniform grid of one period are `vals`, by one FFT.
+
+        The result carries entire=False: it is a truncation of sampled data,
+        so strip evaluation stays tail-checked.
+        """
+        m = len(vals)
         hat = np.fft.fft(vals, axis=0) / m
-        n = band_limit
-        c = np.zeros((2 * n + 1,) + vals.shape[1:], dtype=complex)
-        for k in range(-n, n + 1):
-            c[n + k] = hat[k % m]
-        return FourierMap(c, entire=False)
+        return FourierMap(hat[np.arange(-band_limit, band_limit + 1) % m], period,
+                          entire=False)
 
     @staticmethod
     def identity(period=1):
@@ -319,12 +325,7 @@ class FourierMap:
 
     def adjugate(self):
         """[[d,-b],[-c,a]]; the pointwise inverse when det == 1."""
-        c = np.empty_like(self.coeffs)
-        c[:, 0, 0] = self.coeffs[:, 1, 1]
-        c[:, 0, 1] = -self.coeffs[:, 0, 1]
-        c[:, 1, 0] = -self.coeffs[:, 1, 0]
-        c[:, 1, 1] = self.coeffs[:, 0, 0]
-        return FourierMap(c, self.period, entire=self.entire)
+        return FourierMap(adjugate(self.coeffs), self.period, entire=self.entire)
 
     # ---- period changes ----------------------------------------------------
     def lift2(self):
@@ -398,6 +399,34 @@ class FourierMap:
         out = FourierMap.from_coeff_dict(rows, period=period, shape=shape)
         out.entire = entire
         return out
+
+
+def adjugate(mats):
+    """[[d,-b],[-c,a]] of each matrix in an array of shape (..., 2, 2)."""
+    out = np.empty_like(mats)
+    out[..., 0, 0] = mats[..., 1, 1]
+    out[..., 0, 1] = -mats[..., 0, 1]
+    out[..., 1, 0] = -mats[..., 1, 0]
+    out[..., 1, 1] = mats[..., 0, 0]
+    return out
+
+
+def assemble(parts, period, entire):
+    """2x2 matrix map from its two columns (vector maps) or from its entries
+    (a 2x2 nested sequence of scalar maps, or numbers taken as constants)."""
+    slots = []
+    for a, part in enumerate(parts):
+        if isinstance(part, FourierMap):          # column a
+            slots.append(((slice(None), a), part))
+        else:                                     # row a of entries
+            slots += [((a, b), e if isinstance(e, FourierMap) else FourierMap.constant(e))
+                      for b, e in enumerate(part)]
+    n = max(m.band_limit for _, m in slots)
+    c = np.zeros((2 * n + 1, 2, 2), dtype=complex)
+    for (i, j), m in slots:
+        k = m.band_limit
+        c[n - k : n + k + 1, i, j] = m.coeffs
+    return FourierMap(c, period, entire=entire)
 
 
 def _pad(m, band_limit):

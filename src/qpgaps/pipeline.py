@@ -16,7 +16,6 @@ import numpy as np
 
 from . import duality, reducibility, spectrum
 from .errors import BlochError, ConfigError, QPGapsError, StageError
-from .fourier import FourierMap
 
 WIDTH_STABLE_REL = 0.10
 WIDTH_STABLE_ABS = 1e-13
@@ -261,10 +260,7 @@ class DecayCampaign:
 
 def _decay_convergent_worker(payload):
     """Labeled gap intervals for one convergent (top-level: pool-picklable)."""
-    lam, f_text, freq_record, pq, theta_samples = payload
-    from .arithmetic import Frequency
-    f = FourierMap.from_text(f_text)
-    freq = Frequency.from_record(freq_record)
+    lam, f, freq, pq, theta_samples = payload
     bs = spectrum.band_structure(lam, f, tuple(pq), theta_samples=theta_samples)
     recs = spectrum.label_gaps(bs, freq, rho_skip_width=math.inf)
     return [(r.label, r.e_minus, r.e_plus) for r in recs]
@@ -283,6 +279,8 @@ def decay_campaign(lam, f, freq, m_values, config=None, jobs=1):
     """
     cfg = config or PipelineConfig()
     m_set = sorted({abs(int(m)) for m in m_values if m != 0})
+    if not m_set:
+        raise ConfigError("decay campaign needs at least one nonzero label")
     pqs = [pq for pq in freq.convergents
            if 2 * max(m_set) + 2 <= pq[1] <= cfg.q_target]
     if len(pqs) < 2:
@@ -290,7 +288,7 @@ def decay_campaign(lam, f, freq, m_values, config=None, jobs=1):
                           f"{2 * max(m_set) + 2} <= q <= {cfg.q_target}, have {len(pqs)}")
     pqs = pqs[-4:]
 
-    payloads = [(lam, f.to_text(), freq.to_record(), pq, cfg.theta_samples)
+    payloads = [(lam, f, freq, pq, cfg.theta_samples)
                 for pq in pqs]
     if jobs and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

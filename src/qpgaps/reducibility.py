@@ -12,14 +12,15 @@ width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .arithmetic import rotation_phase_fracs
-from .cocycle import Conjugacy, _propagate, degree_of, rotation_number, schrodinger_cocycle
+from .cocycle import (Conjugacy, _propagate, conjugate, degree_of, rotation_number,
+                      schrodinger_cocycle)
 from .errors import FrameError, SmallDivisorError, StripDomainError
-from .fourier import FourierMap, matmul, matrix_exp, mul, strip_norm
+from .fourier import FourierMap, adjugate, assemble, matmul, matrix_exp, mul, strip_norm
 
 DIVISOR_CUTOFF = 1e-12
 MU_COLLAPSE_TOL = 1e-12
@@ -54,6 +55,24 @@ def _divisors(freq, band_limit):
     return np.exp(2j * math.pi * fr) - 1.0, fr
 
 
+def _needed_modes(div, data, forced, entries, divisor_cutoff):
+    """Mask of the modes k != 0 that need a divisor: those whose data
+    (coefficient array, mode first) exceeds 1e-18 of its peak floored at 1,
+    plus the `forced` ones.  The first such k whose divisor falls below the
+    cutoff raises SmallDivisorError naming k and, unless `entries` is None,
+    the entry `entries` gives at that mode."""
+    n = (len(div) - 1) // 2
+    mags = np.abs(data).reshape(len(data), -1).max(axis=1)
+    scale = float(mags.max()) if mags.size else 0.0
+    needed = ((mags > 1e-18 * max(scale, 1.0)) | forced) & (np.arange(-n, n + 1) != 0)
+    small = np.flatnonzero(needed & (np.abs(div) < divisor_cutoff))
+    if small.size:
+        i = int(small[0])
+        raise SmallDivisorError(i - n, abs(div[i]), divisor_cutoff,
+                                entry=None if entries is None else entries[i])
+    return needed
+
+
 def solve_homological_scalar(nu, freq, sign=1, divisor_cutoff=DIVISOR_CUTOFF):
     """Zero-mean solution of  +-phi(x+alpha) -+ phi(x) = nu(x) - [nu].
 
@@ -69,17 +88,10 @@ def solve_homological_scalar(nu, freq, sign=1, divisor_cutoff=DIVISOR_CUTOFF):
         raise ValueError("right-hand side must carry the real-valuedness symmetry")
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
-    n = nu.band_limit
-    div, fr = _divisors(freq, n)
+    div, fr = _divisors(freq, nu.band_limit)
+    need = _needed_modes(div, nu.coeffs, False, None, divisor_cutoff)
     coeffs = np.zeros_like(nu.coeffs)
-    ks = np.arange(-n, n + 1)
-    scale = float(np.abs(nu.coeffs).max()) if nu.coeffs.size else 0.0
-    for i, k in enumerate(ks):
-        if k == 0 or abs(nu.coeffs[i]) <= 1e-18 * max(scale, 1.0):
-            continue
-        if abs(div[i]) < divisor_cutoff:
-            raise SmallDivisorError(int(k), abs(div[i]), divisor_cutoff)
-        coeffs[i] = sign * nu.coeffs[i] / div[i]
+    coeffs[need] = sign * nu.coeffs[need] / div[need]
     phi = FourierMap(coeffs, period=1, entire=nu.entire)
 
     ph = np.exp(2j * math.pi * fr)
@@ -111,34 +123,20 @@ def solve_homological_parabolic(pert, parabolic, freq, divisor_cutoff=DIVISOR_CU
         raise ValueError("perturbation must be a 1-periodic matrix map")
     mu = parabolic.sign * parabolic.mu
     data = pert if parabolic.sign == 1 else -1.0 * pert
-    n = pert.band_limit
-    div, _ = _divisors(freq, n)
-    ks = np.arange(-n, n + 1)
-    e = div + 1.0                      # e^{2 pi i k alpha}
-    P21 = data.coeffs[:, 1, 0]
-    P11 = data.coeffs[:, 0, 0]
-    P22 = data.coeffs[:, 1, 1]
-    P12 = data.coeffs[:, 0, 1]
-    scale = float(np.abs(data.coeffs).max()) if data.coeffs.size else 0.0
+    div, _ = _divisors(freq, pert.band_limit)
+    lower = np.abs(data.coeffs[:, 1, 0])
+    need = _needed_modes(div, data.coeffs, abs(mu) * lower != 0.0,
+                         np.where(lower > 0, "21", "12"), divisor_cutoff)
+    d = div[need]
+    e = d + 1.0                        # e^{2 pi i k alpha}
+    d2 = d**2
+    (P11, P12), (P21, P22) = data.coeffs[need].transpose(1, 2, 0)
+    y21 = P21 / d
+    y11 = (mu * P21 + d * P11) / d2
+    y22 = (d * P22 - mu * e * P21) / d2
+    y12 = (P12 + mu * (y22 - e * y11)) / d
     Y = np.zeros_like(data.coeffs)
-    for i, k in enumerate(ks):
-        if k == 0:
-            continue
-        needed = max(abs(P21[i]), abs(P11[i]), abs(P22[i]), abs(P12[i]))
-        if needed <= 1e-18 * max(scale, 1.0) and abs(mu) * abs(P21[i]) == 0.0:
-            continue
-        if abs(div[i]) < divisor_cutoff:
-            entry = "21" if abs(P21[i]) > 0 else "12"
-            raise SmallDivisorError(int(k), abs(div[i]), divisor_cutoff, entry=entry)
-        d, d2 = div[i], div[i] ** 2
-        y21 = P21[i] / d
-        y11 = (mu * P21[i] + d * P11[i]) / d2
-        y22 = (d * P22[i] - mu * e[i] * P21[i]) / d2
-        y12 = (P12[i] + mu * (y22 - e[i] * y11)) / d
-        Y[i, 0, 0] = y11
-        Y[i, 0, 1] = y12
-        Y[i, 1, 0] = y21
-        Y[i, 1, 1] = y22
+    Y[need] = np.moveaxis(np.array([[y11, y12], [y21, y22]]), -1, 0)
     Y = FourierMap(Y, period=1, entire=pert.entire)
 
     P = parabolic.matrix
@@ -161,57 +159,51 @@ class AveragingReport:
     divisor_min: float
 
     def to_dict(self):
-        return {
-            "eps": self.eps, "delta": self.delta,
-            "norm_step_minus_id": self.norm_step_minus_id,
-            "norm_const_change": self.norm_const_change,
-            "norm_pert_next": self.norm_pert_next,
-            "divisor_min": self.divisor_min,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class AveragingStep:
-    const_next: np.ndarray           # P + eps [pert]
-    pert_next: FourierMap            # second-order remainder map
-    step_map: FourierMap             # e^{eps Y}
+    const_next: np.ndarray           # C + h [pert]
+    pert_next: FourierMap            # remainder in units of eps^order
+    step_map: FourierMap             # e^{h Y}
     report: AveragingReport
 
 
-def averaging_step(parabolic, pert, eps, freq, delta):
-    """One quadratic averaging step for the cocycle P + eps * pert(x).
+def _average(parabolic, const, pert, eps, order, freq, delta):
+    """One averaging step for the cocycle C + h * pert(x), h = eps^(order-1).
 
-    Conjugating by e^{eps Y} with Y solving the parabolic homological
-    equation moves the x-dependence to second order:
-    result = (P + eps [pert]) + eps^2 * pert_next(x), exactly by construction;
-    the identity is re-verified pointwise on a grid against an independent
-    evaluation.  Admissibility is gated on the measurable ||eps Y|| <= 0.5.
+    Conjugating by e^{h Y}, with Y solving the homological equation of the
+    parabolic form, moves the x-dependence up one order:
+    result = (C + h [pert]) + eps^order * pert_next(x), exactly by
+    construction; the identity is re-verified pointwise on a grid against an
+    independent evaluation.  Admissibility is gated on the measurable
+    ||h Y||_delta <= 0.5; divisor_min is the smallest divisor over Y's band.
     """
     # drop the convolution noise floor first: coefficients near 1e-16 of the
     # peak carry no content but explode under e^{2 pi delta k} on the strip
     pert = pert.trim(1e-13)
     Y = solve_homological_parabolic(pert, parabolic, freq).trim(1e-13)
-    n = max(Y.band_limit, 1)
-    div, _ = _divisors(freq, n)
+    div, _ = _divisors(freq, max(Y.band_limit, 1))
     nonzero = np.abs(div) > 0
     divisor_min = float(np.abs(div)[nonzero].min()) if nonzero.any() else math.inf
 
-    eY = eps * Y
-    eY.strip_tol = 1e-5            # gate and report norms are diagnostics
-    norm_eY = strip_norm(eY, delta, grid=512).value
-    if norm_eY > 0.5:
+    h = eps ** (order - 1)
+    hY = h * Y
+    hY.strip_tol = 1e-5            # gate and report norms are diagnostics
+    norm_hY = strip_norm(hY, delta, grid=512).value
+    if norm_hY > 0.5:
         raise ArithmeticError(
-            f"step size inadmissible: ||eps Y||_delta = {norm_eY:.3f} > 0.5"
+            f"step size inadmissible: ||eps^{order - 1} Y||_delta = {norm_hY:.3f} > 0.5"
         )
-    R_step = matrix_exp(eY)
-    R_inv = matrix_exp(-1.0 * eY)
+    R_step = matrix_exp(hY)
+    R_inv = matrix_exp(-1.0 * hY)
     alpha = freq.value
 
-    P_map = FourierMap.constant(parabolic.matrix)
-    full = P_map + eps * pert
+    full = FourierMap.constant(const) + h * pert
     G = matmul(R_inv.shift(alpha), full, R_step).trim(1e-18)
-    const_next = parabolic.matrix + eps * pert.average().real
-    pert_next = (G - FourierMap.constant(const_next)) * (1.0 / eps**2)
+    const_next = const + h * pert.average().real
+    pert_next = (G - FourierMap.constant(const_next)) * (1.0 / eps**order)
     pert_next = pert_next.trim(1e-16)
 
     x0 = 0.3 / CHECK_GRID
@@ -220,7 +212,7 @@ def averaging_step(parabolic, pert, eps, freq, delta):
                   full.sample(CHECK_GRID, shift=x0)),
         R_step.sample(CHECK_GRID, shift=x0),
     )
-    rhs = const_next[None, :, :] + eps**2 * pert_next.sample(CHECK_GRID, shift=x0)
+    rhs = const_next[None, :, :] + eps**order * pert_next.sample(CHECK_GRID, shift=x0)
     scale = max(float(np.abs(lhs).max()), 1.0)
     resid = float(np.abs(lhs - rhs).max()) / scale
     if resid > 1e-9:
@@ -233,12 +225,18 @@ def averaging_step(parabolic, pert, eps, freq, delta):
     report = AveragingReport(
         eps=eps, delta=delta,
         norm_step_minus_id=strip_norm(step_dev, delta, grid=512).value,
-        norm_const_change=float(np.linalg.norm(const_next - parabolic.matrix, 2)),
+        norm_const_change=float(np.linalg.norm(const_next - const, 2)),
         norm_pert_next=strip_norm(pert_diag, delta, grid=512).value,
         divisor_min=divisor_min,
     )
     return AveragingStep(const_next=const_next, pert_next=pert_next,
                          step_map=R_step, report=report)
+
+
+def averaging_step(parabolic, pert, eps, freq, delta):
+    """One quadratic averaging step for the cocycle P + eps * pert(x):
+    result = (P + eps [pert]) + eps^2 * pert_next(x) (see _average)."""
+    return _average(parabolic, parabolic.matrix, pert, eps, 2, freq, delta)
 
 
 @dataclass(frozen=True)
@@ -258,31 +256,10 @@ def double_step(parabolic, pert, eps, freq, delta):
     result = const_final + eps^3 * pert_final(x).
     """
     s1 = averaging_step(parabolic, pert, eps, freq, delta)
-    Y2 = solve_homological_parabolic(s1.pert_next.trim(1e-13), parabolic, freq).trim(1e-13)
-    eY2 = (eps**2) * Y2
-    norm_eY2 = strip_norm(eY2, 0.0, grid=512).value
-    if norm_eY2 > 0.5:
-        raise ArithmeticError(f"second step inadmissible: ||eps^2 Y|| = {norm_eY2:.3f} > 0.5")
-    R2 = matrix_exp(eY2)
-    R2_inv = matrix_exp(-1.0 * eY2)
-    alpha = freq.value
-
-    middle = FourierMap.constant(s1.const_next) + (eps**2) * s1.pert_next
-    G2 = matmul(R2_inv.shift(alpha), middle, R2).trim(1e-18)
-    const_final = s1.const_next + (eps**2) * s1.pert_next.average().real
-    pert_final = (G2 - FourierMap.constant(const_final)) * (1.0 / eps**3)
-    pert_final = pert_final.trim(1e-16)
-
-    report2 = AveragingReport(
-        eps=eps, delta=0.0,
-        norm_step_minus_id=strip_norm(R2 - FourierMap.identity(), 0.0, grid=512).value,
-        norm_const_change=float(np.linalg.norm(const_final - s1.const_next, 2)),
-        norm_pert_next=strip_norm(pert_final, 0.0, grid=512).value,
-        divisor_min=s1.report.divisor_min,
-    )
-    composite = matmul(s1.step_map, R2).trim(1e-18)
-    return DoubleStep(const_final=const_final, pert_final=pert_final,
-                      composite_map=composite, reports=(s1.report, report2))
+    s2 = _average(parabolic, s1.const_next, s1.pert_next, eps, 3, freq, 0.0)
+    composite = matmul(s1.step_map, s2.step_map).trim(1e-18)
+    return DoubleStep(const_final=s2.const_next, pert_final=s2.pert_next,
+                      composite_map=composite, reports=(s1.report, s2.report))
 
 
 def _log_2x2(mats):
@@ -366,25 +343,13 @@ def build_frame(V):
                 f"vector field nearly vanishes at x={j0 * V.period / m:.6f}: "
                 f"||V||={math.sqrt(norms2[j0]):.3e}"
             )
-        inv2 = 1.0 / norms2
-        hat = np.fft.fft(inv2) / m
         n = min(m // 3, max(2 * V.band_limit + 64, m // 8))
-        inv_c = np.zeros(2 * n + 1, dtype=complex)
-        for k in range(-n, n + 1):
-            inv_c[n + k] = hat[k % m]
-        inv_map = FourierMap(inv_c, period=V.period, entire=False).trim(1e-17)
+        inv_map = FourierMap.from_samples(1.0 / norms2, n, V.period).trim(1e-17)
 
-        TV_c = np.zeros_like(V.coeffs)
-        TV_c[:, 0] = -V.coeffs[:, 1]
-        TV_c[:, 1] = V.coeffs[:, 0]
-        TV = FourierMap(TV_c, period=V.period, entire=V.entire)
+        TV = FourierMap(np.stack([-V.coeffs[:, 1], V.coeffs[:, 0]], axis=1), V.period,
+                        entire=V.entire)
         col2 = mul(inv_map, TV).trim(1e-17)
-
-        nb = max(V.band_limit, col2.band_limit)
-        c = np.zeros((2 * nb + 1, 2, 2), dtype=complex)
-        c[nb - V.band_limit : nb + V.band_limit + 1, :, 0] = V.coeffs
-        c[nb - col2.band_limit : nb + col2.band_limit + 1, :, 1] = col2.coeffs
-        frame = FourierMap(c, period=V.period, entire=False).trim(1e-17)
+        frame = assemble([V, col2], V.period, False).trim(1e-17)
         if _det_deviation(frame) <= 1e-10 or m >= 1 << 16:
             return frame
         m *= 2
@@ -394,15 +359,8 @@ def select_frame_vector(re_map, im_map, n_tilde):
     """Choose the real or imaginary part of the half-period wave as the frame
     vector: the one whose resonant Fourier mass passes the sqrt(2) bound (both
     may; then the larger wins, ties to the real part)."""
-    cands = []
-    for name, Vm in (("re", re_map), ("im", im_map)):
-        n = Vm.band_limit
-        if abs(n_tilde) <= n:
-            c = Vm.coeffs[n + n_tilde]
-            weight = 2.0 * float(np.linalg.norm(c))
-        else:
-            weight = 0.0
-        cands.append((weight, name, Vm))
+    cands = [(2.0 * float(np.linalg.norm(Vm.coeff(n_tilde))), name, Vm)
+             for name, Vm in (("re", re_map), ("im", im_map))]
     cands.sort(key=lambda t: (-t[0], t[1] != "re"))
     weight, name, Vm = cands[0]
     if weight < math.sqrt(2.0):
@@ -433,17 +391,15 @@ def reduce_at_edge(energy, wave, freq, lam, f, delta=None):
     by a homological solve, and read off mu.  The corner of the l-fold
     iterate cross-checks mu; the winding of the final map fixes the degree.
     """
-    Uh = wave.U_hat
     s = wave.sign
-    re_map = Uh.real_part()
-    im_map = Uh.imag_part()
-    V, choice, weight = select_frame_vector(re_map, im_map, wave.n_tilde)
+    V, choice, weight = select_frame_vector(wave.U_hat.real_part(), wave.U_hat.imag_part(),
+                                            wave.n_tilde)
     R1 = build_frame(V)
 
-    A = schrodinger_cocycle(lam, f, energy).A
-    A2 = A.lift2() if R1.period == 2 else A
+    cocycle = schrodinger_cocycle(lam, f, energy, freq)
+    A = cocycle.A
     alpha = freq.value
-    B = matmul(R1.shift(alpha).adjugate(), A2, R1).trim(1e-16)
+    B = conjugate(cocycle, R1).A
 
     Bv = B.sample(1024 * B.period).real     # one period at spacing 1/1024
     diag_dev = max(
@@ -458,11 +414,7 @@ def reduce_at_edge(energy, wave, freq, lam, f, delta=None):
     phi = solve_homological_scalar(nu, freq, sign=s)
     mu = float(nu.average().real)
 
-    shear_c = np.zeros((2 * phi.band_limit + 1, 2, 2), dtype=complex)
-    shear_c[:, 0, 1] = phi.coeffs
-    shear_c[phi.band_limit, 0, 0] = 1.0
-    shear_c[phi.band_limit, 1, 1] = 1.0
-    shear = FourierMap(shear_c, period=1, entire=phi.entire)
+    shear = assemble([[1.0, phi], [0.0, 1.0]], 1, phi.entire)
     R = matmul(R1, shear.lift2() if R1.period == 2 else shear).trim(1e-16)
 
     target = np.array([[s, mu], [0.0, s]])
@@ -498,15 +450,6 @@ def reduce_at_edge(energy, wave, freq, lam, f, delta=None):
     )
 
 
-def _adj(mats):
-    out = np.empty_like(mats)
-    out[..., 0, 0] = mats[..., 1, 1]
-    out[..., 0, 1] = -mats[..., 0, 1]
-    out[..., 1, 0] = -mats[..., 1, 0]
-    out[..., 1, 1] = mats[..., 0, 0]
-    return out
-
-
 def _det_deviation(R):
     d = np.linalg.det(R.sample(1024).real)
     return float(np.abs(d - 1.0).max())
@@ -518,7 +461,7 @@ def _conjugated(R, mats, shift):
     n = len(mats)
     Rv = R.sample(R.period * n)[:n].real
     Rv_sh = R.sample(R.period * n, shift=shift)[:n].real
-    return np.matmul(_adj(Rv_sh), np.matmul(mats, Rv))
+    return np.matmul(adjugate(Rv_sh), np.matmul(mats, Rv))
 
 
 def _mu_from_iterate(R, A, alpha, sign):
@@ -604,16 +547,9 @@ def perturbation_matrix(reduction, lam, f, energy, freq, probe_eps=1e-4,
     r11 = R.entry(0, 0)
     r12 = R.entry(0, 1)
     top = (float(s) * r12) - (mu * r11)
-    c11 = mul(top, r11)
-    c12 = mul(top, r12)
-    c21 = -float(s) * mul(r11, r11)
-    c22 = -float(s) * mul(r11, r12)
-    n = max(m.band_limit for m in (c11, c12, c21, c22))
-    coeffs = np.zeros((2 * n + 1, 2, 2), dtype=complex)
-    for (i, j), m in (((0, 0), c11), ((0, 1), c12), ((1, 0), c21), ((1, 1), c22)):
-        k = m.band_limit
-        coeffs[n - k : n + k + 1, i, j] = m.coeffs
-    pert = FourierMap(coeffs, period=R.period, entire=False).trim(1e-16)
+    pert = assemble([[mul(top, r11), mul(top, r12)],
+                     [-float(s) * mul(r11, r11), -float(s) * mul(r11, r12)]],
+                    R.period, False).trim(1e-16)
     if pert.period == 2:
         pert = pert.collapse1(tol=1e-7)
 

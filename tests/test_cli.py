@@ -203,6 +203,20 @@ def test_too_small_q_is_a_config_error(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("config error")
 
 
+@pytest.mark.parametrize("argv", [["decay", "--m-max", "0"], ["decay", "--m-max", "-2"],
+                                  ["homogeneity", "--sigmas", "0"],
+                                  ["homogeneity", "--sigmas", "abc"],
+                                  ["homogeneity", "--sigmas", "1e-2,inf"],
+                                  ["dual", "--energy", "-0.5", "--trunc", "-3"],
+                                  ["dual", "--energy", "nan"],
+                                  ["beta", "--kmax", "0"],
+                                  ["spectrum", "--lam", "nan", "--q", "21"]],
+                         ids=lambda argv: " ".join(argv))
+def test_invalid_input_is_a_config_error(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+
+
 @pytest.mark.parametrize("argv", [["reduce", "--jobs", "2"], ["dual", "--cache-dir", "c"],
                                   ["decay", "--precision", "extended"]],
                          ids=lambda argv: argv[0])

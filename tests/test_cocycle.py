@@ -277,3 +277,14 @@ def test_transfer_matches_plain_product(golden, k, batch, seed):
     assert np.shape(M) == np.shape(ref) and np.shape(ls) == np.shape(ref_ls)
     got = M * np.exp(np.asarray(ls) - ref_ls)[..., None, None]
     assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(e1=st.floats(-3.2, 3.2, exclude_min=True, exclude_max=True), u=st.floats(-9.0, 0.0))
+def test_rotation_number_is_nonincreasing_in_energy(golden, amo, e1, u):
+    """rho(E1) >= rho(E2) for E1 < E2, up to the bar 3 (err1 + err2) that
+    rotation_shift_check uses (AMO, lambda = 0.25, golden mean)."""
+    e2 = e1 + 10.0**u
+    r1 = rotation_number(schrodinger_cocycle(0.25, amo, e1, golden), target_err=1e-6)
+    r2 = rotation_number(schrodinger_cocycle(0.25, amo, e2, golden), target_err=1e-6)
+    assert r1.value >= r2.value - 3.0 * (r1.error + r2.error)

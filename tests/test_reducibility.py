@@ -119,6 +119,45 @@ def test_parabolic_breach_names_entry(golden):
     assert err.value.entry is not None
 
 
+def loop_parabolic_coeffs(pert, parabolic, freq):
+    """Reference: the per-mode loop the vectorized parabolic division replaced."""
+    mu = parabolic.sign * parabolic.mu
+    data = pert.coeffs if parabolic.sign == 1 else -pert.coeffs
+    n = pert.band_limit
+    fr = np.asarray(ar.rotation_phase_fracs(freq, n))
+    Y = np.zeros_like(data)
+    for i, k in enumerate(range(-n, n + 1)):
+        if k == 0:
+            continue
+        d = np.exp(2j * math.pi * fr[i]) - 1.0
+        e = d + 1.0
+        (p11, p12), (p21, p22) = data[i]
+        y11 = (mu * p21 + d * p11) / d**2
+        y22 = (d * p22 - mu * e * p21) / d**2
+        Y[i] = [[y11, (p12 + mu * (y22 - e * y11)) / d], [p21 / d, y22]]
+    return Y
+
+
+@pytest.mark.parametrize("sign,mu", [(1, 0.1), (-1, -0.07), (1, 0.0)])
+def test_vectorized_solves_match_per_mode_loop(golden, sign, mu):
+    """The vectorized divisions against a per-mode loop: the scalar one divides
+    exactly as the loop does; the parabolic one may differ in rounding (array
+    complex products fuse multiply-adds), so it gets a few ulps of slack."""
+    rng = np.random.default_rng(57)
+    pert = random_real_matrix(rng, 12)
+    Y = red.solve_homological_parabolic(pert, red.ParabolicForm(sign, mu), golden)
+    ref = loop_parabolic_coeffs(pert, red.ParabolicForm(sign, mu), golden)
+    assert np.abs(Y.coeffs - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    nu = pert.entry(1, 0)
+    phi = red.solve_homological_scalar(nu, golden, sign=sign)
+    fr = np.asarray(ar.rotation_phase_fracs(golden, nu.band_limit))
+    div = np.exp(2j * math.pi * fr) - 1.0
+    ref = [0j if k == 0 else sign * c / d
+           for k, c, d in zip(range(-nu.band_limit, nu.band_limit + 1), nu.coeffs, div)]
+    assert np.array_equal(phi.coeffs, np.array(ref))
+
+
 # ---- averaging ---------------------------------------------------------------
 
 def test_averaging_step_zero_pert(golden):
@@ -161,6 +200,24 @@ def test_double_step_eps_cubed_law(golden):
         resid[eps] = eps**3 * d.reports[1].norm_pert_next
     ratio = resid[1e-2] / resid[1e-3]
     assert 300.0 <= ratio <= 3000.0
+
+
+def test_double_step_second_report_has_its_own_divisor_min(golden):
+    """Step two reports the smallest divisor |e^{2 pi i k alpha} - 1| over the
+    modes of its own homological solve, not step one's value (criterion-4
+    data at eps = 1e-3, where the two differ)."""
+    rng = np.random.default_rng(44)
+    c = rng.standard_normal((17, 2, 2)) + 1j * rng.standard_normal((17, 2, 2))
+    pert = FourierMap(0.3 * 0.5 * (c + c[::-1].conj()))
+    P = red.ParabolicForm(1, 0.1)
+    eps = 1e-3
+    d = red.double_step(P, pert, eps, golden, 0.05)
+    s1 = red.averaging_step(P, pert, eps, golden, 0.05)
+    Y2 = red.solve_homological_parabolic(s1.pert_next.trim(1e-13), P, golden).trim(1e-13)
+    ks = np.arange(1, Y2.band_limit + 1)
+    expected = np.abs(np.exp(2j * math.pi * ks * golden.value) - 1.0).min()
+    assert d.reports[1].divisor_min == pytest.approx(expected, rel=1e-12)
+    assert d.reports[1].divisor_min < d.reports[0].divisor_min
 
 
 def test_double_step_degree_preserved(golden):
