@@ -75,8 +75,12 @@ def resolve_potential(spec):
 
 
 def _merge_options(args, keys):
-    """Config-file values with flag overrides; flags not given fall back."""
+    """Config-file values with flag overrides; flags not given fall back.
+    A file key that names no option of the subcommand is a ConfigError."""
     file_cfg = parse_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_cfg) - {key for key, _, _ in keys if hasattr(args, key)})
+    if unknown:
+        raise ConfigError(f"{args.config}: no option reads key(s) {', '.join(unknown)}")
     merged = {}
     for key, cast, default in keys:
         if getattr(args, key, None) is not None:
@@ -138,6 +142,8 @@ def _common_setup(args):
     opts = _merge_options(args, COMMON + [("out", str, "out")])
     if not math.isfinite(opts["lam"]):
         raise ConfigError(f"coupling must be finite, got {opts['lam']!r}")
+    if opts["theta_samples"] is not None and opts["theta_samples"] < 1:
+        raise ConfigError(f"theta samples must be positive, got {opts['theta_samples']}")
     freq = resolve_frequency(opts["freq"])
     f = resolve_potential(opts["potential"])
     cfg_dict = {k: v for k, v in opts.items() if k not in ("jobs", "out")}
@@ -313,9 +319,6 @@ def build_parser():
                         help="golden | sqrt2m1 | liouville:beta=X:seed=S | number")
         sp.add_argument("--potential", type=str, default=None,
                         help="amo | cos | file:PATH")
-        sp.add_argument("--q", type=int, default=None,
-                        help="largest convergent denominator to use")
-        sp.add_argument("--theta-samples", dest="theta_samples", type=int, default=None)
         sp.add_argument("--out", type=str, default=None, help="output directory")
         sp.add_argument("--config", type=str, default=None, help="key = value file")
 
@@ -325,6 +328,10 @@ def build_parser():
         sp = sub.add_parser(name)
         add_common(sp)
         sp.set_defaults(fn=fn)
+        if name != "dual":
+            sp.add_argument("--q", type=int, default=None,
+                            help="largest convergent denominator to use")
+            sp.add_argument("--theta-samples", dest="theta_samples", type=int, default=None)
     for name in ("spectrum", "gaps"):
         sub.choices[name].add_argument("--cache-dir", dest="cache_dir", type=str,
                                        default=None)

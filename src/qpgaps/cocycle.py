@@ -228,14 +228,6 @@ def rotation_number_counting(c, iterations=1 << 18):
     return RotationResult(value=_fold(rho), error=err, iterations=n, flagged=False)
 
 
-@dataclass
-class Conjugacy:
-    """A PSL(2,R)-valued periodic map together with its projective degree."""
-
-    R: FourierMap
-    degree: int
-
-
 def degree_of(R):
     """Winding number in RP^1 of x -> direction of R(x) v over x in [0, 1],
     on 4096 grid steps, for up to three fixed test vectors v.

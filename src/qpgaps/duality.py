@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .cocycle import schrodinger_cocycle
 from .errors import BlochError
 from .fourier import FourierMap, mul
 
@@ -39,41 +40,21 @@ _SLOPE_WINDOWS = tuple(1e-6 * 32.0 ** k for k in range(4))
 _SNAP_WINDOWS = tuple(1e-9 * 32.0 ** k for k in range(6))
 
 
-def dual_matrix(lam, f, freq, theta, trunc):
-    """Dense dual operator on sites -trunc..trunc: off-diagonals lam f_k,
-    diagonal 2 cos 2 pi (theta + n alpha)."""
-    size = 2 * trunc + 1
-    ns = np.arange(-trunc, trunc + 1)
-    H = np.zeros((size, size), dtype=complex)
-    band = f.band_limit
-    for k in range(-band, band + 1):
-        if k == 0:
-            continue
-        c = lam * f.coeff(k)
-        if abs(c) == 0.0:
-            continue
-        idx = np.arange(max(0, k), min(size, size + k))
-        H[idx, idx - k] += c
-    H[np.arange(size), np.arange(size)] = 2.0 * np.cos(
-        2.0 * math.pi * (theta + ns * freq.value)
-    )
-    if np.abs(H.imag).max() < 1e-15 * max(1.0, np.abs(H.real).max()):
-        return H.real
-    return H
-
-
 def _dual_banded(lam, f, freq, theta, trunc):
-    """Upper banded storage for scipy.linalg.eig_banded."""
+    """Upper banded storage for scipy.linalg.eig_banded of the dual operator
+    on sites -trunc..trunc: entry (n, n - k) is lam f_k, so the k-th upper
+    band holds lam f_{-k}; the diagonal is 2 cos 2 pi (theta + n alpha).
+    Real coefficients keep real storage; otherwise the storage is complex
+    (Hermitian, since a real potential has f_{-k} = conj(f_k))."""
     size = 2 * trunc + 1
     band = f.band_limit
     ns = np.arange(-trunc, trunc + 1)
-    ab = np.zeros((band + 1, size))
+    coeffs = [lam * f.coeff(k) for k in range(1, band + 1)]
+    real = all(abs(c.imag) <= 1e-14 * max(abs(c), 1.0) for c in coeffs)
+    ab = np.zeros((band + 1, size), dtype=float if real else complex)
     ab[band] = 2.0 * np.cos(2.0 * math.pi * (theta + ns * freq.value))
-    for k in range(1, band + 1):
-        c = lam * f.coeff(k)
-        if abs(c.imag) > 1e-14 * max(abs(c), 1.0):
-            raise ValueError("banded dual path needs real potential coefficients")
-        ab[band - k, k:] = c.real
+    for k, c in enumerate(coeffs, 1):
+        ab[band - k, k:] = c.real if real else lam * f.coeff(-k)
     return ab
 
 
@@ -123,9 +104,6 @@ class BlochSolution:
 
     def u_map(self):
         return FourierMap(self.u_hat.copy(), period=1, entire=False)
-
-    def coeff(self, k):
-        return self.u_hat[self.trunc + k] if abs(k) <= self.trunc else 0.0
 
     def to_dict(self):
         return {
@@ -363,7 +341,6 @@ class AssembledWave:
     residual: float             # sup defect of that relation
     parity_integer: int         # round(2 theta - n alpha); sign = (-1)^parity
     n_tilde: int = 0
-    energy: float = math.nan
 
 
 def assemble_wave(sol, lam, f, freq):
@@ -371,8 +348,8 @@ def assemble_wave(sol, lam, f, freq):
 
     The sign in A(x) U_hat(x) = +- U_hat(x+alpha) is (-1)^j with
     j = 2 theta - n alpha (an integer at resonance); it is measured from the
-    grid residual, which must stay below 1e-6, and cross-checked against
-    that parity.
+    grid residual, which must stay below 1e-6, and a measured sign that
+    disagrees with that parity is a BlochError.
     """
     if sol.n_tilde is None:
         raise BlochError("resonance integer undetected; run detect_resonance first")
@@ -382,8 +359,6 @@ def assemble_wave(sol, lam, f, freq):
     U = FourierMap(np.stack([phase * sol.u_hat, sol.u_hat * shift_ph], axis=1), period=1,
                    entire=False)
     U_hat = mul(FourierMap.harmonic(n_t, period=2), U.lift2())
-
-    from .cocycle import schrodinger_cocycle
 
     A = schrodinger_cocycle(lam, f, sol.energy).A
     Av = A.sample(A.period * WAVE_GRID)[:WAVE_GRID]
@@ -395,12 +370,14 @@ def assemble_wave(sol, lam, f, freq):
     res_minus = float(np.abs(lhs + Uv_sh).max()) / scale
     sign = 1 if res_plus <= res_minus else -1
     residual = min(res_plus, res_minus)
-    parity = round((2.0 * sol.theta - n_t * freq.value))
+    parity = round(2.0 * sol.theta - n_t * freq.value)
     if residual > 1e-6:
         raise BlochError(f"half-period wave relation residual {residual:.2e} above 1.0e-06")
+    if sign != (-1) ** parity:
+        raise BlochError(f"measured wave sign {sign:+d} disagrees with (-1)^{parity} "
+                         f"from 2 theta - n alpha")
     return AssembledWave(U=U, U_hat=U_hat, sign=sign, residual=residual,
-                         parity_integer=int(parity), n_tilde=int(n_t),
-                         energy=sol.energy)
+                         parity_integer=parity, n_tilde=int(n_t))
 
 
 def dual_ids(lam, f, freq, energy, trunc=256, theta_samples=32):

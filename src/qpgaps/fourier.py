@@ -25,7 +25,7 @@ import numpy as np
 from .errors import StripDomainError
 
 DEFAULT_STRIP_TOL = 1e-8
-STRIP_GRID = 2048
+STRIP_GRID = 512
 ZERO_FLOOR = 1e-280
 
 
@@ -505,13 +505,6 @@ def matrix_exp(a):
     raise ArithmeticError("matrix exponential series did not converge; norm too large")
 
 
-@dataclass(frozen=True)
-class StripNormReport:
-    delta: float
-    value: float
-    grid: int
-
-
 def _op_norm(vals):
     """Largest singular value for arrays of 2x2 matrices; abs for scalars/vectors."""
     if vals.ndim >= 2 and vals.shape[-2:] == (2, 2):
@@ -525,23 +518,20 @@ def _op_norm(vals):
     return np.abs(vals)
 
 
-def strip_norm(a, delta, grid=STRIP_GRID):
+def strip_norm(a, delta):
     """sup of ||a(z)|| over the strip |Im z| <= delta.
 
     By the maximum principle the sup sits on the boundary lines Im z = +-delta;
-    both are sampled and the grid doubles until the result is stable to
-    1e-10 relative, or reaches 2^16 points.
+    both are sampled, from STRIP_GRID points, and the grid doubles until the
+    result is stable to 1e-10 relative, or reaches 2^16 points.
     """
-    m = grid
+    m = STRIP_GRID
     prev = None
     while True:
-        vals = _op_norm(a.sample(m, delta))
-        best = float(vals.max())
+        best = float(_op_norm(a.sample(m, delta)).max())
         if delta != 0.0:
             best = max(best, float(_op_norm(a.sample(m, -delta)).max()))
-        if prev is not None and abs(best - prev) <= 1e-10 * max(best, 1e-300):
-            return StripNormReport(delta=delta, value=best, grid=m)
-        if m >= 1 << 16:
-            return StripNormReport(delta=delta, value=best, grid=m)
+        if m >= 1 << 16 or (prev is not None and abs(best - prev) <= 1e-10 * max(best, 1e-300)):
+            return best
         prev = best
         m *= 2

@@ -20,7 +20,7 @@ from .errors import BlochError, ConfigError, QPGapsError, StageError
 WIDTH_STABLE_REL = 0.10
 WIDTH_STABLE_ABS = 1e-13
 BLOCH_TRUNC = 128                # starting dual truncation for the Bloch search
-STRIP_DELTA = 0.05               # strip half-width for frame norms and averaging
+STRIP_DELTA = 0.05               # strip half-width for the averaging steps
 # numerical breakdowns that move the Bloch search on to its next rung; any
 # other exception is a programming error and propagates
 LOCATE_ERRORS = (QPGapsError, np.linalg.LinAlgError, ArithmeticError)
@@ -138,8 +138,7 @@ def analyze_gap(lam, f, freq, m, config=None):
     wave = _stage("wave", duality.assemble_wave, sol, lam, f, freq)
     dossier.wave_residual = wave.residual
 
-    red = _stage("reduce", reducibility.reduce_at_edge, sol.energy, wave, freq, lam, f,
-                 delta=STRIP_DELTA)
+    red = _stage("reduce", reducibility.reduce_at_edge, sol.energy, wave, freq, lam, f)
     if red.off_normal_residual > 1e-8:
         raise StageError("reduce", ArithmeticError(
             f"off-normal-form residual {red.off_normal_residual:.2e} above 1e-08"))
@@ -147,7 +146,7 @@ def analyze_gap(lam, f, freq, m, config=None):
     dossier.mu = red.parabolic.mu
     dossier.mu_iterate = red.mu_iterate
     dossier.off_normal_residual = red.off_normal_residual
-    dossier.degree = red.conjugacy.degree
+    dossier.degree = red.degree
     mu_eff = red.parabolic.sign * red.parabolic.mu
     pattern_ok = red.parabolic.collapsed or (mu_eff < 0 if mirror else mu_eff > 0)
     if not pattern_ok:

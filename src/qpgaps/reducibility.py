@@ -17,9 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .arithmetic import rotation_phase_fracs
-from .cocycle import (Conjugacy, _propagate, conjugate, degree_of, rotation_number,
-                      schrodinger_cocycle)
-from .errors import FrameError, SmallDivisorError, StripDomainError
+from .cocycle import _propagate, conjugate, degree_of, rotation_number, schrodinger_cocycle
+from .errors import FrameError, SmallDivisorError
 from .fourier import FourierMap, adjugate, assemble, matmul, matrix_exp, mul, strip_norm
 
 DIVISOR_CUTOFF = 1e-12
@@ -42,10 +41,6 @@ class ParabolicForm:
     @property
     def collapsed(self):
         return abs(self.mu) < MU_COLLAPSE_TOL
-
-    def consistent_with_upper_edge(self):
-        """At an upper gap edge the pair is (+1, mu>0) or (-1, mu<0)."""
-        return self.collapsed or self.sign * self.mu > 0
 
 
 def _divisors(freq, band_limit):
@@ -191,7 +186,7 @@ def _average(parabolic, const, pert, eps, order, freq, delta):
     h = eps ** (order - 1)
     hY = h * Y
     hY.strip_tol = 1e-5            # gate and report norms are diagnostics
-    norm_hY = strip_norm(hY, delta, grid=512).value
+    norm_hY = strip_norm(hY, delta)
     if norm_hY > 0.5:
         raise ArithmeticError(
             f"step size inadmissible: ||eps^{order - 1} Y||_delta = {norm_hY:.3f} > 0.5"
@@ -224,9 +219,9 @@ def _average(parabolic, const, pert, eps, order, freq, delta):
     pert_diag.strip_tol = 1e-5
     report = AveragingReport(
         eps=eps, delta=delta,
-        norm_step_minus_id=strip_norm(step_dev, delta, grid=512).value,
+        norm_step_minus_id=strip_norm(step_dev, delta),
         norm_const_change=float(np.linalg.norm(const_next - const, 2)),
-        norm_pert_next=strip_norm(pert_diag, delta, grid=512).value,
+        norm_pert_next=strip_norm(pert_diag, delta),
         divisor_min=divisor_min,
     )
     return AveragingStep(const_next=const_next, pert_next=pert_next,
@@ -350,7 +345,8 @@ def build_frame(V):
                         entire=V.entire)
         col2 = mul(inv_map, TV).trim(1e-17)
         frame = assemble([V, col2], V.period, False).trim(1e-17)
-        if _det_deviation(frame) <= 1e-10 or m >= 1 << 16:
+        det_dev = np.abs(np.linalg.det(frame.sample(1024).real) - 1.0).max()
+        if det_dev <= 1e-10 or m >= 1 << 16:
             return frame
         m *= 2
 
@@ -359,30 +355,25 @@ def select_frame_vector(re_map, im_map, n_tilde):
     """Choose the real or imaginary part of the half-period wave as the frame
     vector: the one whose resonant Fourier mass passes the sqrt(2) bound (both
     may; then the larger wins, ties to the real part)."""
-    cands = [(2.0 * float(np.linalg.norm(Vm.coeff(n_tilde))), name, Vm)
-             for name, Vm in (("re", re_map), ("im", im_map))]
-    cands.sort(key=lambda t: (-t[0], t[1] != "re"))
-    weight, name, Vm = cands[0]
-    if weight < math.sqrt(2.0):
+    weights = [2.0 * float(np.linalg.norm(Vm.coeff(n_tilde))) for Vm in (re_map, im_map)]
+    k = int(weights[1] > weights[0])
+    if weights[k] < math.sqrt(2.0):
         raise FrameError(
-            f"neither component clears the resonant-integral bound: best {weight:.4f}"
+            f"neither component clears the resonant-integral bound: best {weights[k]:.4f}"
         )
-    return Vm, name, weight
+    return (re_map, im_map)[k]
 
 
 @dataclass
 class Reduction:
-    conjugacy: Conjugacy
+    R: FourierMap                     # reducing map, det R == 1
+    degree: int                       # projective degree of R
     parabolic: ParabolicForm
-    nu: FourierMap                    # pre-flattening off-diagonal
-    phi: FourierMap                   # homological solution
     off_normal_residual: float
     mu_iterate: float                 # slope cross-check from the l-fold iterate
-    frame_choice: str
-    diagnostics: dict
 
 
-def reduce_at_edge(energy, wave, freq, lam, f, delta=None):
+def reduce_at_edge(energy, wave, freq, lam, f):
     """Full reduction of the Schrodinger cocycle at a gap-edge energy.
 
     wave is an AssembledWave at that energy.  Steps: split the half-period
@@ -392,22 +383,13 @@ def reduce_at_edge(energy, wave, freq, lam, f, delta=None):
     iterate cross-checks mu; the winding of the final map fixes the degree.
     """
     s = wave.sign
-    V, choice, weight = select_frame_vector(wave.U_hat.real_part(), wave.U_hat.imag_part(),
-                                            wave.n_tilde)
+    V = select_frame_vector(wave.U_hat.real_part(), wave.U_hat.imag_part(), wave.n_tilde)
     R1 = build_frame(V)
 
     cocycle = schrodinger_cocycle(lam, f, energy, freq)
     A = cocycle.A
     alpha = freq.value
-    B = conjugate(cocycle, R1).A
-
-    Bv = B.sample(1024 * B.period).real     # one period at spacing 1/1024
-    diag_dev = max(
-        float(np.abs(Bv[:, 0, 0] - s).max()),
-        float(np.abs(Bv[:, 1, 1] - s).max()),
-    )
-    lower_dev = float(np.abs(Bv[:, 1, 0]).max())
-    nu2 = B.entry(0, 1)
+    nu2 = conjugate(cocycle, R1).A.entry(0, 1)
     nu = nu2.collapse1(tol=1e-7) if nu2.period == 2 else nu2
     nu = nu.real_part().trim(1e-16)
 
@@ -419,40 +401,12 @@ def reduce_at_edge(energy, wave, freq, lam, f, delta=None):
 
     target = np.array([[s, mu], [0.0, s]])
     M = _conjugated(R, A.sample(A.period * FINE_GRID)[:FINE_GRID].real, alpha)
-    off_normal = float(np.abs(M - target[None, :, :]).max())
-
-    mu_it = _mu_from_iterate(R, A, alpha, s)
-    deg = degree_of(R)
-
-    diags = {
-        "frame_weight": weight,
-        "diag_deviation": diag_dev,
-        "lower_deviation": lower_dev,
-        "nu_mean": mu,
-        "det_frame_deviation": _det_deviation(R1),
-        "upper_edge_pattern_ok": ParabolicForm(s, mu).consistent_with_upper_edge(),
-    }
-    if delta is not None and delta > 0:
-        try:
-            diags["frame_strip_norm"] = strip_norm(R, delta, grid=1024).value
-        except StripDomainError:
-            diags["frame_strip_norm"] = math.inf
-    if off_normal > 1e-8:
-        diags["off_normal_flag"] = True
     return Reduction(
-        conjugacy=Conjugacy(R=R, degree=deg),
+        R=R, degree=degree_of(R),
         parabolic=ParabolicForm(sign=s, mu=mu),
-        nu=nu, phi=phi,
-        off_normal_residual=off_normal,
-        mu_iterate=mu_it,
-        frame_choice=choice,
-        diagnostics=diags,
+        off_normal_residual=float(np.abs(M - target[None, :, :]).max()),
+        mu_iterate=_mu_from_iterate(R, A, alpha, s),
     )
-
-
-def _det_deviation(R):
-    d = np.linalg.det(R.sample(1024).real)
-    return float(np.abs(d - 1.0).max())
 
 
 def _conjugated(R, mats, shift):
@@ -486,7 +440,6 @@ class AverageIdentities:
     symmetry_gap: float          # |[R11^2] - [R21^2]|
     lower_bound_ok: bool         # [R11^2] >= 1/(2 ||R||_0)
     gram_det: float              # [R11^2][R12^2] - [R11 R12]^2
-    sup_norm: float
 
     @property
     def averages(self):
@@ -501,7 +454,7 @@ def average_identities(reduction, freq):
     and the determinant relation pins the cross-Wronskian.  Averages are over
     the map's own period, so exact coefficient means agree with grid means.
     """
-    R = reduction.conjugacy.R
+    R = reduction.R
     s = reduction.parabolic.sign
     mu = reduction.parabolic.mu
     alpha = freq.value
@@ -528,20 +481,19 @@ def average_identities(reduction, freq):
         symmetry_gap=abs(a_r11_sq - a_r21_sq),
         lower_bound_ok=a_r11_sq >= 1.0 / (2.0 * sup) - 1e-12,
         gram_det=a_r11_sq * a_r12_sq - a_r11_r12**2,
-        sup_norm=sup,
     )
 
 
-def perturbation_matrix(reduction, lam, f, energy, freq, probe_eps=1e-4,
-                        identity_tol=1e-8):
+def perturbation_matrix(reduction, lam, f, energy, freq):
     """The first-order energy-perturbation matrix of the reduced cocycle.
 
     Closed form in the entries of the reducing map (sign-aware):
     [[ (s R12 - mu R11) R11,  (s R12 - mu R11) R12 ],
      [ -s R11^2,              -s R11 R12          ]]
-    verified against R^{-1}(x+a) A^{E+eps}(x) R(x) = P + eps * pert on a grid.
+    verified against R^{-1}(x+a) A^{E+eps}(x) R(x) = P + eps * pert on a grid,
+    at eps = 1e-4, to a residual of 1e-8.
     """
-    R = reduction.conjugacy.R
+    R = reduction.R
     s = reduction.parabolic.sign
     mu = reduction.parabolic.mu
     r11 = R.entry(0, 0)
@@ -554,15 +506,12 @@ def perturbation_matrix(reduction, lam, f, energy, freq, probe_eps=1e-4,
         pert = pert.collapse1(tol=1e-7)
 
     alpha = freq.value
-    A_eps = schrodinger_cocycle(lam, f, energy + probe_eps).A
+    A_eps = schrodinger_cocycle(lam, f, energy + 1e-4).A
     lhs = _conjugated(R, A_eps.sample(A_eps.period * CHECK_GRID)[:CHECK_GRID].real, alpha)
-    rhs = (reduction.parabolic.matrix[None, :, :]
-           + probe_eps * pert.sample(CHECK_GRID).real)
+    rhs = reduction.parabolic.matrix[None, :, :] + 1e-4 * pert.sample(CHECK_GRID).real
     resid = float(np.abs(lhs - rhs).max())
-    if resid > identity_tol:
-        raise ArithmeticError(
-            f"perturbation identity residual {resid:.2e} above {identity_tol:.0e}"
-        )
+    if resid > 1e-8:
+        raise ArithmeticError(f"perturbation identity residual {resid:.2e} above 1e-08")
     return pert
 
 
@@ -611,7 +560,6 @@ class ShiftCheck:
     differs: bool
     rho_edge: float
     rho_shifted: float
-    combined_error: float
 
 
 def rotation_shift_check(e_edge, eps_m, freq, lam, f):
@@ -624,7 +572,5 @@ def rotation_shift_check(e_edge, eps_m, freq, lam, f):
     r1 = rotation_number(schrodinger_cocycle(lam, f, e_edge, freq))
     r2 = rotation_number(schrodinger_cocycle(lam, f, e_edge + eps_m, freq))
     bars = 3.0 * (r1.error + r2.error) + 1e-12
-    return ShiftCheck(
-        differs=abs(r1.value - r2.value) > bars,
-        rho_edge=r1.value, rho_shifted=r2.value, combined_error=bars,
-    )
+    return ShiftCheck(differs=abs(r1.value - r2.value) > bars,
+                      rho_edge=r1.value, rho_shifted=r2.value)

@@ -210,7 +210,11 @@ def test_too_small_q_is_a_config_error(tmp_path, capsys, argv):
                                   ["dual", "--energy", "-0.5", "--trunc", "-3"],
                                   ["dual", "--energy", "nan"],
                                   ["beta", "--kmax", "0"],
-                                  ["spectrum", "--lam", "nan", "--q", "21"]],
+                                  ["spectrum", "--lam", "nan", "--q", "21"],
+                                  ["spectrum", "--theta-samples", "0"],
+                                  ["gaps", "--theta-samples", "-3"],
+                                  ["decay", "--theta-samples", "0"],
+                                  ["homogeneity", "--theta-samples", "-3"]],
                          ids=lambda argv: " ".join(argv))
 def test_invalid_input_is_a_config_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -218,10 +222,27 @@ def test_invalid_input_is_a_config_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [["reduce", "--jobs", "2"], ["dual", "--cache-dir", "c"],
-                                  ["decay", "--precision", "extended"]],
+                                  ["decay", "--precision", "extended"],
+                                  pytest.param(["dual", "--energy", "-0.5", "--q", "5"],
+                                               id="dual --q"),
+                                  pytest.param(["dual", "--energy", "-0.5",
+                                                "--theta-samples", "7"],
+                                               id="dual --theta-samples")],
                          ids=lambda argv: argv[0])
 def test_flag_on_a_subcommand_that_ignores_it_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as info:
         run(argv)
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("command, key", [("spectrum", "lamda"), ("reduce", "jobs"),
+                                          ("dual", "q")])
+def test_config_file_key_no_option_reads_is_rejected(tmp_path, capsys, command, key):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"lam = 0.25\n{key} = 5\n")
+    rc = run([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"key(s) {key}" in err

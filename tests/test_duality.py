@@ -2,34 +2,56 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qpgaps import duality as du
 from qpgaps import spectrum as sp
-from qpgaps.cocycle import rotation_number, schrodinger_cocycle
+from qpgaps.cocycle import Cocycle, rotation_number, schrodinger_cocycle
 from qpgaps.errors import BlochError
 from qpgaps.fourier import FourierMap
 
 
-def test_dual_matrix_free_is_diagonal(golden, amo):
-    H = du.dual_matrix(0.0, amo, golden, 0.17, 8)
-    off = H - np.diag(np.diag(H))
-    assert np.abs(off).max() == 0.0
+def test_dual_banded_free_is_diagonal(golden, amo):
+    ab = du._dual_banded(0.0, amo, golden, 0.17, 8)
+    assert ab.dtype == float
+    assert np.abs(ab[:-1]).max() == 0.0
     ns = np.arange(-8, 9)
-    expect = 2 * np.cos(2 * math.pi * (0.17 + ns * golden.value))
-    assert np.allclose(np.diag(H), expect)
+    assert np.allclose(ab[-1], 2 * np.cos(2 * math.pi * (0.17 + ns * golden.value)))
 
 
-def test_dual_matrix_amo_tridiagonal(golden, amo):
+def test_dual_banded_amo_tridiagonal(golden, amo):
     lam = 0.25
-    H = du.dual_matrix(lam, amo, golden, 0.3, 6)
-    assert np.allclose(np.diag(H, 1), lam)
-    assert np.allclose(np.diag(H, -1), lam)
-    assert np.abs(np.triu(H, 2)).max() == 0.0
+    ab = du._dual_banded(lam, amo, golden, 0.3, 6)
+    assert ab.shape == (2, 13) and ab.dtype == float
+    assert ab[0, 0] == 0.0 and np.all(ab[0, 1:] == lam)
 
 
-def test_dual_matrix_symmetric(golden, amo):
-    H = du.dual_matrix(0.25, amo, golden, 0.11, 10)
-    assert np.abs(H - H.T).max() == 0.0
+def test_dual_banded_hermitian_for_complex_coefficients(golden):
+    """2 sin 2 pi x has f_{+-1} = -+i: entry (n, n - k) is lam f_k, the upper
+    band stores lam f_{-k} in complex storage, and the spectrum is that of
+    the dense operator built from the definition."""
+    lam, trunc = 0.25, 6
+    sin = FourierMap.from_coeff_dict({1: -1j, -1: 1j})
+    ab = du._dual_banded(lam, sin, golden, 0.3, trunc)
+    assert ab.dtype == complex and np.all(ab[0, 1:] == lam * 1j)
+    ns = np.arange(-trunc, trunc + 1)
+    H = np.diag(2 * np.cos(2 * math.pi * (0.3 + ns * golden.value))).astype(complex)
+    H[np.arange(1, 2 * trunc + 1), np.arange(2 * trunc)] = lam * sin.coeff(1)
+    H[np.arange(2 * trunc), np.arange(1, 2 * trunc + 1)] = lam * sin.coeff(-1)
+    assert np.abs(H - H.conj().T).max() == 0.0
+    banded = scipy.linalg.eig_banded(ab, lower=False, eigvals_only=True)
+    assert np.abs(banded - np.linalg.eigvalsh(H)).max() < 1e-13
+
+
+def test_find_bloch_for_a_complex_coefficient_potential(golden, amo):
+    """2 sin 2 pi x is the AMO potential shifted by a quarter period, so its
+    dual eigenpair at the same target has AMO's energy and phase."""
+    sin = FourierMap.from_coeff_dict({1: -1j, -1: 1j})
+    a = du.find_bloch(0.25, amo, golden, -0.5)
+    b = du.find_bloch(0.25, sin, golden, -0.5)
+    assert b.energy == pytest.approx(a.energy, rel=1e-13)
+    assert b.theta == pytest.approx(a.theta, abs=1e-9)
+    assert b.duality_residual < 1e-12
 
 
 def test_find_bloch_free_case(golden, amo):
@@ -110,6 +132,19 @@ def test_assembled_wave_periods_and_parity(golden, amo):
     wrong = mags[(ks % 2) != (wave.n_tilde % 2)]
     assert wrong.max(initial=0.0) < 1e-14
     assert wave.sign == (-1) ** (wave.parity_integer % 2)
+
+
+def test_assemble_wave_rejects_a_sign_against_the_parity(golden, amo, monkeypatch):
+    sol = du.find_bloch(0.0, amo, golden, 2.0, trunc=16, theta_grid=16)
+    du.detect_resonance(sol, golden, n_max=4)
+
+    def negated(lam, f, energy):
+        # -A keeps the half-period relation exact and flips the measured sign
+        return Cocycle(0.0, -1.0 * schrodinger_cocycle(lam, f, energy).A)
+
+    monkeypatch.setattr(du, "schrodinger_cocycle", negated)
+    with pytest.raises(BlochError, match="disagrees"):
+        du.assemble_wave(sol, 0.0, amo, golden)
 
 
 def test_real_imag_split_satisfies_relation(golden, amo):

@@ -8,7 +8,7 @@ from qpgaps import duality as du
 from qpgaps import reducibility as red
 from qpgaps import spectrum as sp
 from qpgaps.cocycle import degree_of, schrodinger_cocycle
-from qpgaps.errors import FrameError, SmallDivisorError, StripDomainError
+from qpgaps.errors import FrameError, SmallDivisorError
 from qpgaps.fourier import FourierMap, matmul, mul
 
 
@@ -325,31 +325,27 @@ def test_reduce_free_edge_closed_form(golden, amo):
     assert r.mu_iterate == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_frame_strip_norm_diagnostic_catches_only_strip_errors(golden, amo, monkeypatch):
-    sol = du.find_bloch(0.0, amo, golden, 2.0, trunc=16, theta_grid=16)
-    du.detect_resonance(sol, golden, n_max=4)
-    wave = du.assemble_wave(sol, 0.0, amo, golden)
-
-    def raising(exc):
-        def strip_norm(*args, **kwargs):
-            raise exc
-        return strip_norm
-
-    monkeypatch.setattr(red, "strip_norm", raising(StripDomainError("past the strip")))
-    r = red.reduce_at_edge(sol.energy, wave, golden, 0.0, amo, delta=0.05)
-    assert r.diagnostics["frame_strip_norm"] == math.inf
-    monkeypatch.setattr(red, "strip_norm", raising(IndexError("bug")))
-    with pytest.raises(IndexError):
-        red.reduce_at_edge(sol.energy, wave, golden, 0.0, amo, delta=0.05)
-
-
 def test_reduce_m1_residuals_and_mu_cross_check(golden, amo):
     reduction, ident = _reduced_m1(golden, amo)
     assert reduction.off_normal_residual < 1e-10
     rel = abs(reduction.parabolic.mu - reduction.mu_iterate) / abs(reduction.parabolic.mu)
     assert rel < 1e-6
     assert reduction.parabolic.sign * reduction.parabolic.mu > 0
-    assert reduction.diagnostics["frame_weight"] >= math.sqrt(2.0)
+
+
+def test_select_frame_vector_enforces_the_sqrt2_bound():
+    """The resonant mass 2 |V_n| picks the larger component (ties to the real
+    part) and must reach sqrt(2)."""
+    def vec(c):
+        return FourierMap.from_coeff_dict({1: np.array([c, 0.0])}, period=2, shape=(2,))
+
+    re_map, im_map = vec(0.8), vec(0.75)
+    assert red.select_frame_vector(re_map, im_map, 1) is re_map
+    assert red.select_frame_vector(im_map, re_map, 1) is re_map
+    tie_re, tie_im = vec(0.75), vec(0.75)
+    assert red.select_frame_vector(tie_re, tie_im, 1) is tie_re
+    with pytest.raises(FrameError, match="resonant-integral bound"):
+        red.select_frame_vector(vec(0.7), vec(0.7), 1)
 
 
 def test_average_identities_m1(golden, amo):
@@ -366,11 +362,10 @@ def test_average_identities_m1(golden, amo):
 
 def test_perturbation_matrix_identity_probe(golden, amo):
     reduction, _ = _reduced_m1(golden, amo)
-    pert = red.perturbation_matrix(reduction, 0.25, amo, _reduced_m1.energy, golden,
-                                   probe_eps=1e-4, identity_tol=1e-8)
+    pert = red.perturbation_matrix(reduction, 0.25, amo, _reduced_m1.energy, golden)
     # trace equals -mu R11^2 pointwise
     xs = np.arange(512) / 512.0
-    R11 = reduction.conjugacy.R.entry(0, 0)
+    R11 = reduction.R.entry(0, 0)
     tr = pert(xs)[:, 0, 0] + pert(xs)[:, 1, 1]
     expect = -reduction.parabolic.mu * (R11(xs).real**2)
     assert np.abs(tr.real - expect).max() < 1e-10
@@ -379,12 +374,8 @@ def test_perturbation_matrix_identity_probe(golden, amo):
 def test_perturbation_matrix_constant_frame():
     """Identity frame with mu = 0: the matrix reduces to [[0,0],[-1,0]]."""
     ident_R = FourierMap.identity()
-    fake = red.Reduction(
-        conjugacy=red.Conjugacy(R=ident_R, degree=0),
-        parabolic=red.ParabolicForm(1, 0.0),
-        nu=FourierMap.zero(), phi=FourierMap.zero(),
-        off_normal_residual=0.0, mu_iterate=0.0, frame_choice="re", diagnostics={},
-    )
+    fake = red.Reduction(R=ident_R, degree=0, parabolic=red.ParabolicForm(1, 0.0),
+                         off_normal_residual=0.0, mu_iterate=0.0)
     r11 = ident_R.entry(0, 0)
     top = mul((1.0 * ident_R.entry(0, 1)) - (0.0 * r11), r11)
     assert np.abs(top.coeffs).max() == 0.0
