@@ -144,6 +144,8 @@ def _common_setup(args):
         raise ConfigError(f"coupling must be finite, got {opts['lam']!r}")
     if opts["theta_samples"] is not None and opts["theta_samples"] < 1:
         raise ConfigError(f"theta samples must be positive, got {opts['theta_samples']}")
+    if opts["jobs"] < 1:
+        raise ConfigError(f"jobs must be positive, got {opts['jobs']}")
     freq = resolve_frequency(opts["freq"])
     f = resolve_potential(opts["potential"])
     cfg_dict = {k: v for k, v in opts.items() if k not in ("jobs", "out")}
@@ -197,7 +199,7 @@ def cmd_decay(args):
     m_max = args.m_max if args.m_max is not None else 8
     cfg = pipeline.PipelineConfig(q_target=opts["q"], theta_samples=opts["theta_samples"])
     camp = pipeline.decay_campaign(opts["lam"], f, freq, range(1, m_max + 1), cfg,
-                                   jobs=opts["jobs"] or 1)
+                                   jobs=opts["jobs"])
     qs, rows = camp.table_rows()
     lines = ["m," + ",".join(f"w_q{q}" for q in qs) + ",stable"]
     for row in rows:

@@ -5,6 +5,9 @@ matrices with a separate log-scale, so hyperbolic growth never overflows;
 transfer products, Lyapunov exponents and strip growth use it.  The fibered
 rotation number is a weighted Birkhoff average of the lifted projective angle
 increments along directions from a blocked prefix scan built on the engine.
+One estimator core serves a single cocycle and a batch of Schrodinger
+energies on one orbit; it extends an unfinished orbit from its last direction
+instead of restarting it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ RENORM_EVERY = 32
 ROTATION_START_ITERATIONS = 4096
 ROTATION_MAX_ITERATIONS = 1 << 20
 ROTATION_TARGET_ERR = 1e-8
+ROTATION_BATCH_STEPS = 1 << 14      # orbit steps x cocycles scanned at once
+
+
+def _alpha(freq):
+    return freq.value if isinstance(freq, Frequency) else float(freq)
 
 
 @dataclass
@@ -31,7 +39,7 @@ class Cocycle:
 
     @property
     def alpha(self):
-        return self.freq.value if isinstance(self.freq, Frequency) else float(self.freq)
+        return _alpha(self.freq)
 
     def matrices(self, xs):
         """A(x) at an array of (possibly complex) points, as (*shape, 2, 2)."""
@@ -75,12 +83,13 @@ def _propagate(steps, V, out=None):
     return V, log_scale
 
 
-def _scan_directions(steps):
-    """Positive multiples of (1, 0), M_0 (1, 0), M_1 M_0 (1, 0), ... for a
-    (n, *batch, 2, 2) stack, by a blocked prefix scan: the steps behind one
-    identity, padded with identities into B blocks of L ~ sqrt(n), give the
-    block totals; (1, 0) chained through the totals gives each block's start,
-    and the starts pushed through their blocks fill in the rest.
+def _scan_directions(steps, start=(1.0, 0.0)):
+    """Positive multiples of v, M_0 v, M_1 M_0 v, ... for a (n, *batch, 2, 2)
+    stack and a start v of shape (*batch, 2) or (2,), by a blocked prefix
+    scan: the steps behind one identity, padded with identities into B blocks
+    of L ~ sqrt(n), give the block totals; v chained through the totals gives
+    each block's start, and the starts pushed through their blocks fill in
+    the rest.
 
     Totals and starts are carried in extended precision (np.longdouble): a
     start near the contracting direction of a total loses digits to
@@ -95,7 +104,7 @@ def _scan_directions(steps):
     wide_eye = np.broadcast_to(np.eye(2, dtype=np.longdouble), blocks.shape[1:])
     totals, _ = _propagate(blocks, wide_eye)
     starts = np.empty(totals.shape[:-1] + (1,), dtype=np.longdouble)
-    starts[0] = [[1.0], [0.0]]
+    starts[0] = np.asarray(start)[..., None]
     _propagate(totals[:-1], starts[0], out=starts[1:])
     trail = np.empty((L,) + starts.shape)
     _propagate(blocks, starts.astype(float), out=trail)
@@ -124,17 +133,13 @@ def lyapunov(c, k, phases=64):
     return float(np.mean((logs + np.log(norms)) / k))
 
 
-def _orbit_directions(c, n):
-    """The real step matrices A(j alpha), j < n, and the directions
-    (1, 0), M_0 (1, 0), M_1 M_0 (1, 0), ... of their prefix products.
-
-    Raises ValueError when the cocycle is not real on the real axis, where
-    neither the angle nor the sign of a component would mean anything.
-    """
-    mats = c.matrices(c.alpha * np.arange(n))
+def _real_steps(mats):
+    """The real parts of step matrices, or ValueError when they are not real
+    on the real axis, where neither the angle nor the sign of a component
+    would mean anything."""
     if np.abs(mats.imag).max() > 1e-9 * max(np.abs(mats.real).max(), 1.0):
         raise ValueError("rotation number needs a real cocycle on the real axis")
-    return mats.real, _scan_directions(mats.real)
+    return mats.real
 
 
 def _bump_weights(n):
@@ -142,8 +147,9 @@ def _bump_weights(n):
     return np.exp(-1.0 / (t * (1.0 - t)))
 
 
-def _angle_increments(c, n):
-    """Canonically lifted angle increments of the projective action.
+def _angle_increments(steps, w):
+    """Canonically lifted angle increments of the projective action of a
+    (n, k, 2, 2) stack between its n + 1 directions w, as (k, n).
 
     For an SL(2,R) step with trace > -2 the displacement of any direction is
     strictly inside (-pi, pi), so the plain wrap of the angle difference is
@@ -152,11 +158,10 @@ def _angle_increments(c, n):
     positive-trace matrix -M.  This matches the oscillation-theory convention
     in which every deep-potential step advances the angle forward.
     """
-    mats, w = _orbit_directions(c, n)
-    phi = np.arctan2(w[:, 1], w[:, 0])
-    d = np.diff(phi)
+    w = w.transpose(1, 2, 0).copy()       # one contiguous row per cocycle
+    d = np.diff(np.arctan2(w[:, 1], w[:, 0]))
     d = (d + math.pi) % (2.0 * math.pi) - math.pi
-    neg = mats[:, 0, 0] + mats[:, 1, 1] <= -2.0
+    neg = (steps[..., 0, 0] + steps[..., 1, 1]).T <= -2.0
     if np.any(neg):
         d[neg] = d[neg] % (2.0 * math.pi)     # lift to [0, 2 pi): forward passage
     return d
@@ -178,30 +183,95 @@ class RotationResult:
         return self.value
 
 
+def _rotation_results(k, steps_of, iterations, target_err, max_iterations):
+    """Rotation numbers of k cocycles over one rotation, each on its own.
+
+    steps_of(lo, hi, idx) gives the real steps lo, ..., hi - 1 of the
+    cocycles idx as a (hi - lo, len(idx), 2, 2) stack.  Cocycles go through
+    in groups whose first orbits fit ROTATION_BATCH_STEPS; a group's
+    unfinished members extend their orbits by 3n steps from their last
+    directions (4n in all), scanned in turn in batches that fit the budget,
+    and keep the angle increments they have, so no step is scanned twice.
+    Each member's numbers depend on its own steps only, never on the group.
+    """
+    n0 = int(iterations) if iterations else min(ROTATION_START_ITERATIONS, max_iterations)
+    if n0 < 2:
+        raise ValueError(f"rotation number needs at least 2 orbit steps, got {n0}")
+    results = [None] * k
+    group = max(1, ROTATION_BATCH_STEPS // n0)
+    for first in range(0, k, group):
+        live = list(range(first, min(first + group, k)))
+        incs = {i: [] for i in live}
+        ends = dict.fromkeys(live, (1.0, 0.0))
+        lo, n = 0, n0
+        while live:
+            batch = max(1, ROTATION_BATCH_STEPS // (n - lo))
+            for b in range(0, len(live), batch):
+                idx = live[b:b + batch]
+                steps = steps_of(lo, n, idx)
+                w = _scan_directions(steps, np.array([ends[i] for i in idx]))
+                d = _angle_increments(steps, w)
+                for row, i in enumerate(idx):
+                    incs[i].append(d[row])
+                    ends[i] = w[-1, row].copy()
+            wts, h = _bump_weights(n), n // 2
+            wh = _bump_weights(h)
+            for i in list(live):
+                d = np.concatenate(incs[i])
+                est = float(np.dot(wts, d) / wts.sum()) / (2.0 * math.pi)
+                est1 = float(np.dot(wh, d[:h]) / wh.sum()) / (2.0 * math.pi)
+                est2 = float(np.dot(wh, d[h : 2 * h]) / wh.sum()) / (2.0 * math.pi)
+                gap = abs(est1 - est2)
+                err = max(min(gap, abs(_fold(est1) - _fold(est2))), 1e-15)
+                if iterations or err <= target_err or n >= max_iterations:
+                    results[i] = RotationResult(value=_fold(est), error=err, iterations=n,
+                                                flagged=err > target_err)
+                    live.remove(i)
+                    del incs[i], ends[i]
+            lo, n = n, 4 * n
+    return results
+
+
 def rotation_number(c, iterations=None, target_err=ROTATION_TARGET_ERR,
                     max_iterations=ROTATION_MAX_ITERATIONS):
     """Fibered rotation number of (alpha, A), A homotopic to the identity.
 
     Weighted Birkhoff average of the lifted angle increments of the projective
     action, folded to [0, 1/2].  The error bar is the disagreement between the
-    two orbit halves, each averaged with its own bump window; when it stays
-    above target_err at the iteration cap the result is flagged, not silent.
+    two orbit halves, each averaged with its own bump window.  The orbit
+    starts at min(4096, max_iterations) steps (or exactly iterations) and is
+    extended to four times its length while the bar stays above target_err;
+    when it is still above at max_iterations the result is flagged, not
+    silent.  Fewer than 2 steps raise ValueError: the bar needs two halves.
     """
-    n = int(iterations) if iterations else ROTATION_START_ITERATIONS
-    while True:
-        d = _angle_increments(c, n)
-        wts = _bump_weights(n)
-        est = float(np.dot(wts, d) / wts.sum()) / (2.0 * math.pi)
-        h = n // 2
-        wh = _bump_weights(h)
-        est1 = float(np.dot(wh, d[:h]) / wh.sum()) / (2.0 * math.pi)
-        est2 = float(np.dot(wh, d[h : 2 * h]) / wh.sum()) / (2.0 * math.pi)
-        gap = abs(est1 - est2)
-        err = max(min(gap, abs(_fold(est1) - _fold(est2))), 1e-15)
-        if iterations or err <= target_err or n >= max_iterations:
-            flagged = err > target_err
-            return RotationResult(value=_fold(est), error=err, iterations=n, flagged=flagged)
-        n *= 4
+    def steps_of(lo, hi, idx):
+        return _real_steps(c.matrices(c.alpha * np.arange(lo, hi)))[:, None]
+
+    return _rotation_results(1, steps_of, iterations, target_err, max_iterations)[0]
+
+
+def rotation_numbers(lam, f, freq, energies, target_err=ROTATION_TARGET_ERR,
+                     max_iterations=ROTATION_MAX_ITERATIONS):
+    """rotation_number of the Schrodinger cocycle at each energy, in order.
+
+    The steps [[E - lam f(x), -1], [1, 0]] differ between energies only in
+    E, so lam f is sampled once per orbit segment and shared by every
+    energy; each result is what a call with that energy alone returns.
+    """
+    energies = np.asarray(energies, dtype=float)
+    alpha = _alpha(freq)
+    potential = {}            # segment start -> lam f(j alpha) on the segment
+
+    def steps_of(lo, hi, idx):
+        if lo not in potential:
+            potential[lo] = _real_steps(lam * f(alpha * np.arange(lo, hi)))
+        steps = np.zeros((hi - lo, len(idx), 2, 2))
+        steps[..., 0, 0] = energies[idx] - potential[lo][:, None]
+        steps[..., 0, 1] = -1.0
+        steps[..., 1, 0] = 1.0
+        return steps
+
+    return _rotation_results(len(energies), steps_of, None, target_err, max_iterations)
 
 
 def rotation_number_counting(c, iterations=1 << 18):
@@ -215,7 +285,7 @@ def rotation_number_counting(c, iterations=1 << 18):
     what makes this a genuine cross-check of rotation_number.
     """
     n = int(iterations)
-    _, w = _orbit_directions(c, n)
+    w = _scan_directions(_real_steps(c.matrices(c.alpha * np.arange(n))))
     signs = np.sign(w[:, 0])
     signs[signs == 0.0] = 1.0
     flips = np.count_nonzero(signs[1:] != signs[:-1])

@@ -289,7 +289,7 @@ def decay_campaign(lam, f, freq, m_values, config=None, jobs=1):
 
     payloads = [(lam, f, freq, pq, cfg.theta_samples)
                 for pq in pqs]
-    if jobs and jobs > 1:
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_pq = list(pool.map(_decay_convergent_worker, payloads))

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .arithmetic import rotation_phase_fracs
-from .cocycle import _propagate, conjugate, degree_of, rotation_number, schrodinger_cocycle
+from .cocycle import _propagate, conjugate, degree_of, rotation_numbers, schrodinger_cocycle
 from .errors import FrameError, SmallDivisorError
 from .fourier import FourierMap, adjugate, assemble, matmul, matrix_exp, mul, strip_norm
 
@@ -567,10 +567,10 @@ def rotation_shift_check(e_edge, eps_m, freq, lam, f):
 
     A genuine (non-collapsed) gap must see the rotation number change when
     stepping across its certified width bound; a collapsed gap (eps_m = 0)
-    must not.
+    must not.  Both energies are measured in one cocycle.rotation_numbers
+    call on a shared orbit.
     """
-    r1 = rotation_number(schrodinger_cocycle(lam, f, e_edge, freq))
-    r2 = rotation_number(schrodinger_cocycle(lam, f, e_edge + eps_m, freq))
+    r1, r2 = rotation_numbers(lam, f, freq, [e_edge, e_edge + eps_m])
     bars = 3.0 * (r1.error + r2.error) + 1e-12
     return ShiftCheck(differs=abs(r1.value - r2.value) > bars,
                       rho_edge=r1.value, rho_shifted=r2.value)

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
-from .cocycle import rotation_number, schrodinger_cocycle
+from .cocycle import rotation_numbers
 from .errors import SpectrumError
 
 BISECT_TOL = 1e-13
@@ -269,10 +269,11 @@ def label_gaps(bs, freq, rho_tol=1e-4, mirrored=False, rho_skip_width=RHO_SKIP_W
     extrapolated linearly in delta = alpha - p/q to delta = 0 through the
     same label's gap at the previous convergent (whose band structure is
     built once, on first need), or at the midpoint when that convergent has
-    no open gap with the label.  The point is chosen before any measurement
-    and does not depend on the target m alpha; rho_energy records it.
-    Each rotation number targets an error of min(rho_tol / 20, 1e-5) within
-    2^17 steps.  Gaps thinner than rho_skip_width keep a NaN residual.
+    no open gap with the label.  Every point is chosen before any
+    measurement and does not depend on the target m alpha; rho_energy
+    records it.  One cocycle.rotation_numbers call then measures them all,
+    each targeting an error of min(rho_tol / 20, 1e-5) with max_iterations
+    2^17.  Gaps thinner than rho_skip_width keep a NaN residual.
     """
     p, q = bs.approximant
     if (p, q) not in set(freq.convergents):
@@ -280,11 +281,12 @@ def label_gaps(bs, freq, rho_tol=1e-4, mirrored=False, rho_skip_width=RHO_SKIP_W
     delta = freq.value - p / q
     previous = None                  # _previous_gap_midpoints(...), on first need
     records = []
+    energies = {}                    # record index -> measurement energy
     for e_minus, e_plus, j in bs.gaps():
         m = _label_from_ids(j, p, q, mirrored=mirrored)
-        width = e_plus - e_minus
-        if width <= rho_skip_width:
-            records.append(GapRecord(m, e_minus, e_plus, Fraction(j, q), below_floor=True))
+        below = e_plus - e_minus <= rho_skip_width
+        records.append(GapRecord(m, e_minus, e_plus, Fraction(j, q), below_floor=below))
+        if below:
             continue
         mid = 0.5 * (e_minus + e_plus)
         energy = mid
@@ -294,15 +296,13 @@ def label_gaps(bs, freq, rho_tol=1e-4, mirrored=False, rho_skip_width=RHO_SKIP_W
             delta0, mids = previous
             if m in mids:
                 energy = mid - delta * (mid - mids[m]) / (delta - delta0)
-        c = schrodinger_cocycle(bs.lam, bs.potential, energy, freq)
-        rr = rotation_number(c, target_err=min(rho_tol / 20.0, 1e-5),
-                             max_iterations=1 << 17)
-        target = (m * freq.value) % 1.0
-        resid = _circle_dist(2.0 * rr.value, target)
-        records.append(
-            GapRecord(m, e_minus, e_plus, Fraction(j, q), rho_resid=resid,
-                      flagged=resid > rho_tol, rho_energy=energy)
-        )
+        energies[len(records) - 1] = energy
+    rhos = rotation_numbers(bs.lam, bs.potential, freq, list(energies.values()),
+                            target_err=min(rho_tol / 20.0, 1e-5), max_iterations=1 << 17)
+    for (i, energy), rr in zip(energies.items(), rhos):
+        resid = _circle_dist(2.0 * rr.value, (records[i].label * freq.value) % 1.0)
+        records[i] = replace(records[i], rho_resid=resid, flagged=resid > rho_tol,
+                             rho_energy=energy)
     labels = [r.label for r in records]
     if len(set(labels)) != len(labels):
         raise SpectrumError("distinct-labels", "gap labels are not distinct")
@@ -511,24 +511,24 @@ def holder_check(lam, f, freq, e_pairs=64, seed=0, rho_target_err=1e-8):
 
     Pairs are drawn with log-uniform separations in [1e-7, 1e-1] concentrated
     near the bracketing interval so the square-root modulus gets stressed at
-    band edges.
+    band edges.  All pairs are drawn first, then one cocycle.rotation_numbers
+    call measures every energy; the first pair attaining the maximum wins.
     """
     rng = np.random.default_rng(seed)
     lo, hi = bracket_interval(lam, f)
-    best = 0.0
-    arg = (math.nan, math.nan)
-    used = 0
+    energies = []
     for _ in range(e_pairs):
         e1 = rng.uniform(lo, hi)
         de = 10.0 ** rng.uniform(math.log10(1e-7), math.log10(1e-1))
-        e2 = e1 + de * rng.choice((-1.0, 1.0))
-        r1 = rotation_number(schrodinger_cocycle(lam, f, e1, freq), target_err=rho_target_err)
-        r2 = rotation_number(schrodinger_cocycle(lam, f, e2, freq), target_err=rho_target_err)
+        energies += [e1, e1 + de * rng.choice((-1.0, 1.0))]
+    rhos = rotation_numbers(lam, f, freq, energies, target_err=rho_target_err)
+    best = 0.0
+    arg = (math.nan, math.nan)
+    for e1, e2, r1, r2 in zip(energies[::2], energies[1::2], rhos[::2], rhos[1::2]):
         quot = abs(r1.value - r2.value) / math.sqrt(abs(e2 - e1))
-        used += 1
         if quot > best:
             best, arg = quot, (e1, e2)
-    return HolderReport(max_quotient=best, argmax_pair=arg, pairs_used=used)
+    return HolderReport(max_quotient=best, argmax_pair=arg, pairs_used=len(energies) // 2)
 
 
 def hausdorff_distance(bands_a, bands_b):

@@ -214,7 +214,9 @@ def test_too_small_q_is_a_config_error(tmp_path, capsys, argv):
                                   ["spectrum", "--theta-samples", "0"],
                                   ["gaps", "--theta-samples", "-3"],
                                   ["decay", "--theta-samples", "0"],
-                                  ["homogeneity", "--theta-samples", "-3"]],
+                                  ["homogeneity", "--theta-samples", "-3"],
+                                  ["decay", "--jobs", "0"],
+                                  ["decay", "--jobs", "-1"]],
                          ids=lambda argv: " ".join(argv))
 def test_invalid_input_is_a_config_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2

@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpgaps import arithmetic as ar
+from qpgaps import cocycle
 from qpgaps.cocycle import (Cocycle, _scan_directions, amo_potential, conjugate, degree_of,
                             lyapunov, rotation_number, rotation_number_counting,
-                            schrodinger_cocycle, strip_growth, transfer)
+                            rotation_numbers, schrodinger_cocycle, strip_growth, transfer)
 from qpgaps.errors import DegreeError
 from qpgaps.fourier import FourierMap, matrix_exp, mul
 
@@ -205,11 +206,10 @@ def test_strip_growth_hyperbolic_rate(golden, amo):
 ORBIT_LENGTHS = [1, 2, 31, 32, 33, 97, 1000, 4097]
 
 
-def plain_directions(steps):
-    """Reference: (1, 0) pushed through the steps one at a time, normalized
-    after every step."""
-    v = np.zeros(steps.shape[1:-1])
-    v[..., 0] = 1.0
+def plain_directions(steps, start=(1.0, 0.0)):
+    """Reference: start (default (1, 0)) pushed through the steps one at a
+    time, normalized after every step."""
+    v = np.broadcast_to(np.asarray(start, dtype=float), steps.shape[1:-1])
     out = [v]
     for M in steps:
         v = np.einsum("...ij,...j->...i", M, v)
@@ -288,3 +288,75 @@ def test_rotation_number_is_nonincreasing_in_energy(golden, amo, e1, u):
     r1 = rotation_number(schrodinger_cocycle(0.25, amo, e1, golden), target_err=1e-6)
     r2 = rotation_number(schrodinger_cocycle(0.25, amo, e2, golden), target_err=1e-6)
     assert r1.value >= r2.value - 3.0 * (r1.error + r2.error)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from(ORBIT_LENGTHS), batch=st.sampled_from([(), (3,)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_scan_directions_from_a_start_match_plain_push(n, batch, seed):
+    """The scan an extended orbit resumes from: a random start (any length,
+    not a unit vector) pushed through the steps."""
+    rng = np.random.default_rng(seed)
+    steps = random_sl2r(rng, (n,) + batch)
+    start = rng.normal(size=batch + (2,)) * 10.0 ** rng.uniform(-3, 3)
+    got = _scan_directions(steps, start)
+    ref = plain_directions(steps, start)
+    assert got.shape == ref.shape == (n + 1,) + batch + (2,)
+    assert np.array_equal(got[0], start)
+    d = np.arctan2(got[..., 1], got[..., 0]) - np.arctan2(ref[..., 1], ref[..., 0])
+    assert np.abs((d + math.pi / 2) % math.pi - math.pi / 2).max() <= 1e-10
+    # positive multiples: the directions agree as vectors, not only as lines
+    assert (np.einsum("...i,...i->...", got, ref) > 0.0).all()
+
+
+@settings(max_examples=15, deadline=None)
+@given(energies=st.lists(st.floats(-3.2, 3.2), min_size=1, max_size=6),
+       order=st.randoms(use_true_random=False),
+       budget=st.sampled_from([1 << 12, 1 << 13, 1 << 14, 1 << 16]))
+def test_rotation_numbers_batch_equals_single_energy_calls(golden, amo, energies, order,
+                                                          budget):
+    """A batch gives, bit for bit, what each energy gives alone, whatever the
+    order of the energies and however many orbit steps are scanned at once."""
+    alone = {E: rotation_numbers(0.25, amo, golden, [E], target_err=1e-7)[0]
+             for E in energies}
+    shuffled = list(energies)
+    order.shuffle(shuffled)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocycle, "ROTATION_BATCH_STEPS", budget)
+        batch = rotation_numbers(0.25, amo, golden, shuffled, target_err=1e-7)
+    assert batch == [alone[E] for E in shuffled]
+
+
+@settings(max_examples=15, deadline=None)
+@given(energies=st.lists(st.floats(-3.2, 3.2), min_size=1, max_size=4))
+def test_rotation_numbers_match_rotation_number(golden, amo, energies):
+    """The batched Schrodinger route agrees with the general cocycle route."""
+    batch = rotation_numbers(0.25, amo, golden, energies, target_err=1e-7)
+    for E, r in zip(energies, batch):
+        ref = rotation_number(schrodinger_cocycle(0.25, amo, E, golden), target_err=1e-7)
+        assert abs(r.value - ref.value) <= 1e-13
+        assert (r.iterations, r.flagged) == (ref.iterations, ref.flagged)
+
+
+def test_extended_orbit_matches_fixed_length_run(golden, amo):
+    """E = 1.9582425 escalates 4096 -> 2^20 at target 1e-8; the orbit extended
+    segment by segment gives what one 2^20-step scan gives."""
+    r, = rotation_numbers(0.25, amo, golden, [1.9582425], target_err=1e-8)
+    assert r.iterations == 1 << 20 and not r.flagged
+    fixed = rotation_number(schrodinger_cocycle(0.25, amo, 1.9582425, golden),
+                            iterations=1 << 20)
+    assert abs(r.value - fixed.value) <= 1e-13
+
+
+def test_rotation_number_needs_two_steps(golden, amo):
+    c = schrodinger_cocycle(0.25, amo, 0.33, golden)
+    with pytest.raises(ValueError, match="at least 2"):
+        rotation_number(c, iterations=1)
+    with pytest.raises(ValueError, match="at least 2"):
+        rotation_numbers(0.25, amo, golden, [0.33], max_iterations=1)
+
+
+def test_first_orbit_respects_max_iterations(golden, amo):
+    c = schrodinger_cocycle(0.25, amo, 1.9582425, golden)
+    r = rotation_number(c, target_err=1e-12, max_iterations=1024)
+    assert r.iterations == 1024 and r.flagged

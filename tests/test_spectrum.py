@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from qpgaps import arithmetic as ar
 from qpgaps import spectrum as sp
-from qpgaps.cocycle import amo_potential, rotation_number, schrodinger_cocycle
+from qpgaps.cocycle import (amo_potential, rotation_number, rotation_numbers,
+                            schrodinger_cocycle)
 from qpgaps.errors import QPGapsError, SpectrumError
 from qpgaps.fourier import FourierMap
 
@@ -148,9 +149,10 @@ def test_low_label_rho_residuals_small(golden, amo):
 
 
 def _rho_resid_at(energy, label, golden, amo):
-    """label_gaps' measurement at rho_tol = 1e-4, taken at a given energy."""
-    rr = rotation_number(schrodinger_cocycle(0.25, amo, energy, golden),
-                         target_err=5e-6, max_iterations=1 << 17)
+    """label_gaps' measurement at rho_tol = 1e-4, taken at a given energy
+    through the batched estimator label_gaps uses."""
+    rr, = rotation_numbers(0.25, amo, golden, [energy], target_err=5e-6,
+                           max_iterations=1 << 17)
     return sp._circle_dist(2.0 * rr.value, (label * golden.value) % 1.0), 2.0 * rr.value
 
 
@@ -268,6 +270,14 @@ def test_gap_separation_beta_zero_is_raw(golden, amo):
     assert rep0.all_positive
     raw = min(p[1] for p in rep0.pairs)
     assert rep0.min_rescaled == pytest.approx(raw)
+
+
+def test_holder_pairs_keep_their_draw_order(golden, amo):
+    """Every pair is drawn (e1, separation, sign) before any is measured; seed
+    9's 64 pairs keep their order, so the maximum sits at the same pair."""
+    rep = sp.holder_check(0.25, amo, golden, e_pairs=64, seed=9, rho_target_err=1e-7)
+    assert rep.argmax_pair == (1.5081641269724946, 1.600436814001971)
+    assert rep.pairs_used == 64
 
 
 def test_holder_quotient_free_case(golden, amo):
