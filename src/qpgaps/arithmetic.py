@@ -322,12 +322,11 @@ def divisor_margin(freq, k, beta):
 def rotation_phase_fracs(freq, band_limit):
     """Signed fractional parts r_k = k alpha - round(k alpha) for |k| <= band_limit.
 
-    Computed in extended precision so that e^{2 pi i k alpha} - 1 divisors keep
-    full relative accuracy even when ||k alpha|| is tiny.
+    Computed in extended precision (as freq.signed_frac, from one parse of
+    value_str) so that e^{2 pi i k alpha} - 1 divisors keep full relative
+    accuracy even when ||k alpha|| is tiny.
     """
-    fr = [0.0] * (2 * band_limit + 1)
-    for k in range(1, band_limit + 1):
-        r = freq.signed_frac(k)
-        fr[band_limit + k] = r
-        fr[band_limit - k] = -r
-    return fr
+    with mp.workdps(max(DEFAULT_DPS, len(freq.value_str) + 10)):
+        alpha = mpf(freq.value_str)
+        pos = [float(t - mp.nint(t)) for t in (alpha * k for k in range(1, band_limit + 1))]
+    return [-r for r in reversed(pos)] + [0.0] + pos

@@ -70,7 +70,17 @@ def resolve_potential(spec):
         path = spec[5:]
         if not os.path.exists(path):
             raise ConfigError(f"potential file not found: {path}")
-        return FourierMap.from_text(open(path).read())
+        with open(path) as fh:
+            text = fh.read()
+        try:
+            f = FourierMap.from_text(text)
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"potential file {path}: {exc}") from exc
+        if f.value_shape or f.period != 1 or not f.is_real():
+            raise ConfigError(f"potential file {path} must hold a scalar, 1-periodic map "
+                              f"real on the axis (shape {f.value_shape or 'scalar'}, "
+                              f"period {f.period}, real {f.is_real()})")
+        return f
     raise ConfigError(f"unknown potential '{spec}' (use amo, cos, or file:PATH)")
 
 

@@ -189,9 +189,10 @@ def _rotation_results(k, steps_of, iterations, target_err, max_iterations):
     steps_of(lo, hi, idx) gives the real steps lo, ..., hi - 1 of the
     cocycles idx as a (hi - lo, len(idx), 2, 2) stack.  Cocycles go through
     in groups whose first orbits fit ROTATION_BATCH_STEPS; a group's
-    unfinished members extend their orbits by 3n steps from their last
-    directions (4n in all), scanned in turn in batches that fit the budget,
-    and keep the angle increments they have, so no step is scanned twice.
+    unfinished members extend their orbits from their last directions to 4n
+    steps, or to max_iterations if that is fewer, scanned in turn in batches
+    that fit the budget, and keep the angle increments they have, so no step
+    is scanned twice.
     Each member's numbers depend on its own steps only, never on the group.
     """
     n0 = int(iterations) if iterations else min(ROTATION_START_ITERATIONS, max_iterations)
@@ -228,7 +229,7 @@ def _rotation_results(k, steps_of, iterations, target_err, max_iterations):
                                                 flagged=err > target_err)
                     live.remove(i)
                     del incs[i], ends[i]
-            lo, n = n, 4 * n
+            lo, n = n, min(4 * n, max_iterations)
     return results
 
 
@@ -240,9 +241,10 @@ def rotation_number(c, iterations=None, target_err=ROTATION_TARGET_ERR,
     action, folded to [0, 1/2].  The error bar is the disagreement between the
     two orbit halves, each averaged with its own bump window.  The orbit
     starts at min(4096, max_iterations) steps (or exactly iterations) and is
-    extended to four times its length while the bar stays above target_err;
-    when it is still above at max_iterations the result is flagged, not
-    silent.  Fewer than 2 steps raise ValueError: the bar needs two halves.
+    extended to four times its length, never past max_iterations, while the
+    bar stays above target_err; when it is still above at max_iterations the
+    result is flagged, not silent.  Fewer than 2 steps raise ValueError: the
+    bar needs two halves.
     """
     def steps_of(lo, hi, idx):
         return _real_steps(c.matrices(c.alpha * np.arange(lo, hi)))[:, None]

@@ -12,8 +12,9 @@ either side, or strictly above or below it; the same call probes the band
 function while `find_bloch` searches for the phase), `_refine` doubles the
 truncation at that phase, and `_normalized` recenters, scales and fills the
 `BlochSolution`.  `find_bloch` and `find_bloch_resonant` differ only in how
-they choose the phase; `snap_to_resonance` re-solves at the exact resonant
-phase and normalizes without refining.
+they choose the phase (the latter reads each candidate's theta-slope off its
+own eigenvector, `_slope`); `snap_to_resonance` re-solves at the exact
+resonant phase and normalizes without refining.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .arithmetic import norm_dist
 from .cocycle import schrodinger_cocycle
 from .errors import BlochError
 from .fourier import FourierMap, mul
@@ -36,7 +38,6 @@ THETA_XTOL = 1e-12
 # half-widths of the energy windows tried in turn, by caller
 _PROBE_WINDOWS = (0.5, 2.0, 8.0, 32.0)
 _PAIR_WINDOWS = (1e-9, 1e-6)
-_SLOPE_WINDOWS = tuple(1e-6 * 32.0 ** k for k in range(4))
 _SNAP_WINDOWS = tuple(1e-9 * 32.0 ** k for k in range(6))
 
 
@@ -211,42 +212,41 @@ def find_bloch(lam, f, freq, energy, trunc=None, theta_grid=64, side="nearest",
     return _normalized(lam, f, freq, theta_star, trunc, e_star, vec)[0]
 
 
+def _slope(freq, theta, trunc, vec):
+    """dE/dtheta = -4 pi sum_n |v_n|^2 sin 2 pi (theta + n alpha) of the dual
+    eigenvalue with unit eigenvector `vec` on sites -trunc..trunc, by
+    Hellmann-Feynman: only the diagonal depends on theta."""
+    ns = np.arange(-trunc, trunc + 1)
+    sines = np.sin(2.0 * math.pi * (theta + ns * freq.value))
+    return float(-4.0 * math.pi * np.dot(np.abs(vec) ** 2, sines))
+
+
 def find_bloch_resonant(lam, f, freq, energy, n_candidates, trunc=None, window=None):
     """Dual eigenpair at an explicitly resonant phase.
 
     When the blind band-extremum search cannot lock a displaced tiny gap, the
     resonance itself pins the phase: for each candidate integer n the two
-    phases (n alpha + j)/2, j in {0, 1}, are probed and the interior
-    eigenvalue nearest `energy` wins.  Truncation refinement (`_refine`) and
-    normalization (`_normalized`) are those of `find_bloch`.
+    phases (n alpha + j)/2, j in {0, 1}, are solved once, and of the four
+    interior eigenvalues nearest `energy` at each, the nearest theta-extremal
+    one (`_slope` at most 2e-2) wins: an in-band eigenvalue, or a branch
+    crossing another at that phase, moves at order-one speed.  Refinement
+    (`_refine`) and normalization (`_normalized`) are those of `find_bloch`.
     """
     trunc = trunc or DUAL_START_N
     w = window if window is not None else 0.05
     best = None
-    d_th = 1e-4
     for n_t in n_candidates:
         for j in (0, 1):
             theta_c = ((n_t * freq.value + j) / 2.0) % 1.0
             vals, vecs = _interior_eigs(lam, f, freq, theta_c, trunc,
                                         energy - w, energy + w)
             for k in np.argsort(np.abs(vals - energy))[:4]:
-                e_k = float(vals[int(k)])
-                # only a theta-extremal eigenvalue is a gap edge; a generic
-                # in-band eigenvalue at the same (resonant) phase moves at
-                # order-one speed in theta
-                try:
-                    e_p, _ = _nearest_pair(lam, f, freq, theta_c + d_th, trunc, e_k,
-                                           _SLOPE_WINDOWS, "nearest")
-                    e_m, _ = _nearest_pair(lam, f, freq, theta_c - d_th, trunc, e_k,
-                                           _SLOPE_WINDOWS, "nearest")
-                except BlochError:
-                    continue
-                slope = abs(e_p - e_m) / (2.0 * d_th)
-                if slope > 2e-2:
+                e_k, vec = float(vals[k]), vecs[:, k]
+                if abs(_slope(freq, theta_c, trunc, vec)) > 2e-2:
                     continue
                 gap = abs(e_k - energy)
                 if best is None or gap < best[0]:
-                    best = (gap, theta_c, e_k, vecs[:, int(k)])
+                    best = (gap, theta_c, e_k, vec)
     if best is None:
         raise BlochError(f"no theta-extremal interior dual eigenvalue within {w} "
                          f"of E={energy} at any resonant phase")
@@ -299,7 +299,7 @@ def detect_resonance(sol, freq, n_max=64, tol=1e-5):
     two_theta = (2.0 * sol.theta) % 1.0
     best_n, best_d = None, math.inf
     for n in range(-n_max, n_max + 1):
-        d = abs((two_theta - n * freq.value + 0.5) % 1.0 - 0.5)
+        d = norm_dist(two_theta - n * freq.value)
         if d < best_d - 1e-18 or (abs(d - best_d) <= 1e-18 and best_n is not None and abs(n) < abs(best_n)):
             best_n, best_d = n, d
     sol.resonance_dist = best_d
@@ -327,8 +327,7 @@ def snap_to_resonance(sol, lam, f, freq):
                                 _SNAP_WINDOWS, "nearest")
     snapped, n0 = _normalized(lam, f, freq, theta_s, sol.trunc, e_star, vec)
     snapped.n_tilde = sol.n_tilde + 2 * n0
-    snapped.resonance_dist = abs((2.0 * snapped.theta - snapped.n_tilde * freq.value
-                                  + 0.5) % 1.0 - 0.5)
+    snapped.resonance_dist = norm_dist(2.0 * snapped.theta - snapped.n_tilde * freq.value)
     vars(sol).update(vars(snapped))
     return sol
 

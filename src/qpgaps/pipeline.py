@@ -183,8 +183,8 @@ def analyze_gap(lam, f, freq, m, config=None):
     if cfg.run_averaging:
         try:
             dossier.rotation_form = _stage(
-                "averaging", rotation_form_at_edge, red, ident, pert, eps_m,
-                freq, STRIP_DELTA, shift)
+                "averaging", rotation_form_at_edge, red, pert, eps_m, freq,
+                STRIP_DELTA, shift)
         except StageError as exc:
             # inadmissible step size (|eps_m| too large at small labels) is an
             # expected outcome, recorded rather than fatal
@@ -196,24 +196,21 @@ def analyze_gap(lam, f, freq, m, config=None):
     return dossier
 
 
-def rotation_form_at_edge(reduction, identities, pert, eps_m, freq, delta, shift):
+def rotation_form_at_edge(reduction, pert, eps_m, freq, delta, shift):
     """Drive the double averaging step at the certified energy step and
     normalize the constant part to the rotation form.
 
-    Returns the log-expansion summary: the trace-free constant, its positive
-    determinant, the upper-right sign condition, the third-order remainder,
-    and the rotation-form prediction sqrt(det)/(2 pi) against the measured
-    rotation-number shift at E + eps_m.
+    Returns the summary: the trace-free generator D of the constant part
+    (`rotation_form_generator`), its positive determinant, the upper-right
+    sign condition, the third-order remainder, and the rotation-form
+    prediction sqrt(det)/(2 pi) against the measured rotation-number shift
+    at E + eps_m.
     """
     ds = reducibility.double_step(reduction.parabolic, pert, eps_m, freq, delta)
-    first = reducibility.first_order_log_term(identities.averages,
-                                              reduction.parabolic.mu)
-    pieces = reducibility.log_expansion(reduction.parabolic, ds.const_final,
-                                        eps_m, first_order=first)
-    D = pieces[0] + eps_m * pieces[1] + eps_m**2 * pieces[2]
+    D = reducibility.rotation_form_generator(reduction.parabolic, ds.const_final)
     _, sqrt_det = reducibility.elliptic_normalize(D)
     rem = reducibility.remainder_sup(reduction.parabolic, ds.const_final,
-                                     ds.pert_final, eps_m, pieces)
+                                     ds.pert_final, eps_m, D)
     predicted = sqrt_det / (2.0 * math.pi)
     measured = abs(shift.rho_shifted - shift.rho_edge)
     return {

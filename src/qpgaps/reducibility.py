@@ -288,31 +288,21 @@ def first_order_log_term(averages, mu):
     ])
 
 
-def log_expansion(parabolic, const_final, eps, first_order):
-    """Pieces (L0, L1, L2) with log(const_final) = L0 + eps L1 + eps^2 L2.
-
-    L0 is the nilpotent log of the unipotent factor; L1 is the caller's
-    first-order term (first_order_log_term of the frame averages); L2 is the
-    exact remainder at this eps.
-    """
-    sgn = parabolic.sign
-    L0 = np.array([[0.0, sgn * parabolic.mu], [0.0, 0.0]])
-    L = _log_2x2((sgn * const_final)[None, :, :])[0]
-    L1 = first_order
-    L2 = (L - L0 - eps * L1) / eps**2
-    # the constant part alone is not unimodular (its determinant defect lives
-    # in the x-dependent remainder), so L2 keeps only its trace-free part
-    L2 = L2 - 0.5 * np.trace(L2) * np.eye(2)
-    return L0, L1, L2
+def rotation_form_generator(parabolic, const_final):
+    """Trace-free part D of log(sign * const_final), which `elliptic_normalize`
+    turns into the rotation form.  The expansion L0 + eps L1 + eps^2 L2
+    (nilpotent log, `first_order_log_term`, trace-free rest) sums to exactly
+    D.  The trace goes because the constant part alone is not unimodular: its
+    determinant defect lives in the x-dependent remainder."""
+    L = _log_2x2((parabolic.sign * const_final)[None, :, :])[0]
+    return L - 0.5 * np.trace(L) * np.eye(2)
 
 
-def remainder_sup(parabolic, const_final, pert_final, eps, L_pieces):
-    """Sup of the third-order log remainder over the axis (1024 grid points)."""
-    L0, L1, L2 = L_pieces
-    sgn = parabolic.sign
-    vals = sgn * (const_final[None, :, :] + eps**3 * pert_final.sample(1024))
-    logs = _log_2x2(vals)
-    rem = (logs - (L0 + eps * L1 + eps**2 * L2)[None, :, :]) / eps**3
+def remainder_sup(parabolic, const_final, pert_final, eps, D):
+    """Sup over the axis (1024 grid points) of the third-order log remainder
+    |log(sign * (const_final + eps^3 pert_final)) - D| / eps^3."""
+    vals = parabolic.sign * (const_final[None, :, :] + eps**3 * pert_final.sample(1024))
+    rem = (_log_2x2(vals) - D[None, :, :]) / eps**3
     return float(np.abs(rem).max())
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
+from .arithmetic import norm_dist
 from .cocycle import rotation_numbers
 from .errors import SpectrumError
 
@@ -238,11 +239,6 @@ def _label_from_ids(j, p, q, mirrored=False):
     return m
 
 
-def _circle_dist(x, y):
-    d = abs(x - y) % 1.0
-    return min(d, 1.0 - d)
-
-
 def _previous_gap_midpoints(bs, freq, mirrored):
     """(alpha - p0/q0, {label: gap midpoint}) at the convergent before bs's,
     or (nan, {}) when bs sits at the first convergent."""
@@ -300,7 +296,7 @@ def label_gaps(bs, freq, rho_tol=1e-4, mirrored=False, rho_skip_width=RHO_SKIP_W
     rhos = rotation_numbers(bs.lam, bs.potential, freq, list(energies.values()),
                             target_err=min(rho_tol / 20.0, 1e-5), max_iterations=1 << 17)
     for (i, energy), rr in zip(energies.items(), rhos):
-        resid = _circle_dist(2.0 * rr.value, (records[i].label * freq.value) % 1.0)
+        resid = norm_dist(2.0 * rr.value - (records[i].label * freq.value) % 1.0)
         records[i] = replace(records[i], rho_resid=resid, flagged=resid > rho_tol,
                              rho_energy=energy)
     labels = [r.label for r in records]

@@ -167,3 +167,14 @@ def test_rotation_phase_fracs(golden):
     for k in range(1, 6):
         assert fr[5 + k] == -fr[5 - k]
         assert abs(fr[5 + k]) == pytest.approx(golden.norm_kalpha(k), abs=1e-15)
+
+
+@pytest.mark.parametrize("make", [lambda: ar.golden_mean(40),
+                                  lambda: ar.synth_liouville(0.2, 3, seed=14)],
+                         ids=["golden", "liouville"])
+def test_rotation_phase_fracs_equal_signed_fracs(make):
+    # one parse of value_str gives bit for bit what a parse per mode gives
+    freq, n = make(), 200
+    fr = ar.rotation_phase_fracs(freq, n)
+    assert fr == [-freq.signed_frac(-k) if k < 0 else freq.signed_frac(k)
+                  for k in range(-n, n + 1)]

@@ -6,6 +6,7 @@ import pytest
 from qpgaps import cache, cli
 from qpgaps.cocycle import amo_potential
 from qpgaps.errors import CacheCorruptionError, ConfigError
+from qpgaps.fourier import FourierMap
 from qpgaps.spectrum import BandStructure
 
 
@@ -248,3 +249,33 @@ def test_config_file_key_no_option_reads_is_rejected(tmp_path, capsys, command, 
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"key(s) {key}" in err
+
+
+def _potential_file(tmp_path, text):
+    path = tmp_path / "potential.txt"
+    path.write_text(text)
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("text", [FourierMap.from_coeff_dict({1: 1.0}).to_text(),
+                                  FourierMap.from_coeff_dict({2: 1.0, -2: 1.0},
+                                                             period=2).to_text(),
+                                  FourierMap.identity().to_text(),
+                                  "# period=3\n-1 0x1p+0 0x0p+0\n1 0x1p+0 0x0p+0\n",
+                                  "1 zz\n"],
+                         ids=["not real", "period 2", "not scalar", "period 3", "malformed"])
+@pytest.mark.parametrize("argv", [["spectrum", "--q", "21"], ["gaps", "--q", "21"],
+                                  ["dual", "--energy", "-0.5"]], ids=lambda argv: argv[0])
+def test_potential_file_outside_the_contract_is_a_config_error(tmp_path, capsys, text,
+                                                               argv):
+    spec = _potential_file(tmp_path, text)
+    assert run(argv + ["--potential", spec, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+
+
+def test_real_potential_file_is_accepted(tmp_path):
+    sine = FourierMap.from_coeff_dict({1: -0.5j, -1: 0.5j})
+    spec = _potential_file(tmp_path, sine.to_text())
+    assert cli.resolve_potential(spec).coeff(1) == -0.5j
+    rc = run(["spectrum", "--q", "21", "--potential", spec, "--out", str(tmp_path / "o")])
+    assert rc == 0

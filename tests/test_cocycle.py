@@ -360,3 +360,12 @@ def test_first_orbit_respects_max_iterations(golden, amo):
     c = schrodinger_cocycle(0.25, amo, 1.9582425, golden)
     r = rotation_number(c, target_err=1e-12, max_iterations=1024)
     assert r.iterations == 1024 and r.flagged
+
+
+def test_extension_stops_at_max_iterations(golden, amo):
+    # the x4 ladder from 4096 passes 2^17 on its way from 2^16 to 2^18; the
+    # cap holds the orbit at 2^17 and flags the result still above target
+    r, = rotation_numbers(0.25, amo, golden, [1.9582425], target_err=1e-8,
+                          max_iterations=1 << 17)
+    assert r.iterations == 1 << 17
+    assert r.flagged

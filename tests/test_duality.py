@@ -200,6 +200,40 @@ def test_find_bloch_resonant_at_displaced_m7_gap(golden, amo):
     assert sol.resonance_dist == 0.0
 
 
+@pytest.mark.parametrize("f", [FourierMap.from_coeff_dict({1: 1.0, -1: 1.0}),
+                               FourierMap.from_coeff_dict({1: -1j, -1: 1j})],
+                         ids=["amo", "complex coefficients"])
+def test_slope_matches_a_central_difference(golden, f):
+    theta, trunc, h = 0.137, 64, 1e-5
+    vals, vecs = du._interior_eigs(0.25, f, golden, theta, trunc, -1.0, 1.0)
+    plus, _ = du._interior_eigs(0.25, f, golden, theta + h, trunc, -1.1, 1.1)
+    minus, _ = du._interior_eigs(0.25, f, golden, theta - h, trunc, -1.1, 1.1)
+    checked = 0
+    for k, e in enumerate(vals):
+        if np.sort(np.abs(vals - e))[1] < 1e-3:
+            continue                  # only isolated eigenvalues have a slope
+        diff = (plus[np.argmin(np.abs(plus - e))] - minus[np.argmin(np.abs(minus - e))]) / (2 * h)
+        assert du._slope(golden, theta, trunc, vecs[:, k]) == pytest.approx(diff, rel=1e-6,
+                                                                            abs=1e-6)
+        checked += 1
+    assert checked >= 10
+
+
+def test_find_bloch_resonant_skips_branches_crossing_at_the_phase(golden, amo):
+    # at theta = (alpha + 1)/2, trunc 128, two branches cross at E ~ -0.50080552
+    # moving at -+0.873 in theta: a symmetric difference quotient reads ~0
+    # there, but each branch's own eigenvector gives its slope, and the
+    # resonant edge with n = -1 inside the window wins instead
+    theta_c = (golden.value + 1.0) / 2.0
+    vals, vecs = du._interior_eigs(0.25, amo, golden, theta_c, 128, -0.5009, -0.5007)
+    slopes = sorted(du._slope(golden, theta_c, 128, vecs[:, k]) for k in range(len(vals)))
+    assert slopes == pytest.approx([-0.8728, 0.8728], abs=1e-4)
+    sol = du.find_bloch_resonant(0.25, amo, golden, -0.5008055186, (1,), trunc=128,
+                                 window=1e-3)
+    assert sol.energy == pytest.approx(-0.5014840613, abs=1e-9)
+    assert du.detect_resonance(sol, golden) == -1
+
+
 def test_find_bloch_resonant_far_from_spectrum(golden, amo):
     with pytest.raises(BlochError):
         du.find_bloch_resonant(0.25, amo, golden, 10.0, (7, -7), trunc=64)

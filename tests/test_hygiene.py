@@ -1,5 +1,6 @@
-"""Static checks on the package source: every imported name is used, and
-every class and function it defines is named somewhere else."""
+"""Static checks on the package source: every imported name is used, every
+class and function it defines is named somewhere else, and every
+module-level constant it assigns is read somewhere."""
 
 import ast
 import collections
@@ -12,6 +13,12 @@ import qpgaps
 
 MODULES = sorted(pathlib.Path(qpgaps.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _outside_sources():
+    """Source of every Python file under tests/ and bench/."""
+    return [path.read_text() for top in ("tests", "bench")
+            for path in sorted((ROOT / top).rglob("*.py"))]
 
 
 def unused_imports(source):
@@ -79,6 +86,42 @@ def test_unreferenced_definitions_are_found():
 
 def test_every_definition_is_referenced():
     package = {path.name: path.read_text() for path in MODULES}
-    others = [path.read_text() for top in ("tests", "bench")
-              for path in sorted((ROOT / top).rglob("*.py"))]
-    assert unreferenced_definitions(package, others) == []
+    assert unreferenced_definitions(package, _outside_sources()) == []
+
+
+def _reads(tree):
+    """Counter of the names a tree reads, bare or as an attribute."""
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load))
+
+
+def unread_constants(package_sources, other_sources):
+    """(module, name) of every module-level UPPER_CASE name (leading
+    underscore allowed) that the package assigns and no code reads."""
+    trees = {name: ast.parse(src) for name, src in package_sources.items()}
+    reads = collections.Counter()
+    for tree in list(trees.values()) + [ast.parse(src) for src in other_sources]:
+        reads += _reads(tree)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                for name in {n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name)}:
+                    if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name) and not reads[name]:
+                        unread.append((module, name))
+    return sorted(unread)
+
+
+def test_unread_constants_are_found():
+    src = ("LIMIT = 4\n_STALE = (1, 2)\nA, B = 1, 2\nlower = 5\n"
+           "def f():\n    return LIMIT + A\n")
+    assert unread_constants({"m": src}, ["import m\nprint(m.B)\n"]) == [("m", "_STALE")]
+
+
+def test_every_constant_is_read():
+    package = {path.name: path.read_text() for path in MODULES}
+    assert unread_constants(package, _outside_sources()) == []

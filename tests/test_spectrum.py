@@ -153,7 +153,7 @@ def _rho_resid_at(energy, label, golden, amo):
     through the batched estimator label_gaps uses."""
     rr, = rotation_numbers(0.25, amo, golden, [energy], target_err=5e-6,
                            max_iterations=1 << 17)
-    return sp._circle_dist(2.0 * rr.value, (label * golden.value) % 1.0), 2.0 * rr.value
+    return ar.norm_dist(2.0 * rr.value - (label * golden.value) % 1.0), 2.0 * rr.value
 
 
 def test_thin_gaps_measured_at_extrapolated_center(golden, amo):
@@ -172,7 +172,7 @@ def test_thin_gaps_measured_at_extrapolated_center(golden, amo):
         assert resid == r.rho_resid
         # still discriminating: every other label admissible at q = 233,
         # the neighbours m +- 1 included, misses the measured rho
-        assert all(sp._circle_dist(two_rho, (m * golden.value) % 1.0) > 1e-4
+        assert all(ar.norm_dist(two_rho - (m * golden.value) % 1.0) > 1e-4
                    for m in range(-116, 117) if m != r.label)
     for r in recs:
         if abs(r.label) <= 12:
@@ -206,7 +206,7 @@ def test_rho_locked_to_label_inside_gap(golden, amo, low_gaps_233, label, u):
     r = low_gaps_233[label]
     rr = rotation_number(schrodinger_cocycle(0.25, amo, r.e_minus + u * r.width, golden),
                          target_err=1e-8)
-    assert sp._circle_dist(2.0 * rr.value, (label * golden.value) % 1.0) <= 1e-9
+    assert ar.norm_dist(2.0 * rr.value - (label * golden.value) % 1.0) <= 1e-9
 
 
 def test_mirrored_convention_flips_labels(golden, amo):
