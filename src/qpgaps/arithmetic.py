@@ -43,21 +43,16 @@ class Frequency:
     truncated: bool = False
     growth_levels: tuple = ()
 
-    def mpf_value(self):
+    def signed_fracs(self, ks):
+        """k alpha - round(k alpha) for each k in ks, as floats, computed in
+        extended precision from one parse of value_str."""
         with mp.workdps(max(DEFAULT_DPS, len(self.value_str) + 10)):
-            return mpf(self.value_str)
-
-    def signed_frac(self, k):
-        """k*alpha - round(k*alpha) as a float, computed in extended precision."""
-        if k == 0:
-            return 0.0
-        with mp.workdps(max(DEFAULT_DPS, len(self.value_str) + 10)):
-            t = mpf(self.value_str) * k
-            return float(t - mp.nint(t))
+            alpha = mpf(self.value_str)
+            return [float(t - mp.nint(t)) for t in (alpha * k for k in ks)]
 
     def norm_kalpha(self, k):
         """||k alpha||_{R/Z} in extended precision, returned as a float."""
-        return abs(self.signed_frac(k))
+        return abs(self.signed_fracs((k,))[0])
 
     def denominators(self):
         return tuple(q for _, q in self.convergents)
@@ -73,14 +68,6 @@ class Frequency:
     def to_record(self, beta=None):
         b = "nan" if beta is None else repr(float(beta))
         return f"{float(self.value).hex()}, {b}, " + " ".join(str(a) for a in self.cf)
-
-    @staticmethod
-    def from_record(line):
-        head, _, tail = line.partition(",")
-        rest = tail.split(",", 1)[1].strip() if "," in tail else tail.strip()
-        quotients = [int(a) for a in rest.split()]
-        value = float.fromhex(head.strip())
-        return from_cf(quotients, hint=value)
 
 
 def _convergents_from_cf(quotients):
@@ -103,7 +90,7 @@ def _cf_value_str(quotients, dps):
         return mp.nstr(x, dps - 5, strip_zeros=False)
 
 
-def from_cf(quotients, hint=None, truncated=False, growth_levels=()):
+def from_cf(quotients, truncated=False, growth_levels=()):
     """Build a Frequency from explicit partial quotients."""
     quotients = tuple(int(a) for a in quotients)
     if not quotients or any(a < 1 for a in quotients):
@@ -111,9 +98,8 @@ def from_cf(quotients, hint=None, truncated=False, growth_levels=()):
     q_last = _convergents_from_cf(quotients)[-1][1]
     dps = max(DEFAULT_DPS, 2 * len(str(q_last)) + 30)
     value_str = _cf_value_str(quotients, dps)
-    value = float(mpf(value_str)) if hint is None else hint
     return Frequency(
-        value=float(value),
+        value=float(mpf(value_str)),
         cf=quotients,
         convergents=_convergents_from_cf(quotients),
         value_str=value_str,
@@ -132,7 +118,7 @@ def expand_cf(alpha, depth, dps=DEFAULT_DPS):
     if depth < 1:
         raise ValueError("depth must be >= 1")
     with mp.workdps(dps):
-        a0 = mpf(alpha) if not isinstance(alpha, str) else mpf(alpha)
+        a0 = mpf(alpha)
         if not (0 < a0 < 1):
             raise ValueError("alpha must lie strictly in (0, 1)")
         quotient_cap = mpf(10) ** (dps - 8)
@@ -304,29 +290,12 @@ def growth_ratio_table(freq):
     ]
 
 
-def small_divisor(freq, k):
-    """||k alpha|| for k != 0."""
-    if k == 0:
-        raise ValueError("k must be nonzero")
-    return freq.norm_kalpha(k)
-
-
-def divisor_margin(freq, k, beta):
-    """Diagnostic companion: ||k alpha|| e^{2 beta |k|}, an empirical C(alpha).
-
-    Only an estimate over the scanned range, never a guarantee.
-    """
-    return small_divisor(freq, k) * math.exp(2.0 * beta * abs(k))
-
-
 def rotation_phase_fracs(freq, band_limit):
     """Signed fractional parts r_k = k alpha - round(k alpha) for |k| <= band_limit.
 
-    Computed in extended precision (as freq.signed_frac, from one parse of
-    value_str) so that e^{2 pi i k alpha} - 1 divisors keep full relative
-    accuracy even when ||k alpha|| is tiny.
+    Computed in extended precision (freq.signed_fracs) so that
+    e^{2 pi i k alpha} - 1 divisors keep full relative accuracy even when
+    ||k alpha|| is tiny.
     """
-    with mp.workdps(max(DEFAULT_DPS, len(freq.value_str) + 10)):
-        alpha = mpf(freq.value_str)
-        pos = [float(t - mp.nint(t)) for t in (alpha * k for k in range(1, band_limit + 1))]
+    pos = freq.signed_fracs(range(1, band_limit + 1))
     return [-r for r in reversed(pos)] + [0.0] + pos

@@ -2,10 +2,12 @@
 
 The cache is advisory: a missing, unreadable or mismatched entry means
 recompute, never a wrong answer.  Keys are SHA-256 of the canonical JSON of
-every numeric input; entries embed the key and a checksum of their canonical
-payload, so a changed digit is detected as well as a renamed or unparseable
-file.  Entries are written through a unique temporary file and renamed into
-place, so concurrent writers of one key never share a partial file.
+every numeric input, the potential in its exact `FourierMap.to_text` form,
+which the entry also stores; entries embed the key and a checksum of their
+canonical payload, so a changed digit is detected as well as a renamed or
+unparseable file.  Entries are written through a unique temporary file and
+renamed into place, so concurrent writers of one key never share a partial
+file.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import hashlib
 import json
 import os
 import tempfile
-
-import numpy as np
 
 from . import __version__
 from .errors import CacheCorruptionError
@@ -31,19 +31,12 @@ def content_hash(obj):
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:24]
 
 
-def _f_signature(f):
-    return {
-        "period": f.period,
-        "coeffs": [[float(c.real), float(c.imag)] for c in f.coeffs.reshape(-1)],
-    }
-
-
 def band_structure_key(lam, f, pq, theta_samples, e_resolution):
     return content_hash({
         "kind": "band_structure",
         "version": __version__,
         "lambda": float(lam),
-        "potential": _f_signature(f),
+        "potential": f.to_text(),
         "p": pq[0], "q": pq[1],
         "theta_samples": theta_samples,
         "e_resolution": float(e_resolution),
@@ -61,7 +54,7 @@ def store_band_structure(cache_dir, key, bs):
         "theta_grid": bs.theta_grid,
         "ref_edges": list(bs.ref_edges),
         "flagged": bs.flagged,
-        "potential": _f_signature(bs.potential),
+        "potential": bs.potential.to_text(),
     }
     payload["checksum"] = content_hash(payload)
     path = os.path.join(cache_dir, key + ".json")
@@ -88,12 +81,10 @@ def load_band_structure(cache_dir, key, strict=False):
             raise CacheCorruptionError(f"key mismatch in {path}")
         if payload.pop("checksum", None) != content_hash(payload):
             raise CacheCorruptionError(f"checksum mismatch in {path}")
-        coeffs = np.array([a + 1j * b for a, b in payload["potential"]["coeffs"]])
-        f = FourierMap(coeffs, payload["potential"]["period"])
         return BandStructure(
             approximant=tuple(payload["approximant"]),
             lam=payload["lambda"],
-            potential=f,
+            potential=FourierMap.from_text(payload["potential"]),
             bands=tuple((a, b) for a, b in payload["bands"]),
             theta_grid=payload["theta_grid"],
             ref_edges=tuple(payload["ref_edges"]),

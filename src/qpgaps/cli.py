@@ -22,39 +22,48 @@ from .errors import CacheCorruptionError, ConfigError, QPGapsError, StageError
 from .fourier import FourierMap
 
 
+def _read_text(path, what):
+    """Contents of a file named on the command line; ConfigError when it
+    cannot be read as text."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def parse_config_file(path):
     out = {}
-    with open(path) as fh:
-        for i, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{i}: expected 'key = value'")
-            k, v = (t.strip() for t in line.split("=", 1))
-            out[k.replace("-", "_")] = v
+    for i, line in enumerate(_read_text(path, "config file").splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{i}: expected 'key = value'")
+        k, v = (t.strip() for t in line.split("=", 1))
+        out[k.replace("-", "_")] = v
     return out
 
 
 def resolve_frequency(spec):
-    """Built-in aliases: golden, sqrt2m1, liouville:beta=<x>:seed=<s>, or a
-    number; expansions run to depth 40."""
+    """Built-in aliases: golden, sqrt2m1,
+    liouville:beta=<x>[:seed=<s>][:levels=<n>], or a number; expansions run
+    to depth 40."""
     if spec == "golden":
         return golden_mean(40)
     if spec == "sqrt2m1":
         return sqrt2_minus_1(40)
     if spec.startswith("liouville:"):
-        kv = {}
-        for part in spec.split(":")[1:]:
-            k, _, v = part.partition("=")
-            kv[k] = v
+        kv = dict(part.partition("=")[::2] for part in spec.split(":")[1:])
+        unknown = sorted(set(kv) - {"beta", "seed", "levels"})
+        if unknown:
+            raise ConfigError(f"bad liouville alias '{spec}': unknown key(s) "
+                              f"{', '.join(unknown)}")
         try:
-            beta = float(kv["beta"])
-            seed = int(kv.get("seed", 0))
-            levels = int(kv.get("levels", 3))
+            return synth_liouville(float(kv["beta"]), int(kv.get("levels", 3)),
+                                   int(kv.get("seed", 0)))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad liouville alias '{spec}': {exc}") from exc
-        return synth_liouville(beta, levels, seed)
     try:
         return expand_cf(float(spec), 40)
     except QPGapsError as exc:
@@ -68,10 +77,7 @@ def resolve_potential(spec):
         return amo_potential() if spec == "amo" else FourierMap.cosine()
     if spec.startswith("file:"):
         path = spec[5:]
-        if not os.path.exists(path):
-            raise ConfigError(f"potential file not found: {path}")
-        with open(path) as fh:
-            text = fh.read()
+        text = _read_text(path, "potential file")
         try:
             f = FourierMap.from_text(text)
         except (ValueError, IndexError) as exc:

@@ -246,7 +246,7 @@ def rotation_number(c, iterations=None, target_err=ROTATION_TARGET_ERR,
     result is flagged, not silent.  Fewer than 2 steps raise ValueError: the
     bar needs two halves.
     """
-    def steps_of(lo, hi, idx):
+    def steps_of(lo, hi, _idx):
         return _real_steps(c.matrices(c.alpha * np.arange(lo, hi)))[:, None]
 
     return _rotation_results(1, steps_of, iterations, target_err, max_iterations)[0]
@@ -284,9 +284,12 @@ def rotation_number_counting(c, iterations=1 << 18):
     the first component of A_k(x)(1,0) count the eigenvalues below E; the
     integrated density of states is that count over n and rho = (1 - N)/2.
     Integer-valued counting is immune to any angle-lift convention, which is
-    what makes this a genuine cross-check of rotation_number.
+    what makes this a genuine cross-check of rotation_number.  Fewer than 2
+    steps raise ValueError: the error bar compares against the first half.
     """
     n = int(iterations)
+    if n < 2:
+        raise ValueError(f"rotation number needs at least 2 orbit steps, got {n}")
     w = _scan_directions(_real_steps(c.matrices(c.alpha * np.arange(n))))
     signs = np.sign(w[:, 0])
     signs[signs == 0.0] = 1.0

@@ -11,12 +11,12 @@ sums the series directly at arbitrary points, O(points * N), and serves the
 scattered points of orbits.  The way back, grid values to coefficients, is
 one FFT (`FourierMap.from_samples`); `assemble` builds a 2x2 map from entry
 or column maps.  Products are exact convolutions (direct O(N^2), fine at desk
-scale); optional truncation records the dropped l1 mass instead of
-discarding it silently.
+scale).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +33,6 @@ ZERO_FLOOR = 1e-280
 class FourierMap:
     coeffs: np.ndarray          # shape (2N+1,) scalar, (2N+1,2) vector, (2N+1,2,2) matrix
     period: int = 1
-    tail_l1: float = 0.0        # l1 mass dropped by an explicit truncation
     strip_tol: float = DEFAULT_STRIP_TOL
     entire: bool = True         # exact trig polynomial (no hidden tail) vs sampled truncation
 
@@ -43,7 +42,6 @@ class FourierMap:
             raise ValueError("coefficient array must have odd length 2N+1")
         if self.period not in (1, 2):
             raise ValueError("period must be 1 or 2")
-        self._decay_cache = None
 
     # ---- basic structure -------------------------------------------------
     @property
@@ -61,10 +59,6 @@ class FourierMap:
     @property
     def is_vector(self):
         return self.value_shape == (2,)
-
-    def k_range(self):
-        n = self.band_limit
-        return np.arange(-n, n + 1)
 
     def coeff(self, k):
         n = self.band_limit
@@ -144,36 +138,31 @@ class FourierMap:
         return FourierMap.constant(np.eye(2), period)
 
     # ---- evaluation ------------------------------------------------------
+    @functools.cached_property
     def _decay(self):
         """Fitted envelope |c_k| <= A e^{r |k|} over the outer half of the band."""
-        if self._decay_cache is not None:
-            return self._decay_cache
         n = self.band_limit
         mags = self.magnitudes()
         if n == 0:
-            self._decay_cache = (float(mags[0]), -math.inf, True)
-            return self._decay_cache
+            return (float(mags[0]), -math.inf, True)
         ks = np.abs(np.arange(-n, n + 1))
         outer = ks >= max(1, n // 2)
         m_out = mags[outer]
         if m_out.max(initial=0.0) < ZERO_FLOOR:
-            self._decay_cache = (0.0, -math.inf, True)   # band-limited: no tail
-            return self._decay_cache
+            return (0.0, -math.inf, True)   # band-limited: no tail
         mask = outer & (mags > ZERO_FLOOR)
         k_fit = ks[mask].astype(float)
         y_fit = np.log(mags[mask])
         if len(k_fit) < 2 or np.ptp(k_fit) == 0:
-            self._decay_cache = (float(mags.max()) * 10.0, 0.0, False)
-            return self._decay_cache
+            return (float(mags.max()) * 10.0, 0.0, False)
         slope, intercept = np.polyfit(k_fit, y_fit, 1)
-        self._decay_cache = (10.0 * math.exp(intercept), float(slope), False)
-        return self._decay_cache
+        return (10.0 * math.exp(intercept), float(slope), False)
 
     def tail_bound(self, y):
         """Bound on the discarded tail when evaluating at |Im z| = y."""
         if y == 0.0 or self.entire:
             return 0.0
-        amp, rate, band_limited = self._decay()
+        amp, rate, band_limited = self._decay
         if band_limited:
             return 0.0
         g = rate + 2.0 * math.pi * abs(y) / self.period
@@ -315,7 +304,7 @@ class FourierMap:
         if keep == n:
             return self
         return FourierMap(self.coeffs[n - keep : n + keep + 1].copy(), self.period,
-                          tail_l1=self.tail_l1, entire=self.entire)
+                          entire=self.entire)
 
     # ---- matrix structure ------------------------------------------------
     def entry(self, i, j):
@@ -438,49 +427,32 @@ def _pad(m, band_limit):
     return FourierMap(c, m.period, entire=m.entire)
 
 
-def mul(a, b, band_limit=None):
+def mul(a, b):
     """Pointwise product as exact coefficient convolution.
 
-    Scalar*scalar, scalar*any, matrix@matrix and matrix@vector are supported.
-    If band_limit truncates the result, the dropped l1 mass is recorded in
-    tail_l1 rather than lost silently.
+    Scalar*any, matrix@matrix and matrix@vector are supported; a vector
+    operand enters the 2x2 contraction as a one-column matrix.
     """
     if a.period != b.period:
         raise ValueError("period mismatch: lift one operand first")
-    na, nb = a.band_limit, b.band_limit
-    n_out = na + nb
-    if not a.value_shape and not b.value_shape:
-        res = FourierMap(np.convolve(a.coeffs, b.coeffs), a.period)
-    elif not a.value_shape:
+    if a.value_shape and not b.value_shape:
+        a, b = b, a
+    n_out = a.band_limit + b.band_limit
+    if not a.value_shape:
         flat = b.coeffs.reshape(b.coeffs.shape[0], -1)
         cols = [np.convolve(a.coeffs, flat[:, j]) for j in range(flat.shape[1])]
-        out = np.stack(cols, axis=1).reshape((2 * n_out + 1,) + b.value_shape)
-        res = FourierMap(out, a.period)
-    elif not b.value_shape:
-        return mul(b, a, band_limit)
-    elif a.is_matrix and b.is_matrix:
-        out = np.zeros((2 * n_out + 1, 2, 2), dtype=complex)
+        out = np.stack(cols, axis=1)
+    elif a.is_matrix and (b.is_matrix or b.is_vector):
+        bm = b.coeffs.reshape(b.coeffs.shape[0], 2, -1)
+        out = np.zeros((2 * n_out + 1, 2, bm.shape[2]), dtype=complex)
         for i in range(2):
-            for j in range(2):
-                out[:, i, j] = sum(np.convolve(a.coeffs[:, i, l], b.coeffs[:, l, j])
+            for j in range(bm.shape[2]):
+                out[:, i, j] = sum(np.convolve(a.coeffs[:, i, l], bm[:, l, j])
                                    for l in range(2))
-        res = FourierMap(out, a.period)
-    elif a.is_matrix and b.is_vector:
-        out = np.zeros((2 * n_out + 1, 2), dtype=complex)
-        for i in range(2):
-            out[:, i] = sum(np.convolve(a.coeffs[:, i, l], b.coeffs[:, l]) for l in range(2))
-        res = FourierMap(out, a.period)
     else:
         raise ValueError(f"unsupported product shapes {a.value_shape} x {b.value_shape}")
-    res.entire = a.entire and b.entire
-    if band_limit is not None and band_limit < n_out:
-        n = band_limit
-        kept = res.coeffs[n_out - n : n_out + n + 1]
-        dropped = res.magnitudes()
-        mask = np.abs(np.arange(-n_out, n_out + 1)) > n
-        res = FourierMap(kept.copy(), a.period, tail_l1=float(dropped[mask].sum()),
-                         entire=a.entire and b.entire)
-    return res
+    return FourierMap(out.reshape((2 * n_out + 1,) + b.value_shape), a.period,
+                      entire=a.entire and b.entire)
 
 
 def matmul(*maps):

@@ -82,6 +82,8 @@ def _stage(name, fn, *args, **kwargs):
 def analyze_gap(lam, f, freq, m, config=None):
     """Full dossier for the gap with label m at the configured convergent."""
     cfg = config or PipelineConfig()
+    if cfg.edge not in ("upper", "lower"):
+        raise ValueError(f"edge must be 'upper' or 'lower', got {cfg.edge!r}")
     pq = freq.largest_convergent(cfg.q_target)
     if pq is None:
         raise StageError("spectrum", ValueError(f"no convergent with q <= {cfg.q_target}"))

@@ -43,12 +43,6 @@ class BandStructure:
     def measure(self):
         return sum(b - a for a, b in self.bands)
 
-    def e_min(self):
-        return self.bands[0][0]
-
-    def e_max(self):
-        return self.bands[-1][1]
-
     def elementary_bands_below(self, energy):
         """Number of elementary (multiplicity-counted) bands below an energy
         in a gap.  Merged intervals may hide several elementary bands whose
@@ -67,9 +61,6 @@ class BandStructure:
             lo, hi = self.bands[i][1], self.bands[i + 1][0]
             out.append((lo, hi, self.elementary_bands_below(0.5 * (lo + hi))))
         return out
-
-    def to_rows(self):
-        return [(i, a, b) for i, (a, b) in enumerate(self.bands)]
 
 
 def potential_sup(f):
@@ -230,16 +221,15 @@ class GapRecord:
 GAP_CSV_HEADER = "m,E_minus,E_plus,width,ids_num,ids_den,rho_resid"
 
 
-def _label_from_ids(j, p, q, mirrored=False):
+def _label_from_ids(j, p, q):
     """The unique |m| <= q/2 with m p = -j (mod q) under N(E) = 1 - 2 rho."""
-    pinv = pow(p, -1, q)
-    m = (pinv * j) % q if mirrored else (-pinv * j) % q
+    m = (-pow(p, -1, q) * j) % q
     if m > q / 2:
         m -= q
     return m
 
 
-def _previous_gap_midpoints(bs, freq, mirrored):
+def _previous_gap_midpoints(bs, freq):
     """(alpha - p0/q0, {label: gap midpoint}) at the convergent before bs's,
     or (nan, {}) when bs sits at the first convergent."""
     k = freq.convergents.index(bs.approximant)
@@ -247,12 +237,12 @@ def _previous_gap_midpoints(bs, freq, mirrored):
         return math.nan, {}
     p0, q0 = freq.convergents[k - 1]
     prev = band_structure(bs.lam, bs.potential, (p0, q0))
-    mids = {_label_from_ids(j, p0, q0, mirrored=mirrored): 0.5 * (lo + hi)
+    mids = {_label_from_ids(j, p0, q0): 0.5 * (lo + hi)
             for lo, hi, j in prev.gaps()}
     return freq.value - p0 / q0, mids
 
 
-def label_gaps(bs, freq, rho_tol=1e-4, mirrored=False, rho_skip_width=RHO_SKIP_WIDTH):
+def label_gaps(bs, freq, rho_tol=1e-4, rho_skip_width=RHO_SKIP_WIDTH):
     """Label every gap of bs by the integer m with 2 rho = m alpha (mod 1).
 
     The candidate label solves the index congruence at the approximant; the
@@ -279,7 +269,7 @@ def label_gaps(bs, freq, rho_tol=1e-4, mirrored=False, rho_skip_width=RHO_SKIP_W
     records = []
     energies = {}                    # record index -> measurement energy
     for e_minus, e_plus, j in bs.gaps():
-        m = _label_from_ids(j, p, q, mirrored=mirrored)
+        m = _label_from_ids(j, p, q)
         below = e_plus - e_minus <= rho_skip_width
         records.append(GapRecord(m, e_minus, e_plus, Fraction(j, q), below_floor=below))
         if below:
@@ -288,7 +278,7 @@ def label_gaps(bs, freq, rho_tol=1e-4, mirrored=False, rho_skip_width=RHO_SKIP_W
         energy = mid
         if abs(delta) <= rho_tol < abs(m * delta):
             if previous is None:
-                previous = _previous_gap_midpoints(bs, freq, mirrored)
+                previous = _previous_gap_midpoints(bs, freq)
             delta0, mids = previous
             if m in mids:
                 energy = mid - delta * (mid - mids[m]) / (delta - delta0)
@@ -472,7 +462,7 @@ class SeparationReport:
     pairs: tuple                    # ((m, m'), distance, rescaled)
 
 
-def gap_separation_check(records, freq, beta=0.0):
+def gap_separation_check(records, beta=0.0):
     """Pairwise gap distances, rescaled by e^{8 beta |m'|} for |m'| >= |m|."""
     recs = [r for r in records if r.width > 0.0]
     if len(recs) < 2:
@@ -554,7 +544,7 @@ def hausdorff_distance(bands_a, bands_b):
 def bands_to_csv(bs):
     lines = [f"# p={bs.approximant[0]} q={bs.approximant[1]} lambda={bs.lam!r}",
              "band,lower,upper"]
-    lines += [f"{i},{a!r},{b!r}" for i, a, b in bs.to_rows()]
+    lines += [f"{i},{a!r},{b!r}" for i, (a, b) in enumerate(bs.bands)]
     return "\n".join(lines) + "\n"
 
 

@@ -310,7 +310,7 @@ def test_criterion_09_holder_and_separation(golden, amo, q233_records):
     holder_ok = abs(q2 - q1) <= 0.10 * max(q1, q2)
 
     _, records = q233_records
-    sep = sp.gap_separation_check(records, golden, beta=0.0)
+    sep = sp.gap_separation_check(records, beta=0.0)
     sep_ok = sep.all_positive
 
     ok = holder_ok and sep_ok

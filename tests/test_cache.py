@@ -23,7 +23,8 @@ def band_structures(draw):
     return BandStructure(
         approximant=(draw(st.integers(0, q)), q),
         lam=draw(finite),
-        potential=FourierMap(np.array(re) + 1j * np.array(im), draw(st.sampled_from((1, 2)))),
+        potential=FourierMap(np.array(re) + 1j * np.array(im), draw(st.sampled_from((1, 2))),
+                             entire=draw(st.booleans())),
         bands=tuple((draw(finite), draw(finite)) for _ in range(n_bands)),
         theta_grid=draw(st.integers(1, 1 << 12)),
         ref_edges=tuple(draw(st.lists(finite, max_size=24))),
@@ -45,4 +46,5 @@ def test_store_then_load_returns_the_band_structure(bs):
     assert got.ref_edges == bs.ref_edges
     assert got.flagged is bs.flagged
     assert got.potential.period == bs.potential.period
+    assert got.potential.entire is bs.potential.entire
     assert np.array_equal(got.potential.coeffs, bs.potential.coeffs)

@@ -217,9 +217,16 @@ def test_too_small_q_is_a_config_error(tmp_path, capsys, argv):
                                   ["decay", "--theta-samples", "0"],
                                   ["homogeneity", "--theta-samples", "-3"],
                                   ["decay", "--jobs", "0"],
-                                  ["decay", "--jobs", "-1"]],
+                                  ["decay", "--jobs", "-1"],
+                                  ["beta", "--alpha", "liouville:beta=0.2:levels=2"],
+                                  ["beta", "--alpha", "liouville:beta=-1"],
+                                  ["beta", "--alpha", "liouville:beta=nan"],
+                                  ["beta", "--alpha", "liouville:beta=0.2:seed=3:sed=4"],
+                                  ["spectrum", "--config", "{tmp}/missing.cfg"],
+                                  ["spectrum", "--potential", "file:{tmp}"]],
                          ids=lambda argv: " ".join(argv))
 def test_invalid_input_is_a_config_error(tmp_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error")
 

@@ -354,6 +354,9 @@ def test_rotation_number_needs_two_steps(golden, amo):
         rotation_number(c, iterations=1)
     with pytest.raises(ValueError, match="at least 2"):
         rotation_numbers(0.25, amo, golden, [0.33], max_iterations=1)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            rotation_number_counting(c, iterations=n)
 
 
 def test_first_orbit_respects_max_iterations(golden, amo):

@@ -127,7 +127,7 @@ def test_assembled_wave_periods_and_parity(golden, amo):
     du.snap_to_resonance(sol, 0.25, amo, golden)
     wave = du.assemble_wave(sol, 0.25, amo, golden)
     # support parity: U_hat coefficients live on indices with the parity of n
-    ks = wave.U_hat.k_range()
+    ks = np.arange(-wave.U_hat.band_limit, wave.U_hat.band_limit + 1)
     mags = np.abs(wave.U_hat.coeffs).max(axis=1)
     wrong = mags[(ks % 2) != (wave.n_tilde % 2)]
     assert wrong.max(initial=0.0) < 1e-14

@@ -1,6 +1,7 @@
 """Static checks on the package source: every imported name is used, every
-class and function it defines is named somewhere else, and every
-module-level constant it assigns is read somewhere."""
+class and function it defines is named somewhere else, every module-level
+constant it assigns is read somewhere, and every parameter is read by its
+function's body."""
 
 import ast
 import collections
@@ -125,3 +126,35 @@ def test_unread_constants_are_found():
 def test_every_constant_is_read():
     package = {path.name: path.read_text() for path in MODULES}
     assert unread_constants(package, _outside_sources()) == []
+
+
+def unread_parameters(source):
+    """(function, parameter) of every parameter of a function or lambda that
+    its body never reads, nested bodies included; self, cls and names with a
+    leading underscore (a fixed callback signature) are exempt."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(getattr(node, "name", "<lambda>"), p.arg) for p in params
+                   if p.arg not in read and p.arg not in ("self", "cls")
+                   and not p.arg.startswith("_")]
+    return sorted(unread)
+
+
+def test_unread_parameters_are_found():
+    src = ("def f(a, b, _c, *args, **kw):\n    return a + kw['x']\n\n"
+           "def outer(x):\n    return lambda: x\n\n"
+           "class C:\n    def m(self, d):\n        return lambda e, _g: self\n")
+    assert unread_parameters(src) == [("<lambda>", "e"), ("f", "args"), ("f", "b"),
+                                      ("m", "d")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []

@@ -116,6 +116,11 @@ def test_mirrored_edge_config(golden, amo):
     assert d.width <= abs(d.epsilon_m)
 
 
+def test_unknown_edge_is_rejected(golden, amo):
+    with pytest.raises(ValueError, match="'upper' or 'lower'"):
+        pl.analyze_gap(0.25, amo, golden, 1, pl.PipelineConfig(edge="Lower"))
+
+
 def test_rotation_form_prediction_m3(golden, amo, monkeypatch):
     """At the m=3 upper edge the double step runs at eps_m and the normalized
     rotation form predicts the measured rotation-number shift.  The averaging

@@ -105,8 +105,8 @@ def test_band_structure_rejects_unreduced_fraction(amo):
 
 def test_ids_values(golden, amo):
     bs = sp.band_structure(0.25, amo, (5, 8))
-    lo = bs.e_min()
-    hi = bs.e_max()
+    lo = bs.bands[0][0]
+    hi = bs.bands[-1][1]
     assert sp.ids(bs, lo - 0.5) == Fraction(0, 1)
     assert sp.ids(bs, hi + 0.5) == Fraction(1, 1)
     first_gap = bs.gaps()[0]
@@ -209,14 +209,6 @@ def test_rho_locked_to_label_inside_gap(golden, amo, low_gaps_233, label, u):
     assert ar.norm_dist(2.0 * rr.value - (label * golden.value) % 1.0) <= 1e-9
 
 
-def test_mirrored_convention_flips_labels(golden, amo):
-    bs = sp.band_structure(0.25, amo, (8, 13))
-    std = sp.label_gaps(bs, golden, rho_skip_width=math.inf)
-    mir = sp.label_gaps(bs, golden, mirrored=True, rho_skip_width=math.inf)
-    for a, b in zip(std, mir):
-        assert (a.label + b.label) % 13 == 0
-
-
 def test_gap_decay_fit_exact_exponential():
     recs = [sp.GapRecord(m, 0.0, math.exp(-m), Fraction(m, 100)) for m in range(1, 7)]
     fit = sp.gap_decay_fit(recs)
@@ -257,7 +249,7 @@ def test_gap_separation_exact_distances():
         sp.GapRecord(1, 0.0, 0.5, Fraction(1, 10)),
         sp.GapRecord(2, 2.0, 2.25, Fraction(2, 10)),
     ]
-    rep = sp.gap_separation_check(recs, None, beta=0.0)
+    rep = sp.gap_separation_check(recs, beta=0.0)
     assert rep.all_positive
     assert rep.pairs[0][1] == pytest.approx(1.5)
     assert rep.min_rescaled == pytest.approx(1.5)
@@ -266,7 +258,7 @@ def test_gap_separation_exact_distances():
 def test_gap_separation_beta_zero_is_raw(golden, amo):
     bs = sp.band_structure(0.25, amo, (13, 21))
     recs = sp.label_gaps(bs, golden, rho_skip_width=math.inf)
-    rep0 = sp.gap_separation_check(recs, golden, beta=0.0)
+    rep0 = sp.gap_separation_check(recs, beta=0.0)
     assert rep0.all_positive
     raw = min(p[1] for p in rep0.pairs)
     assert rep0.min_rescaled == pytest.approx(raw)
@@ -329,7 +321,7 @@ def test_measure_bound_breach_raises_typed_error(amo, monkeypatch):
 
 def test_repeated_labels_raise_typed_error(golden, amo, monkeypatch):
     bs = sp.band_structure(0.25, amo, (5, 8))
-    monkeypatch.setattr(sp, "_label_from_ids", lambda j, p, q, mirrored=False: 0)
+    monkeypatch.setattr(sp, "_label_from_ids", lambda j, p, q: 0)
     with pytest.raises(QPGapsError) as err:
         sp.label_gaps(bs, golden, rho_skip_width=math.inf)
     assert isinstance(err.value, SpectrumError)
