@@ -41,7 +41,10 @@ def parse_config_file(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{i}: expected 'key = value'")
         k, v = (t.strip() for t in line.split("=", 1))
-        out[k.replace("-", "_")] = v
+        key = k.replace("-", "_")
+        if key in out:
+            raise ConfigError(f"{path}:{i}: repeated key '{k}'")
+        out[key] = v
     return out
 
 
@@ -54,11 +57,16 @@ def resolve_frequency(spec):
     if spec == "sqrt2m1":
         return sqrt2_minus_1(40)
     if spec.startswith("liouville:"):
-        kv = dict(part.partition("=")[::2] for part in spec.split(":")[1:])
+        pairs = [part.partition("=")[::2] for part in spec.split(":")[1:]]
+        kv = dict(pairs)
         unknown = sorted(set(kv) - {"beta", "seed", "levels"})
         if unknown:
             raise ConfigError(f"bad liouville alias '{spec}': unknown key(s) "
                               f"{', '.join(unknown)}")
+        if len(kv) < len(pairs):
+            repeated = sorted({k for k, _ in pairs if sum(k == j for j, _ in pairs) > 1})
+            raise ConfigError(f"bad liouville alias '{spec}': repeated key(s) "
+                              f"{', '.join(repeated)}")
         try:
             return synth_liouville(float(kv["beta"]), int(kv.get("levels", 3)),
                                    int(kv.get("seed", 0)))
@@ -262,6 +270,7 @@ def cmd_homogeneity(args):
 def cmd_reduce(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
     m = args.m if args.m is not None else 1
+    _convergent(freq, opts["q"])          # the dossier picks the same one
     cfg = pipeline.PipelineConfig(q_target=opts["q"], theta_samples=opts["theta_samples"],
                                   run_averaging=args.with_averaging)
     dossier = pipeline.analyze_gap(opts["lam"], f, freq, m, cfg)

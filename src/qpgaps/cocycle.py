@@ -1,10 +1,10 @@
 """SL(2,R) cocycles over an irrational rotation.
 
 One engine, _propagate, pushes vectors or products through a stack of step
-matrices with a separate log-scale, so hyperbolic growth never overflows;
-transfer products, Lyapunov exponents and strip growth use it.  The fibered
-rotation number is a weighted Birkhoff average of the lifted projective angle
-increments along directions from a blocked prefix scan built on the engine.
+matrices with a separate log-scale, so hyperbolic growth never overflows.
+The fibered rotation number is a weighted Birkhoff average of the lifted
+projective angle increments along directions from a blocked prefix scan built
+on the engine.
 One estimator core serves a single cocycle and a batch of Schrodinger
 energies on one orbit; it extends an unfinished orbit from its last direction
 instead of restarting it.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import Frequency
+from .arithmetic import Frequency, norm_dist
 from .errors import DegreeError
 from .fourier import FourierMap, matmul
 
@@ -40,10 +40,6 @@ class Cocycle:
     @property
     def alpha(self):
         return _alpha(self.freq)
-
-    def matrices(self, xs):
-        """A(x) at an array of (possibly complex) points, as (*shape, 2, 2)."""
-        return self.A(np.asarray(xs))
 
 
 def amo_potential():
@@ -111,28 +107,6 @@ def _scan_directions(steps, start=(1.0, 0.0)):
     return trail.swapaxes(0, 1).reshape((B * L,) + starts.shape[1:-1])[:n]
 
 
-def transfer(c, k, x):
-    """Ordered product A(x+(k-1)a) ... A(x), renormalized against overflow.
-
-    Returns (unit-scaled matrix, log_scale): the true product is
-    exp(log_scale) * matrix.  x may be a scalar or an array of base points.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    x = np.asarray(x, dtype=complex)
-    steps = c.matrices(np.add.outer(c.alpha * np.arange(k), x))
-    P, logs = _propagate(steps, np.broadcast_to(np.eye(2), steps.shape[1:]))
-    return (P, float(logs)) if x.ndim == 0 else (P, logs)
-
-
-def lyapunov(c, k, phases=64):
-    """Average of (1/k) log||A_k(x)|| over equidistributed base phases."""
-    xs = (np.arange(phases) + 0.5) / phases
-    P, logs = transfer(c, k, xs)
-    norms = np.linalg.norm(P, ord=2, axis=(1, 2))
-    return float(np.mean((logs + np.log(norms)) / k))
-
-
 def _real_steps(mats):
     """The real parts of step matrices, or ValueError when they are not real
     on the real axis, where neither the angle nor the sign of a component
@@ -167,20 +141,12 @@ def _angle_increments(steps, w):
     return d
 
 
-def _fold(rho):
-    r = rho % 1.0
-    return min(r, 1.0 - r)
-
-
 @dataclass(frozen=True)
 class RotationResult:
     value: float          # folded to [0, 1/2]
     error: float
     iterations: int
     flagged: bool = False
-
-    def __float__(self):
-        return self.value
 
 
 def _rotation_results(k, steps_of, iterations, target_err, max_iterations):
@@ -223,9 +189,9 @@ def _rotation_results(k, steps_of, iterations, target_err, max_iterations):
                 est1 = float(np.dot(wh, d[:h]) / wh.sum()) / (2.0 * math.pi)
                 est2 = float(np.dot(wh, d[h : 2 * h]) / wh.sum()) / (2.0 * math.pi)
                 gap = abs(est1 - est2)
-                err = max(min(gap, abs(_fold(est1) - _fold(est2))), 1e-15)
+                err = max(min(gap, abs(norm_dist(est1) - norm_dist(est2))), 1e-15)
                 if iterations or err <= target_err or n >= max_iterations:
-                    results[i] = RotationResult(value=_fold(est), error=err, iterations=n,
+                    results[i] = RotationResult(value=norm_dist(est), error=err, iterations=n,
                                                 flagged=err > target_err)
                     live.remove(i)
                     del incs[i], ends[i]
@@ -247,7 +213,7 @@ def rotation_number(c, iterations=None, target_err=ROTATION_TARGET_ERR,
     bar needs two halves.
     """
     def steps_of(lo, hi, _idx):
-        return _real_steps(c.matrices(c.alpha * np.arange(lo, hi)))[:, None]
+        return _real_steps(c.A(c.alpha * np.arange(lo, hi)))[:, None]
 
     return _rotation_results(1, steps_of, iterations, target_err, max_iterations)[0]
 
@@ -290,7 +256,7 @@ def rotation_number_counting(c, iterations=1 << 18):
     n = int(iterations)
     if n < 2:
         raise ValueError(f"rotation number needs at least 2 orbit steps, got {n}")
-    w = _scan_directions(_real_steps(c.matrices(c.alpha * np.arange(n))))
+    w = _scan_directions(_real_steps(c.A(c.alpha * np.arange(n))))
     signs = np.sign(w[:, 0])
     signs[signs == 0.0] = 1.0
     flips = np.count_nonzero(signs[1:] != signs[:-1])
@@ -300,7 +266,7 @@ def rotation_number_counting(c, iterations=1 << 18):
     rho = flips / (2.0 * n)
     rho_half = half / (2.0 * (n // 2))
     err = max(abs(rho - rho_half), 1.0 / n)
-    return RotationResult(value=_fold(rho), error=err, iterations=n, flagged=False)
+    return RotationResult(value=norm_dist(rho), error=err, iterations=n, flagged=False)
 
 
 def degree_of(R):
@@ -353,25 +319,3 @@ def conjugate(c, R):
         except ValueError:
             pass
     return Cocycle(c.freq, B)
-
-
-def strip_growth(c, eta, K, grid=256, points=24):
-    """Strip norms ||A_k||_eta on a logarithmic schedule of k up to K."""
-    ks = sorted({max(1, int(round(K ** (i / (points - 1))))) for i in range(points)})
-    lines = [0.0] if eta == 0.0 else [eta, -eta]
-    base = np.add.outer(1j * np.array(lines), np.arange(grid) / grid)
-    P = np.broadcast_to(np.eye(2), base.shape + (2, 2))
-    logs = np.zeros(base.shape)
-    step = 0
-    out = []
-    for k_target in ks:
-        # RENORM_EVERY steps at a time, so memory does not grow with K
-        while step < k_target:
-            n = min(RENORM_EVERY, k_target - step)
-            xs = np.add.outer(c.alpha * np.arange(step, step + n), base)
-            P, ls = _propagate(c.matrices(xs), P)
-            logs += ls
-            step += n
-        norms = np.linalg.norm(P, ord=2, axis=(-2, -1))
-        out.append((k_target, float(np.max(logs + np.log(norms)))))
-    return [(k, math.exp(v)) if v < 700 else (k, math.inf) for k, v in out]

@@ -265,9 +265,6 @@ class FourierMap:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return FourierMap(-self.coeffs, self.period, entire=self.entire)
-
     def conj_map(self):
         """Complex conjugate of the map: coeff_k -> conj(coeff_{-k})."""
         return FourierMap(self.coeffs[::-1].conj(), self.period, entire=self.entire)

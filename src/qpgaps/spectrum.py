@@ -298,7 +298,6 @@ def label_gaps(bs, freq, rho_tol=1e-4, rho_skip_width=RHO_SKIP_WIDTH):
 @dataclass(frozen=True)
 class DecayFit:
     gamma: float
-    intercept: float
     residual: float                 # max |ln-width deviation| from the fit line
     rms_residual: float             # root-mean-square ln-width misfit
     used: tuple                     # (|m|, width) pairs entering the fit
@@ -329,8 +328,7 @@ def gap_decay_fit(records):
     slope, intercept = np.polyfit(ms, ys, 1)
     dev = ys - (slope * ms + intercept)
     return DecayFit(
-        gamma=-float(slope), intercept=float(intercept),
-        residual=float(np.abs(dev).max()),
+        gamma=-float(slope), residual=float(np.abs(dev).max()),
         rms_residual=float(np.sqrt((dev**2).mean())),
         used=tuple((int(m), float(table[m])) for m in ms),
         excluded=tuple(excluded), floored=floored,

@@ -131,6 +131,25 @@ def test_homogeneity_outputs(tmp_path):
         assert abs(row["min_ratio"] - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("argv, table, columns, plot", [
+    (["spectrum", "--q", "34"], "bands.csv", (1, 2), "bands.dat"),
+    (["homogeneity", "--q", "34", "--sigmas", "1e-2,1e-3"], "homogeneity.csv", (0, 1),
+     "homogeneity_ratio.dat")], ids=["spectrum", "homogeneity"])
+def test_emit_plot_data_writes_two_table_columns(tmp_path, argv, table, columns, plot):
+    out = tmp_path / "o"
+    assert run(argv + ["--lam", "0.25", "--emit-plot-data", "--out", str(out)]) == 0
+    stamp, *rows = read(out / plot).splitlines()
+    lines = read(out / table).splitlines()
+    csv_rows = [line for line in lines if not line.startswith("#")][1:]
+    assert stamp == lines[0] and len(rows) == len(csv_rows) > 1
+    assert rows == [" ".join(row.split(",")[c] for c in columns) for row in csv_rows]
+
+
+def test_numerical_stage_error_exits_3(tmp_path, capsys):
+    assert run(["reduce", "--m", "40", "--q", "34", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("numerical-stage error [label]")
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("lam = 0.25\nq = 55   # comment\nfreq = golden\n")
@@ -141,6 +160,18 @@ def test_config_file_with_flag_override(tmp_path):
     rows = [l for l in read(out / "bands.csv").splitlines()
             if l and not l.startswith(("#", "band"))]
     assert len(rows) == 1                     # lam 0 overrode the file
+
+
+@pytest.mark.parametrize("text", ["lam = 0.1\nlam = 0.2\n",
+                                  "theta-samples = 4\ntheta_samples = 8\n"],
+                         ids=["lam twice", "theta-samples spelled two ways"])
+def test_config_file_repeated_key_is_rejected(tmp_path, capsys, text):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    rc = run(["spectrum", "--q", "21", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "repeated key" in err
 
 
 def test_config_error_exit_code(tmp_path):
@@ -197,7 +228,8 @@ def test_gaps_extended_precision_flag(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["spectrum", "--q", "0"], ["gaps", "--q", "0"],
-                                  ["homogeneity", "--q", "0"], ["decay", "--q", "3"]],
+                                  ["homogeneity", "--q", "0"], ["decay", "--q", "3"],
+                                  ["reduce", "--q", "0"]],
                          ids=lambda argv: argv[0])
 def test_too_small_q_is_a_config_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -222,6 +254,7 @@ def test_too_small_q_is_a_config_error(tmp_path, capsys, argv):
                                   ["beta", "--alpha", "liouville:beta=-1"],
                                   ["beta", "--alpha", "liouville:beta=nan"],
                                   ["beta", "--alpha", "liouville:beta=0.2:seed=3:sed=4"],
+                                  ["beta", "--alpha", "liouville:beta=0.2:seed=3:seed=4"],
                                   ["spectrum", "--config", "{tmp}/missing.cfg"],
                                   ["spectrum", "--potential", "file:{tmp}"]],
                          ids=lambda argv: " ".join(argv))

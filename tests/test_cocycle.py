@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from qpgaps import arithmetic as ar
 from qpgaps import cocycle
-from qpgaps.cocycle import (Cocycle, _scan_directions, amo_potential, conjugate, degree_of,
-                            lyapunov, rotation_number, rotation_number_counting,
-                            rotation_numbers, schrodinger_cocycle, strip_growth, transfer)
+from qpgaps.cocycle import (Cocycle, _propagate, _scan_directions, amo_potential, conjugate,
+                            degree_of, rotation_number, rotation_number_counting,
+                            rotation_numbers, schrodinger_cocycle)
 from qpgaps.errors import DegreeError
 from qpgaps.fourier import FourierMap, matrix_exp, mul
 
@@ -26,54 +26,11 @@ def const_rotation(theta):
     return FourierMap.constant(np.array([[c, -s], [s, c]]))
 
 
-def test_transfer_single_step(golden, amo):
-    c = schrodinger_cocycle(0.25, amo, 1.3, golden)
-    M, ls = transfer(c, 1, 0.2)
-    direct = c.A(0.2)
-    assert np.abs(M * math.exp(ls) - direct).max() < 1e-14
-
-
-def test_transfer_free_square(golden, amo):
-    c = schrodinger_cocycle(0.0, amo, 2.0, golden)
-    M, ls = transfer(c, 2, 0.71)
-    assert np.allclose((M * math.exp(ls)).real, [[3, -2], [2, -1]], atol=1e-12)
-
-
 def test_transfer_determinant_long_product(golden, amo):
     c = schrodinger_cocycle(0.25, amo, 1.0, golden)
-    M, ls = transfer(c, 1000, 0.0)
+    M, ls = _propagate(c.A(c.alpha * np.arange(1000)), np.eye(2))
     # det of the true product is det(M) e^{2 ls}
     assert abs(np.linalg.det(M) * math.exp(2 * ls) - 1.0) < 1e-10
-
-
-def test_cocycle_composition_property(golden, amo):
-    rng = np.random.default_rng(2)
-    c = schrodinger_cocycle(0.25, amo, 0.9, golden)
-    for _ in range(4):
-        j = int(rng.integers(1, 100))
-        k = int(rng.integers(1, 100))
-        x = float(rng.uniform(0, 1))
-        M1, l1 = transfer(c, j + k, x)
-        Ma, la = transfer(c, j, x + k * c.alpha)
-        Mb, lb = transfer(c, k, x)
-        lhs = M1 * math.exp(l1)
-        rhs = (Ma * math.exp(la)) @ (Mb * math.exp(lb))
-        assert np.abs(lhs - rhs).max() <= 1e-9 * max(1.0, np.abs(lhs).max())
-
-
-def test_lyapunov_free_elliptic(golden, amo):
-    assert abs(lyapunov(schrodinger_cocycle(0.0, amo, 0.0, golden), 500)) < 1e-3
-
-
-def test_lyapunov_free_hyperbolic(golden, amo):
-    got = lyapunov(schrodinger_cocycle(0.0, amo, 3.0, golden), 2000)
-    assert got == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=1e-3)
-
-
-def test_lyapunov_amo_critical_regression(golden, amo):
-    # iteration-convergence plateau at lambda = 2 on the spectrum's center
-    got = lyapunov(schrodinger_cocycle(2.0, amo, 0.0, golden), 3000, phases=96)
-    assert got == pytest.approx(math.log(2.0), abs=5e-2)
 
 
 def test_rotation_number_free_points(golden, amo):
@@ -182,25 +139,6 @@ def test_near_rotation_linear_response(golden):
     assert slope == pytest.approx(1.0, abs=0.1)
 
 
-def test_strip_growth_elliptic_bounded(golden, amo):
-    out = strip_growth(schrodinger_cocycle(0.0, amo, 1.0, golden), 0.0, 10000,
-                       grid=64, points=10)
-    assert all(v < 50.0 for _, v in out)
-
-
-def test_strip_growth_identity_cocycle(golden):
-    ident = Cocycle(golden, FourierMap.identity())
-    out = strip_growth(ident, 0.0, 100, grid=8, points=4)
-    assert all(v == pytest.approx(1.0, abs=1e-12) for _, v in out)
-
-
-def test_strip_growth_hyperbolic_rate(golden, amo):
-    out = strip_growth(schrodinger_cocycle(0.0, amo, 3.0, golden), 0.0, 200,
-                       grid=16, points=5)
-    k, v = out[-1]
-    assert math.log(v) / k == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=5e-3)
-
-
 # Orbit lengths around the renormalization period (32), a prime, a non-square
 # and one just past a square, where the blocks of the scan do not fill evenly.
 ORBIT_LENGTHS = [1, 2, 31, 32, 33, 97, 1000, 4097]
@@ -272,7 +210,8 @@ def test_transfer_matches_plain_product(golden, k, batch, seed):
     coeffs *= np.array([0.25, 0.5, 1.0, 0.5, 0.25])[:, None, None]
     c = Cocycle(golden, FourierMap(coeffs))
     x = rng.uniform(0, 1, 3) if batch else float(rng.uniform(0, 1))
-    M, ls = transfer(c, k, x)
+    steps = c.A(np.add.outer(c.alpha * np.arange(k), x))
+    M, ls = _propagate(steps, np.broadcast_to(np.eye(2), steps.shape[1:]))
     ref, ref_ls = plain_product(c, k, x)
     assert np.shape(M) == np.shape(ref) and np.shape(ls) == np.shape(ref_ls)
     got = M * np.exp(np.asarray(ls) - ref_ls)[..., None, None]

@@ -1,10 +1,11 @@
 """Static checks on the package source: every imported name is used, every
 class and function it defines is named somewhere else, every module-level
-constant it assigns is read somewhere, and every parameter is read by its
-function's body."""
+constant it assigns is read somewhere, every parameter is read by its
+function's body, and every defaulted parameter is passed by some call."""
 
 import ast
 import collections
+import math
 import pathlib
 import re
 
@@ -158,3 +159,56 @@ def test_unread_parameters_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def unpassed_defaults(package_sources, other_sources):
+    """(function, parameter) of every defaulted parameter of a package
+    function that no call in any of the sources passes.  A call passes p by
+    keyword when it names p= (whatever it calls), and by position when it
+    calls a function of the same name (a class, for __init__) with a
+    positional argument in p's slot; a call with a *args or **kwargs splat
+    passes every parameter of the functions of that name."""
+    trees = [ast.parse(src) for src in package_sources.values()]
+    calls = [node for tree in trees + [ast.parse(src) for src in other_sources]
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    keywords = {kw.arg for call in calls for kw in call.keywords}
+    reach = collections.Counter()           # callee name -> most positional arguments
+    for call in calls:
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        splat = None in {kw.arg for kw in call.keywords} or any(
+            isinstance(arg, ast.Starred) for arg in call.args)
+        reach[name] = max(reach[name], math.inf if splat else len(call.args))
+    unpassed = []
+    for tree in trees:
+        owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a, cls = node.args, owner.get(id(node))
+            bound = cls is not None and not any(
+                getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            name = cls.name if cls is not None and node.name == "__init__" else node.name
+            positional = (a.posonlyargs + a.args)[int(bound):]
+            slots = [(i, p) for i, p in enumerate(positional)
+                     if i >= len(positional) - len(a.defaults)]
+            slots += [(math.inf, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            unpassed += [(name, p.arg) for i, p in slots
+                         if p.arg not in keywords and reach[name] <= i]
+    return sorted(unpassed)
+
+
+def test_unpassed_defaults_are_found():
+    src = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+           "def g(k=1):\n    pass\n\n"
+           "class C:\n    def __init__(self, x=0):\n        pass\n\n"
+           "    def m(self, y=1, z=2):\n        pass\n\n"
+           "    @staticmethod\n    def s(w=0):\n        pass\n\n"
+           "f(0, 1, e=5)\nC().m(9)\nC.s(1)\n")
+    assert unpassed_defaults({"m": src}, ["g(*ks)\nC()\n"]) == [
+        ("C", "x"), ("f", "c"), ("f", "d"), ("m", "z")]
+
+
+def test_every_default_is_passed():
+    package = {path.name: path.read_text() for path in MODULES}
+    assert unpassed_defaults(package, _outside_sources()) == []

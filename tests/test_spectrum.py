@@ -228,6 +228,15 @@ def test_gap_decay_fit_excludes_collapsed():
     assert (9, "collapsed") in fit.excluded
 
 
+def test_gap_decay_fit_excludes_widths_below_the_floor():
+    recs = [sp.GapRecord(m, 0.0, math.exp(-m), Fraction(m, 100)) for m in range(1, 7)]
+    recs.append(sp.GapRecord(9, 1.0, 1.0 + 0.5 * sp.WIDTH_FLOOR, Fraction(9, 100)))
+    fit = sp.gap_decay_fit(recs)
+    assert fit.excluded == ((9, "below double-precision floor"),)
+    assert fit.floored and 9 not in dict(fit.used)
+    assert not sp.gap_decay_fit(recs[:-1]).floored
+
+
 def test_homogeneity_free_operator(golden, amo):
     bs = sp.band_structure(0.0, amo, (55, 89))
     res = sp.homogeneity_scan(bs, 0.1)
