@@ -7,13 +7,14 @@ with an eigenvector localized around some site, which after recentering gives
 the normalized Bloch coefficients with u_0 = 1 and |u_k| <= 1.
 
 One path refines and normalizes every eigenpair once its phase is chosen:
-`_nearest_pair` solves for the interior eigenpair nearest an energy (on
-either side, or strictly above or below it; the same call probes the band
-function while `find_bloch` searches for the phase), `_refine` doubles the
-truncation at that phase, and `_normalized` recenters, scales and fills the
-`BlochSolution`.  `find_bloch` and `find_bloch_resonant` differ only in how
-they choose the phase (the latter reads each candidate's theta-slope off its
-own eigenvector, `_slope`); `snap_to_resonance` re-solves at the exact
+`_refine` doubles the truncation at that phase, re-solving the interior
+eigenpair nearest the previous eigenvalue (`_nearest_pair`), and
+`_normalized` recenters, scales and fills the `BlochSolution`.  Two searches
+choose the phase.  `find_bloch_resonant`, the dossier's Bloch stage, solves
+the label's resonant phases 2 theta = +-m alpha once each and takes the pair
+of theta-extremal eigenvalues (`_slope`) that are both edges of the gap;
+`find_bloch`, which `qpgaps dual` runs from an energy alone, minimizes the
+band function over theta.  `snap_to_resonance` re-solves at the exact
 resonant phase and normalizes without refining.
 """
 
@@ -221,39 +222,45 @@ def _slope(freq, theta, trunc, vec):
     return float(-4.0 * math.pi * np.dot(np.abs(vec) ** 2, sines))
 
 
-def find_bloch_resonant(lam, f, freq, energy, n_candidates, trunc=None, window=None):
-    """Dual eigenpair at an explicitly resonant phase.
+def find_bloch_resonant(lam, f, freq, gap, m, reach, member, trunc):
+    """Dual eigenpair at the `member` ("upper" or "lower") edge of the gap
+    with label m.
 
-    When the blind band-extremum search cannot lock a displaced tiny gap, the
-    resonance itself pins the phase: for each candidate integer n the two
-    phases (n alpha + j)/2, j in {0, 1}, are solved once, and of the four
-    interior eigenvalues nearest `energy` at each, the nearest theta-extremal
-    one (`_slope` at most 2e-2) wins: an in-band eigenvalue, or a branch
-    crossing another at that phase, moves at order-one speed.  Refinement
-    (`_refine`) and normalization (`_normalized`) are those of `find_bloch`.
+    Both edges of the quasi-periodic gap share the rotation number, so both
+    are dual eigenvalues at the resonant phases theta = (n alpha + j)/2,
+    n = +-m, j in {0, 1}.  Each phase is solved once, within `reach` (the
+    approximant's displacement bound) of the approximant edges `gap`, in one
+    window when the gap is narrower than 2 reach.  Adjacent eigenvalues that
+    are both theta-extremal (`_slope` at most 2e-2: an in-band eigenvalue,
+    or a branch crossing another at that phase, moves at order-one speed)
+    form a pair, scored by how far its splitting and midpoint miss the
+    approximant gap's.  The first pair in the phase order (m, 0), (m, 1),
+    (-m, 0), (-m, 1) that ties the best score wins: at an exact resonance the
+    mirror phase gives the same pair, and the order keeps +m.  Only the
+    wanted member is refined (`_refine`) and normalized (`_normalized`).
     """
-    trunc = trunc or DUAL_START_N
-    w = window if window is not None else 0.05
-    best = None
-    for n_t in n_candidates:
-        for j in (0, 1):
-            theta_c = ((n_t * freq.value + j) / 2.0) % 1.0
-            vals, vecs = _interior_eigs(lam, f, freq, theta_c, trunc,
-                                        energy - w, energy + w)
-            for k in np.argsort(np.abs(vals - energy))[:4]:
-                e_k, vec = float(vals[k]), vecs[:, k]
-                if abs(_slope(freq, theta_c, trunc, vec)) > 2e-2:
-                    continue
-                gap = abs(e_k - energy)
-                if best is None or gap < best[0]:
-                    best = (gap, theta_c, e_k, vec)
-    if best is None:
-        raise BlochError(f"no theta-extremal interior dual eigenvalue within {w} "
-                         f"of E={energy} at any resonant phase")
-    _, theta_star, e_star, vec = best
-    e_star, vec, trunc = _refine(lam, f, freq, theta_star, trunc, e_star, vec,
+    e_minus, e_plus = gap
+    width, mid = e_plus - e_minus, 0.5 * (e_minus + e_plus)
+    lo, hi = e_minus - reach, e_plus + reach
+    windows = [(lo, hi)] if width < 2.0 * reach else [(lo, e_minus + reach), (e_plus - reach, hi)]
+    pairs = []
+    for n, j in ((m, 0), (m, 1), (-m, 0), (-m, 1)):
+        theta = ((n * freq.value + j) / 2.0) % 1.0
+        solved = [_interior_eigs(lam, f, freq, theta, trunc, *w) for w in windows]
+        vals = np.concatenate([w for w, _ in solved])
+        vecs = np.concatenate([v for _, v in solved], axis=1)
+        flat = np.array([abs(_slope(freq, theta, trunc, v)) <= 2e-2 for v in vecs.T], dtype=bool)
+        for k in np.flatnonzero(flat[:-1] & flat[1:]):
+            score = abs(vals[k + 1] - vals[k] - width) + abs(0.5 * (vals[k] + vals[k + 1]) - mid)
+            pairs.append((score, theta, k + (member == "upper"), vals, vecs))
+    if not pairs:
+        raise BlochError(f"no theta-extremal dual eigenvalue pair within {reach:.1e} of the "
+                         f"gap ({e_minus}, {e_plus}) at 2 theta = +-{m} alpha")
+    best = min(p[0] for p in pairs)
+    _, theta, k, vals, vecs = next(p for p in pairs if p[0] <= best + 1e-12 * max(1.0, abs(mid)))
+    energy, vec, trunc = _refine(lam, f, freq, theta, trunc, float(vals[k]), vecs[:, k],
                                  DUAL_MAX_TRUNC)
-    return _normalized(lam, f, freq, theta_star, trunc, e_star, vec)[0]
+    return _normalized(lam, f, freq, theta, trunc, energy, vec)[0]
 
 
 def _decay_fit(u_hat, trunc):

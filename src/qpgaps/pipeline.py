@@ -1,7 +1,7 @@
 """End-to-end runs: gap dossiers, decay campaigns, homogeneity campaigns.
 
 A dossier walks one labeled gap through the whole machine: approximant
-spectrum, dual eigenpair at the upper edge, resonance, frame reduction,
+spectrum, dual eigenpair at the chosen edge, resonance, frame reduction,
 average identities, the first-order perturbation matrix, the certified energy
 step, and the rotation-number shift test.  Campaigns sweep labels or window
 sizes and return tables; claims_report turns dossiers (and a decay campaign)
@@ -16,22 +16,19 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import duality, reducibility, spectrum
-from .errors import BlochError, ConfigError, QPGapsError, StageError
+from .errors import BlochError, ConfigError, StageError
 
 WIDTH_STABLE_REL = 0.10
 WIDTH_STABLE_ABS = 1e-13
 BLOCH_TRUNC = 128                # starting dual truncation for the Bloch search
 STRIP_DELTA = 0.05               # strip half-width for the averaging steps
-# numerical breakdowns that move the Bloch search on to its next rung; any
-# other exception is a programming error and propagates
-LOCATE_ERRORS = (QPGapsError, np.linalg.LinAlgError, ArithmeticError)
 
 
 @dataclass
 class PipelineConfig:
     q_target: int = 250              # use the largest convergent with q <= this
     theta_samples: int = None        # per band_structure default when None
-    edge: str = "upper"              # anchor at E_m^+; "lower" mirrors
+    edge: str = "upper"              # anchor at E_m^+; "lower" at E_m^-
     run_averaging: bool = False      # drive the double step at eps_m when admissible
 
 
@@ -101,33 +98,15 @@ def analyze_gap(lam, f, freq, m, config=None):
     )
     flags = []
 
-    mirror = cfg.edge == "lower"
-    anchor = rec.e_minus if mirror else rec.e_plus
-    side = "below" if mirror else "above"
+    # the approximant displaces tiny gaps by up to ~|alpha - p/q| times the
+    # local state density (at most 50); the search reaches twice that
+    reach = max(100.0 * abs(freq.value - pq[0] / pq[1]), 1e-6)
 
-    def locate_bloch():
-        # rung 1: the band extremum beside the gap's own floor
-        floor = anchor + 0.5 * rec.width if mirror else anchor - 0.5 * rec.width
-        try:
-            sol = duality.find_bloch(lam, f, freq, anchor, trunc=BLOCH_TRUNC,
-                                     side=side, floor=floor)
-            if duality.detect_resonance(sol, freq) is not None:
-                return sol
-        except LOCATE_ERRORS:
-            pass
-        # rung 2: the label's resonant phases 2 theta = +-m alpha, in a window
-        # wide enough for the approximant's displacement of tiny gaps (up to
-        # ~|alpha - p/q| times the local state density)
-        p, q = pq
-        disp = 50.0 * abs(freq.value - p / q)
-        sol = duality.find_bloch_resonant(lam, f, freq, anchor, (m, -m), trunc=BLOCH_TRUNC,
-                                          window=max(8.0 * rec.width, 2.0 * disp, 1e-6))
-        if duality.detect_resonance(sol, freq) is None:
-            raise BlochError(f"no resonance at 2 theta = +-{m} alpha "
-                             f"(best distance {sol.resonance_dist:.2e})")
-        return sol
-
-    sol = _stage("bloch", locate_bloch)
+    sol = _stage("bloch", duality.find_bloch_resonant, lam, f, freq, (rec.e_minus, rec.e_plus),
+                 m, reach, cfg.edge, BLOCH_TRUNC)
+    if duality.detect_resonance(sol, freq) is None:
+        raise StageError("bloch", BlochError(f"no resonance at 2 theta = +-{m} alpha (best "
+                                             f"distance {sol.resonance_dist:.2e})"))
     _stage("bloch", duality.snap_to_resonance, sol, lam, f, freq)
     dossier.edge_energy = sol.energy
     dossier.theta = sol.theta
@@ -151,7 +130,7 @@ def analyze_gap(lam, f, freq, m, config=None):
     dossier.off_normal_residual = red.off_normal_residual
     dossier.degree = red.degree
     mu_eff = red.parabolic.sign * red.parabolic.mu
-    pattern_ok = red.parabolic.collapsed or (mu_eff < 0 if mirror else mu_eff > 0)
+    pattern_ok = red.parabolic.collapsed or (mu_eff < 0 if cfg.edge == "lower" else mu_eff > 0)
     if not pattern_ok:
         flags.append("edge-sign-pattern")
 

@@ -1,0 +1,34 @@
+"""The benchmark's dossier operations reproduce bench/reference.json, so a
+change that moves a checked dossier output fails here as well as in the
+benchmark's own output check."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _workloads()
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return json.loads((BENCH / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("name, m, averaging", workloads.DOSSIERS,
+                         ids=[name for name, _, _ in workloads.DOSSIERS])
+def test_dossier_workload_matches_the_reference(name, m, averaging, reference):
+    freq, f = workloads.workload_inputs()
+    got = workloads._dossier_op(freq, f, m, averaging)()
+    assert workloads.check_library(name, reference["dossier"][name], got) == []

@@ -183,15 +183,19 @@ def test_find_bloch_deterministic(golden, amo):
     assert np.array_equal(a.u_hat, b.u_hat)
 
 
-def test_find_bloch_resonant_at_displaced_m7_gap(golden, amo):
-    # the 144/233 m = 7 gap is the one the dossier's extremum ladder misses;
-    # candidates and window are the ones pipeline.locate_bloch passes
+def _gap_233(golden, amo, label):
+    """The approximant gap with `label` at 144/233 and the dossier's reach."""
     bs = sp.band_structure(0.25, amo, (144, 233), e_resolution=1e-12)
     rec = [r for r in sp.label_gaps(bs, golden, rho_skip_width=math.inf)
-           if r.label == 7][0]
-    disp = 50.0 * abs(golden.value - 144 / 233)
-    sol = du.find_bloch_resonant(0.25, amo, golden, rec.e_plus, (7, -7), trunc=128,
-                                 window=max(8.0 * rec.width, 2.0 * disp, 1e-6))
+           if r.label == label][0]
+    return (rec.e_minus, rec.e_plus), 100.0 * abs(golden.value - 144 / 233)
+
+
+def test_find_bloch_resonant_at_displaced_m7_gap(golden, amo):
+    # the 144/233 m = 7 gap lies ~2.3e-4 below the approximant's, 30 times
+    # its width; the pair search still lands on its upper edge
+    gap, reach = _gap_233(golden, amo, 7)
+    sol = du.find_bloch_resonant(0.25, amo, golden, gap, 7, reach, "upper", 128)
     assert sol.u_hat[sol.trunc] == 1.0
     assert np.abs(sol.u_hat).max() <= 1.0
     assert sol.duality_residual < 1e-12
@@ -222,36 +226,38 @@ def test_slope_matches_a_central_difference(golden, f):
 def test_find_bloch_resonant_skips_branches_crossing_at_the_phase(golden, amo):
     # at theta = (alpha + 1)/2, trunc 128, two branches cross at E ~ -0.50080552
     # moving at -+0.873 in theta: a symmetric difference quotient reads ~0
-    # there, but each branch's own eigenvector gives its slope, and the
-    # resonant edge with n = -1 inside the window wins instead
+    # there, but each branch's own eigenvector gives its slope.  The crossing
+    # lies inside the upper window of the m = 1 gap at 144/233, and the
+    # resonant edge wins instead
     theta_c = (golden.value + 1.0) / 2.0
     vals, vecs = du._interior_eigs(0.25, amo, golden, theta_c, 128, -0.5009, -0.5007)
     slopes = sorted(du._slope(golden, theta_c, 128, vecs[:, k]) for k in range(len(vals)))
     assert slopes == pytest.approx([-0.8728, 0.8728], abs=1e-4)
-    sol = du.find_bloch_resonant(0.25, amo, golden, -0.5008055186, (1,), trunc=128,
-                                 window=1e-3)
+    gap, reach = _gap_233(golden, amo, 1)
+    assert gap[1] - reach < -0.5008055186 < gap[1] + reach
+    sol = du.find_bloch_resonant(0.25, amo, golden, gap, 1, reach, "upper", 128)
     assert sol.energy == pytest.approx(-0.5014840613, abs=1e-9)
     assert du.detect_resonance(sol, golden) == -1
 
 
 def test_find_bloch_resonant_far_from_spectrum(golden, amo):
     with pytest.raises(BlochError):
-        du.find_bloch_resonant(0.25, amo, golden, 10.0, (7, -7), trunc=64)
+        du.find_bloch_resonant(0.25, amo, golden, (10.0, 10.5), 7, 1e-3, "upper", 64)
 
 
 def test_resonant_refinement_raises_when_doubling_loses_the_pair(golden, amo, monkeypatch):
     interior_eigs = du._interior_eigs
 
-    def lost_above_16(lam, f, freq, theta, trunc, e_lo, e_hi):
+    def lost_above_128(lam, f, freq, theta, trunc, e_lo, e_hi):
         w, v = interior_eigs(lam, f, freq, theta, trunc, e_lo, e_hi)
-        return (w, v) if trunc <= 16 else (w[:0], v[:, :0])
+        return (w, v) if trunc <= 128 else (w[:0], v[:, :0])
 
-    # free dual operator: at theta = 0 the site-0 eigenvalue 2 is theta-extremal
-    sol = du.find_bloch_resonant(0.0, amo, golden, 2.0, (0,), trunc=16)
-    assert sol.energy == 2.0 and sol.trunc == 32
-    monkeypatch.setattr(du, "_interior_eigs", lost_above_16)
-    with pytest.raises(BlochError, match="trunc 32"):
-        du.find_bloch_resonant(0.0, amo, golden, 2.0, (0,), trunc=16)
+    gap, reach = _gap_233(golden, amo, 7)
+    sol = du.find_bloch_resonant(0.25, amo, golden, gap, 7, reach, "upper", 128)
+    assert sol.trunc > 128
+    monkeypatch.setattr(du, "_interior_eigs", lost_above_128)
+    with pytest.raises(BlochError, match="trunc 256"):
+        du.find_bloch_resonant(0.25, amo, golden, gap, 7, reach, "upper", 128)
 
 
 def test_snap_needs_a_resonance(golden, amo):

@@ -158,9 +158,10 @@ def test_rotation_form_inadmissible_at_m1(golden, amo):
 
 
 def test_dossier_displaced_tiny_gap_m7(golden, amo, monkeypatch):
-    """Labels whose gap width falls below the approximant displacement need
-    the resonant-phase rung; the full dossier still closes, and the Bloch
-    search spends one side-search before it instead of a blind ladder."""
+    """A gap narrower than the approximant displacement is searched in one
+    window spanning both approximant edges; the full dossier still closes,
+    and the Bloch stage costs four solves at the resonant phases, one
+    doubling and the snap."""
     calls = []
     original = scipy.linalg.eig_banded
     monkeypatch.setattr(scipy.linalg, "eig_banded",
@@ -171,11 +172,11 @@ def test_dossier_displaced_tiny_gap_m7(golden, amo, monkeypatch):
     assert d.width_bounded
     assert d.shift_differs
     assert abs(d.degree) == 7
-    assert len(calls) <= 124
+    assert len(calls) <= 6
 
 
 def test_dossier_m9_certifies_its_upper_edge(golden, amo):
-    """At 144/233 the m=9 resonant rung finds the upper-edge wave: the
+    """At 144/233 the m=9 pair search finds the upper-edge wave: the
     parabolic sign pattern holds and the energy step points down."""
     d = pl.analyze_gap(0.25, amo, golden, 9, pl.PipelineConfig(q_target=250))
     assert abs(d.n_tilde) == 9
@@ -198,9 +199,10 @@ def liouville():
     (0.01, "liouville", 500, 4),
 ])
 def test_side_search_rung_comes_first(lam, freq_name, q_target, m, amo, request):
-    """Dossiers the resonant rung alone gets wrong: at 21/34 its window picks a
-    flat non-edge eigenvalue, and at the Liouville frequency it returns a
-    far resonance.  The side-search rung runs first and certifies them all."""
+    """Dossiers a single-eigenvalue pick at the resonant phases got wrong: at
+    21/34 a wide window held a flat non-edge eigenvalue, and at the Liouville
+    frequency it returned a far resonance.  Matching a pair of extremal
+    eigenvalues to both approximant edges certifies them all."""
     freq = request.getfixturevalue(freq_name)
     d = pl.analyze_gap(lam, amo, freq, m, pl.PipelineConfig(q_target=q_target))
     assert abs(d.n_tilde) == m
@@ -212,10 +214,10 @@ def test_side_search_rung_comes_first(lam, freq_name, q_target, m, amo, request)
 
 @pytest.mark.parametrize("lam, m, n_tilde", [(0.05, 1, 1), (0.25, 3, 5)])
 def test_side_search_rung_keeps_stronger_liouville_dossiers(lam, m, n_tilde, amo, liouville):
-    """At these couplings the resonant rung alone returns a far resonance
-    (n = -63 or 31) whose frame the reduction cannot flatten.  With the
-    side-search rung first both dossiers close; the m=3 one carries the wave
-    of the n=5 gap, and the label guard flags it."""
+    """At these couplings a single-eigenvalue pick at the resonant phases
+    returned a far resonance (n = -63 or 31) whose frame the reduction cannot
+    flatten.  The pair search closes both dossiers; the m=3 one carries the
+    wave of the n=5 gap, and the label guard flags it."""
     d = pl.analyze_gap(lam, amo, liouville, m, pl.PipelineConfig(q_target=500))
     assert abs(d.n_tilde) == n_tilde
     assert d.off_normal_residual < 1e-8
@@ -232,18 +234,28 @@ def test_bloch_search_without_resonance_raises_bloch_error(golden, amo, monkeypa
     assert isinstance(err.value.cause, BlochError)
 
 
-def test_bloch_ladder_lets_programming_errors_through(golden, amo, monkeypatch):
-    """A bug inside the dual search is not a numerical breakdown: it stops the
-    ladder at once instead of being swallowed on the way to the fallback."""
+def test_bloch_stage_lets_programming_errors_through(golden, amo, monkeypatch):
+    """A bug inside the dual search is not a numerical breakdown: the bloch
+    stage ends with it as the cause."""
     def broken(*args, **kwargs):
         raise TypeError("bug in the dual search")
 
-    fallback = []
-    monkeypatch.setattr(pl.duality, "find_bloch", broken)
-    monkeypatch.setattr(pl.duality, "find_bloch_resonant",
-                        lambda *a, **k: fallback.append(1))
+    monkeypatch.setattr(pl.duality, "find_bloch_resonant", broken)
     with pytest.raises(StageError) as err:
         pl.analyze_gap(0.25, amo, golden, 1, pl.PipelineConfig(q_target=150))
     assert err.value.stage == "bloch"
     assert isinstance(err.value.cause, TypeError)
-    assert not fallback
+
+
+@pytest.mark.parametrize("m, qp_width", [(5, 9.667619e-5), (7, 6.796420e-6),
+                                         (9, 9.735913e-7)])
+def test_lower_edge_dossier_anchors_on_its_own_edge(m, qp_width, golden, amo):
+    """Both edges of the quasi-periodic gap are the resonant dual pair; a
+    lower-edge dossier takes the pair's lower member, a quasi-periodic width
+    below the upper-edge dossier's energy, with the mirrored sign pattern."""
+    upper = pl.analyze_gap(0.25, amo, golden, m, pl.PipelineConfig(q_target=250))
+    lower = pl.analyze_gap(0.25, amo, golden, m,
+                           pl.PipelineConfig(q_target=250, edge="lower"))
+    assert "edge-sign-pattern" not in lower.flags
+    assert lower.epsilon_m > 0.0
+    assert upper.edge_energy - lower.edge_energy == pytest.approx(qp_width, rel=1e-6)
