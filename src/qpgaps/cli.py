@@ -286,10 +286,9 @@ def cmd_dual(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
     if args.energy is None or not math.isfinite(args.energy):
         raise ConfigError(f"dual needs a finite --energy, got {args.energy}")
-    if args.trunc is not None and args.trunc < 1:
+    if args.trunc < 1:
         raise ConfigError(f"--trunc must be positive, got {args.trunc}")
-    sol = duality.find_bloch(opts["lam"], f, freq, args.energy,
-                             trunc=args.trunc or 128)
+    sol = duality.find_bloch(opts["lam"], f, freq, args.energy, trunc=args.trunc)
     duality.detect_resonance(sol, freq)
     _write(os.path.join(opts["out"], "bloch.json"), _json_out(sol.to_dict(), h, run_cfg))
     print(f"wrote bloch.json (E={sol.energy!r}, theta={sol.theta!r}, "
@@ -376,7 +375,7 @@ def build_parser():
                                        action="store_true",
                                        help="drive the double averaging step at eps_m")
     sub.choices["dual"].add_argument("--energy", type=float, default=None)
-    sub.choices["dual"].add_argument("--trunc", type=int, default=None)
+    sub.choices["dual"].add_argument("--trunc", type=int, default=duality.DUAL_START_N)
 
     sp = sub.add_parser("beta")
     sp.add_argument("--alpha", type=str, default=None)

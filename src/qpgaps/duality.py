@@ -31,7 +31,7 @@ from .cocycle import schrodinger_cocycle
 from .errors import BlochError
 from .fourier import FourierMap, mul
 
-DUAL_START_N = 256
+DUAL_START_N = 128             # starting truncation of every dual search
 DUAL_MAX_TRUNC = 4096
 DUAL_TAIL_TOL = 1e-10
 WAVE_GRID = 1024            # grid for the wave-relation residuals
@@ -74,16 +74,14 @@ def _interior_eigs(lam, f, freq, theta, trunc, e_lo, e_hi):
 
 
 def _nearest_pair(lam, f, freq, theta, trunc, energy, windows, side):
-    """Interior eigenpair nearest `energy` on the given side ("nearest" for
-    either; "above" or "below" for strictly that side), from the first
-    half-width in `windows` whose window on that side holds one; BlochError
-    when none does."""
+    """Interior eigenpair nearest `energy` ("nearest": on either side;
+    "above": strictly above it), from the first half-width in `windows`
+    whose window on that side holds one; BlochError when none does."""
     for w in windows:
         lo = energy if side == "above" else energy - w
-        hi = energy if side == "below" else energy + w
-        vals, vecs = _interior_eigs(lam, f, freq, theta, trunc, lo, hi)
-        if side != "nearest":
-            keep = vals > energy if side == "above" else vals < energy
+        vals, vecs = _interior_eigs(lam, f, freq, theta, trunc, lo, energy + w)
+        if side == "above":
+            keep = vals > energy
             vals, vecs = vals[keep], vecs[:, keep]
         if len(vals):
             k = int(np.argmin(np.abs(vals - energy)))
@@ -178,28 +176,25 @@ def _normalized(lam, f, freq, theta, trunc, energy, vec):
     return sol, n0
 
 
-def find_bloch(lam, f, freq, energy, trunc=None, theta_grid=64, side="nearest",
+def find_bloch(lam, f, freq, energy, trunc=DUAL_START_N, theta_grid=64, side="nearest",
                floor=None, max_trunc=DUAL_MAX_TRUNC):
     """Dual eigenpair at (or nearest) a gap-edge energy.
 
-    side="above"/"below" seeks the band-function extremum on that side of
-    `floor` (defaults to `energy`), which is how a true gap edge is pinned
-    from an approximant estimate; side="nearest" just minimizes the distance
-    of the closest eigenvalue to `energy`.  The phase is located once at the
-    starting truncation; `_refine` then doubles the truncation (stopping rule
-    in its docstring) and `_normalized` recenters the eigenvector at its
-    largest entry (shifting theta by a multiple of alpha) and scales it so
-    u_0 = 1, all |u_k| <= 1.
+    side="above" seeks the band-function minimum above `floor` (defaults to
+    `energy`), which is how a true upper gap edge is pinned from an
+    approximant estimate; side="nearest" just minimizes the distance of the
+    closest eigenvalue to `energy`; any other side is a ValueError.  The
+    phase is located once at the starting truncation; `_refine` then doubles
+    the truncation (stopping rule in its docstring) and `_normalized`
+    recenters the eigenvector at its largest entry (shifting theta by a
+    multiple of alpha) and scales it so u_0 = 1, all |u_k| <= 1.
     """
-    trunc = trunc or DUAL_START_N
+    if side not in ("nearest", "above"):
+        raise ValueError(f"side must be 'nearest' or 'above', got {side!r}")
     target = floor if floor is not None else energy
     probe = lambda th: _nearest_pair(lam, f, freq, th, trunc, target, _PROBE_WINDOWS,
                                      side)[0]
-    if side == "nearest":
-        objective = lambda th: abs(probe(th) - energy)
-    else:
-        sgn = 1.0 if side == "above" else -1.0
-        objective = lambda th: sgn * probe(th)
+    objective = (lambda th: abs(probe(th) - energy)) if side == "nearest" else probe
     thetas = (np.arange(theta_grid) + 0.5) / (2.0 * theta_grid)   # [0, 1/2]
     vals = [objective(t) for t in thetas]
     i0 = int(np.argmin(vals))

@@ -20,7 +20,6 @@ from .errors import BlochError, ConfigError, StageError
 
 WIDTH_STABLE_REL = 0.10
 WIDTH_STABLE_ABS = 1e-13
-BLOCH_TRUNC = 128                # starting dual truncation for the Bloch search
 STRIP_DELTA = 0.05               # strip half-width for the averaging steps
 
 
@@ -87,8 +86,7 @@ def analyze_gap(lam, f, freq, m, config=None):
         raise StageError("spectrum", ValueError(f"no convergent with q <= {cfg.q_target}"))
     bs = _stage("spectrum", spectrum.band_structure, lam, f, pq,
                 theta_samples=cfg.theta_samples)
-    records = _stage("label", spectrum.label_gaps, bs, freq, rho_skip_width=math.inf)
-    matches = [r for r in records if r.label == m]
+    matches = [r for r in _stage("label", bs.gaps) if r.label == m]
     if not matches:
         raise StageError("label", ValueError(f"no gap with label {m} at q={pq[1]}"))
     rec = matches[0]
@@ -103,7 +101,7 @@ def analyze_gap(lam, f, freq, m, config=None):
     reach = max(100.0 * abs(freq.value - pq[0] / pq[1]), 1e-6)
 
     sol = _stage("bloch", duality.find_bloch_resonant, lam, f, freq, (rec.e_minus, rec.e_plus),
-                 m, reach, cfg.edge, BLOCH_TRUNC)
+                 m, reach, cfg.edge, duality.DUAL_START_N)
     if duality.detect_resonance(sol, freq) is None:
         raise StageError("bloch", BlochError(f"no resonance at 2 theta = +-{m} alpha (best "
                                              f"distance {sol.resonance_dist:.2e})"))
@@ -237,11 +235,9 @@ class DecayCampaign:
 
 
 def _decay_convergent_worker(payload):
-    """Labeled gap intervals for one convergent (top-level: pool-picklable)."""
-    lam, f, freq, pq, theta_samples = payload
-    bs = spectrum.band_structure(lam, f, tuple(pq), theta_samples=theta_samples)
-    recs = spectrum.label_gaps(bs, freq, rho_skip_width=math.inf)
-    return [(r.label, r.e_minus, r.e_plus) for r in recs]
+    """Labeled gaps of one convergent (top-level: pool-picklable)."""
+    lam, f, pq, theta_samples = payload
+    return spectrum.band_structure(lam, f, tuple(pq), theta_samples=theta_samples).gaps()
 
 
 def decay_campaign(lam, f, freq, m_values, config=None, jobs=1):
@@ -266,8 +262,7 @@ def decay_campaign(lam, f, freq, m_values, config=None, jobs=1):
                           f"{2 * max(m_set) + 2} <= q <= {cfg.q_target}, have {len(pqs)}")
     pqs = pqs[-4:]
 
-    payloads = [(lam, f, freq, pq, cfg.theta_samples)
-                for pq in pqs]
+    payloads = [(lam, f, pq, cfg.theta_samples) for pq in pqs]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -276,11 +271,11 @@ def decay_campaign(lam, f, freq, m_values, config=None, jobs=1):
         per_pq = [_decay_convergent_worker(p) for p in payloads]
 
     widths = {m: {} for m in m_set}
-    for pq, rows in zip(pqs, per_pq):
-        for label, e_minus, e_plus in rows:
-            if abs(label) in m_set:
-                prev = widths[abs(label)].get(pq[1], 0.0)
-                widths[abs(label)][pq[1]] = max(prev, e_plus - e_minus)
+    for pq, records in zip(pqs, per_pq):
+        for r in records:
+            if abs(r.label) in m_set:
+                prev = widths[abs(r.label)].get(pq[1], 0.0)
+                widths[abs(r.label)][pq[1]] = max(prev, r.width)
 
     q_last, q_prev = pqs[-1][1], pqs[-2][1]
     stable, stable_widths = {}, {}
@@ -293,13 +288,8 @@ def decay_campaign(lam, f, freq, m_values, config=None, jobs=1):
         stable[m] = rel < WIDTH_STABLE_REL or abs(w1 - w0) < WIDTH_STABLE_ABS
         stable_widths[m] = w1
 
-    fit = None
-    fit_records = [
-        spectrum.GapRecord(m, 0.0, stable_widths[m], None)
-        for m in stable_widths if stable[m]
-    ]
-    if len(fit_records) >= 4:
-        fit = spectrum.gap_decay_fit(fit_records)
+    fit_widths = {m: w for m, w in stable_widths.items() if stable[m]}
+    fit = spectrum.gap_decay_fit(fit_widths) if len(fit_widths) >= 4 else None
 
     ms = sorted(m for m in stable_widths)
     monotone_from = None

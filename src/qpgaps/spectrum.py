@@ -7,6 +7,12 @@ sites are interleaved as 0, 1, q-1, 2, q-2, ...  The per-theta band set is
 (1/q)-periodic in theta (cyclic invariance of the transfer trace), so only
 theta in [0, 1/q) is ever sampled: a grid of T distinct values there carries
 the same information as T*q values around the whole circle.
+
+Gaps are labeled in one place, `BandStructure.gaps()`: the elementary band
+count j below a gap gives its label m by the index congruence.
+`label_gaps` validates those records by rotation numbers, and every other
+consumer (the dossier, the decay and homogeneity campaigns, the extended
+refinement) reads `gaps()` directly.
 """
 
 from __future__ import annotations
@@ -54,13 +60,20 @@ class BandStructure:
         return count // 2
 
     def gaps(self):
-        """Open gaps strictly inside [E_min, E_max] as (lo, hi, j) with j the
-        elementary band count below."""
-        out = []
-        for i in range(len(self.bands) - 1):
-            lo, hi = self.bands[i][1], self.bands[i + 1][0]
-            out.append((lo, hi, self.elementary_bands_below(0.5 * (lo + hi))))
-        return out
+        """The open gaps between consecutive bands, in energy order, as
+        unvalidated GapRecords: j elementary bands below give ids = j/q and
+        the label m with 2 rho = m p/q (`_label_from_ids`), and a gap no
+        wider than RHO_SKIP_WIDTH is below_floor.  SpectrumError
+        "distinct-labels" when two gaps share a label."""
+        p, q = self.approximant
+        records = []
+        for (_, lo), (hi, _) in zip(self.bands, self.bands[1:]):
+            j = self.elementary_bands_below(0.5 * (lo + hi))
+            records.append(GapRecord(_label_from_ids(j, p, q), lo, hi, Fraction(j, q),
+                                     below_floor=hi - lo <= RHO_SKIP_WIDTH))
+        if len({r.label for r in records}) != len(records):
+            raise SpectrumError("distinct-labels", "gap labels are not distinct")
+        return records
 
 
 def potential_sup(f):
@@ -237,61 +250,51 @@ def _previous_gap_midpoints(bs, freq):
         return math.nan, {}
     p0, q0 = freq.convergents[k - 1]
     prev = band_structure(bs.lam, bs.potential, (p0, q0))
-    mids = {_label_from_ids(j, p0, q0): 0.5 * (lo + hi)
-            for lo, hi, j in prev.gaps()}
-    return freq.value - p0 / q0, mids
+    return freq.value - p0 / q0, {r.label: r.midpoint() for r in prev.gaps()}
 
 
-def label_gaps(bs, freq, rho_tol=1e-4, rho_skip_width=RHO_SKIP_WIDTH):
-    """Label every gap of bs by the integer m with 2 rho = m alpha (mod 1).
+def label_gaps(bs, freq, rho_tol=1e-4):
+    """bs.gaps(), each label validated by the rotation number of the
+    true-frequency cocycle (records failing the tolerance are flagged, never
+    dropped).
 
-    The candidate label solves the index congruence at the approximant; the
-    rotation number of the true-frequency cocycle then validates it (records
-    failing the tolerance are flagged, never dropped).  The approximant's gap
-    m sits at rotation level m p/q, not m alpha, so its midpoint is displaced
-    from the true gap by about |m| |alpha - p/q| in rotation units.  rho is
-    measured at the midpoint unless that displacement exceeds rho_tol while
-    |alpha - p/q| itself does not; then it is measured at the gap center
-    extrapolated linearly in delta = alpha - p/q to delta = 0 through the
-    same label's gap at the previous convergent (whose band structure is
-    built once, on first need), or at the midpoint when that convergent has
-    no open gap with the label.  Every point is chosen before any
-    measurement and does not depend on the target m alpha; rho_energy
-    records it.  One cocycle.rotation_numbers call then measures them all,
-    each targeting an error of min(rho_tol / 20, 1e-5) with max_iterations
-    2^17.  Gaps thinner than rho_skip_width keep a NaN residual.
+    The approximant's gap m sits at rotation level m p/q, not m alpha, so its
+    midpoint is displaced from the true gap by about |m| |alpha - p/q| in
+    rotation units.  rho is measured at the midpoint unless that
+    displacement exceeds rho_tol while |alpha - p/q| itself does not; then it
+    is measured at the gap center extrapolated linearly in delta = alpha - p/q
+    to delta = 0 through the same label's gap at the previous convergent
+    (whose band structure is built once, on first need), or at the midpoint
+    when that convergent has no open gap with the label.  Every point is
+    chosen before any measurement and does not depend on the target m alpha;
+    rho_energy records it.  One cocycle.rotation_numbers call then measures
+    them all, each targeting an error of min(rho_tol / 20, 1e-5) with
+    max_iterations 2^17.  below_floor gaps keep a NaN residual.
     """
     p, q = bs.approximant
     if (p, q) not in set(freq.convergents):
         raise ValueError(f"approximant {p}/{q} is not a convergent of the frequency")
     delta = freq.value - p / q
     previous = None                  # _previous_gap_midpoints(...), on first need
-    records = []
+    records = bs.gaps()
     energies = {}                    # record index -> measurement energy
-    for e_minus, e_plus, j in bs.gaps():
-        m = _label_from_ids(j, p, q)
-        below = e_plus - e_minus <= rho_skip_width
-        records.append(GapRecord(m, e_minus, e_plus, Fraction(j, q), below_floor=below))
-        if below:
+    for i, r in enumerate(records):
+        if r.below_floor:
             continue
-        mid = 0.5 * (e_minus + e_plus)
-        energy = mid
-        if abs(delta) <= rho_tol < abs(m * delta):
+        energy = mid = r.midpoint()
+        if abs(delta) <= rho_tol < abs(r.label * delta):
             if previous is None:
                 previous = _previous_gap_midpoints(bs, freq)
             delta0, mids = previous
-            if m in mids:
-                energy = mid - delta * (mid - mids[m]) / (delta - delta0)
-        energies[len(records) - 1] = energy
+            if r.label in mids:
+                energy = mid - delta * (mid - mids[r.label]) / (delta - delta0)
+        energies[i] = energy
     rhos = rotation_numbers(bs.lam, bs.potential, freq, list(energies.values()),
                             target_err=min(rho_tol / 20.0, 1e-5), max_iterations=1 << 17)
     for (i, energy), rr in zip(energies.items(), rhos):
         resid = norm_dist(2.0 * rr.value - (records[i].label * freq.value) % 1.0)
         records[i] = replace(records[i], rho_resid=resid, flagged=resid > rho_tol,
                              rho_energy=energy)
-    labels = [r.label for r in records]
-    if len(set(labels)) != len(labels):
-        raise SpectrumError("distinct-labels", "gap labels are not distinct")
     return records
 
 
@@ -305,22 +308,21 @@ class DecayFit:
     floored: bool = False           # some widths sat at the double-precision floor
 
 
-def gap_decay_fit(records):
-    """Least squares of ln(width) against |m|; gamma is minus the slope."""
+def gap_decay_fit(widths):
+    """Least squares of ln(width) against |m| over a {|m|: width} map; gamma
+    is minus the slope.  Zero widths (collapsed) and widths below WIDTH_FLOOR
+    are excluded."""
     table = {}
     excluded = []
     floored = False
-    for r in records:
-        m = abs(r.label)
-        if r.width <= 0.0:
+    for m, w in widths.items():
+        if w <= 0.0:
             excluded.append((m, "collapsed"))
-            continue
-        if r.width < WIDTH_FLOOR:
+        elif w < WIDTH_FLOOR:
             excluded.append((m, "below double-precision floor"))
             floored = True
-            continue
-        if m not in table or r.width > table[m]:
-            table[m] = r.width
+        else:
+            table[m] = w
     if len(table) < 4:
         raise ValueError(f"need >= 4 nonzero-width labels, have {len(table)}")
     ms = np.array(sorted(table))
@@ -396,12 +398,8 @@ def refine_gap_extended(bs, record, dps=50):
     pad = max(record.width, 1e-11)
     lo_edge = crossing(mid, record.e_minus - pad)
     hi_edge = crossing(mid, record.e_plus + pad)
-    return GapRecord(
-        record.label, float(lo_edge), float(hi_edge), record.ids,
-        rho_resid=record.rho_resid, flagged=record.flagged,
-        below_floor=float(hi_edge) - float(lo_edge) < WIDTH_FLOOR,
-        rho_energy=record.rho_energy,
-    )
+    return replace(record, e_minus=float(lo_edge), e_plus=float(hi_edge),
+                   below_floor=float(hi_edge) - float(lo_edge) < WIDTH_FLOOR)
 
 
 def window_band_measure(bands, center, sigma):
@@ -413,9 +411,9 @@ def window_gap_sum(bs, center, sigma):
     """Total width of labeled-able gaps meeting the window (homogeneity diagnostic)."""
     lo, hi = center - sigma, center + sigma
     total = 0.0
-    for g_lo, g_hi, _ in bs.gaps():
-        if g_hi > lo and g_lo < hi:
-            total += g_hi - g_lo
+    for r in bs.gaps():
+        if r.e_plus > lo and r.e_minus < hi:
+            total += r.width
     return total
 
 

@@ -1,6 +1,7 @@
-"""The benchmark's dossier operations reproduce bench/reference.json, so a
-change that moves a checked dossier output fails here as well as in the
-benchmark's own output check."""
+"""The benchmark's dossier and labeling operations reproduce
+bench/reference.json, so a change that moves a checked dossier, gap label,
+gap width or campaign output fails here as well as in the benchmark's own
+output check."""
 
 import importlib.util
 import json
@@ -32,3 +33,10 @@ def test_dossier_workload_matches_the_reference(name, m, averaging, reference):
     freq, f = workloads.workload_inputs()
     got = workloads._dossier_op(freq, f, m, averaging)()
     assert workloads.check_library(name, reference["dossier"][name], got) == []
+
+
+def test_labeling_workload_matches_the_reference(reference):
+    freq, f = workloads.workload_inputs()
+    problems = [problem for name, op in workloads.library_ops("labeling", freq, f)
+                for problem in workloads.check_library(name, reference["labeling"][name], op())]
+    assert problems == []

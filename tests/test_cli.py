@@ -1,10 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from qpgaps import cache, cli
 from qpgaps.cocycle import amo_potential
+from qpgaps.duality import DUAL_START_N, BlochSolution
 from qpgaps.errors import CacheCorruptionError, ConfigError
 from qpgaps.fourier import FourierMap
 from qpgaps.spectrum import BandStructure
@@ -26,6 +28,17 @@ def test_beta_subcommand(tmp_path):
     payload = json.loads(read(out / "beta.json"))
     assert payload["beta"] <= 0.01
     assert "config_hash" in payload and "tool_version" in payload
+
+
+def test_dual_writes_the_bloch_solution(tmp_path):
+    out = tmp_path / "o"
+    assert run(["dual", "--energy", "-0.5", "--out", str(out)]) == 0
+    payload = json.loads(read(out / "bloch.json"))
+    keys = BlochSolution(0.0, 0.0, np.ones(1), 0).to_dict().keys()
+    assert keys <= payload.keys() and payload["trunc"] >= DUAL_START_N
+    assert abs(payload["E"] + 0.5) < 1e-9
+    assert 0.0 <= payload["theta"] < 1.0
+    assert payload["n_tilde"] is None
 
 
 def test_spectrum_free_single_band(tmp_path):

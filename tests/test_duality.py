@@ -54,6 +54,12 @@ def test_find_bloch_for_a_complex_coefficient_potential(golden, amo):
     assert b.duality_residual < 1e-12
 
 
+def test_find_bloch_rejects_an_unknown_side(golden, amo):
+    """A misspelt side is an error, not a search on some other side."""
+    with pytest.raises(ValueError, match="side"):
+        du.find_bloch(0.25, amo, golden, -0.5, side="Above")
+
+
 def test_find_bloch_free_case(golden, amo):
     E = 2 * math.cos(2 * math.pi * 0.3)
     sol = du.find_bloch(0.0, amo, golden, E, trunc=32, theta_grid=32)
@@ -68,8 +74,7 @@ def test_find_bloch_free_case(golden, amo):
 
 def test_find_bloch_normalization_bound(golden, amo):
     bs = sp.band_structure(0.25, amo, (89, 144))
-    rec = [r for r in sp.label_gaps(bs, golden, rho_skip_width=math.inf)
-           if r.label == 1][0]
+    rec = [r for r in bs.gaps() if r.label == 1][0]
     sol = du.find_bloch(0.25, amo, golden, rec.e_plus, trunc=128,
                         side="above", floor=rec.midpoint())
     assert np.abs(sol.u_hat).max() <= 1.0 + 1e-9
@@ -78,8 +83,7 @@ def test_find_bloch_normalization_bound(golden, amo):
 
 def test_find_bloch_decay_stable_under_doubling(golden, amo):
     bs = sp.band_structure(0.25, amo, (89, 144))
-    rec = [r for r in sp.label_gaps(bs, golden, rho_skip_width=math.inf)
-           if r.label == 1][0]
+    rec = [r for r in bs.gaps() if r.label == 1][0]
     sols = [
         du.find_bloch(0.25, amo, golden, rec.e_plus, trunc=t, side="above",
                       floor=rec.midpoint(), max_trunc=t * 2)
@@ -119,8 +123,7 @@ def test_assemble_wave_free_constant(golden, amo):
 
 def test_assembled_wave_periods_and_parity(golden, amo):
     bs = sp.band_structure(0.25, amo, (89, 144))
-    rec = [r for r in sp.label_gaps(bs, golden, rho_skip_width=math.inf)
-           if r.label == 1][0]
+    rec = [r for r in bs.gaps() if r.label == 1][0]
     sol = du.find_bloch(0.25, amo, golden, rec.e_plus, trunc=128,
                         side="above", floor=rec.midpoint())
     du.detect_resonance(sol, golden, n_max=16)
@@ -149,8 +152,7 @@ def test_assemble_wave_rejects_a_sign_against_the_parity(golden, amo, monkeypatc
 
 def test_real_imag_split_satisfies_relation(golden, amo):
     bs = sp.band_structure(0.25, amo, (89, 144))
-    rec = [r for r in sp.label_gaps(bs, golden, rho_skip_width=math.inf)
-           if r.label == 1][0]
+    rec = [r for r in bs.gaps() if r.label == 1][0]
     sol = du.find_bloch(0.25, amo, golden, rec.e_plus, trunc=128,
                         side="above", floor=rec.midpoint())
     du.detect_resonance(sol, golden, n_max=16)
@@ -186,8 +188,7 @@ def test_find_bloch_deterministic(golden, amo):
 def _gap_233(golden, amo, label):
     """The approximant gap with `label` at 144/233 and the dossier's reach."""
     bs = sp.band_structure(0.25, amo, (144, 233), e_resolution=1e-12)
-    rec = [r for r in sp.label_gaps(bs, golden, rho_skip_width=math.inf)
-           if r.label == label][0]
+    rec = [r for r in bs.gaps() if r.label == label][0]
     return (rec.e_minus, rec.e_plus), 100.0 * abs(golden.value - 144 / 233)
 
 

@@ -255,8 +255,7 @@ def test_first_order_log_term_matches_finite_difference(golden, amo):
 def _reduced_m1(golden, amo):
     if getattr(_reduced_m1, "cache", None) is None:
         bs = sp.band_structure(0.25, amo, (89, 144))
-        rec = [r for r in sp.label_gaps(bs, golden, rho_skip_width=math.inf)
-               if r.label == 1][0]
+        rec = [r for r in bs.gaps() if r.label == 1][0]
         sol = du.find_bloch(0.25, amo, golden, rec.e_plus, trunc=128,
                             side="above", floor=rec.midpoint())
         du.detect_resonance(sol, golden, n_max=16)

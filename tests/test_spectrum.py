@@ -109,8 +109,7 @@ def test_ids_values(golden, amo):
     hi = bs.bands[-1][1]
     assert sp.ids(bs, lo - 0.5) == Fraction(0, 1)
     assert sp.ids(bs, hi + 0.5) == Fraction(1, 1)
-    first_gap = bs.gaps()[0]
-    assert sp.ids(bs, 0.5 * (first_gap[0] + first_gap[1])) == Fraction(1, 8)
+    assert sp.ids(bs, bs.gaps()[0].midpoint()) == Fraction(1, 8)
     with pytest.raises(ValueError):
         sp.ids(bs, 0.5 * (lo + bs.bands[0][1]))
 
@@ -122,7 +121,7 @@ def test_free_operator_has_no_gap_records(golden, amo):
 
 def test_labels_distinct_and_congruent(golden, amo):
     bs = sp.band_structure(0.25, amo, (8, 13))
-    recs = sp.label_gaps(bs, golden, rho_skip_width=math.inf)
+    recs = bs.gaps()
     labels = [r.label for r in recs]
     assert len(set(labels)) == len(labels)
     for r in recs:
@@ -134,7 +133,7 @@ def test_labels_distinct_and_congruent(golden, amo):
 def test_first_gap_label_at_8_13(golden, amo):
     """IDS 1/13 at p/q = 8/13: solving m 8 = -1 (mod 13) gives |m| = 5."""
     bs = sp.band_structure(0.25, amo, (8, 13))
-    recs = sp.label_gaps(bs, golden, rho_skip_width=math.inf)
+    recs = bs.gaps()
     first = min(recs, key=lambda r: r.e_minus)
     assert first.ids == Fraction(1, 13)
     assert abs(first.label) == 5
@@ -190,8 +189,7 @@ def test_thin_gaps_measured_at_extrapolated_center(golden, amo):
 @pytest.fixture(scope="module")
 def low_gaps_233(golden, amo):
     bs = sp.band_structure(0.25, amo, (144, 233))
-    return {r.label: r for r in sp.label_gaps(bs, golden, rho_skip_width=math.inf)
-            if 1 <= abs(r.label) <= 4}
+    return {r.label: r for r in bs.gaps() if 1 <= abs(r.label) <= 4}
 
 
 @settings(max_examples=20, deadline=None)
@@ -210,31 +208,28 @@ def test_rho_locked_to_label_inside_gap(golden, amo, low_gaps_233, label, u):
 
 
 def test_gap_decay_fit_exact_exponential():
-    recs = [sp.GapRecord(m, 0.0, math.exp(-m), Fraction(m, 100)) for m in range(1, 7)]
-    fit = sp.gap_decay_fit(recs)
+    fit = sp.gap_decay_fit({m: math.exp(-m) for m in range(1, 7)})
     assert fit.gamma == pytest.approx(1.0, abs=1e-9)
     assert fit.residual < 1e-9
 
 
 def test_gap_decay_fit_needs_enough_records():
     with pytest.raises(ValueError):
-        sp.gap_decay_fit([sp.GapRecord(1, 0.0, 0.5, Fraction(1, 2))])
+        sp.gap_decay_fit({1: 0.5})
 
 
 def test_gap_decay_fit_excludes_collapsed():
-    recs = [sp.GapRecord(m, 0.0, math.exp(-m), Fraction(m, 100)) for m in range(1, 7)]
-    recs.append(sp.GapRecord(9, 1.0, 1.0, Fraction(9, 100)))       # zero width
-    fit = sp.gap_decay_fit(recs)
+    widths = {m: math.exp(-m) for m in range(1, 7)}
+    fit = sp.gap_decay_fit({**widths, 9: 0.0})
     assert (9, "collapsed") in fit.excluded
 
 
 def test_gap_decay_fit_excludes_widths_below_the_floor():
-    recs = [sp.GapRecord(m, 0.0, math.exp(-m), Fraction(m, 100)) for m in range(1, 7)]
-    recs.append(sp.GapRecord(9, 1.0, 1.0 + 0.5 * sp.WIDTH_FLOOR, Fraction(9, 100)))
-    fit = sp.gap_decay_fit(recs)
+    widths = {m: math.exp(-m) for m in range(1, 7)}
+    fit = sp.gap_decay_fit({**widths, 9: 0.5 * sp.WIDTH_FLOOR})
     assert fit.excluded == ((9, "below double-precision floor"),)
     assert fit.floored and 9 not in dict(fit.used)
-    assert not sp.gap_decay_fit(recs[:-1]).floored
+    assert not sp.gap_decay_fit(widths).floored
 
 
 def test_homogeneity_free_operator(golden, amo):
@@ -266,7 +261,7 @@ def test_gap_separation_exact_distances():
 
 def test_gap_separation_beta_zero_is_raw(golden, amo):
     bs = sp.band_structure(0.25, amo, (13, 21))
-    recs = sp.label_gaps(bs, golden, rho_skip_width=math.inf)
+    recs = bs.gaps()
     rep0 = sp.gap_separation_check(recs, beta=0.0)
     assert rep0.all_positive
     raw = min(p[1] for p in rep0.pairs)
@@ -303,7 +298,7 @@ def test_band_unions_converge_along_convergents(golden, amo):
 
 def test_gap_csv_roundtrip_format(golden, amo):
     bs = sp.band_structure(0.25, amo, (8, 13))
-    recs = sp.label_gaps(bs, golden, rho_skip_width=math.inf)
+    recs = bs.gaps()
     text = sp.gaps_to_csv(recs)
     header, first = text.splitlines()[:2]
     assert header == sp.GAP_CSV_HEADER
@@ -312,7 +307,7 @@ def test_gap_csv_roundtrip_format(golden, amo):
 
 def test_extended_precision_refinement_agrees(golden, amo):
     bs = sp.band_structure(0.25, amo, (34, 55))
-    recs = {r.label: r for r in sp.label_gaps(bs, golden, rho_skip_width=math.inf)}
+    recs = {r.label: r for r in bs.gaps()}
     r = recs[5]
     refined = sp.refine_gap_extended(bs, r, dps=40)
     assert abs(refined.e_minus - r.e_minus) < 1e-11
@@ -332,7 +327,7 @@ def test_repeated_labels_raise_typed_error(golden, amo, monkeypatch):
     bs = sp.band_structure(0.25, amo, (5, 8))
     monkeypatch.setattr(sp, "_label_from_ids", lambda j, p, q: 0)
     with pytest.raises(QPGapsError) as err:
-        sp.label_gaps(bs, golden, rho_skip_width=math.inf)
+        sp.label_gaps(bs, golden)
     assert isinstance(err.value, SpectrumError)
     assert err.value.check == "distinct-labels"
 
@@ -342,8 +337,7 @@ def test_extended_refinement_names_a_slice_without_the_gap(golden, amo):
     # the union gap's midpoint meets the band condition there, so bisection on
     # that slice has no crossing to find
     bs = sp.band_structure(0.25, amo, (144, 233))
-    rec = next(r for r in sp.label_gaps(bs, golden, rho_skip_width=math.inf)
-               if r.label == 15)
+    rec = next(r for r in bs.gaps() if r.label == 15)
     with pytest.raises(SpectrumError) as info:
         sp.refine_gap_extended(bs, rec)
     assert info.value.check == "extended-slice"
