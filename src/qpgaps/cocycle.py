@@ -1,13 +1,16 @@
 """SL(2,R) cocycles over an irrational rotation.
 
-One engine, _propagate, pushes vectors or products through a stack of step
-matrices with a separate log-scale, so hyperbolic growth never overflows.
+One engine, _propagate, pushes vectors or products through a stack of steps
+with a separate log-scale, so hyperbolic growth never overflows.  It updates
+the two rows of its vectors elementwise: a Schrodinger orbit segment is
+carried as its diagonal entries E - lam f(x_j), never as 2x2 matrices, and a
+general cocycle as the four entries of its steps.
 The fibered rotation number is a weighted Birkhoff average of the lifted
 projective angle increments along directions from a blocked prefix scan built
 on the engine.
 One estimator core serves a single cocycle and a batch of Schrodinger
-energies on one orbit; it extends an unfinished orbit from its last direction
-instead of restarting it.
+energies on one orbit, whose potential it samples in real arithmetic; it
+extends an unfinished orbit from its last direction instead of restarting it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ RENORM_EVERY = 32
 ROTATION_START_ITERATIONS = 4096
 ROTATION_MAX_ITERATIONS = 1 << 20
 ROTATION_TARGET_ERR = 1e-8
-ROTATION_BATCH_STEPS = 1 << 14      # orbit steps x cocycles scanned at once
+ROTATION_BATCH_STEPS = 1 << 16      # orbit steps x cocycles scanned at once
 
 
 def _alpha(freq):
@@ -60,60 +63,105 @@ def schrodinger_cocycle(lam, f, energy, freq=None):
 
 
 def _propagate(steps, V, out=None):
-    """V <- steps[j] @ V for each step of a (n, *batch, 2, 2) stack; V is
-    (*batch, 2, m).  Every RENORM_EVERY steps and after the last, V is divided
+    """V <- M_j V for each step of a stack; V is (*batch, 2, m).
+
+    A Schrodinger stack is the (n, *batch) array of diagonal entries a_j of
+    the steps [[a_j, -1], [1, 0]]; a general stack is a tuple (a, b, c, d) of
+    (n, *batch) arrays, the entries of the steps [[a_j, b_j], [c_j, d_j]].
+    The rows x, y of V go (x, y) -> (a_j x - y, x) or (a_j x + b_j y,
+    c_j x + d_j y).  Every RENORM_EVERY steps and after the last, V is divided
     by its largest entry magnitude, a positive scale that keeps directions and
     signs.  Returns (V, log_scale): the true result is exp(log_scale) * V.
     out[j], when given, receives a positive multiple of V after step j.
     """
+    general = isinstance(steps, tuple)
+    n = len(steps[0]) if general else len(steps)
+    x, y = np.moveaxis(V, (-2, -1), (0, 1))      # the rows, as (m, *batch)
+    rows_out = None if out is None else np.moveaxis(out, (-2, -1), (1, 2))
     log_scale = np.zeros(V.shape[:-2])
-    for j, M in enumerate(steps):
-        V = M @ V
-        if (j + 1) % RENORM_EVERY == 0 or j == len(steps) - 1:
-            s = np.abs(V).max(axis=(-2, -1), keepdims=True)
-            s[s == 0.0] = 1.0
-            V /= s
-            log_scale += np.log(s[..., 0, 0])
+    for j in range(n):
+        if general:
+            a, b, c, d = (e[j] for e in steps)
+            x, y = a * x + b * y, c * x + d * y
+        else:
+            x, y = steps[j] * x - y, x
+        if (j + 1) % RENORM_EVERY == 0 or j == n - 1:
+            s = np.maximum(np.abs(x).max(axis=0), np.abs(y).max(axis=0))
+            s = np.where(s == 0.0, 1.0, s)
+            x, y = x / s, y / s
+            log_scale += np.log(s)
         if out is not None:
-            out[j] = V
-    return V, log_scale
+            rows_out[j, 0], rows_out[j, 1] = x, y
+    return np.moveaxis(np.stack((x, y), axis=-1), 0, -1), log_scale
+
+
+def _entries(mats):
+    """The general stack (a, b, c, d) of an (n, *batch, 2, 2) array of steps."""
+    return tuple(np.moveaxis(mats, (-2, -1), (0, 1)).reshape((4,) + mats.shape[:-2]))
 
 
 def _scan_directions(steps, start=(1.0, 0.0)):
-    """Positive multiples of v, M_0 v, M_1 M_0 v, ... for a (n, *batch, 2, 2)
-    stack and a start v of shape (*batch, 2) or (2,), by a blocked prefix
-    scan: the steps behind one identity, padded with identities into B blocks
-    of L ~ sqrt(n), give the block totals; v chained through the totals gives
-    each block's start, and the starts pushed through their blocks fill in
-    the rest.
+    """Positive multiples of v, M_0 v, M_1 M_0 v, ... for a stack of n steps
+    (see _propagate) and a start v of shape (*batch, 2) or (2,), as an
+    (n + 1, *batch, 2) array, by a blocked prefix scan: the steps, padded
+    into B blocks of L ~ sqrt(n), give the block totals; v chained through
+    the totals gives each block's start, and the starts pushed through their
+    blocks fill in the rest.
 
-    Totals and starts are carried in extended precision (np.longdouble): a
-    start near the contracting direction of a total loses digits to
-    cancellation that the plain step-by-step push keeps, and a later run of
-    steps can magnify that loss well past the plain push's own error.
+    Totals, starts and the pushes from the starts are carried in extended
+    precision (np.longdouble) and stored in double: a start near the
+    contracting direction of a total loses digits to cancellation that the
+    plain step-by-step push keeps, and a later run of steps can magnify that
+    loss, or a double push's own rounding, well past the plain push's error.
     """
-    n, tail = len(steps) + 1, steps.shape[1:]
-    L = math.isqrt(n - 1) + 1
+    general = isinstance(steps, tuple)
+    first = steps[0] if general else steps
+    n, tail = len(first), first.shape[1:]
+    L = math.isqrt(n) + 1
     B = -(-n // L)
-    eye = np.broadcast_to(np.eye(2), (B * L - n + 1,) + tail)
-    blocks = np.concatenate([eye[:1], steps, eye[1:]]).reshape((B, L) + tail).swapaxes(0, 1)
-    wide_eye = np.broadcast_to(np.eye(2, dtype=np.longdouble), blocks.shape[1:])
+    pad = np.zeros((B * L - n,) + tail)          # feeds only discarded outputs
+
+    def blocked(e):                              # (L, B, *tail)
+        return np.concatenate([e, pad]).reshape((B, L) + tail).swapaxes(0, 1)
+
+    blocks = tuple(map(blocked, steps)) if general else blocked(steps)
+    wide_eye = np.broadcast_to(np.eye(2, dtype=np.longdouble), (B,) + tail + (2, 2))
     totals, _ = _propagate(blocks, wide_eye)
-    starts = np.empty(totals.shape[:-1] + (1,), dtype=np.longdouble)
+    starts = np.empty((B,) + tail + (2, 1), dtype=np.longdouble)
     starts[0] = np.asarray(start)[..., None]
-    _propagate(totals[:-1], starts[0], out=starts[1:])
-    trail = np.empty((L,) + starts.shape)
-    _propagate(blocks, starts.astype(float), out=trail)
-    return trail.swapaxes(0, 1).reshape((B * L,) + starts.shape[1:-1])[:n]
+    _propagate(_entries(totals[:-1]), starts[0], out=starts[1:])
+    w = np.empty((B * L + 1,) + tail + (2,))
+    w[0] = start
+    _propagate(blocks, starts, out=w[1:].reshape((B, L) + tail + (2, 1)).swapaxes(0, 1))
+    return w[:n + 1]
 
 
 def _real_steps(mats):
-    """The real parts of step matrices, or ValueError when they are not real
-    on the real axis, where neither the angle nor the sign of a component
-    would mean anything."""
+    """The general stack of the real parts of (n, *batch, 2, 2) step
+    matrices, or ValueError when they are not real on the real axis, where
+    neither the angle nor the sign of a component would mean anything."""
     if np.abs(mats.imag).max() > 1e-9 * max(np.abs(mats.real).max(), 1.0):
         raise ValueError("rotation number needs a real cocycle on the real axis")
-    return mats.real
+    return _entries(mats.real)
+
+
+def _real_potential(lam, f, x):
+    """lam f(x) at real points x in real arithmetic, c_0 + 2 sum_k (Re c_k
+    cos t_k - Im c_k sin t_k) on the phases t_k = (2 pi / period)(k x) that
+    calling f forms.  ValueError, as _real_steps, when the bound
+    sum_k |c_k - conj c_-k| / 2 on Im f passes 1e-9 of the samples' size."""
+    c, n = f.coeffs, f.band_limit
+    v = np.full(len(x), c[n].real)
+    for k in range(1, n + 1):
+        t = 2.0 * math.pi / f.period * (x * k)
+        v += 2.0 * c[n + k].real * np.cos(t)
+        if c[n + k].imag:
+            v -= 2.0 * c[n + k].imag * np.sin(t)
+    v *= lam
+    imag = abs(lam) * (np.abs(c - c[::-1].conj()).sum() / 2.0)
+    if imag > 1e-9 * max(np.abs(v).max(), 1.0):
+        raise ValueError("rotation number needs a real cocycle on the real axis")
+    return v
 
 
 def _bump_weights(n):
@@ -123,7 +171,8 @@ def _bump_weights(n):
 
 def _angle_increments(steps, w):
     """Canonically lifted angle increments of the projective action of a
-    (n, k, 2, 2) stack between its n + 1 directions w, as (k, n).
+    stack of n steps on k cocycles (see _propagate) between its n + 1
+    directions w, as (k, n).
 
     For an SL(2,R) step with trace > -2 the displacement of any direction is
     strictly inside (-pi, pi), so the plain wrap of the angle difference is
@@ -135,7 +184,7 @@ def _angle_increments(steps, w):
     w = w.transpose(1, 2, 0).copy()       # one contiguous row per cocycle
     d = np.diff(np.arctan2(w[:, 1], w[:, 0]))
     d = (d + math.pi) % (2.0 * math.pi) - math.pi
-    neg = (steps[..., 0, 0] + steps[..., 1, 1]).T <= -2.0
+    neg = (steps[0] + steps[3] if isinstance(steps, tuple) else steps).T <= -2.0
     if np.any(neg):
         d[neg] = d[neg] % (2.0 * math.pi)     # lift to [0, 2 pi): forward passage
     return d
@@ -153,12 +202,12 @@ def _rotation_results(k, steps_of, iterations, target_err, max_iterations):
     """Rotation numbers of k cocycles over one rotation, each on its own.
 
     steps_of(lo, hi, idx) gives the real steps lo, ..., hi - 1 of the
-    cocycles idx as a (hi - lo, len(idx), 2, 2) stack.  Cocycles go through
-    in groups whose first orbits fit ROTATION_BATCH_STEPS; a group's
-    unfinished members extend their orbits from their last directions to 4n
-    steps, or to max_iterations if that is fewer, scanned in turn in batches
-    that fit the budget, and keep the angle increments they have, so no step
-    is scanned twice.
+    cocycles idx as a stack (see _propagate) with batch (len(idx),).
+    Cocycles go through in groups whose first orbits fit ROTATION_BATCH_STEPS;
+    a group's unfinished members extend their orbits from their last
+    directions to 4n steps, or to max_iterations if that is fewer, scanned in
+    turn in batches that fit the budget, and keep the angle increments they
+    have, so no step is scanned twice.
     Each member's numbers depend on its own steps only, never on the group.
     """
     n0 = int(iterations) if iterations else min(ROTATION_START_ITERATIONS, max_iterations)
@@ -213,7 +262,7 @@ def rotation_number(c, iterations=None, target_err=ROTATION_TARGET_ERR,
     bar needs two halves.
     """
     def steps_of(lo, hi, _idx):
-        return _real_steps(c.A(c.alpha * np.arange(lo, hi)))[:, None]
+        return _real_steps(c.A(c.alpha * np.arange(lo, hi))[:, None])
 
     return _rotation_results(1, steps_of, iterations, target_err, max_iterations)[0]
 
@@ -223,7 +272,8 @@ def rotation_numbers(lam, f, freq, energies, target_err=ROTATION_TARGET_ERR,
     """rotation_number of the Schrodinger cocycle at each energy, in order.
 
     The steps [[E - lam f(x), -1], [1, 0]] differ between energies only in
-    E, so lam f is sampled once per orbit segment and shared by every
+    E, so each orbit segment is the Schrodinger stack E - lam f(x_j), with
+    lam f sampled once per segment in real arithmetic and shared by every
     energy; each result is what a call with that energy alone returns.
     """
     energies = np.asarray(energies, dtype=float)
@@ -232,12 +282,8 @@ def rotation_numbers(lam, f, freq, energies, target_err=ROTATION_TARGET_ERR,
 
     def steps_of(lo, hi, idx):
         if lo not in potential:
-            potential[lo] = _real_steps(lam * f(alpha * np.arange(lo, hi)))
-        steps = np.zeros((hi - lo, len(idx), 2, 2))
-        steps[..., 0, 0] = energies[idx] - potential[lo][:, None]
-        steps[..., 0, 1] = -1.0
-        steps[..., 1, 0] = 1.0
-        return steps
+            potential[lo] = _real_potential(lam, f, alpha * np.arange(lo, hi))
+        return energies[idx] - potential[lo][:, None]
 
     return _rotation_results(len(energies), steps_of, None, target_err, max_iterations)
 

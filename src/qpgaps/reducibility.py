@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .arithmetic import rotation_phase_fracs
-from .cocycle import _propagate, conjugate, degree_of, rotation_numbers, schrodinger_cocycle
+from .cocycle import _entries, _propagate, conjugate, degree_of, rotation_numbers, schrodinger_cocycle
 from .errors import FrameError, SmallDivisorError
 from .fourier import FourierMap, adjugate, assemble, matmul, matrix_exp, mul, strip_norm
 
@@ -414,7 +414,7 @@ def _mu_from_iterate(R, A, alpha, sign):
     l, grid = 64, 1024
     steps = np.stack([A.sample(A.period * grid, shift=j * alpha)[:grid].real
                       for j in range(l)])
-    P, logs = _propagate(steps, np.broadcast_to(np.eye(2), (grid, 2, 2)))
+    P, logs = _propagate(_entries(steps), np.broadcast_to(np.eye(2), (grid, 2, 2)))
     corner = (np.exp(logs) * _conjugated(R, P, l * alpha)[:, 0, 1]).mean()
     return float(corner / (l * sign ** (l - 1)))
 
