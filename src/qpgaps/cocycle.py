@@ -9,8 +9,8 @@ The fibered rotation number is a weighted Birkhoff average of the lifted
 projective angle increments along directions from a blocked prefix scan built
 on the engine.
 One estimator core serves a single cocycle and a batch of Schrodinger
-energies on one orbit, whose potential it samples in real arithmetic; it
-extends an unfinished orbit from its last direction instead of restarting it.
+energies on one orbit, whose steps every route evaluates in real arithmetic
+by _real_values; it extends an unfinished orbit from its last direction.
 """
 
 from __future__ import annotations
@@ -136,29 +136,22 @@ def _scan_directions(steps, start=(1.0, 0.0)):
     return w[:n + 1]
 
 
-def _real_steps(mats):
-    """The general stack of the real parts of (n, *batch, 2, 2) step
-    matrices, or ValueError when they are not real on the real axis, where
-    neither the angle nor the sign of a component would mean anything."""
-    if np.abs(mats.imag).max() > 1e-9 * max(np.abs(mats.real).max(), 1.0):
-        raise ValueError("rotation number needs a real cocycle on the real axis")
-    return _entries(mats.real)
-
-
-def _real_potential(lam, f, x):
-    """lam f(x) at real points x in real arithmetic, c_0 + 2 sum_k (Re c_k
-    cos t_k - Im c_k sin t_k) on the phases t_k = (2 pi / period)(k x) that
-    calling f forms.  ValueError, as _real_steps, when the bound
-    sum_k |c_k - conj c_-k| / 2 on Im f passes 1e-9 of the samples' size."""
+def _real_values(lam, f, x):
+    """lam f(x) for a scalar or 2x2 map f at real points x in real arithmetic,
+    c_0 + 2 sum_k (Re c_k cos t_k - Im c_k sin t_k) on the phases
+    t_k = (2 pi / period)(k x) that calling f forms.  ValueError when the bound
+    sum_k |c_k - conj c_-k| / 2 on Im f passes 1e-9 of the values' size: off
+    a real cocycle neither the angle nor the sign of a component means anything."""
     c, n = f.coeffs, f.band_limit
-    v = np.full(len(x), c[n].real)
+    xs = x.reshape((-1,) + (1,) * len(f.value_shape))
+    v = np.full((len(x),) + f.value_shape, c[n].real)
     for k in range(1, n + 1):
-        t = 2.0 * math.pi / f.period * (x * k)
+        t = 2.0 * math.pi / f.period * (xs * k)
         v += 2.0 * c[n + k].real * np.cos(t)
-        if c[n + k].imag:
+        if c[n + k].imag.any():
             v -= 2.0 * c[n + k].imag * np.sin(t)
     v *= lam
-    imag = abs(lam) * (np.abs(c - c[::-1].conj()).sum() / 2.0)
+    imag = abs(lam) * (np.abs(c - c[::-1].conj()).sum(axis=0).max() / 2.0)
     if imag > 1e-9 * max(np.abs(v).max(), 1.0):
         raise ValueError("rotation number needs a real cocycle on the real axis")
     return v
@@ -262,7 +255,7 @@ def rotation_number(c, iterations=None, target_err=ROTATION_TARGET_ERR,
     bar needs two halves.
     """
     def steps_of(lo, hi, _idx):
-        return _real_steps(c.A(c.alpha * np.arange(lo, hi))[:, None])
+        return _entries(_real_values(1.0, c.A, c.alpha * np.arange(lo, hi))[:, None])
 
     return _rotation_results(1, steps_of, iterations, target_err, max_iterations)[0]
 
@@ -282,7 +275,7 @@ def rotation_numbers(lam, f, freq, energies, target_err=ROTATION_TARGET_ERR,
 
     def steps_of(lo, hi, idx):
         if lo not in potential:
-            potential[lo] = _real_potential(lam, f, alpha * np.arange(lo, hi))
+            potential[lo] = _real_values(lam, f, alpha * np.arange(lo, hi))
         return energies[idx] - potential[lo][:, None]
 
     return _rotation_results(len(energies), steps_of, None, target_err, max_iterations)
@@ -302,7 +295,7 @@ def rotation_number_counting(c, iterations=1 << 18):
     n = int(iterations)
     if n < 2:
         raise ValueError(f"rotation number needs at least 2 orbit steps, got {n}")
-    w = _scan_directions(_real_steps(c.A(c.alpha * np.arange(n))))
+    w = _scan_directions(_entries(_real_values(1.0, c.A, c.alpha * np.arange(n))))
     signs = np.sign(w[:, 0])
     signs[signs == 0.0] = 1.0
     flips = np.count_nonzero(signs[1:] != signs[:-1])

@@ -3,15 +3,16 @@
 Values may be scalar, 2-vector or 2x2-matrix; coefficients are stored densely
 for k in [-N, N].  Evaluation extends to complex strips with an explicit tail
 bound derived from the measured coefficient decay, so that nothing is ever
-evaluated where the truncation error is out of control.  There are two
-evaluation paths, one per kind of input: `FourierMap.sample` evaluates a
-uniform grid (optionally shifted, and on a line Im z = delta) as one inverse
-FFT of the coefficients folded mod the grid size, O(N log N); calling the map
-sums the series directly at arbitrary points, O(points * N), and serves the
-scattered points of orbits.  The way back, grid values to coefficients, is
-one FFT (`FourierMap.from_samples`); `assemble` builds a 2x2 map from entry
-or column maps.  Products are exact convolutions (direct O(N^2), fine at desk
-scale).
+evaluated where the truncation error is out of control.  Each kind of point
+has one evaluation path: `FourierMap.sample` evaluates a uniform grid
+(optionally shifted, and on a line Im z = delta) as one inverse FFT of the
+coefficients folded mod the grid size, O(N log N), and serves every grid,
+the sites of a rational approximant included; calling the map sums the
+series directly at arbitrary complex points, O(points * N); the real points
+of an orbit are summed in real arithmetic in the cocycle module.  The way
+back, grid values to coefficients, is one FFT (`FourierMap.from_samples`);
+`assemble` builds a 2x2 map from entry or column maps.  Products are exact
+convolutions (direct O(N^2), fine at desk scale).
 """
 
 from __future__ import annotations
@@ -182,34 +183,25 @@ class FourierMap:
             )
 
     def __call__(self, z):
+        """Direct sum at complex points, each point's largest exponent factored out."""
         z_in = np.asarray(z, dtype=complex)
-        scalar_input = z_in.ndim == 0
         zs = z_in.reshape(-1)
-        y = zs.imag
-        ymax = float(np.abs(y).max()) if zs.size else 0.0
-        if ymax > 0.0:
-            self._check_strip(ymax)
+        self._check_strip(float(np.abs(zs.imag).max(initial=0.0)))
         n = self.band_limit
         k = np.arange(-n, n + 1)
         ang = 2.0 * math.pi / self.period
-        if ymax * ang * n < 650.0:
-            phases = np.exp(1j * ang * np.multiply.outer(zs, k))
-        else:
-            # scaled path: keep per-term magnitudes bounded before summing
-            expo = -ang * np.multiply.outer(y, k)
-            shift = expo.max(axis=1, keepdims=True)
-            phases = np.exp(expo - shift) * np.exp(1j * ang * np.multiply.outer(zs.real, k))
-            out = np.tensordot(phases, self.coeffs, axes=(1, 0))
-            out = out * np.exp(shift).reshape(shift.shape[0], *([1] * len(self.value_shape)))
-            return out[0] if scalar_input else out.reshape(z_in.shape + self.value_shape)
+        expo = -ang * np.multiply.outer(zs.imag, k)
+        top = expo.max(axis=1)
+        phases = np.exp(expo - top[:, None]) * np.exp(1j * ang * np.multiply.outer(zs.real, k))
         out = np.tensordot(phases, self.coeffs, axes=(1, 0))
-        return out[0] if scalar_input else out.reshape(z_in.shape + self.value_shape)
+        out *= np.exp(top).reshape((-1,) + (1,) * len(self.value_shape))
+        return out.reshape(z_in.shape + self.value_shape)
 
     def sample(self, n_points, delta=0.0, shift=0.0):
         """Values at z_j = shift + j * period / n_points + i delta, j < n_points.
 
-        The grid path of evaluation; calling the map is the direct path, kept
-        for scattered points.  Each coefficient takes the factor
+        The grid path of evaluation; calling the map is the direct path at
+        arbitrary complex points.  Each coefficient takes the factor
         e^{2 pi i k (shift + i delta) / period}, with the largest exponent
         factored out so that every term stays bounded by its coefficient.
         Folding the coefficients mod n_points is exact on the grid, since

@@ -29,8 +29,7 @@ from .arithmetic import norm_dist
 from .cocycle import rotation_numbers
 from .errors import SpectrumError
 
-BISECT_TOL = 1e-13
-MERGE_TOL = 10.0 * BISECT_TOL
+MERGE_TOL = 1e-12
 WIDTH_FLOOR = 1e-12          # double-precision floor for trustworthy widths
 RHO_SKIP_WIDTH = 1e-10       # gaps thinner than this skip the rotation check
 
@@ -91,12 +90,13 @@ def floquet_edges(lam, f, p, q, theta):
 
     The sites form a cycle, so after the interleaved order 0, 1, q-1, 2,
     q-2, ... every coupling lies within distance 2 of the diagonal, and each
-    boundary condition is one banded solve of bandwidth 2.
+    boundary condition is one banded solve of bandwidth 2.  Site k is the
+    grid point theta + ((k p) mod q)/q of one f.sample, with no rounded phase.
     """
     ks = np.arange(q)
     row = np.where(ks <= q // 2, 2 * ks - 1, 2 * (q - ks))
     row[0] = 0
-    diag = lam * f((theta + ks * (p / q)) % 1.0).real
+    diag = lam * f.sample(q, shift=theta)[(ks * p) % q].real
     # cycle edge (k, k+1 mod q) lands at (band offset, column) of the lower
     # storage; at q = 2 both edges share one entry, and at q = 1 the one edge
     # is a self-loop that counts twice on the diagonal
@@ -117,7 +117,7 @@ def _bands_at_theta(lam, f, p, q, theta):
     return [(e[2 * i], e[2 * i + 1]) for i in range(q)]
 
 
-def _merge(intervals, tol=MERGE_TOL):
+def _merge(intervals, tol):
     if not intervals:
         return []
     intervals = sorted(intervals)
@@ -143,6 +143,7 @@ def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL)
     if q < 1 or math.gcd(p, q) != 1:
         raise ValueError("p/q must be a reduced fraction with q >= 1")
     t_count = max(4, -(-int(theta_samples) // q)) if theta_samples else 4
+    tol = max(e_resolution, MERGE_TOL)
     cache = {}
 
     def union_at(T):
@@ -153,7 +154,7 @@ def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL)
         pool = []
         for th, bands in cache.items():
             pool.extend(bands)
-        return _merge(pool, tol=max(e_resolution, MERGE_TOL))
+        return _merge(pool, tol)
 
     bands = union_at(t_count)
     flagged = False
@@ -161,7 +162,7 @@ def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL)
         t_next = t_count * 2
         nxt = union_at(t_next)
         stable = len(nxt) == len(bands) and all(
-            abs(a1 - a2) <= max(e_resolution, MERGE_TOL) and abs(b1 - b2) <= max(e_resolution, MERGE_TOL)
+            abs(a1 - a2) <= tol and abs(b1 - b2) <= tol
             for (a1, b1), (a2, b2) in zip(bands, nxt)
         )
         bands, t_count = nxt, t_next
@@ -337,21 +338,16 @@ def gap_decay_fit(widths):
     )
 
 
-def _trace_mp(lam, f, p, q, theta, energy, dps):
-    """Transfer trace tr A_q(E, theta) in mpmath arithmetic."""
+def _trace_mp(sites, energy, dps):
+    """Transfer trace tr A_q(E) in mpmath arithmetic, from the potential
+    values lam f(x_n) at the q sites."""
     from mpmath import mp, mpf
 
-    band = f.band_limit
     with mp.workdps(dps):
         E = mpf(energy)
         a11, a12, a21, a22 = mpf(1), mpf(0), mpf(0), mpf(1)
-        for n in range(q):
-            x = mpf(theta) + n * mpf(p) / q
-            v = mpf(0)
-            for k in range(-band, band + 1):
-                c = f.coeff(k)
-                v += mp.re(mp.mpc(c.real, c.imag) * mp.expjpi(2 * k * x))
-            t = E - lam * v
+        for v in sites:
+            t = E - v
             b11, b12 = t * a11 - a21, t * a12 - a22
             a21, a22 = a11, a12
             a11, a12 = b11, b12
@@ -364,29 +360,36 @@ def refine_gap_extended(bs, record, dps=50):
     Double precision floors widths near 1e-12; the trace excursion past the
     band condition survives in higher precision, so both crossings of the
     relevant level +-2 are bisected to ~10^(5-dps) absolute, in at most 200
-    steps each.  The bisection runs on the theta = 0 slice; when that slice
-    holds no gap at the midpoint, SpectrumError names the check
-    "extended-slice".
+    steps each.  The bisection runs on the theta = 0 slice, whose potential
+    values are summed once; when that slice holds no gap at the midpoint,
+    SpectrumError names the check "extended-slice".
     """
+    from mpmath import mp, mpf
+
     lam, f = bs.lam, bs.potential
     p, q = bs.approximant
+    with mp.workdps(dps):
+        sites = []
+        for n in range(q):
+            x, v = n * mpf(p) / q, mpf(0)
+            for k in range(-f.band_limit, f.band_limit + 1):
+                c = f.coeff(k)
+                v += mp.re(mp.mpc(c.real, c.imag) * mp.expjpi(2 * k * x))
+            sites.append(lam * v)
     mid = record.midpoint()
-    t_mid = _trace_mp(lam, f, p, q, 0.0, mid, dps)
-    if not abs(float(t_mid)) > 2.0:
+    if not abs(float(_trace_mp(sites, mid, dps))) > 2.0:
         raise SpectrumError("extended-slice",
                             f"gap m={record.label}: the theta = 0 trace at the midpoint "
                             f"{mid!r} is inside the band condition")
-
-    from mpmath import mp, mpf
 
     def crossing(lo, hi):
         # sign change of |tr| - 2 between lo (inside gap) and hi (inside band)
         with mp.workdps(dps):
             a, b = mpf(lo), mpf(hi)
-            fa = abs(_trace_mp(lam, f, p, q, 0.0, a, dps)) - 2
+            fa = abs(_trace_mp(sites, a, dps)) - 2
             for _ in range(200):
                 m = (a + b) / 2
-                fm = abs(_trace_mp(lam, f, p, q, 0.0, m, dps)) - 2
+                fm = abs(_trace_mp(sites, m, dps)) - 2
                 if (fm > 0) == (fa > 0):
                     a, fa = m, fm
                 else:

@@ -5,7 +5,10 @@ output check."""
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -40,3 +43,13 @@ def test_labeling_workload_matches_the_reference(reference):
     problems = [problem for name, op in workloads.library_ops("labeling", freq, f)
                 for problem in workloads.check_library(name, reference["labeling"][name], op())]
     assert problems == []
+
+
+def test_trace_harness_installs():
+    """Every traced name still resolves: Tracer.install fails loudly on a
+    target that src/ no longer defines, which otherwise only a traced bench
+    run shows.  Run in a fresh interpreter that writes no bytecode into bench/."""
+    env = dict(os.environ, PYTHONPATH=str(BENCH.parent / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", "import tracing; tracing.Tracer().install()"],
+                          cwd=BENCH, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qpgaps import arithmetic as ar
 from qpgaps import cocycle
-from qpgaps.cocycle import (Cocycle, _entries, _propagate, _real_potential, _scan_directions,
+from qpgaps.cocycle import (Cocycle, _entries, _propagate, _real_values, _scan_directions,
                             amo_potential, conjugate, degree_of, rotation_number,
                             rotation_number_counting, rotation_numbers, schrodinger_cocycle)
 from qpgaps.errors import DegreeError
@@ -67,9 +67,13 @@ def test_rotation_number_agrees_with_counting(golden, amo):
 
 @pytest.mark.parametrize("route", [rotation_number, rotation_number_counting])
 def test_rotation_routes_reject_complex_cocycle(golden, amo, route):
-    c = schrodinger_cocycle(0.25, amo, 0.33 + 0.1j, golden)
-    with pytest.raises(ValueError, match="real cocycle"):
-        route(c, iterations=1024)
+    """A complex energy, and the rotation by 2 pi x, a general cocycle, with
+    1e-6 added to one entry of its e^{2 pi i x} coefficient only."""
+    tilted = rotation_map()
+    tilted.coeffs[2, 0, 1] += 1e-6
+    for c in (schrodinger_cocycle(0.25, amo, 0.33 + 0.1j, golden), Cocycle(golden, tilted)):
+        with pytest.raises(ValueError, match="real cocycle"):
+            route(c, iterations=1024)
 
 
 def test_conjugate_by_identity(golden, amo):
@@ -146,14 +150,17 @@ ORBIT_LENGTHS = [1, 2, 31, 32, 33, 97, 1000, 4097]
 
 def plain_directions(steps, start=(1.0, 0.0)):
     """Reference: start (default (1, 0)) pushed through the steps one at a
-    time, normalized after every step."""
-    v = np.broadcast_to(np.asarray(start, dtype=float), steps.shape[1:-1])
+    time in extended precision (np.longdouble), normalized after every step,
+    returned in double.  A double push can itself drift past the 1e-10 bound
+    of the scan tests, 1.56e-10 rad at n = 1000, seed 1413866, random start."""
+    steps = steps.astype(np.longdouble)
+    v = np.broadcast_to(np.asarray(start, dtype=np.longdouble), steps.shape[1:-1])
     out = [v]
     for M in steps:
         v = np.einsum("...ij,...j->...i", M, v)
-        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        v = v / np.sqrt((v * v).sum(axis=-1, keepdims=True))
         out.append(v)
-    return np.array(out)
+    return np.array(out, dtype=float)
 
 
 def plain_product(c, k, x):
@@ -235,6 +242,8 @@ def test_rotation_number_is_nonincreasing_in_energy(golden, amo, e1, u):
 # a random start whose pushes through the blocks, when run in double from the
 # extended-precision block starts, drifted 1.4e-10 rad from the plain push
 @example(n=4097, batch=(3,), seed=65537)
+# a random start where a double reference push is itself 1.56e-10 rad off
+@example(n=1000, batch=(3,), seed=1413866)
 def test_scan_directions_from_a_start_match_plain_push(n, batch, seed):
     """The scan an extended orbit resumes from: a random start (any length,
     not a unit vector) pushed through the steps."""
@@ -265,19 +274,22 @@ def test_schrodinger_scan_equals_scan_of_its_general_entries(n, batch, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(band=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_real_orbit_potential_matches_the_complex_evaluation(golden, band, seed):
+@given(band=st.integers(1, 3), shape=st.sampled_from([(), (2, 2)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_real_orbit_potential_matches_the_complex_evaluation(golden, band, shape, seed):
     """lam f summed in real arithmetic on the orbit, out to 2^20 alpha, is the
-    real part of the complex evaluation (random real trigonometric f)."""
+    real part of the complex evaluation (random real trigonometric f, scalar
+    or 2x2)."""
     rng = np.random.default_rng(seed)
-    coeffs = {0: rng.normal()}
+    coeffs = {0: rng.normal(size=shape)}
     for k in range(1, band + 1):
-        ck = complex(rng.normal(), rng.normal())
-        coeffs[k], coeffs[-k] = ck, ck.conjugate()
-    f = FourierMap.from_coeff_dict(coeffs)
+        ck = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        coeffs[k], coeffs[-k] = ck, np.conj(ck)
+    f = FourierMap.from_coeff_dict(coeffs, shape=shape)
     lam = rng.uniform(0.01, 3.0)
     x = golden.value * np.concatenate([np.arange(256), (1 << 20) - np.arange(256)])
-    got = _real_potential(lam, f, x)
+    got = _real_values(lam, f, x)
+    assert got.shape == x.shape + shape
     assert np.abs(got - (lam * f(x)).real).max() <= 1e-13 * lam * np.abs(f.coeffs).sum()
 
 
@@ -285,12 +297,13 @@ def test_real_orbit_potential_matches_the_complex_evaluation(golden, band, seed)
                                          (1e-12j, True), (0.0, True)])
 def test_rotation_numbers_reject_a_potential_not_real_on_the_axis(golden, delta, real):
     """f = 2 cos 2 pi x + delta e^{-2 pi i x} has Im f up to |delta|: the
-    batched route, which checks the coefficients, gives the verdict of the
-    general route, which checks every sample against 1e-9 of the real part."""
+    batched route and both general routes run one check, the coefficient
+    bound on Im f against 1e-9 of the values, and give one verdict."""
     f = FourierMap.from_coeff_dict({1: 1.0, -1: 1.0 + delta})
+    c = schrodinger_cocycle(0.25, f, 0.33, golden)
     routes = [lambda: rotation_numbers(0.25, f, golden, [0.33], max_iterations=1024),
-              lambda: rotation_number(schrodinger_cocycle(0.25, f, 0.33, golden),
-                                      iterations=1024)]
+              lambda: rotation_number(c, iterations=1024),
+              lambda: rotation_number_counting(c, iterations=1024)]
     for route in routes:
         if real:
             route()

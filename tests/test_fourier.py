@@ -218,8 +218,8 @@ def grid_cases(draw):
 
     The band limit is either below n_points / 2 (no two coefficients share a
     residue mod n_points) or above n_points (the fold overlaps).  delta is set
-    through its depth 2 pi |delta| band / period, up to the range where the
-    direct sum switches to its scaled branch (depth >= 650).
+    through its depth 2 pi |delta| band / period, up to 700, where the largest
+    term e^depth of either sum, unscaled, would be near overflow.
     """
     n_points = draw(st.integers(1, 64))
     if draw(st.booleans()):

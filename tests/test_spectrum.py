@@ -24,9 +24,10 @@ def test_free_operator_single_band(golden, amo):
 
 def plain_floquet_edges(lam, f, p, q, theta):
     """Reference: the dense periodic and antiperiodic q x q Jacobi matrices in
-    site order, each solved by eigvalsh."""
+    site order, each solved by eigvalsh.  Site n is summed directly at its
+    exact phase theta + ((n p) mod q)/q, independently of `sample`."""
     ns = np.arange(q)
-    diag = lam * f((theta + ns * (p / q)) % 1.0).real
+    diag = lam * f(theta + ((ns * p) % q) / q).real
     edges = []
     for bc in (+1.0, -1.0):
         H = np.diag(diag)
@@ -42,6 +43,13 @@ def plain_floquet_edges(lam, f, p, q, theta):
     return np.sort(np.concatenate(edges))
 
 
+def random_trig(seed):
+    """A random real trigonometric polynomial of degree 4."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=9) + 1j * rng.normal(size=9)
+    return FourierMap(0.5 * (c + c[::-1].conj()))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), q=st.integers(1, 64), theta=st.floats(0.0, 1.0),
        lam=st.floats(-3.0, 3.0), trig=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -50,15 +58,22 @@ def test_floquet_edges_match_dense_reference(amo, data, q, theta, lam, trig, see
     merged couplings of q = 1 and q = 2 included, for the AMO potential and
     for random real trigonometric polynomials."""
     p = data.draw(st.integers(0, q - 1).filter(lambda p: math.gcd(p, q) == 1))
-    f = amo
-    if trig:
-        rng = np.random.default_rng(seed)
-        c = rng.normal(size=9) + 1j * rng.normal(size=9)
-        f = FourierMap(0.5 * (c + c[::-1].conj()))
+    f = random_trig(seed) if trig else amo
     got = sp.floquet_edges(lam, f, p, q, theta)
     ref = plain_floquet_edges(lam, f, p, q, theta)
     assert got.shape == ref.shape == (2 * q,)
     assert np.abs(got - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q, p, theta, seed", [(48, 47, 0.8, 3), (987, 610, 0.3 / 987, None)],
+                         ids=["trig-47-48", "amo-610-987"])
+def test_floquet_edges_use_exact_sites(amo, q, p, theta, seed):
+    """Two cases where sites at the rounded phases theta + k (p/q) put the
+    edges about 3e-12 off the exact-site reference (lambda = 3): the seed-3
+    random trigonometric potential at 47/48, and AMO at 610/987."""
+    f = random_trig(seed) if seed is not None else amo
+    got = sp.floquet_edges(3.0, f, p, q, theta)
+    assert np.abs(got - plain_floquet_edges(3.0, f, p, q, theta)).max() <= 1e-12
 
 
 def test_half_frequency_matches_trace_oracle(amo):
