@@ -286,8 +286,9 @@ def cmd_dual(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
     if args.energy is None or not math.isfinite(args.energy):
         raise ConfigError(f"dual needs a finite --energy, got {args.energy}")
-    if args.trunc < 1:
-        raise ConfigError(f"--trunc must be positive, got {args.trunc}")
+    if args.trunc < duality.EDGE_MARGIN:
+        # below the margin no site is far enough from the boundary to count
+        raise ConfigError(f"--trunc must be at least {duality.EDGE_MARGIN}, got {args.trunc}")
     sol = duality.find_bloch(opts["lam"], f, freq, args.energy, trunc=args.trunc)
     duality.detect_resonance(sol, freq)
     _write(os.path.join(opts["out"], "bloch.json"), _json_out(sol.to_dict(), h, run_cfg))

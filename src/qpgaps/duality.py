@@ -9,12 +9,14 @@ the normalized Bloch coefficients with u_0 = 1 and |u_k| <= 1.
 One path refines and normalizes every eigenpair once its phase is chosen:
 `_refine` doubles the truncation at that phase, re-solving the interior
 eigenpair nearest the previous eigenvalue (`_nearest_pair`), and
-`_normalized` recenters, scales and fills the `BlochSolution`.  Two searches
-choose the phase.  `find_bloch_resonant`, the dossier's Bloch stage, solves
-the label's resonant phases 2 theta = +-m alpha once each and takes the pair
-of theta-extremal eigenvalues (`_slope`) that are both edges of the gap;
-`find_bloch`, which `qpgaps dual` runs from an energy alone, minimizes the
-band function over theta.  `snap_to_resonance` re-solves at the exact
+`_normalized` recenters, scales and fills the `BlochSolution`.  Gap edges
+have one search: `find_bloch_resonant`, the dossier's Bloch stage, solves
+the label's resonant phases 2 theta = +-m alpha once each, takes the pair
+of theta-extremal eigenvalues (`_slope`) that are both edges of the gap, and
+returns the resonance integer it solved at.  `find_bloch`, which
+`qpgaps dual` runs from an energy with no label, minimizes the distance of
+the nearest dual eigenvalue to that energy over theta; `detect_resonance`
+then looks for its resonance.  `snap_to_resonance` re-solves at the exact
 resonant phase and normalizes without refining.
 """
 
@@ -36,6 +38,7 @@ DUAL_MAX_TRUNC = 4096
 DUAL_TAIL_TOL = 1e-10
 WAVE_GRID = 1024            # grid for the wave-relation residuals
 THETA_XTOL = 1e-12
+EDGE_MARGIN = 4             # fewest sites an eigenvector's peak keeps from each boundary
 # half-widths of the energy windows tried in turn, by caller
 _PROBE_WINDOWS = (0.5, 2.0, 8.0, 32.0)
 _PAIR_WINDOWS = (1e-9, 1e-6)
@@ -69,24 +72,19 @@ def _interior_eigs(lam, f, freq, theta, trunc, e_lo, e_hi):
     if len(w) == 0:
         return w, v
     peaks = np.abs(v).argmax(axis=0)
-    keep = np.abs(peaks - trunc) <= trunc - max(4, trunc // 4)
+    keep = np.abs(peaks - trunc) <= trunc - max(EDGE_MARGIN, trunc // 4)
     return w[keep], v[:, keep]
 
 
-def _nearest_pair(lam, f, freq, theta, trunc, energy, windows, side):
-    """Interior eigenpair nearest `energy` ("nearest": on either side;
-    "above": strictly above it), from the first half-width in `windows`
-    whose window on that side holds one; BlochError when none does."""
+def _nearest_pair(lam, f, freq, theta, trunc, energy, windows):
+    """Interior eigenpair nearest `energy`, from the first half-width in
+    `windows` whose window around it holds one; BlochError when none does."""
     for w in windows:
-        lo = energy if side == "above" else energy - w
-        vals, vecs = _interior_eigs(lam, f, freq, theta, trunc, lo, energy + w)
-        if side == "above":
-            keep = vals > energy
-            vals, vecs = vals[keep], vecs[:, keep]
+        vals, vecs = _interior_eigs(lam, f, freq, theta, trunc, energy - w, energy + w)
         if len(vals):
             k = int(np.argmin(np.abs(vals - energy)))
             return float(vals[k]), vecs[:, k]
-    raise BlochError(f"no interior dual eigenvalue ({side}) within {windows[-1]:.1e} of "
+    raise BlochError(f"no interior dual eigenvalue within {windows[-1]:.1e} of "
                      f"E={energy} at theta={theta} (trunc {trunc})")
 
 
@@ -99,7 +97,7 @@ class BlochSolution:
     duality_residual: float = math.nan
     decay_rate: float = math.nan
     decay_onset: int = 0
-    n_tilde: object = None       # resonance integer, set by detect_resonance
+    n_tilde: object = None       # resonance integer: 2 theta = n_tilde alpha (mod 1)
     resonance_dist: float = math.nan
 
     def u_map(self):
@@ -134,17 +132,15 @@ def _golden_minimize(fn, a, b, xtol):
     return (a + b) / 2.0
 
 
-def _refine(lam, f, freq, theta, trunc, energy, vec, max_trunc):
+def _refine(lam, f, freq, theta, trunc, energy, vec):
     """Doubles the truncation at the fixed phase theta, re-solving the pair
     nearest the previous eigenvalue, until the eigenvalue moves by less than
     1e-9 and the outer quarters of the eigenvector sum to less than
-    DUAL_TAIL_TOL,
-    or the truncation reaches max_trunc.  BlochError when a doubled
-    truncation loses the eigenvalue.  Returns (energy, vec, trunc).
+    DUAL_TAIL_TOL, or the truncation reaches DUAL_MAX_TRUNC.  BlochError when
+    a doubled truncation loses the eigenvalue.  Returns (energy, vec, trunc).
     """
-    while trunc < max_trunc:
-        e_next, vec = _nearest_pair(lam, f, freq, theta, 2 * trunc, energy, _PAIR_WINDOWS,
-                                    "nearest")
+    while trunc < DUAL_MAX_TRUNC:
+        e_next, vec = _nearest_pair(lam, f, freq, theta, 2 * trunc, energy, _PAIR_WINDOWS)
         moved = abs(e_next - energy)
         energy, trunc = e_next, 2 * trunc
         quarter = (2 * trunc + 1) // 4
@@ -176,25 +172,19 @@ def _normalized(lam, f, freq, theta, trunc, energy, vec):
     return sol, n0
 
 
-def find_bloch(lam, f, freq, energy, trunc=DUAL_START_N, theta_grid=64, side="nearest",
-               floor=None, max_trunc=DUAL_MAX_TRUNC):
-    """Dual eigenpair at (or nearest) a gap-edge energy.
+def find_bloch(lam, f, freq, energy, trunc=DUAL_START_N, theta_grid=64):
+    """Dual eigenpair whose eigenvalue comes nearest `energy` over theta.
 
-    side="above" seeks the band-function minimum above `floor` (defaults to
-    `energy`), which is how a true upper gap edge is pinned from an
-    approximant estimate; side="nearest" just minimizes the distance of the
-    closest eigenvalue to `energy`; any other side is a ValueError.  The
-    phase is located once at the starting truncation; `_refine` then doubles
-    the truncation (stopping rule in its docstring) and `_normalized`
-    recenters the eigenvector at its largest entry (shifting theta by a
-    multiple of alpha) and scales it so u_0 = 1, all |u_k| <= 1.
+    The phase minimizing the distance of the closest interior eigenvalue to
+    `energy` is located once at the starting truncation, on a `theta_grid`
+    scan of [0, 1/2] and then by golden section; `_refine` then doubles the
+    truncation (stopping rule in its docstring) and `_normalized` recenters
+    the eigenvector at its largest entry (shifting theta by a multiple of
+    alpha) and scales it so u_0 = 1, all |u_k| <= 1.  Gap edges of a labeled
+    gap come from `find_bloch_resonant` instead.
     """
-    if side not in ("nearest", "above"):
-        raise ValueError(f"side must be 'nearest' or 'above', got {side!r}")
-    target = floor if floor is not None else energy
-    probe = lambda th: _nearest_pair(lam, f, freq, th, trunc, target, _PROBE_WINDOWS,
-                                     side)[0]
-    objective = (lambda th: abs(probe(th) - energy)) if side == "nearest" else probe
+    probe = lambda th: _nearest_pair(lam, f, freq, th, trunc, energy, _PROBE_WINDOWS)[0]
+    objective = lambda th: abs(probe(th) - energy)
     thetas = (np.arange(theta_grid) + 0.5) / (2.0 * theta_grid)   # [0, 1/2]
     vals = [objective(t) for t in thetas]
     i0 = int(np.argmin(vals))
@@ -203,8 +193,8 @@ def find_bloch(lam, f, freq, energy, trunc=DUAL_START_N, theta_grid=64, side="ne
     theta_star = _golden_minimize(objective, lo, hi, THETA_XTOL)
 
     e_star, vec = _nearest_pair(lam, f, freq, theta_star, trunc, probe(theta_star),
-                                _PAIR_WINDOWS, "nearest")
-    e_star, vec, trunc = _refine(lam, f, freq, theta_star, trunc, e_star, vec, max_trunc)
+                                _PAIR_WINDOWS)
+    e_star, vec, trunc = _refine(lam, f, freq, theta_star, trunc, e_star, vec)
     return _normalized(lam, f, freq, theta_star, trunc, e_star, vec)[0]
 
 
@@ -233,6 +223,8 @@ def find_bloch_resonant(lam, f, freq, gap, m, reach, member, trunc):
     (-m, 0), (-m, 1) that ties the best score wins: at an exact resonance the
     mirror phase gives the same pair, and the order keeps +m.  Only the
     wanted member is refined (`_refine`) and normalized (`_normalized`).
+    The solution carries its resonance: recentering by n0 sites moves 2 theta
+    by 2 n0 alpha, so n_tilde = n + 2 n0.
     """
     e_minus, e_plus = gap
     width, mid = e_plus - e_minus, 0.5 * (e_minus + e_plus)
@@ -247,15 +239,18 @@ def find_bloch_resonant(lam, f, freq, gap, m, reach, member, trunc):
         flat = np.array([abs(_slope(freq, theta, trunc, v)) <= 2e-2 for v in vecs.T], dtype=bool)
         for k in np.flatnonzero(flat[:-1] & flat[1:]):
             score = abs(vals[k + 1] - vals[k] - width) + abs(0.5 * (vals[k] + vals[k + 1]) - mid)
-            pairs.append((score, theta, k + (member == "upper"), vals, vecs))
+            pairs.append((score, n, theta, k + (member == "upper"), vals, vecs))
     if not pairs:
         raise BlochError(f"no theta-extremal dual eigenvalue pair within {reach:.1e} of the "
                          f"gap ({e_minus}, {e_plus}) at 2 theta = +-{m} alpha")
     best = min(p[0] for p in pairs)
-    _, theta, k, vals, vecs = next(p for p in pairs if p[0] <= best + 1e-12 * max(1.0, abs(mid)))
-    energy, vec, trunc = _refine(lam, f, freq, theta, trunc, float(vals[k]), vecs[:, k],
-                                 DUAL_MAX_TRUNC)
-    return _normalized(lam, f, freq, theta, trunc, energy, vec)[0]
+    _, n, theta, k, vals, vecs = next(p for p in pairs
+                                      if p[0] <= best + 1e-12 * max(1.0, abs(mid)))
+    energy, vec, trunc = _refine(lam, f, freq, theta, trunc, float(vals[k]), vecs[:, k])
+    sol, n0 = _normalized(lam, f, freq, theta, trunc, energy, vec)
+    sol.n_tilde = n + 2 * n0
+    sol.resonance_dist = norm_dist(2.0 * sol.theta - sol.n_tilde * freq.value)
+    return sol
 
 
 def _decay_fit(u_hat, trunc):
@@ -315,8 +310,9 @@ def detect_resonance(sol, freq, n_max=64, tol=1e-5):
 def snap_to_resonance(sol, lam, f, freq):
     """Move theta onto the exact resonant value (n alpha + j)/2 and re-solve.
 
-    The located extremal phase carries the minimizer's numerical fuzz
-    (~1e-9), which otherwise caps every downstream identity at that level.
+    A located phase carries numerical fuzz (the minimizer's ~1e-9 in
+    `find_bloch`, rounding in the pair search's recentered phase), which
+    otherwise caps every downstream identity at that level.
     The eigenpair is recomputed at the snapped phase; if its peak sits away
     from the center the phase is recentered (which shifts the resonance
     integer by twice the offset and keeps 2 theta - n alpha an integer).
@@ -325,8 +321,10 @@ def snap_to_resonance(sol, lam, f, freq):
         raise BlochError("no resonance to snap to")
     j = round(2.0 * sol.theta - sol.n_tilde * freq.value)
     theta_s = ((sol.n_tilde * freq.value + j) / 2.0) % 1.0
-    e_star, vec = _nearest_pair(lam, f, freq, theta_s, sol.trunc, sol.energy,
-                                _SNAP_WINDOWS, "nearest")
+    e_star, vec = _nearest_pair(lam, f, freq, theta_s, sol.trunc, sol.energy, _SNAP_WINDOWS)
+    # at an exact resonance the eigenvector has two mirror peaks of equal
+    # size, so recentering may land on -n_tilde instead: the +-m tie.  The
+    # sign each dossier reports comes from here, and the bench pins it
     snapped, n0 = _normalized(lam, f, freq, theta_s, sol.trunc, e_star, vec)
     snapped.n_tilde = sol.n_tilde + 2 * n0
     snapped.resonance_dist = norm_dist(2.0 * snapped.theta - snapped.n_tilde * freq.value)

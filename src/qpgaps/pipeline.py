@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import duality, reducibility, spectrum
-from .errors import BlochError, ConfigError, StageError
+from .errors import ConfigError, StageError
 
 WIDTH_STABLE_REL = 0.10
 WIDTH_STABLE_ABS = 1e-13
@@ -102,9 +102,6 @@ def analyze_gap(lam, f, freq, m, config=None):
 
     sol = _stage("bloch", duality.find_bloch_resonant, lam, f, freq, (rec.e_minus, rec.e_plus),
                  m, reach, cfg.edge, duality.DUAL_START_N)
-    if duality.detect_resonance(sol, freq) is None:
-        raise StageError("bloch", BlochError(f"no resonance at 2 theta = +-{m} alpha (best "
-                                             f"distance {sol.resonance_dist:.2e})"))
     _stage("bloch", duality.snap_to_resonance, sol, lam, f, freq)
     dossier.edge_energy = sol.energy
     dossier.theta = sol.theta

@@ -1,6 +1,6 @@
 import pytest
 
-from qpgaps import arithmetic
+from qpgaps import arithmetic, duality
 from qpgaps.cocycle import amo_potential
 
 
@@ -12,3 +12,15 @@ def golden():
 @pytest.fixture(scope="session")
 def amo():
     return amo_potential()
+
+
+@pytest.fixture(scope="session")
+def upper_edge(golden, amo):
+    """The dossier's Bloch search at lam = 0.25 (AMO, golden mean): the upper
+    edge of the gap `rec` of the p/q approximant, searched within the reach
+    `analyze_gap` uses around its edges."""
+    def search(rec, pq, trunc=duality.DUAL_START_N):
+        reach = max(100.0 * abs(golden.value - pq[0] / pq[1]), 1e-6)
+        return duality.find_bloch_resonant(0.25, amo, golden, (rec.e_minus, rec.e_plus),
+                                           rec.label, reach, "upper", trunc)
+    return search

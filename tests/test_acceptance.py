@@ -36,12 +36,10 @@ def q233_records(golden, amo):
 
 
 @pytest.fixture(scope="module")
-def m1_chain(golden, amo, q233_records):
+def m1_chain(golden, amo, q233_records, upper_edge):
     _, records = q233_records
     rec = [r for r in records if r.label == 1][0]
-    sol = du.find_bloch(0.25, amo, golden, rec.e_plus, trunc=128, theta_grid=64,
-                        side="above", floor=rec.midpoint())
-    du.detect_resonance(sol, golden, n_max=32)
+    sol = upper_edge(rec, (144, 233))
     du.snap_to_resonance(sol, 0.25, amo, golden)
     wave = du.assemble_wave(sol, 0.25, amo, golden)
     reduction = red.reduce_at_edge(sol.energy, wave, golden, 0.25, amo)

@@ -254,6 +254,7 @@ def test_too_small_q_is_a_config_error(tmp_path, capsys, argv):
                                   ["homogeneity", "--sigmas", "abc"],
                                   ["homogeneity", "--sigmas", "1e-2,inf"],
                                   ["dual", "--energy", "-0.5", "--trunc", "-3"],
+                                  ["dual", "--energy", "-0.5", "--trunc", "1"],
                                   ["dual", "--energy", "nan"],
                                   ["beta", "--kmax", "0"],
                                   ["spectrum", "--lam", "nan", "--q", "21"],

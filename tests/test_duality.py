@@ -54,12 +54,6 @@ def test_find_bloch_for_a_complex_coefficient_potential(golden, amo):
     assert b.duality_residual < 1e-12
 
 
-def test_find_bloch_rejects_an_unknown_side(golden, amo):
-    """A misspelt side is an error, not a search on some other side."""
-    with pytest.raises(ValueError, match="side"):
-        du.find_bloch(0.25, amo, golden, -0.5, side="Above")
-
-
 def test_find_bloch_free_case(golden, amo):
     E = 2 * math.cos(2 * math.pi * 0.3)
     sol = du.find_bloch(0.0, amo, golden, E, trunc=32, theta_grid=32)
@@ -72,24 +66,23 @@ def test_find_bloch_free_case(golden, amo):
     assert np.sort(mags)[-2] < 1e-9
 
 
-def test_find_bloch_normalization_bound(golden, amo):
-    bs = sp.band_structure(0.25, amo, (89, 144))
-    rec = [r for r in bs.gaps() if r.label == 1][0]
-    sol = du.find_bloch(0.25, amo, golden, rec.e_plus, trunc=128,
-                        side="above", floor=rec.midpoint())
+def _gap_144(amo):
+    """The m = 1 approximant gap at 89/144."""
+    return [r for r in sp.band_structure(0.25, amo, (89, 144)).gaps() if r.label == 1][0]
+
+
+def test_find_bloch_normalization_bound(amo, upper_edge):
+    sol = upper_edge(_gap_144(amo), (89, 144))
     assert np.abs(sol.u_hat).max() <= 1.0 + 1e-9
     assert sol.u_hat[sol.trunc] == 1.0
 
 
-def test_find_bloch_decay_stable_under_doubling(golden, amo):
-    bs = sp.band_structure(0.25, amo, (89, 144))
-    rec = [r for r in bs.gaps() if r.label == 1][0]
-    sols = [
-        du.find_bloch(0.25, amo, golden, rec.e_plus, trunc=t, side="above",
-                      floor=rec.midpoint(), max_trunc=t * 2)
-        for t in (64, 128)
-    ]
-    rates = [s.decay_rate for s in sols]
+def test_find_bloch_decay_stable_under_doubling(amo, upper_edge, monkeypatch):
+    rec = _gap_144(amo)
+    rates = []
+    for t in (64, 128):
+        monkeypatch.setattr(du, "DUAL_MAX_TRUNC", 2 * t)      # one doubling at most
+        rates.append(upper_edge(rec, (89, 144), t).decay_rate)
     assert all(r < 0 for r in rates)
     assert rates[0] == pytest.approx(rates[1], rel=0.2)
 
@@ -121,12 +114,8 @@ def test_assemble_wave_free_constant(golden, amo):
     assert wave.U_hat.period == 2
 
 
-def test_assembled_wave_periods_and_parity(golden, amo):
-    bs = sp.band_structure(0.25, amo, (89, 144))
-    rec = [r for r in bs.gaps() if r.label == 1][0]
-    sol = du.find_bloch(0.25, amo, golden, rec.e_plus, trunc=128,
-                        side="above", floor=rec.midpoint())
-    du.detect_resonance(sol, golden, n_max=16)
+def test_assembled_wave_periods_and_parity(golden, amo, upper_edge):
+    sol = upper_edge(_gap_144(amo), (89, 144))
     du.snap_to_resonance(sol, 0.25, amo, golden)
     wave = du.assemble_wave(sol, 0.25, amo, golden)
     # support parity: U_hat coefficients live on indices with the parity of n
@@ -150,12 +139,8 @@ def test_assemble_wave_rejects_a_sign_against_the_parity(golden, amo, monkeypatc
         du.assemble_wave(sol, 0.0, amo, golden)
 
 
-def test_real_imag_split_satisfies_relation(golden, amo):
-    bs = sp.band_structure(0.25, amo, (89, 144))
-    rec = [r for r in bs.gaps() if r.label == 1][0]
-    sol = du.find_bloch(0.25, amo, golden, rec.e_plus, trunc=128,
-                        side="above", floor=rec.midpoint())
-    du.detect_resonance(sol, golden, n_max=16)
+def test_real_imag_split_satisfies_relation(golden, amo, upper_edge):
+    sol = upper_edge(_gap_144(amo), (89, 144))
     du.snap_to_resonance(sol, 0.25, amo, golden)
     wave = du.assemble_wave(sol, 0.25, amo, golden)
     A = schrodinger_cocycle(0.25, amo, sol.energy).A
@@ -203,6 +188,18 @@ def test_find_bloch_resonant_at_displaced_m7_gap(golden, amo):
     assert du.detect_resonance(sol, golden) == -7
     du.snap_to_resonance(sol, 0.25, amo, golden)
     assert sol.resonance_dist == 0.0
+
+
+@pytest.mark.parametrize("member", ["upper", "lower"])
+@pytest.mark.parametrize("m", [1, 3, 7])
+def test_pair_search_returns_its_resonance(golden, amo, m, member):
+    """The pair search knows the n it solved at: its n_tilde is the one
+    detect_resonance finds on the same solution."""
+    gap, reach = _gap_233(golden, amo, m)
+    sol = du.find_bloch_resonant(0.25, amo, golden, gap, m, reach, member, 128)
+    n_tilde = sol.n_tilde
+    assert n_tilde is not None and abs(n_tilde) == m
+    assert du.detect_resonance(sol, golden) == n_tilde
 
 
 @pytest.mark.parametrize("f", [FourierMap.from_coeff_dict({1: 1.0, -1: 1.0}),

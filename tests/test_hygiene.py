@@ -212,3 +212,27 @@ def test_unpassed_defaults_are_found():
 def test_every_default_is_passed():
     package = {path.name: path.read_text() for path in MODULES}
     assert unpassed_defaults(package, _outside_sources()) == []
+
+
+DEFAULTS_CEILING = 57         # defaulted parameters in the package at the last count
+
+
+def defaulted_parameters(source):
+    """Defaulted parameters of every function, method and lambda: the
+    positional defaults plus the keyword-only parameters with a default."""
+    return sum(len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+def test_defaulted_parameters_are_counted():
+    src = ("def f(a, b=1, *, c=2, d):\n    return lambda x=0: x\n\n"
+           "class C:\n    def m(self, y=None):\n        pass\n")
+    assert defaulted_parameters(src) == 4
+
+
+def test_defaulted_parameters_do_not_grow():
+    """A ratchet: lower the ceiling when the count falls, never raise it."""
+    count = sum(defaulted_parameters(path.read_text()) for path in MODULES)
+    print(f"defaulted parameters in src/qpgaps: {count}")
+    assert count <= DEFAULTS_CEILING, f"{count} defaulted parameters, ceiling {DEFAULTS_CEILING}"

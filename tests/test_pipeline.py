@@ -6,7 +6,7 @@ import scipy.linalg
 
 from qpgaps import arithmetic as ar
 from qpgaps import pipeline as pl
-from qpgaps.errors import BlochError, StageError
+from qpgaps.errors import StageError
 
 
 @pytest.fixture(scope="module")
@@ -222,16 +222,6 @@ def test_side_search_rung_keeps_stronger_liouville_dossiers(lam, m, n_tilde, amo
     assert abs(d.n_tilde) == n_tilde
     assert d.off_normal_residual < 1e-8
     assert ("resonance-label-mismatch" in d.flags) == (n_tilde != m)
-
-
-def test_bloch_search_without_resonance_raises_bloch_error(golden, amo, monkeypatch):
-    """When neither rung lands on a resonant phase the bloch stage fails with
-    the typed dual-search error."""
-    monkeypatch.setattr(pl.duality, "detect_resonance", lambda *a, **k: None)
-    with pytest.raises(StageError) as err:
-        pl.analyze_gap(0.25, amo, golden, 1, pl.PipelineConfig(q_target=150))
-    assert err.value.stage == "bloch"
-    assert isinstance(err.value.cause, BlochError)
 
 
 def test_bloch_stage_lets_programming_errors_through(golden, amo, monkeypatch):

@@ -235,11 +235,11 @@ def test_averaging_step_admissibility_gate(golden):
         red.averaging_step(red.ParabolicForm(1, 0.1), pert, 0.5, golden, 0.05)
 
 
-def test_first_order_log_term_matches_finite_difference(golden, amo):
+def test_first_order_log_term_matches_finite_difference(golden, amo, upper_edge):
     """Closed form of the first-order log piece against a central difference
     on the constant part of the double step, for perturbation data with the
     reduced-cocycle structure."""
-    reduction, ident = _reduced_m1(golden, amo)
+    reduction, ident = _reduced_m1(golden, amo, upper_edge)
     pert = red.perturbation_matrix(reduction, 0.25, amo, _reduced_m1.energy, golden)
     P = reduction.parabolic
     closed = red.first_order_log_term(ident.averages, P.mu)
@@ -252,13 +252,11 @@ def test_first_order_log_term_matches_finite_difference(golden, amo):
     assert np.abs(fd - closed).max() < 1e-6
 
 
-def _reduced_m1(golden, amo):
+def _reduced_m1(golden, amo, upper_edge):
     if getattr(_reduced_m1, "cache", None) is None:
         bs = sp.band_structure(0.25, amo, (89, 144))
         rec = [r for r in bs.gaps() if r.label == 1][0]
-        sol = du.find_bloch(0.25, amo, golden, rec.e_plus, trunc=128,
-                            side="above", floor=rec.midpoint())
-        du.detect_resonance(sol, golden, n_max=16)
+        sol = upper_edge(rec, (89, 144))
         du.snap_to_resonance(sol, 0.25, amo, golden)
         wave = du.assemble_wave(sol, 0.25, amo, golden)
         reduction = red.reduce_at_edge(sol.energy, wave, golden, 0.25, amo)
@@ -324,8 +322,8 @@ def test_reduce_free_edge_closed_form(golden, amo):
     assert r.mu_iterate == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_reduce_m1_residuals_and_mu_cross_check(golden, amo):
-    reduction, ident = _reduced_m1(golden, amo)
+def test_reduce_m1_residuals_and_mu_cross_check(golden, amo, upper_edge):
+    reduction, ident = _reduced_m1(golden, amo, upper_edge)
     assert reduction.off_normal_residual < 1e-10
     rel = abs(reduction.parabolic.mu - reduction.mu_iterate) / abs(reduction.parabolic.mu)
     assert rel < 1e-6
@@ -347,8 +345,8 @@ def test_select_frame_vector_enforces_the_sqrt2_bound():
         red.select_frame_vector(vec(0.7), vec(0.7), 1)
 
 
-def test_average_identities_m1(golden, amo):
-    reduction, ident = _reduced_m1(golden, amo)
+def test_average_identities_m1(golden, amo, upper_edge):
+    reduction, ident = _reduced_m1(golden, amo, upper_edge)
     assert ident.shift_dev_21 < 1e-9
     assert ident.shift_dev_22 < 1e-9
     assert ident.wronskian_dev < 1e-9
@@ -359,8 +357,8 @@ def test_average_identities_m1(golden, amo):
     assert ident.r11_r12**2 <= ident.r11_sq * ident.r12_sq + 1e-12
 
 
-def test_perturbation_matrix_identity_probe(golden, amo):
-    reduction, _ = _reduced_m1(golden, amo)
+def test_perturbation_matrix_identity_probe(golden, amo, upper_edge):
+    reduction, _ = _reduced_m1(golden, amo, upper_edge)
     pert = red.perturbation_matrix(reduction, 0.25, amo, _reduced_m1.energy, golden)
     # trace equals -mu R11^2 pointwise
     xs = np.arange(512) / 512.0
@@ -389,8 +387,8 @@ def test_gap_edge_epsilon_values():
         red.gap_edge_epsilon((1.0, 1.0, 1.0), red.ParabolicForm(1, 0.01))
 
 
-def test_width_bounded_by_epsilon_m(golden, amo):
-    reduction, ident = _reduced_m1(golden, amo)
+def test_width_bounded_by_epsilon_m(golden, amo, upper_edge):
+    reduction, ident = _reduced_m1(golden, amo, upper_edge)
     eps_m = red.gap_edge_epsilon(ident.averages, reduction.parabolic)
     assert eps_m < 0.0
     assert _reduced_m1.record.width <= abs(eps_m)
