@@ -252,7 +252,6 @@ def cmd_homogeneity(args):
         raise ConfigError(f"--sigmas: {exc}") from exc
     if not all(0.0 < s < math.inf for s in sigmas):
         raise ConfigError(f"--sigmas must all be positive and finite, got {args.sigmas}")
-    _convergent(freq, opts["q"])          # the campaign picks the same one
     cfg = pipeline.PipelineConfig(q_target=opts["q"], theta_samples=opts["theta_samples"])
     camp = pipeline.homogeneity_campaign(opts["lam"], f, freq, sigmas, cfg)
     lines = ["sigma,min_ratio,argmin_E,gap_sum,gap_sum_over_sigma"]

@@ -319,9 +319,11 @@ class HomogeneityCampaign:
 def homogeneity_campaign(lam, f, freq, sigmas, config=None):
     """Window-measure ratios at the finest convergent, plus the summed width
     of gaps meeting the extremal window (the bookkeeping the homogeneity
-    argument runs on)."""
+    argument runs on).  ConfigError when no convergent has q <= q_target."""
     cfg = config or PipelineConfig()
     pq = freq.largest_convergent(cfg.q_target)
+    if pq is None:
+        raise ConfigError(f"no convergent with q <= {cfg.q_target}")
     bs = spectrum.band_structure(lam, f, pq, theta_samples=cfg.theta_samples)
     rows = []
     for s in sigmas:

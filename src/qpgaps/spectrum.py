@@ -11,8 +11,9 @@ the same information as T*q values around the whole circle.
 Gaps are labeled in one place, `BandStructure.gaps()`: the elementary band
 count j below a gap gives its label m by the index congruence.
 `label_gaps` validates those records by rotation numbers, and every other
-consumer (the dossier, the decay and homogeneity campaigns, the extended
-refinement) reads `gaps()` directly.
+consumer of labels (the dossier, the decay campaign, the extended refinement)
+reads `gaps()` directly.  The homogeneity scan and its gap sum read only the
+band list.
 """
 
 from __future__ import annotations
@@ -75,12 +76,8 @@ class BandStructure:
         return records
 
 
-def potential_sup(f):
-    return float(np.abs(f.sample(1024)).max())
-
-
 def bracket_interval(lam, f):
-    s = abs(lam) * potential_sup(f)
+    s = abs(lam) * f.l1_norm()          # sum |c_k| >= sup |f|
     return (-2.0 - s - 1.0, 2.0 + s + 1.0)
 
 
@@ -179,7 +176,7 @@ def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL)
         ref_edges=tuple(float(e) for pair in ref for e in pair),
         flagged=flagged,
     )
-    cap = 4.0 + 2.0 * abs(lam) * potential_sup(f)
+    cap = 4.0 + 2.0 * abs(lam) * f.l1_norm()
     if bs.measure > cap + 1e-6:
         raise SpectrumError("measure-bound",
                             f"band measure {bs.measure} exceeds the norm bound {cap}")
@@ -411,12 +408,14 @@ def window_band_measure(bands, center, sigma):
 
 
 def window_gap_sum(bs, center, sigma):
-    """Total width of labeled-able gaps meeting the window (homogeneity diagnostic)."""
+    """Total width of the gaps between consecutive bands that meet the window
+    (center - sigma, center + sigma): the bookkeeping the homogeneity
+    argument runs on.  Reads only the band list, so no labels are needed."""
     lo, hi = center - sigma, center + sigma
     total = 0.0
-    for r in bs.gaps():
-        if r.e_plus > lo and r.e_minus < hi:
-            total += r.width
+    for (_, a), (b, _) in zip(bs.bands, bs.bands[1:]):
+        if b > lo and a < hi:
+            total += b - a
     return total
 
 
@@ -425,32 +424,29 @@ class HomogeneityResult:
     sigma: float
     min_ratio: float
     argmin_energy: float
-    samples: int
 
 
-def homogeneity_scan(bs, sigma, e_samples=512):
+def homogeneity_scan(bs, sigma):
     """min over E in the bands of Leb((E-s, E+s) cap bands) / s, exactly.
 
-    Every band endpoint is sampled, plus interior points allocated by band
-    length; the window measure is exact interval arithmetic.
+    The window measure is continuous and piecewise linear in E, with kinks
+    where E +- s meets a band endpoint, so on each band it is least at an
+    endpoint or at an endpoint +- s inside the band.  Those candidates are
+    scanned in increasing energy, each over the bands its window meets, and
+    the first minimum wins.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    total = max(bs.measure, 1e-300)
-    points = []
-    for lo, hi in bs.bands:
-        points.append(lo)
-        points.append(hi)
-        n_int = max(2, int(e_samples * (hi - lo) / total))
-        points.extend(np.linspace(lo, hi, n_int).tolist())
-    best = math.inf
-    arg = points[0]
-    for e in points:
-        r = window_band_measure(bs.bands, e, sigma) / sigma
-        if r < best:
-            best, arg = r, e
-    return HomogeneityResult(sigma=sigma, min_ratio=best, argmin_energy=arg,
-                             samples=len(points))
+    ends = np.asarray(bs.bands).ravel()
+    kinks = np.concatenate([ends - sigma, ends + sigma])
+    inside = np.searchsorted(ends, kinks, side="right") % 2 == 1
+    cands = np.unique(np.concatenate([ends, kinks[inside]]))
+    first = np.searchsorted(ends[1::2], cands - sigma)
+    last = np.searchsorted(ends[::2], cands + sigma, side="right")
+    ratios = [window_band_measure(bs.bands[i:j], e, sigma) / sigma
+              for e, i, j in zip(cands.tolist(), first, last)]
+    k = int(np.argmin(ratios))
+    return HomogeneityResult(sigma=sigma, min_ratio=ratios[k], argmin_energy=float(cands[k]))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from qpgaps import arithmetic as ar
 from qpgaps import pipeline as pl
-from qpgaps.errors import StageError
+from qpgaps.errors import ConfigError, StageError
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +86,11 @@ def test_homogeneity_campaign_free(golden, amo):
                                    pl.PipelineConfig(q_target=150))
     for (_, ratio, *_rest) in camp.rows:
         assert ratio == pytest.approx(1.0, abs=1e-6)
+
+
+def test_homogeneity_campaign_needs_a_convergent(golden, amo):
+    with pytest.raises(ConfigError, match="no convergent with q <= 0"):
+        pl.homogeneity_campaign(0.25, amo, golden, [1e-2], pl.PipelineConfig(q_target=0))
 
 
 def test_homogeneity_campaign_bounds(golden, amo):

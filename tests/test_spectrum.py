@@ -259,8 +259,44 @@ def test_homogeneity_free_operator(golden, amo):
 def test_homogeneity_ratio_range(golden, amo):
     bs = sp.band_structure(0.25, amo, (34, 55))
     for sigma in (0.05, 0.01):
-        res = sp.homogeneity_scan(bs, sigma, e_samples=200)
+        res = sp.homogeneity_scan(bs, sigma)
         assert 0.0 <= res.min_ratio <= 2.0
+
+
+def test_homogeneity_minimum_between_band_endpoints(amo):
+    """At lam = 1 the least window ratio sits at a kink E = endpoint + sigma
+    inside a band, away from every band endpoint."""
+    bs = sp.band_structure(1.0, amo, (144, 233))
+    res = sp.homogeneity_scan(bs, 1e-3)
+    assert res.min_ratio == 0.21314460182031425
+    assert res.argmin_energy == 2.3446911732379982
+    assert sp.window_band_measure(bs.bands, res.argmin_energy, 1e-3) / 1e-3 == res.min_ratio
+
+
+@st.composite
+def band_lists(draw):
+    """Sorted disjoint closed intervals in [-4, 4], plus energies inside them:
+    drawn ones and a grid of 32 per band."""
+    ends = sorted(draw(st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=30, unique=True)))
+    bands = tuple(zip(ends[0:-1:2], ends[1::2]))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(bands) - 1), st.floats(0.0, 1.0)),
+                          min_size=1, max_size=20))
+    grid = [e for a, b in bands for e in np.linspace(a, b, 32).tolist()]
+    return bands, [bands[i][0] + u * (bands[i][1] - bands[i][0]) for i, u in picks] + grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=band_lists(), sigma=st.floats(1e-2, 4.0))
+def test_homogeneity_scan_is_the_minimum(case, sigma):
+    bands, energies = case
+    bs = sp.BandStructure(approximant=(0, 1), lam=0.0, potential=None, bands=bands,
+                          theta_grid=4)
+    res = sp.homogeneity_scan(bs, sigma)
+    assert any(a <= res.argmin_energy <= b for a, b in bands)
+    assert sp.window_band_measure(bands, res.argmin_energy, sigma) / sigma == res.min_ratio
+    assert 0.0 <= res.min_ratio <= 2.0
+    for e in energies:
+        assert res.min_ratio <= sp.window_band_measure(bands, e, sigma) / sigma + 1e-12
 
 
 def test_gap_separation_exact_distances():
