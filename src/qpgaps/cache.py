@@ -52,7 +52,7 @@ def store_band_structure(cache_dir, key, bs):
         "lambda": bs.lam,
         "bands": [[a, b] for a, b in bs.bands],
         "theta_grid": bs.theta_grid,
-        "ref_edges": list(bs.ref_edges),
+        "bands_below": list(bs.bands_below),
         "flagged": bs.flagged,
         "potential": bs.potential.to_text(),
     }
@@ -87,7 +87,7 @@ def load_band_structure(cache_dir, key, strict=False):
             potential=FourierMap.from_text(payload["potential"]),
             bands=tuple((a, b) for a, b in payload["bands"]),
             theta_grid=payload["theta_grid"],
-            ref_edges=tuple(payload["ref_edges"]),
+            bands_below=tuple(payload["bands_below"]),
             flagged=payload["flagged"],
         )
     except CacheCorruptionError:

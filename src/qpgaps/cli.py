@@ -98,7 +98,7 @@ def resolve_potential(spec):
     raise ConfigError(f"unknown potential '{spec}' (use amo, cos, or file:PATH)")
 
 
-def _merge_options(args, keys):
+def _read_options(args, keys):
     """Config-file values with flag overrides; flags not given fall back.
     A file key that names no option of the subcommand is a ConfigError."""
     file_cfg = parse_config_file(args.config) if args.config else {}
@@ -163,7 +163,7 @@ COMMON = [
 
 
 def _common_setup(args):
-    opts = _merge_options(args, COMMON + [("out", str, "out")])
+    opts = _read_options(args, COMMON + [("out", str, "out")])
     if not math.isfinite(opts["lam"]):
         raise ConfigError(f"coupling must be finite, got {opts['lam']!r}")
     if opts["theta_samples"] is not None and opts["theta_samples"] < 1:
@@ -269,7 +269,6 @@ def cmd_homogeneity(args):
 def cmd_reduce(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
     m = args.m if args.m is not None else 1
-    _convergent(freq, opts["q"])          # the dossier picks the same one
     cfg = pipeline.PipelineConfig(q_target=opts["q"], theta_samples=opts["theta_samples"],
                                   run_averaging=args.with_averaging)
     dossier = pipeline.analyze_gap(opts["lam"], f, freq, m, cfg)
@@ -297,8 +296,8 @@ def cmd_dual(args):
 
 
 def cmd_beta(args):
-    opts = _merge_options(args, [("alpha", str, "golden"), ("kmax", int, 10000),
-                                 ("out", str, "out")])
+    opts = _read_options(args, [("alpha", str, "golden"), ("kmax", int, 10000),
+                                ("out", str, "out")])
     if opts["kmax"] < 1:
         raise ConfigError(f"kmax must be positive, got {opts['kmax']}")
     freq = resolve_frequency(opts["alpha"])

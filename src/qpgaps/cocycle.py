@@ -191,7 +191,7 @@ class RotationResult:
     flagged: bool = False
 
 
-def _rotation_results(k, steps_of, iterations, target_err, max_iterations):
+def _rotation_results(k, steps_of, target_err, max_iterations):
     """Rotation numbers of k cocycles over one rotation, each on its own.
 
     steps_of(lo, hi, idx) gives the real steps lo, ..., hi - 1 of the
@@ -203,7 +203,7 @@ def _rotation_results(k, steps_of, iterations, target_err, max_iterations):
     have, so no step is scanned twice.
     Each member's numbers depend on its own steps only, never on the group.
     """
-    n0 = int(iterations) if iterations else min(ROTATION_START_ITERATIONS, max_iterations)
+    n0 = min(ROTATION_START_ITERATIONS, max_iterations)
     if n0 < 2:
         raise ValueError(f"rotation number needs at least 2 orbit steps, got {n0}")
     results = [None] * k
@@ -232,7 +232,7 @@ def _rotation_results(k, steps_of, iterations, target_err, max_iterations):
                 est2 = float(np.dot(wh, d[h : 2 * h]) / wh.sum()) / (2.0 * math.pi)
                 gap = abs(est1 - est2)
                 err = max(min(gap, abs(norm_dist(est1) - norm_dist(est2))), 1e-15)
-                if iterations or err <= target_err or n >= max_iterations:
+                if err <= target_err or n >= max_iterations:
                     results[i] = RotationResult(value=norm_dist(est), error=err, iterations=n,
                                                 flagged=err > target_err)
                     live.remove(i)
@@ -241,23 +241,22 @@ def _rotation_results(k, steps_of, iterations, target_err, max_iterations):
     return results
 
 
-def rotation_number(c, iterations=None, target_err=ROTATION_TARGET_ERR,
-                    max_iterations=ROTATION_MAX_ITERATIONS):
+def rotation_number(c, target_err=ROTATION_TARGET_ERR, max_iterations=ROTATION_MAX_ITERATIONS):
     """Fibered rotation number of (alpha, A), A homotopic to the identity.
 
     Weighted Birkhoff average of the lifted angle increments of the projective
     action, folded to [0, 1/2].  The error bar is the disagreement between the
     two orbit halves, each averaged with its own bump window.  The orbit
-    starts at min(4096, max_iterations) steps (or exactly iterations) and is
-    extended to four times its length, never past max_iterations, while the
-    bar stays above target_err; when it is still above at max_iterations the
-    result is flagged, not silent.  Fewer than 2 steps raise ValueError: the
-    bar needs two halves.
+    starts at min(4096, max_iterations) steps and is extended to four times
+    its length, never past max_iterations, while the bar stays above
+    target_err; when it is still above at max_iterations the result is
+    flagged, not silent.  Fewer than 2 steps raise ValueError: the bar needs
+    two halves.
     """
     def steps_of(lo, hi, _idx):
         return _entries(_real_values(1.0, c.A, c.alpha * np.arange(lo, hi))[:, None])
 
-    return _rotation_results(1, steps_of, iterations, target_err, max_iterations)[0]
+    return _rotation_results(1, steps_of, target_err, max_iterations)[0]
 
 
 def rotation_numbers(lam, f, freq, energies, target_err=ROTATION_TARGET_ERR,
@@ -278,7 +277,7 @@ def rotation_numbers(lam, f, freq, energies, target_err=ROTATION_TARGET_ERR,
             potential[lo] = _real_values(lam, f, alpha * np.arange(lo, hi))
         return energies[idx] - potential[lo][:, None]
 
-    return _rotation_results(len(energies), steps_of, None, target_err, max_iterations)
+    return _rotation_results(len(energies), steps_of, target_err, max_iterations)
 
 
 def rotation_number_counting(c, iterations=1 << 18):

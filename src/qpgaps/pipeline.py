@@ -77,13 +77,14 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def analyze_gap(lam, f, freq, m, config=None):
-    """Full dossier for the gap with label m at the configured convergent."""
+    """Full dossier for the gap with label m at the configured convergent.
+    ConfigError when no convergent has q <= q_target."""
     cfg = config or PipelineConfig()
     if cfg.edge not in ("upper", "lower"):
         raise ValueError(f"edge must be 'upper' or 'lower', got {cfg.edge!r}")
     pq = freq.largest_convergent(cfg.q_target)
     if pq is None:
-        raise StageError("spectrum", ValueError(f"no convergent with q <= {cfg.q_target}"))
+        raise ConfigError(f"no convergent with q <= {cfg.q_target}")
     bs = _stage("spectrum", spectrum.band_structure, lam, f, pq,
                 theta_samples=cfg.theta_samples)
     matches = [r for r in _stage("label", bs.gaps) if r.label == m]

@@ -6,10 +6,13 @@ q x q problems, each found by one banded solve of bandwidth 2 after the
 sites are interleaved as 0, 1, q-1, 2, q-2, ...  The per-theta band set is
 (1/q)-periodic in theta (cyclic invariance of the transfer trace), so only
 theta in [0, 1/q) is ever sampled: a grid of T distinct values there carries
-the same information as T*q values around the whole circle.
+the same information as T*q values around the whole circle.  Over theta,
+elementary band i sweeps out one interval, its hull, and the union is the
+q hulls cut wherever one ends below the next.
 
 Gaps are labeled in one place, `BandStructure.gaps()`: the elementary band
-count j below a gap gives its label m by the index congruence.
+count j below a gap, the position of its cut, gives its label m by the
+index congruence.
 `label_gaps` validates those records by rotation numbers, and every other
 consumer of labels (the dossier, the decay campaign, the extended refinement)
 reads `gaps()` directly.  The homogeneity scan and its gap sum read only the
@@ -42,22 +45,12 @@ class BandStructure:
     potential: object               # FourierMap
     bands: tuple                    # ordered disjoint closed intervals (lo, hi)
     theta_grid: int                 # distinct theta values examined in [0, 1/q)
-    ref_edges: tuple = ()           # the 2q elementary Floquet edges at theta = 0
+    bands_below: tuple = ()         # elementary bands below each gap, in gap order
     flagged: bool = False           # theta refinement budget exhausted
 
     @property
     def measure(self):
         return sum(b - a for a, b in self.bands)
-
-    def elementary_bands_below(self, energy):
-        """Number of elementary (multiplicity-counted) bands below an energy
-        in a gap.  Merged intervals may hide several elementary bands whose
-        mutual gaps collapsed below tolerance; the theta = 0 edge list keeps
-        the exact count."""
-        count = int(np.searchsorted(np.asarray(self.ref_edges), energy))
-        if count % 2 != 0:
-            raise ValueError(f"E={energy} does not separate elementary bands cleanly")
-        return count // 2
 
     def gaps(self):
         """The open gaps between consecutive bands, in energy order, as
@@ -66,11 +59,9 @@ class BandStructure:
         wider than RHO_SKIP_WIDTH is below_floor.  SpectrumError
         "distinct-labels" when two gaps share a label."""
         p, q = self.approximant
-        records = []
-        for (_, lo), (hi, _) in zip(self.bands, self.bands[1:]):
-            j = self.elementary_bands_below(0.5 * (lo + hi))
-            records.append(GapRecord(_label_from_ids(j, p, q), lo, hi, Fraction(j, q),
-                                     below_floor=hi - lo <= RHO_SKIP_WIDTH))
+        records = [GapRecord(_label_from_ids(j, p, q), lo, hi, Fraction(j, q),
+                             below_floor=hi - lo <= RHO_SKIP_WIDTH)
+                   for (_, lo), (hi, _), j in zip(self.bands, self.bands[1:], self.bands_below)]
         if len({r.label for r in records}) != len(records):
             raise SpectrumError("distinct-labels", "gap labels are not distinct")
         return records
@@ -109,71 +100,54 @@ def floquet_edges(lam, f, p, q, theta):
     return np.sort(np.concatenate(edges))
 
 
-def _bands_at_theta(lam, f, p, q, theta):
-    e = floquet_edges(lam, f, p, q, theta)
-    return [(e[2 * i], e[2 * i + 1]) for i in range(q)]
-
-
-def _merge(intervals, tol):
-    if not intervals:
-        return []
-    intervals = sorted(intervals)
-    out = [list(intervals[0])]
-    for lo, hi in intervals[1:]:
-        if lo <= out[-1][1] + tol:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return [tuple(b) for b in out]
-
-
 def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL):
     """Union of Floquet bands over the phase for the approximant p/q.
 
+    The sorted edges e_k(theta) are continuous in theta, so the union over
+    theta of elementary band i is one interval, its hull [min e_2i, max
+    e_2i+1], and both hull ends are nondecreasing in i: the union breaks
+    between bands i and i + 1 exactly where hull i ends more than
+    e_resolution below hull i + 1, and that gap has i + 1 bands below.
     theta_samples counts grid points around the full circle; after reduction
-    by the (1/q)-periodicity, T = max(4, theta_samples/q) distinct phases are
-    solved, then T doubles, at most five times, until the union is stable to
-    e_resolution (band count and edge movement).  Bands still moving at that
-    cap are flagged rather than silently accepted.
+    by the (1/q)-periodicity, T = max(4, theta_samples/q) phases j/(Tq) are
+    solved, then T doubles, at most five times, solving only the new phases,
+    until the union is stable to e_resolution (band count and edge
+    movement).  Bands still moving at that cap are flagged rather than
+    silently accepted.
     """
     p, q = p_over_q
     if q < 1 or math.gcd(p, q) != 1:
         raise ValueError("p/q must be a reduced fraction with q >= 1")
     t_count = max(4, -(-int(theta_samples) // q)) if theta_samples else 4
     tol = max(e_resolution, MERGE_TOL)
-    cache = {}
 
-    def union_at(T):
-        for j in range(T):
-            th = Fraction(j, T * q)
-            if th not in cache:
-                cache[th] = _bands_at_theta(lam, f, p, q, float(th))
-        pool = []
-        for th, bands in cache.items():
-            pool.extend(bands)
-        return _merge(pool, tol)
+    def solve(phases, T):
+        return [floquet_edges(lam, f, p, q, j / (T * q)) for j in phases]
 
-    bands = union_at(t_count)
+    def union(edges):
+        lo, hi = edges[:, 0::2].min(axis=0), edges[:, 1::2].max(axis=0)
+        cut = np.flatnonzero(lo[1:] > hi[:-1] + tol) + 1
+        return np.column_stack([lo[np.r_[0, cut]], hi[np.r_[cut - 1, q - 1]]]), cut
+
+    edges = np.array(solve(range(t_count), t_count))      # (phases, 2q)
+    bands, cut = union(edges)
     flagged = False
     for _ in range(5):
-        t_next = t_count * 2
-        nxt = union_at(t_next)
-        stable = len(nxt) == len(bands) and all(
-            abs(a1 - a2) <= tol and abs(b1 - b2) <= tol
-            for (a1, b1), (a2, b2) in zip(bands, nxt)
-        )
-        bands, t_count = nxt, t_next
+        t_count *= 2
+        edges = np.vstack([edges] + solve(range(1, t_count, 2), t_count))
+        nxt, cut = union(edges)
+        stable = nxt.shape == bands.shape and np.abs(nxt - bands).max() <= tol
+        bands = nxt
         if stable:
             break
     else:
         flagged = True
 
-    ref = cache[Fraction(0, 1)]
     bs = BandStructure(
         approximant=(p, q), lam=lam, potential=f,
-        bands=tuple((float(a), float(b)) for a, b in bands),
+        bands=tuple(map(tuple, bands.tolist())),
         theta_grid=t_count,
-        ref_edges=tuple(float(e) for pair in ref for e in pair),
+        bands_below=tuple(cut.tolist()),
         flagged=flagged,
     )
     cap = 4.0 + 2.0 * abs(lam) * f.l1_norm()
@@ -181,15 +155,6 @@ def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL)
         raise SpectrumError("measure-bound",
                             f"band measure {bs.measure} exceeds the norm bound {cap}")
     return bs
-
-
-def ids(bs, energy):
-    """Integrated density of states j/q at an energy inside a gap."""
-    p, q = bs.approximant
-    for lo, hi in bs.bands:
-        if lo <= energy <= hi:
-            raise ValueError(f"E={energy} lies inside a band [{lo}, {hi}]")
-    return Fraction(bs.elementary_bands_below(energy), q)
 
 
 @dataclass(frozen=True)
@@ -358,8 +323,10 @@ def refine_gap_extended(bs, record, dps=50):
     band condition survives in higher precision, so both crossings of the
     relevant level +-2 are bisected to ~10^(5-dps) absolute, in at most 200
     steps each.  The bisection runs on the theta = 0 slice, whose potential
-    values are summed once; when that slice holds no gap at the midpoint,
-    SpectrumError names the check "extended-slice".
+    values are summed once; elementary band i at theta = 0 lies inside its
+    hull, so that slice holds every gap of the union.  When the slice's
+    trace, compared with 2 at dps digits, puts the record's midpoint inside
+    a band, SpectrumError names the check "extended-slice".
     """
     from mpmath import mp, mpf
 
@@ -373,11 +340,11 @@ def refine_gap_extended(bs, record, dps=50):
                 c = f.coeff(k)
                 v += mp.re(mp.mpc(c.real, c.imag) * mp.expjpi(2 * k * x))
             sites.append(lam * v)
-    mid = record.midpoint()
-    if not abs(float(_trace_mp(sites, mid, dps))) > 2.0:
-        raise SpectrumError("extended-slice",
-                            f"gap m={record.label}: the theta = 0 trace at the midpoint "
-                            f"{mid!r} is inside the band condition")
+        mid = record.midpoint()
+        if not abs(_trace_mp(sites, mid, dps)) > 2:
+            raise SpectrumError("extended-slice",
+                                f"gap m={record.label}: the theta = 0 trace at the midpoint "
+                                f"{mid!r} is inside the band condition")
 
     def crossing(lo, hi):
         # sign change of |tr| - 2 between lo (inside gap) and hi (inside band)

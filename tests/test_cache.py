@@ -27,7 +27,7 @@ def band_structures(draw):
                              entire=draw(st.booleans())),
         bands=tuple((draw(finite), draw(finite)) for _ in range(n_bands)),
         theta_grid=draw(st.integers(1, 1 << 12)),
-        ref_edges=tuple(draw(st.lists(finite, max_size=24))),
+        bands_below=tuple(draw(st.lists(st.integers(1, 1000), max_size=24))),
         flagged=draw(st.booleans()),
     )
 
@@ -43,7 +43,7 @@ def test_store_then_load_returns_the_band_structure(bs):
     assert got.lam == bs.lam
     assert got.bands == bs.bands
     assert got.theta_grid == bs.theta_grid
-    assert got.ref_edges == bs.ref_edges
+    assert got.bands_below == bs.bands_below
     assert got.flagged is bs.flagged
     assert got.potential.period == bs.potential.period
     assert got.potential.entire is bs.potential.entire

@@ -73,7 +73,7 @@ def test_rotation_routes_reject_complex_cocycle(golden, amo, route):
     tilted.coeffs[2, 0, 1] += 1e-6
     for c in (schrodinger_cocycle(0.25, amo, 0.33 + 0.1j, golden), Cocycle(golden, tilted)):
         with pytest.raises(ValueError, match="real cocycle"):
-            route(c, iterations=1024)
+            route(c)
 
 
 def test_conjugate_by_identity(golden, amo):
@@ -302,7 +302,7 @@ def test_rotation_numbers_reject_a_potential_not_real_on_the_axis(golden, delta,
     f = FourierMap.from_coeff_dict({1: 1.0, -1: 1.0 + delta})
     c = schrodinger_cocycle(0.25, f, 0.33, golden)
     routes = [lambda: rotation_numbers(0.25, f, golden, [0.33], max_iterations=1024),
-              lambda: rotation_number(c, iterations=1024),
+              lambda: rotation_number(c, max_iterations=1024),
               lambda: rotation_number_counting(c, iterations=1024)]
     for route in routes:
         if real:
@@ -341,20 +341,20 @@ def test_rotation_numbers_match_rotation_number(golden, amo, energies):
         assert (r.iterations, r.flagged) == (ref.iterations, ref.flagged)
 
 
-def test_extended_orbit_matches_fixed_length_run(golden, amo):
+def test_extended_orbit_matches_fixed_length_run(golden, amo, monkeypatch):
     """E = 1.9582425 escalates 4096 -> 2^20 at target 1e-8; the orbit extended
     segment by segment gives what one 2^20-step scan gives."""
     r, = rotation_numbers(0.25, amo, golden, [1.9582425], target_err=1e-8)
     assert r.iterations == 1 << 20 and not r.flagged
-    fixed = rotation_number(schrodinger_cocycle(0.25, amo, 1.9582425, golden),
-                            iterations=1 << 20)
+    monkeypatch.setattr(cocycle, "ROTATION_START_ITERATIONS", 1 << 20)
+    fixed = rotation_number(schrodinger_cocycle(0.25, amo, 1.9582425, golden))
     assert abs(r.value - fixed.value) <= 1e-13
 
 
 def test_rotation_number_needs_two_steps(golden, amo):
     c = schrodinger_cocycle(0.25, amo, 0.33, golden)
     with pytest.raises(ValueError, match="at least 2"):
-        rotation_number(c, iterations=1)
+        rotation_number(c, max_iterations=1)
     with pytest.raises(ValueError, match="at least 2"):
         rotation_numbers(0.25, amo, golden, [0.33], max_iterations=1)
     for n in (0, 1):

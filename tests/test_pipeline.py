@@ -58,6 +58,11 @@ def test_analyze_gap_missing_label_raises(golden, amo):
     assert err.value.stage == "label"
 
 
+def test_analyze_gap_needs_a_convergent(golden, amo):
+    with pytest.raises(ConfigError, match="no convergent with q <= 0"):
+        pl.analyze_gap(0.25, amo, golden, 1, pl.PipelineConfig(q_target=0))
+
+
 def test_free_operator_has_no_dossier(golden, amo):
     with pytest.raises(StageError):
         pl.analyze_gap(0.0, amo, golden, 1, pl.PipelineConfig(q_target=150))

@@ -120,13 +120,7 @@ def test_band_structure_rejects_unreduced_fraction(amo):
 
 def test_ids_values(golden, amo):
     bs = sp.band_structure(0.25, amo, (5, 8))
-    lo = bs.bands[0][0]
-    hi = bs.bands[-1][1]
-    assert sp.ids(bs, lo - 0.5) == Fraction(0, 1)
-    assert sp.ids(bs, hi + 0.5) == Fraction(1, 1)
-    assert sp.ids(bs, bs.gaps()[0].midpoint()) == Fraction(1, 8)
-    with pytest.raises(ValueError):
-        sp.ids(bs, 0.5 * (lo + bs.bands[0][1]))
+    assert bs.gaps()[0].ids == Fraction(1, 8)
 
 
 def test_free_operator_has_no_gap_records(golden, amo):
@@ -383,12 +377,84 @@ def test_repeated_labels_raise_typed_error(golden, amo, monkeypatch):
     assert err.value.check == "distinct-labels"
 
 
-def test_extended_refinement_names_a_slice_without_the_gap(golden, amo):
-    # at 144/233 the theta = 0 slice holds no gap with |m| >= 15: the trace at
-    # the union gap's midpoint meets the band condition there, so bisection on
-    # that slice has no crossing to find
+def test_extended_refinement_of_the_thinnest_gaps_at_233(golden, amo):
+    """At 144/233 the theta = 0 trace at the m = 16 midpoint is
+    -2.0000000000000000035: in the gap only when compared at extended
+    precision, not after rounding to a double."""
     bs = sp.band_structure(0.25, amo, (144, 233))
-    rec = next(r for r in bs.gaps() if r.label == 15)
+    recs = {r.label: r for r in bs.gaps()}
+    for m in (15, 16):
+        r = recs[m]
+        refined = sp.refine_gap_extended(bs, r)
+        assert refined.label == m and refined.ids == r.ids
+        assert abs(refined.e_minus - r.e_minus) < 1e-13
+        assert abs(refined.e_plus - r.e_plus) < 1e-13
+
+
+def test_extended_refinement_names_a_record_inside_a_band(amo):
+    bs = sp.band_structure(0.25, amo, (5, 8))
+    lo, hi = bs.bands[0]
+    rec = sp.GapRecord(1, lo + 0.45 * (hi - lo), lo + 0.55 * (hi - lo), Fraction(1, 8))
     with pytest.raises(SpectrumError) as info:
         sp.refine_gap_extended(bs, rec)
     assert info.value.check == "extended-slice"
+
+
+def test_localized_union_keeps_at_most_q_intervals():
+    """lambda = 1 for V = 2 cos 2 pi x + 0.6 cos 4 pi x: the bands move farther
+    than their own widths between sampled phases, so the sampled bands alone
+    leave thousands of holes that bands at other phases fill."""
+    v = FourierMap.from_coeff_dict({1: 1.0, -1: 1.0, 2: 0.3, -2: 0.3})
+    bs = sp.band_structure(1.0, v, (89, 144))
+    assert len(bs.bands) <= 144 and not bs.flagged
+
+
+def inside_union(bs, edges):
+    """Every band (edges[2i], edges[2i+1]) lies in one interval of bs.bands,
+    up to 1e-12: a solve at another phase rounds its edges differently."""
+    return all(any(a - 1e-12 <= lo and hi <= b + 1e-12 for a, b in bs.bands)
+               for lo, hi in zip(edges[::2], edges[1::2]))
+
+
+def test_amo_union_holds_the_bands_at_an_off_grid_phase(amo):
+    """For AMO the edges are extremal at theta = 0 or 1/(2q), which every
+    phase grid holds, so no phase adds to the union."""
+    bs = sp.band_structure(1.5, amo, (144, 233))
+    assert inside_union(bs, sp.floquet_edges(1.5, amo, 144, 233, 0.37 / 233))
+
+
+SMALL_CONVERGENTS = sorted({pq for freq in (ar.golden_mean(), ar.sqrt2_minus_1())
+                            for pq in freq.convergents if pq[1] <= 34})
+
+
+@st.composite
+def real_trig_potentials(draw):
+    """A real trigonometric polynomial of degree at most 3."""
+    part = st.floats(-1.0, 1.0)
+    coeffs = {0: complex(draw(part))}
+    for k in range(1, draw(st.integers(1, 3)) + 1):
+        coeffs[k] = complex(draw(part), draw(part))
+        coeffs[-k] = coeffs[k].conjugate()
+    return FourierMap.from_coeff_dict(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pq=st.sampled_from(SMALL_CONVERGENTS), lam=st.floats(0.0, 3.0),
+       f=st.one_of(st.just(None), real_trig_potentials()), u=st.floats(0.0, 1.0))
+def test_band_union_invariants(amo, pq, lam, f, u):
+    """The union is at most q intervals, cut between consecutive elementary
+    bands; it holds every band at every sampled phase, and for AMO (f None)
+    at any phase; each gap's label m solves m p = -j (mod q)."""
+    p, q = pq
+    f = amo if f is None else f
+    bs = sp.band_structure(lam, f, pq)
+    j = bs.bands_below
+    assert len(bs.bands) <= q and len(j) == len(bs.bands) - 1
+    assert list(j) == sorted(set(j)) and set(j) <= set(range(1, q))
+    T = bs.theta_grid
+    for k in range(T):
+        assert inside_union(bs, sp.floquet_edges(lam, f, p, q, k / (T * q)))
+    if f is amo:
+        assert inside_union(bs, sp.floquet_edges(lam, f, p, q, u / q))
+    for r, jr in zip(bs.gaps(), j):
+        assert (r.label * p + jr) % q == 0 and r.ids == Fraction(jr, q)
