@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .arithmetic import norm_dist
 from .cocycle import schrodinger_cocycle
@@ -67,6 +66,7 @@ def _interior_eigs(lam, f, freq, theta, trunc, e_lo, e_hi):
     """Eigenpairs in the window whose vectors live away from the truncation
     boundary.  Truncating the dual operator plants spurious edge states inside
     spectral gaps; an honest localized eigenvector peaks well inside."""
+    import scipy.linalg
     ab = _dual_banded(lam, f, freq, theta, trunc)
     w, v = scipy.linalg.eig_banded(ab, lower=False, select="v", select_range=(e_lo, e_hi))
     if len(w) == 0:
@@ -381,6 +381,7 @@ def assemble_wave(sol, lam, f, freq):
 
 def dual_ids(lam, f, freq, energy, trunc=256, theta_samples=32):
     """Eigenvalue-counting function of the dual operator, averaged over theta."""
+    import scipy.linalg
     size = 2 * trunc + 1
     total = 0
     for j in range(theta_samples):

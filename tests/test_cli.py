@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +30,19 @@ def test_beta_subcommand(tmp_path):
     payload = json.loads(read(out / "beta.json"))
     assert payload["beta"] <= 0.01
     assert "config_hash" in payload and "tool_version" in payload
+
+
+def test_beta_launch_does_not_load_scipy_linalg(tmp_path):
+    """The eigen-solvers import scipy.linalg on first use, so a CLI launch
+    that solves nothing does not pay for it."""
+    script = ("import sys\nfrom qpgaps import cli\n"
+              f"assert cli.main(['beta', '--alpha', 'sqrt2m1', '--out', {str(tmp_path)!r}]) == 0\n"
+              "print('scipy.linalg' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_dual_writes_the_bloch_solution(tmp_path):

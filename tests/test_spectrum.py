@@ -409,6 +409,32 @@ def test_localized_union_keeps_at_most_q_intervals():
     assert len(bs.bands) <= 144 and not bs.flagged
 
 
+@pytest.mark.parametrize("coeffs, solves", [
+    ({1: 1.0, -1: 1.0}, 5),
+    ({1: 1.0, -1: 1.0, 2: 0.3, -2: 0.3}, 5),
+    ({1: 1.0, -1: 1.0, 2: 0.3j, -2: -0.3j}, 8),
+], ids=["amo", "even", "not-even"])
+def test_even_potentials_solve_each_mirror_pair_once(monkeypatch, coeffs, solves):
+    """At 144/233 the phase grid exits at T = 8: phases {0, 1, 2} of T = 4 and
+    {1, 3} of T = 8 for an even potential, all 8 for 2 cos 2 pi x - 0.6 sin
+    4 pi x.  The reuse rests on equal edges at theta and 1/q - theta, which
+    the sin term breaks."""
+    f = FourierMap.from_coeff_dict(coeffs)
+    calls = []
+    solve = sp.floquet_edges
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(sp, "floquet_edges", counted)
+    bs = sp.band_structure(0.25, f, (144, 233))
+    assert len(calls) == solves and bs.theta_grid == 8
+    theta = 0.37 / 233
+    gap = np.abs(solve(1.0, f, 144, 233, theta) - solve(1.0, f, 144, 233, 1 / 233 - theta)).max()
+    assert gap <= 1e-12 if solves == 5 else gap > 1e-6
+
+
 def inside_union(bs, edges):
     """Every band (edges[2i], edges[2i+1]) lies in one interval of bs.bands,
     up to 1e-12: a solve at another phase rounds its edges differently."""
@@ -429,11 +455,13 @@ SMALL_CONVERGENTS = sorted({pq for freq in (ar.golden_mean(), ar.sqrt2_minus_1()
 
 @st.composite
 def real_trig_potentials(draw):
-    """A real trigonometric polynomial of degree at most 3."""
+    """A real trigonometric polynomial of degree at most 3; an even one
+    (real c_k = c_-k) when the drawn flag is set."""
     part = st.floats(-1.0, 1.0)
+    even = draw(st.booleans())
     coeffs = {0: complex(draw(part))}
     for k in range(1, draw(st.integers(1, 3)) + 1):
-        coeffs[k] = complex(draw(part), draw(part))
+        coeffs[k] = complex(draw(part), 0.0 if even else draw(part))
         coeffs[-k] = coeffs[k].conjugate()
     return FourierMap.from_coeff_dict(coeffs)
 
