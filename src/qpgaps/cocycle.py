@@ -28,7 +28,7 @@ RENORM_EVERY = 32
 ROTATION_START_ITERATIONS = 4096
 ROTATION_MAX_ITERATIONS = 1 << 20
 ROTATION_TARGET_ERR = 1e-8
-ROTATION_BATCH_STEPS = 1 << 16      # orbit steps x cocycles scanned at once
+ROTATION_BATCH_STEPS = 1 << 16      # orbit steps x cocycles per scan, one cocycle at least
 
 
 def _alpha(freq):
@@ -158,8 +158,12 @@ def _real_values(lam, f, x):
 
 
 def _bump_weights(n):
-    t = (np.arange(n) + 0.5) / n
-    return np.exp(-1.0 / (t * (1.0 - t)))
+    """exp(-1 / (t (1 - t))) at the midpoints t = (j + 1/2) / n, in one buffer."""
+    w = np.arange(n) + 0.5
+    w /= n
+    w *= 1.0 - w
+    np.divide(-1.0, w, out=w)
+    return np.exp(w, out=w)
 
 
 def _angle_increments(steps, w):
@@ -174,9 +178,11 @@ def _angle_increments(steps, w):
     positive-trace matrix -M.  This matches the oscillation-theory convention
     in which every deep-potential step advances the angle forward.
     """
-    w = w.transpose(1, 2, 0).copy()       # one contiguous row per cocycle
-    d = np.diff(np.arctan2(w[:, 1], w[:, 0]))
-    d = (d + math.pi) % (2.0 * math.pi) - math.pi
+    # one contiguous row per cocycle: np.dot sums a strided row in another order
+    d = np.diff(np.arctan2(w[..., 1].T, w[..., 0].T, out=np.empty(w.shape[1::-1])))
+    d += math.pi                          # the wrap (d + pi) % 2 pi - pi, in place
+    np.remainder(d, 2.0 * math.pi, out=d)
+    d -= math.pi
     neg = (steps[0] + steps[3] if isinstance(steps, tuple) else steps).T <= -2.0
     if np.any(neg):
         d[neg] = d[neg] % (2.0 * math.pi)     # lift to [0, 2 pi): forward passage
@@ -198,9 +204,14 @@ def _rotation_results(k, steps_of, target_err, max_iterations):
     cocycles idx as a stack (see _propagate) with batch (len(idx),).
     Cocycles go through in groups whose first orbits fit ROTATION_BATCH_STEPS;
     a group's unfinished members extend their orbits from their last
-    directions to 4n steps, or to max_iterations if that is fewer, scanned in
-    turn in batches that fit the budget, and keep the angle increments they
-    have, so no step is scanned twice.
+    directions to 4n steps, or to max_iterations if that is fewer, and keep
+    the angle increments they have, so no step is scanned twice.  Each
+    extension is scanned in batches of as many members as fit the budget, but
+    never fewer than one: a lone member's extension, up to 3/4 of
+    max_iterations steps, is one scan, and on a long orbit that scan sets the
+    peak memory.  A scan's steps and directions are freed once its increments
+    are taken, the increments once appended to the member's one increment
+    array, and the bump weights once the estimates are made.
     Each member's numbers depend on its own steps only, never on the group.
     """
     n0 = min(ROTATION_START_ITERATIONS, max_iterations)
@@ -210,7 +221,7 @@ def _rotation_results(k, steps_of, target_err, max_iterations):
     group = max(1, ROTATION_BATCH_STEPS // n0)
     for first in range(0, k, group):
         live = list(range(first, min(first + group, k)))
-        incs = {i: [] for i in live}
+        incs = dict.fromkeys(live, np.empty(0))
         ends = dict.fromkeys(live, (1.0, 0.0))
         lo, n = 0, n0
         while live:
@@ -219,14 +230,15 @@ def _rotation_results(k, steps_of, target_err, max_iterations):
                 idx = live[b:b + batch]
                 steps = steps_of(lo, n, idx)
                 w = _scan_directions(steps, np.array([ends[i] for i in idx]))
+                ends.update(zip(idx, w[-1].copy()))
                 d = _angle_increments(steps, w)
-                for row, i in enumerate(idx):
-                    incs[i].append(d[row])
-                    ends[i] = w[-1, row].copy()
+                del steps, w
+                incs.update((i, np.concatenate((incs[i], row))) for i, row in zip(idx, d))
+                del d
             wts, h = _bump_weights(n), n // 2
             wh = _bump_weights(h)
             for i in list(live):
-                d = np.concatenate(incs[i])
+                d = incs[i]
                 est = float(np.dot(wts, d) / wts.sum()) / (2.0 * math.pi)
                 est1 = float(np.dot(wh, d[:h]) / wh.sum()) / (2.0 * math.pi)
                 est2 = float(np.dot(wh, d[h : 2 * h]) / wh.sum()) / (2.0 * math.pi)
@@ -237,6 +249,7 @@ def _rotation_results(k, steps_of, target_err, max_iterations):
                                                 flagged=err > target_err)
                     live.remove(i)
                     del incs[i], ends[i]
+            del wts, wh
             lo, n = n, min(4 * n, max_iterations)
     return results
 

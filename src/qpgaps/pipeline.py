@@ -10,6 +10,7 @@ into the pass/fail map that `qpgaps reduce` writes as claims.json.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import asdict, dataclass
 
@@ -263,6 +264,7 @@ def decay_campaign(lam, f, freq, m_values, config=None, jobs=1):
     payloads = [(lam, f, pq, cfg.theta_samples) for pq in pqs]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
+        importlib.import_module("scipy.linalg")   # once here: forked workers inherit it
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_pq = list(pool.map(_decay_convergent_worker, payloads))
     else:

@@ -468,10 +468,14 @@ class HolderReport:
 def holder_check(lam, f, freq, e_pairs=64, seed=0, rho_target_err=1e-8):
     """Largest observed |d rho| / |dE|^(1/2) over sampled energy pairs.
 
-    Pairs are drawn with log-uniform separations in [1e-7, 1e-1] concentrated
-    near the bracketing interval so the square-root modulus gets stressed at
-    band edges.  All pairs are drawn first, then one cocycle.rotation_numbers
-    call measures every energy; the first pair attaining the maximum wins.
+    Each pair's first energy is uniform over bracket_interval, which reaches
+    1 past the norm bound 2 + |lam| sum |c_k| on each side, and its second
+    lies a log-uniform distance in [1e-7, 1e-1] above or below it.  So some
+    first energies fall outside the spectrum, where rho is exactly 0 or 1/2:
+    at least 2/7 of them for lam = 0.25 AMO, drawn from [-3.5, 3.5] against
+    a spectrum inside [-2.5, 2.5].  All pairs are drawn first, then one
+    cocycle.rotation_numbers call measures every energy; the first pair
+    attaining the maximum wins.
     """
     rng = np.random.default_rng(seed)
     lo, hi = bracket_interval(lam, f)

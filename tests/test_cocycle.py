@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +11,10 @@ from hypothesis import strategies as st
 
 from qpgaps import arithmetic as ar
 from qpgaps import cocycle
-from qpgaps.cocycle import (Cocycle, _entries, _propagate, _real_values, _scan_directions,
-                            amo_potential, conjugate, degree_of, rotation_number,
-                            rotation_number_counting, rotation_numbers, schrodinger_cocycle)
+from qpgaps.cocycle import (Cocycle, _angle_increments, _bump_weights, _entries, _propagate,
+                            _real_values, _scan_directions, amo_potential, conjugate, degree_of,
+                            rotation_number, rotation_number_counting, rotation_numbers,
+                            schrodinger_cocycle)
 from qpgaps.errors import DegreeError
 from qpgaps.fourier import FourierMap, matrix_exp, mul
 
@@ -273,6 +278,44 @@ def test_schrodinger_scan_equals_scan_of_its_general_entries(n, batch, seed):
     assert np.array_equal(_scan_directions(a, start), _scan_directions(general, start))
 
 
+def plain_angle_increments(steps, w):
+    """Reference: a transposed copy of the directions, np.diff of their
+    arctan2, the wrap (d + pi) % 2 pi - pi, then the forward lift of the
+    steps with trace <= -2."""
+    w = w.transpose(1, 2, 0).copy()
+    d = np.diff(np.arctan2(w[:, 1], w[:, 0]))
+    d = (d + math.pi) % (2.0 * math.pi) - math.pi
+    neg = (steps[0] + steps[3] if isinstance(steps, tuple) else steps).T <= -2.0
+    d[neg] = d[neg] % (2.0 * math.pi)
+    return d
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from(ORBIT_LENGTHS), k=st.sampled_from([1, 3]),
+       schrodinger=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_angle_increments_equal_the_plain_formula(n, k, schrodinger, seed):
+    """Bit for bit, on one cocycle (a lone long orbit's scan) and on three:
+    Schrodinger stacks with a in [-3, 3], or random SL(2,R) steps with random
+    signs, so traces of both signs and below -2 occur."""
+    rng = np.random.default_rng(seed)
+    if schrodinger:
+        steps = rng.uniform(-3.0, 3.0, (n, k))
+    else:
+        signs = rng.choice((-1.0, 1.0), (n, k, 1, 1))
+        steps = _entries(signs * random_sl2r(rng, (n, k)))
+    w = _scan_directions(steps, rng.normal(size=(k, 2)))
+    got = _angle_increments(steps, w)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, plain_angle_increments(steps, w))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from(ORBIT_LENGTHS + [1 << 20]))
+def test_bump_weights_equal_the_plain_formula(n):
+    t = (np.arange(n) + 0.5) / n
+    assert np.array_equal(_bump_weights(n), np.exp(-1.0 / (t * (1.0 - t))))
+
+
 @settings(max_examples=30, deadline=None)
 @given(band=st.integers(1, 3), shape=st.sampled_from([(), (2, 2)]),
        seed=st.integers(0, 2**32 - 1))
@@ -375,3 +418,30 @@ def test_extension_stops_at_max_iterations(golden, amo):
                           max_iterations=1 << 17)
     assert r.iterations == 1 << 17
     assert r.flagged
+
+
+def test_long_orbit_pair_peak_memory_and_bits():
+    """The m = 7 bench dossier's shift check (golden mean, lambda = 0.25,
+    AMO): E stops at 4096 steps and E + eps_m runs to the 2^20-step cap,
+    whose last extension, 786,432 steps, is one scan.  Its traced peak was
+    66.1 MB with every scan buffer held until the next scan, 41.96 MB with
+    each freed after its last read.  Both results keep their bits.  A fresh
+    interpreter with one BLAS thread: np.dot splits a 2^20-term sum between
+    threads, which moves the last bits of rho."""
+    script = ("import json, tracemalloc\n"
+              "from qpgaps import arithmetic, cocycle\n"
+              "freq, f = arithmetic.golden_mean(40), cocycle.amo_potential()\n"
+              "tracemalloc.start()\n"
+              "rs = cocycle.rotation_numbers(0.25, f, freq, [1.143504266101434,\n"
+              "                              1.143504266101434 - 1.3592896732232602e-05])\n"
+              "print(json.dumps([tracemalloc.get_traced_memory()[1],\n"
+              "                  [[r.value, r.error, r.iterations, r.flagged] for r in rs]]))\n")
+    src = os.path.dirname(os.path.dirname(cocycle.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    peak, results = json.loads(done.stdout.splitlines()[-1])
+    assert peak <= 1.05 * 41.96e6
+    assert results == [[0.16311860533113237, 3.736987996827423e-09, 4096, False],
+                       [0.16312013592458172, 7.8476241061054e-08, 1048576, True]]
