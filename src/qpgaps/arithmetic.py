@@ -108,8 +108,9 @@ def from_cf(quotients, truncated=False, growth_levels=()):
     )
 
 
-def expand_cf(alpha, depth, dps=DEFAULT_DPS):
-    """Partial-quotient expansion of alpha in (0,1) to the requested depth.
+def expand_cf(alpha, depth):
+    """Partial-quotient expansion of alpha in (0,1) to the requested depth,
+    in DEFAULT_DPS decimal digits.
 
     Raises RationalAlphaError when a quotient overflows the precision budget
     (rational input).  Depth auto-truncates, with the truncated flag set, once
@@ -117,6 +118,7 @@ def expand_cf(alpha, depth, dps=DEFAULT_DPS):
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    dps = DEFAULT_DPS
     with mp.workdps(dps):
         a0 = mpf(alpha)
         if not (0 < a0 < 1):
@@ -199,8 +201,8 @@ def estimate_beta(freq, k_max):
     The limsup defining beta ignores any finite prefix, so the estimator only
     examines the tail window q >= k_max**TAIL_EXPONENT (falling back to the
     deepest convergent when the window is empty).  The maximum of
-    -ln||k alpha||/k over the window is attained at a convergent denominator;
-    brute_force_beta provides the cross-check.
+    -ln||k alpha||/k over the window is attained at a convergent denominator,
+    by the best-approximation property of convergents.
     """
     denominators = sorted({q for _, q in freq.convergents if 1 <= q <= k_max})
     if not denominators:
@@ -231,17 +233,6 @@ def estimate_beta(freq, k_max):
         k_max=k_max,
         monotone_growth=monotone,
     )
-
-
-def brute_force_beta(freq, k_lo, k_max):
-    """max of -ln||k alpha||/k over every integer k in [k_lo, k_max]."""
-    best = -math.inf
-    arg = None
-    for k in range(k_lo, k_max + 1):
-        r = _ratio(freq, k)
-        if r > best:
-            best, arg = r, k
-    return best, arg
 
 
 def synth_liouville(target_beta, levels, seed):
@@ -278,16 +269,6 @@ def synth_liouville(target_beta, levels, seed):
         q_prev, q = q, a_next * q + q_prev
     quotients.extend([1] * 8)
     return from_cf(quotients, truncated=truncated, growth_levels=growth_levels)
-
-
-def growth_ratio_table(freq):
-    """Per growth level n of a synthesized frequency: (n, q_n, ln(q_{n+1})/q_n)."""
-    qs = freq.denominators()
-    return [
-        (n, qs[n], math.log(qs[n + 1]) / qs[n])
-        for n in freq.growth_levels
-        if n + 1 < len(qs)
-    ]
 
 
 def rotation_phase_fracs(freq, band_limit):

@@ -293,33 +293,6 @@ def rotation_numbers(lam, f, freq, energies, target_err=ROTATION_TARGET_ERR,
     return _rotation_results(len(energies), steps_of, target_err, max_iterations)
 
 
-def rotation_number_counting(c, iterations=1 << 18):
-    """Rotation number through eigenvalue counting, as an independent route.
-
-    The leading principal minors of the Dirichlet box of size n satisfy the
-    same three-term recursion as the transfer matrices, so the sign changes of
-    the first component of A_k(x)(1,0) count the eigenvalues below E; the
-    integrated density of states is that count over n and rho = (1 - N)/2.
-    Integer-valued counting is immune to any angle-lift convention, which is
-    what makes this a genuine cross-check of rotation_number.  Fewer than 2
-    steps raise ValueError: the error bar compares against the first half.
-    """
-    n = int(iterations)
-    if n < 2:
-        raise ValueError(f"rotation number needs at least 2 orbit steps, got {n}")
-    w = _scan_directions(_entries(_real_values(1.0, c.A, c.alpha * np.arange(n))))
-    signs = np.sign(w[:, 0])
-    signs[signs == 0.0] = 1.0
-    flips = np.count_nonzero(signs[1:] != signs[:-1])
-    half = np.count_nonzero(signs[1 : n // 2 + 1] != signs[: n // 2])
-    # sign agreements of det(H_k - E) are sign changes of det(E - H_k),
-    # so flips/n = 1 - N(E) and rho = (1 - N)/2 = flips/(2n)
-    rho = flips / (2.0 * n)
-    rho_half = half / (2.0 * (n // 2))
-    err = max(abs(rho - rho_half), 1.0 / n)
-    return RotationResult(value=norm_dist(rho), error=err, iterations=n, flagged=False)
-
-
 def degree_of(R):
     """Winding number in RP^1 of x -> direction of R(x) v over x in [0, 1],
     on 4096 grid steps, for up to three fixed test vectors v.

@@ -37,6 +37,9 @@ DUAL_MAX_TRUNC = 4096
 DUAL_TAIL_TOL = 1e-10
 WAVE_GRID = 1024            # grid for the wave-relation residuals
 THETA_XTOL = 1e-12
+BLOCH_THETA_GRID = 64       # find_bloch's scan points on theta in [0, 1/2]
+RESONANCE_N_MAX = 64        # detect_resonance tries |n| <= this
+RESONANCE_TOL = 1e-5        # and accepts a circle distance below this
 EDGE_MARGIN = 4             # fewest sites an eigenvector's peak keeps from each boundary
 # half-widths of the energy windows tried in turn, by caller
 _PROBE_WINDOWS = (0.5, 2.0, 8.0, 32.0)
@@ -172,20 +175,21 @@ def _normalized(lam, f, freq, theta, trunc, energy, vec):
     return sol, n0
 
 
-def find_bloch(lam, f, freq, energy, trunc=DUAL_START_N, theta_grid=64):
+def find_bloch(lam, f, freq, energy, trunc=DUAL_START_N):
     """Dual eigenpair whose eigenvalue comes nearest `energy` over theta.
 
     The phase minimizing the distance of the closest interior eigenvalue to
-    `energy` is located once at the starting truncation, on a `theta_grid`
-    scan of [0, 1/2] and then by golden section; `_refine` then doubles the
-    truncation (stopping rule in its docstring) and `_normalized` recenters
-    the eigenvector at its largest entry (shifting theta by a multiple of
-    alpha) and scales it so u_0 = 1, all |u_k| <= 1.  Gap edges of a labeled
-    gap come from `find_bloch_resonant` instead.
+    `energy` is located once at the starting truncation, on a
+    BLOCH_THETA_GRID-point scan of [0, 1/2] and then by golden section;
+    `_refine` then doubles the truncation (stopping rule in its docstring)
+    and `_normalized` recenters the eigenvector at its largest entry
+    (shifting theta by a multiple of alpha) and scales it so u_0 = 1, all
+    |u_k| <= 1.  Gap edges of a labeled gap come from `find_bloch_resonant`
+    instead.
     """
     probe = lambda th: _nearest_pair(lam, f, freq, th, trunc, energy, _PROBE_WINDOWS)[0]
     objective = lambda th: abs(probe(th) - energy)
-    thetas = (np.arange(theta_grid) + 0.5) / (2.0 * theta_grid)   # [0, 1/2]
+    thetas = (np.arange(BLOCH_THETA_GRID) + 0.5) / (2.0 * BLOCH_THETA_GRID)   # [0, 1/2]
     vals = [objective(t) for t in thetas]
     i0 = int(np.argmin(vals))
     lo = thetas[max(0, i0 - 1)]
@@ -287,20 +291,21 @@ def duality_residual(lam, f, freq, sol):
     return float(np.abs(top).max() / scale)
 
 
-def detect_resonance(sol, freq, n_max=64, tol=1e-5):
-    """Integer n with 2 theta = n alpha (mod 1), or None if nothing passes.
+def detect_resonance(sol, freq):
+    """Integer n, |n| <= RESONANCE_N_MAX, with 2 theta = n alpha (mod 1) to
+    within RESONANCE_TOL, or None if nothing passes.
 
     Returns the minimizing candidate and stores the achieved circle distance;
     callers compare |m| against |n| for the label-vs-resonance ratio.
     """
     two_theta = (2.0 * sol.theta) % 1.0
     best_n, best_d = None, math.inf
-    for n in range(-n_max, n_max + 1):
+    for n in range(-RESONANCE_N_MAX, RESONANCE_N_MAX + 1):
         d = norm_dist(two_theta - n * freq.value)
         if d < best_d - 1e-18 or (abs(d - best_d) <= 1e-18 and best_n is not None and abs(n) < abs(best_n)):
             best_n, best_d = n, d
     sol.resonance_dist = best_d
-    if best_d < tol:
+    if best_d < RESONANCE_TOL:
         sol.n_tilde = int(best_n)
         return sol.n_tilde
     sol.n_tilde = None
@@ -310,8 +315,7 @@ def detect_resonance(sol, freq, n_max=64, tol=1e-5):
 def snap_to_resonance(sol, lam, f, freq):
     """Move theta onto the exact resonant value (n alpha + j)/2 and re-solve.
 
-    A located phase carries numerical fuzz (the minimizer's ~1e-9 in
-    `find_bloch`, rounding in the pair search's recentered phase), which
+    The pair search's recentered phase carries rounding fuzz, which
     otherwise caps every downstream identity at that level.
     The eigenpair is recomputed at the snapped phase; if its peak sits away
     from the center the phase is recentered (which shifts the resonance
@@ -351,7 +355,7 @@ def assemble_wave(sol, lam, f, freq):
     disagrees with that parity is a BlochError.
     """
     if sol.n_tilde is None:
-        raise BlochError("resonance integer undetected; run detect_resonance first")
+        raise BlochError("Bloch solution carries no resonance integer")
     n_t = sol.n_tilde
     phase = np.exp(2j * math.pi * sol.theta)
     shift_ph = np.exp(-2j * math.pi * np.arange(-sol.trunc, sol.trunc + 1) * freq.value)
@@ -378,16 +382,3 @@ def assemble_wave(sol, lam, f, freq):
     return AssembledWave(U=U, U_hat=U_hat, sign=sign, residual=residual,
                          parity_integer=parity, n_tilde=int(n_t))
 
-
-def dual_ids(lam, f, freq, energy, trunc=256, theta_samples=32):
-    """Eigenvalue-counting function of the dual operator, averaged over theta."""
-    import scipy.linalg
-    size = 2 * trunc + 1
-    total = 0
-    for j in range(theta_samples):
-        th = (j + 0.5) / theta_samples
-        ab = _dual_banded(lam, f, freq, th, trunc)
-        vals = scipy.linalg.eig_banded(ab, lower=False, select="v",
-                                       select_range=(-1e6, energy), eigvals_only=True)
-        total += len(vals)
-    return total / (size * theta_samples)

@@ -85,10 +85,6 @@ class FourierMap:
 
     # ---- constructors ----------------------------------------------------
     @staticmethod
-    def zero(band_limit=0, shape=()):
-        return FourierMap(np.zeros((2 * band_limit + 1,) + shape, dtype=complex))
-
-    @staticmethod
     def constant(value, period=1):
         v = np.asarray(value, dtype=complex)
         return FourierMap(v[np.newaxis, ...], period)
@@ -110,16 +106,6 @@ class FourierMap:
     def cosine(period=1):
         """cos(2 pi x / period)"""
         return FourierMap.from_coeff_dict({1: 0.5, -1: 0.5}, period)
-
-    @staticmethod
-    def from_function(fn, band_limit):
-        """Coefficients of a smooth 1-periodic function via an FFT on a grid
-        oversampled four times (see from_samples)."""
-        m = 1
-        while m < 4 * (2 * band_limit + 1):
-            m *= 2
-        vals = np.asarray([fn(xi) for xi in np.arange(m) / m], dtype=complex)
-        return FourierMap.from_samples(vals, band_limit, 1)
 
     @staticmethod
     def from_samples(vals, band_limit, period):

@@ -4,8 +4,8 @@ A dossier walks one labeled gap through the whole machine: approximant
 spectrum, dual eigenpair at the chosen edge, resonance, frame reduction,
 average identities, the first-order perturbation matrix, the certified energy
 step, and the rotation-number shift test.  Campaigns sweep labels or window
-sizes and return tables; claims_report turns dossiers (and a decay campaign)
-into the pass/fail map that `qpgaps reduce` writes as claims.json.
+sizes and return tables; claims_report turns dossiers into the pass/fail
+map that `qpgaps reduce` writes as claims.json.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import duality, reducibility, spectrum
-from .errors import ConfigError, StageError
+from .errors import ConfigError, QPGapsError, StageError
 
 WIDTH_STABLE_REL = 0.10
 WIDTH_STABLE_ABS = 1e-13
@@ -71,9 +71,12 @@ class GapDossier:
 
 
 def _stage(name, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a numerical breakdown (a package error, an
+    ArithmeticError, or a ValueError, numpy's LinAlgError included) raised as
+    StageError(name); anything else, a programming error, passes unwrapped."""
     try:
         return fn(*args, **kwargs)
-    except Exception as exc:
+    except (QPGapsError, ArithmeticError, ValueError) as exc:
         raise StageError(name, exc) from exc
 
 
@@ -336,7 +339,7 @@ def homogeneity_campaign(lam, f, freq, sigmas, config=None):
     return HomogeneityCampaign(approximant=pq, rows=tuple(rows))
 
 
-def claims_report(dossiers=(), decay=None):
+def claims_report(dossiers):
     """Pass/fail map with measured slack for every checked inequality."""
     claims = []
 
@@ -362,14 +365,6 @@ def claims_report(dossiers=(), decay=None):
                 abs(rf["rho_prime_predicted"] - rf["rho_shift_measured"])
                 <= 1e-3 * rf["rho_prime_predicted"] + 1e-9,
                 rf["rho_shift_measured"], rf["rho_prime_predicted"])
-    if decay is not None:
-        if decay.fit is not None:
-            add("decay: fitted rate positive", decay.fit.gamma > 0.0,
-                decay.fit.gamma, 0.0)
-            add("decay: fit rms residual", decay.fit.rms_residual < 0.5,
-                decay.fit.rms_residual, 0.5)
-        if decay.monotone_from is not None:
-            add("decay: widths eventually monotone", True, decay.monotone_from, None)
     return {"claims": claims,
             "passed": sum(1 for c in claims if c["passed"]),
             "total": len(claims)}

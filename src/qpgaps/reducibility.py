@@ -50,29 +50,29 @@ def _divisors(freq, band_limit):
     return np.exp(2j * math.pi * fr) - 1.0, fr
 
 
-def _needed_modes(div, data, forced, entries, divisor_cutoff):
+def _needed_modes(div, data, forced, entries):
     """Mask of the modes k != 0 that need a divisor: those whose data
     (coefficient array, mode first) exceeds 1e-18 of its peak floored at 1,
-    plus the `forced` ones.  The first such k whose divisor falls below the
-    cutoff raises SmallDivisorError naming k and, unless `entries` is None,
-    the entry `entries` gives at that mode."""
+    plus the `forced` ones.  The first such k whose divisor falls below
+    DIVISOR_CUTOFF raises SmallDivisorError naming k and, unless `entries`
+    is None, the entry `entries` gives at that mode."""
     n = (len(div) - 1) // 2
     mags = np.abs(data).reshape(len(data), -1).max(axis=1)
     scale = float(mags.max()) if mags.size else 0.0
     needed = ((mags > 1e-18 * max(scale, 1.0)) | forced) & (np.arange(-n, n + 1) != 0)
-    small = np.flatnonzero(needed & (np.abs(div) < divisor_cutoff))
+    small = np.flatnonzero(needed & (np.abs(div) < DIVISOR_CUTOFF))
     if small.size:
         i = int(small[0])
-        raise SmallDivisorError(i - n, abs(div[i]), divisor_cutoff,
+        raise SmallDivisorError(i - n, abs(div[i]), DIVISOR_CUTOFF,
                                 entry=None if entries is None else entries[i])
     return needed
 
 
-def solve_homological_scalar(nu, freq, sign=1, divisor_cutoff=DIVISOR_CUTOFF):
+def solve_homological_scalar(nu, freq, sign=1):
     """Zero-mean solution of  +-phi(x+alpha) -+ phi(x) = nu(x) - [nu].
 
     Coefficients are nu_k / (e^{2 pi i k alpha} - 1) up to the overall sign;
-    any needed divisor below the cutoff raises SmallDivisorError naming k.
+    any needed divisor below DIVISOR_CUTOFF raises SmallDivisorError naming k.
     The reconstruction residual is checked on a grid against the data.
     """
     if nu.value_shape:
@@ -84,7 +84,7 @@ def solve_homological_scalar(nu, freq, sign=1, divisor_cutoff=DIVISOR_CUTOFF):
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
     div, fr = _divisors(freq, nu.band_limit)
-    need = _needed_modes(div, nu.coeffs, False, None, divisor_cutoff)
+    need = _needed_modes(div, nu.coeffs, False, None)
     coeffs = np.zeros_like(nu.coeffs)
     coeffs[need] = sign * nu.coeffs[need] / div[need]
     phi = FourierMap(coeffs, period=1, entire=nu.entire)
@@ -103,7 +103,7 @@ def solve_homological_scalar(nu, freq, sign=1, divisor_cutoff=DIVISOR_CUTOFF):
     return phi
 
 
-def solve_homological_parabolic(pert, parabolic, freq, divisor_cutoff=DIVISOR_CUTOFF):
+def solve_homological_parabolic(pert, parabolic, freq):
     """Y with  Y(x+alpha) P - P Y(x) = pert - [pert]  and zero-mean entries.
 
     For P = [[1, mu], [0, 1]] the entries resolve in the order 21 (single
@@ -121,7 +121,7 @@ def solve_homological_parabolic(pert, parabolic, freq, divisor_cutoff=DIVISOR_CU
     div, _ = _divisors(freq, pert.band_limit)
     lower = np.abs(data.coeffs[:, 1, 0])
     need = _needed_modes(div, data.coeffs, abs(mu) * lower != 0.0,
-                         np.where(lower > 0, "21", "12"), divisor_cutoff)
+                         np.where(lower > 0, "21", "12"))
     d = div[need]
     e = d + 1.0                        # e^{2 pi i k alpha}
     d2 = d**2
@@ -273,26 +273,11 @@ def _log_2x2(mats):
     raise ArithmeticError("matrix-log series did not converge; spectrum too far from 1")
 
 
-def first_order_log_term(averages, mu):
-    """Explicit first-order term of log(const) in the energy perturbation.
-
-    With r11 = [R11^2], r1112 = [R11 R12], r12 = [R12^2]:
-    the trace-free matrix whose exponential matches P + eps [pert] through
-    first order.  The (1,2) entry carries the extra mu^2 r11 / 6 that the
-    exact derivative of the exponential requires.
-    """
-    r11, r1112, r12 = averages
-    return np.array([
-        [-0.5 * mu * r11 + r1112, r12 - mu * r1112 + mu**2 * r11 / 6.0],
-        [-r11, 0.5 * mu * r11 - r1112],
-    ])
-
-
 def rotation_form_generator(parabolic, const_final):
     """Trace-free part D of log(sign * const_final), which `elliptic_normalize`
     turns into the rotation form.  The expansion L0 + eps L1 + eps^2 L2
-    (nilpotent log, `first_order_log_term`, trace-free rest) sums to exactly
-    D.  The trace goes because the constant part alone is not unimodular: its
+    (nilpotent log; a first-order term in closed form in the frame averages
+    [R11^2], [R11 R12], [R12^2]; trace-free rest) sums to exactly D.  The trace goes because the constant part alone is not unimodular: its
     determinant defect lives in the x-dependent remainder."""
     L = _log_2x2((parabolic.sign * const_final)[None, :, :])[0]
     return L - 0.5 * np.trace(L) * np.eye(2)

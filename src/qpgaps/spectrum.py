@@ -38,6 +38,8 @@ from .errors import SpectrumError
 MERGE_TOL = 1e-12
 WIDTH_FLOOR = 1e-12          # double-precision floor for trustworthy widths
 RHO_SKIP_WIDTH = 1e-10       # gaps thinner than this skip the rotation check
+RHO_TOL = 1e-4               # label_gaps' bound on |2 rho - m alpha| (mod 1)
+EXTENDED_DPS = 50            # decimal digits of refine_gap_extended
 
 
 @dataclass(frozen=True)
@@ -227,22 +229,22 @@ def _previous_gap_midpoints(bs, freq):
     return freq.value - p0 / q0, {r.label: r.midpoint() for r in prev.gaps()}
 
 
-def label_gaps(bs, freq, rho_tol=1e-4):
+def label_gaps(bs, freq):
     """bs.gaps(), each label validated by the rotation number of the
-    true-frequency cocycle (records failing the tolerance are flagged, never
-    dropped).
+    true-frequency cocycle (records whose residual exceeds RHO_TOL are
+    flagged, never dropped).
 
     The approximant's gap m sits at rotation level m p/q, not m alpha, so its
     midpoint is displaced from the true gap by about |m| |alpha - p/q| in
     rotation units.  rho is measured at the midpoint unless that
-    displacement exceeds rho_tol while |alpha - p/q| itself does not; then it
+    displacement exceeds RHO_TOL while |alpha - p/q| itself does not; then it
     is measured at the gap center extrapolated linearly in delta = alpha - p/q
     to delta = 0 through the same label's gap at the previous convergent
     (whose band structure is built once, on first need), or at the midpoint
     when that convergent has no open gap with the label.  Every point is
     chosen before any measurement and does not depend on the target m alpha;
     rho_energy records it.  One cocycle.rotation_numbers call then measures
-    them all, each targeting an error of min(rho_tol / 20, 1e-5) with
+    them all, each targeting an error of min(RHO_TOL / 20, 1e-5) with
     max_iterations 2^17.  below_floor gaps keep a NaN residual.
     """
     p, q = bs.approximant
@@ -256,7 +258,7 @@ def label_gaps(bs, freq, rho_tol=1e-4):
         if r.below_floor:
             continue
         energy = mid = r.midpoint()
-        if abs(delta) <= rho_tol < abs(r.label * delta):
+        if abs(delta) <= RHO_TOL < abs(r.label * delta):
             if previous is None:
                 previous = _previous_gap_midpoints(bs, freq)
             delta0, mids = previous
@@ -264,10 +266,10 @@ def label_gaps(bs, freq, rho_tol=1e-4):
                 energy = mid - delta * (mid - mids[r.label]) / (delta - delta0)
         energies[i] = energy
     rhos = rotation_numbers(bs.lam, bs.potential, freq, list(energies.values()),
-                            target_err=min(rho_tol / 20.0, 1e-5), max_iterations=1 << 17)
+                            target_err=min(RHO_TOL / 20.0, 1e-5), max_iterations=1 << 17)
     for (i, energy), rr in zip(energies.items(), rhos):
         resid = norm_dist(2.0 * rr.value - (records[i].label * freq.value) % 1.0)
-        records[i] = replace(records[i], rho_resid=resid, flagged=resid > rho_tol,
+        records[i] = replace(records[i], rho_resid=resid, flagged=resid > RHO_TOL,
                              rho_energy=energy)
     return records
 
@@ -327,21 +329,21 @@ def _trace_mp(sites, energy, dps):
         return a11 + a22
 
 
-def refine_gap_extended(bs, record, dps=50):
+def refine_gap_extended(bs, record):
     """Re-resolve a gap's edges by bisection on |trace| - 2 in extended precision.
 
     Double precision floors widths near 1e-12; the trace excursion past the
     band condition survives in higher precision, so both crossings of the
-    relevant level +-2 are bisected to ~10^(5-dps) absolute, in at most 200
-    steps each.  The bisection runs on the theta = 0 slice, whose potential
-    values are summed once; elementary band i at theta = 0 lies inside its
+    relevant level +-2 are bisected to ~10^(5-dps) absolute, dps =
+    EXTENDED_DPS, in at most 200 steps each.  The bisection runs on the
+    theta = 0 slice, whose potential values are summed once; elementary band i at theta = 0 lies inside its
     hull, so that slice holds every gap of the union.  When the slice's
     trace, compared with 2 at dps digits, puts the record's midpoint inside
     a band, SpectrumError names the check "extended-slice".
     """
     from mpmath import mp, mpf
 
-    lam, f = bs.lam, bs.potential
+    lam, f, dps = bs.lam, bs.potential, EXTENDED_DPS
     p, q = bs.approximant
     with mp.workdps(dps):
         sites = []
@@ -492,30 +494,6 @@ def holder_check(lam, f, freq, e_pairs=64, seed=0, rho_target_err=1e-8):
         if quot > best:
             best, arg = quot, (e1, e2)
     return HolderReport(max_quotient=best, argmax_pair=arg, pairs_used=len(energies) // 2)
-
-
-def hausdorff_distance(bands_a, bands_b):
-    """Hausdorff distance between two finite unions of closed intervals."""
-
-    def dist_point(x, bands):
-        return min(
-            0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
-            for lo, hi in bands
-        )
-
-    def one_sided(a_bands, b_bands):
-        worst = 0.0
-        cuts = sorted({e for lo, hi in b_bands for e in (lo, hi)})
-        for lo, hi in a_bands:
-            cands = [lo, hi]
-            for i in range(len(cuts) - 1):
-                m = 0.5 * (cuts[i] + cuts[i + 1])
-                if lo < m < hi:
-                    cands.append(m)
-            worst = max(worst, max(dist_point(x, b_bands) for x in cands))
-        return worst
-
-    return max(one_sided(bands_a, bands_b), one_sided(bands_b, bands_a))
 
 
 def bands_to_csv(bs):

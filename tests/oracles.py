@@ -1,0 +1,125 @@
+"""Independent reference computations that the tests compare the package
+against.  None of them runs in the pipeline or the command line; each takes
+a second route to a number the package computes, or builds test data."""
+
+import math
+
+import numpy as np
+
+from qpgaps.arithmetic import _ratio, norm_dist
+from qpgaps.cocycle import RotationResult, _entries, _real_values, _scan_directions
+from qpgaps.duality import _dual_banded
+from qpgaps.fourier import FourierMap
+
+
+def hausdorff_distance(bands_a, bands_b):
+    """Hausdorff distance between two finite unions of closed intervals."""
+
+    def dist_point(x, bands):
+        return min(
+            0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
+            for lo, hi in bands
+        )
+
+    def one_sided(a_bands, b_bands):
+        worst = 0.0
+        cuts = sorted({e for lo, hi in b_bands for e in (lo, hi)})
+        for lo, hi in a_bands:
+            cands = [lo, hi]
+            for i in range(len(cuts) - 1):
+                m = 0.5 * (cuts[i] + cuts[i + 1])
+                if lo < m < hi:
+                    cands.append(m)
+            worst = max(worst, max(dist_point(x, b_bands) for x in cands))
+        return worst
+
+    return max(one_sided(bands_a, bands_b), one_sided(bands_b, bands_a))
+
+
+def dual_ids(lam, f, freq, energy, trunc=256, theta_samples=32):
+    """Eigenvalue-counting function of the dual operator, averaged over theta."""
+    import scipy.linalg
+    size = 2 * trunc + 1
+    total = 0
+    for j in range(theta_samples):
+        th = (j + 0.5) / theta_samples
+        ab = _dual_banded(lam, f, freq, th, trunc)
+        vals = scipy.linalg.eig_banded(ab, lower=False, select="v",
+                                       select_range=(-1e6, energy), eigvals_only=True)
+        total += len(vals)
+    return total / (size * theta_samples)
+
+
+def brute_force_beta(freq, k_lo, k_max):
+    """max of -ln||k alpha||/k over every integer k in [k_lo, k_max]."""
+    best = -math.inf
+    arg = None
+    for k in range(k_lo, k_max + 1):
+        r = _ratio(freq, k)
+        if r > best:
+            best, arg = r, k
+    return best, arg
+
+
+def growth_ratio_table(freq):
+    """Per growth level n of a synthesized frequency: (n, q_n, ln(q_{n+1})/q_n)."""
+    qs = freq.denominators()
+    return [
+        (n, qs[n], math.log(qs[n + 1]) / qs[n])
+        for n in freq.growth_levels
+        if n + 1 < len(qs)
+    ]
+
+
+def rotation_number_counting(c, iterations=1 << 18):
+    """Rotation number through eigenvalue counting, as an independent route.
+
+    The leading principal minors of the Dirichlet box of size n satisfy the
+    same three-term recursion as the transfer matrices, so the sign changes of
+    the first component of A_k(x)(1,0) count the eigenvalues below E; the
+    integrated density of states is that count over n and rho = (1 - N)/2.
+    Integer-valued counting is immune to any angle-lift convention, which is
+    what makes this a genuine cross-check of rotation_number.  It evaluates
+    its steps through the package's one real evaluator, so it shares that
+    evaluator's check that the cocycle is real on the axis.  Fewer than 2
+    steps raise ValueError: the error bar compares against the first half.
+    """
+    n = int(iterations)
+    if n < 2:
+        raise ValueError(f"rotation number needs at least 2 orbit steps, got {n}")
+    w = _scan_directions(_entries(_real_values(1.0, c.A, c.alpha * np.arange(n))))
+    signs = np.sign(w[:, 0])
+    signs[signs == 0.0] = 1.0
+    flips = np.count_nonzero(signs[1:] != signs[:-1])
+    half = np.count_nonzero(signs[1 : n // 2 + 1] != signs[: n // 2])
+    # sign agreements of det(H_k - E) are sign changes of det(E - H_k),
+    # so flips/n = 1 - N(E) and rho = (1 - N)/2 = flips/(2n)
+    rho = flips / (2.0 * n)
+    rho_half = half / (2.0 * (n // 2))
+    err = max(abs(rho - rho_half), 1.0 / n)
+    return RotationResult(value=norm_dist(rho), error=err, iterations=n, flagged=False)
+
+
+def first_order_log_term(averages, mu):
+    """Explicit first-order term of log(const) in the energy perturbation.
+
+    With r11 = [R11^2], r1112 = [R11 R12], r12 = [R12^2]:
+    the trace-free matrix whose exponential matches P + eps [pert] through
+    first order.  The (1,2) entry carries the extra mu^2 r11 / 6 that the
+    exact derivative of the exponential requires.
+    """
+    r11, r1112, r12 = averages
+    return np.array([
+        [-0.5 * mu * r11 + r1112, r12 - mu * r1112 + mu**2 * r11 / 6.0],
+        [-r11, 0.5 * mu * r11 - r1112],
+    ])
+
+
+def fourier_from_function(fn, band_limit):
+    """Coefficients of a smooth 1-periodic function via an FFT on a grid
+    oversampled four times (see FourierMap.from_samples)."""
+    m = 1
+    while m < 4 * (2 * band_limit + 1):
+        m *= 2
+    vals = np.asarray([fn(xi) for xi in np.arange(m) / m], dtype=complex)
+    return FourierMap.from_samples(vals, band_limit, 1)

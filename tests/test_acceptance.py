@@ -32,7 +32,8 @@ def _report(n, ok, detail):
 @pytest.fixture(scope="module")
 def q233_records(golden, amo):
     bs = sp.band_structure(0.25, amo, (144, 233))
-    return bs, sp.label_gaps(bs, golden, rho_tol=1e-4)
+    assert sp.RHO_TOL == 1e-4            # label_gaps measures at criterion 5's tolerance
+    return bs, sp.label_gaps(bs, golden)
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +139,7 @@ def test_criterion_02_rotation_degree_algebra(golden):
     assert pr2_ok and rr_ok
 
 
-def test_criterion_03_homological_oracle(golden):
+def test_criterion_03_homological_oracle(golden, monkeypatch):
     t0 = time.time()
     rng = np.random.default_rng(3)
     xs = np.arange(4096) / 4096.0
@@ -154,11 +155,14 @@ def test_criterion_03_homological_oracle(golden):
         worst = max(worst, float(np.abs(lhs - rhs).max() / np.abs(nu(xs)).max()))
     resid_ok = worst < 1e-9
 
-    near_third = ar.expand_cf(1.0 / 3.0 + 1e-13, 3, dps=40)
+    with monkeypatch.context() as mp:
+        mp.setattr(ar, "DEFAULT_DPS", 40)
+        near_third = ar.expand_cf(1.0 / 3.0 + 1e-13, 3)
+    monkeypatch.setattr(red, "DIVISOR_CUTOFF", 1e-6)
     nu = FourierMap.from_coeff_dict({3: 0.5, -3: 0.5})
     named = None
     try:
-        red.solve_homological_scalar(nu, near_third, divisor_cutoff=1e-6)
+        red.solve_homological_scalar(nu, near_third)
     except SmallDivisorError as err:
         named = abs(err.k)
     breach_ok = named == 3

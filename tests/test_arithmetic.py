@@ -6,6 +6,8 @@ import pytest
 from qpgaps import arithmetic as ar
 from qpgaps.errors import RationalAlphaError
 
+from oracles import brute_force_beta, growth_ratio_table
+
 
 def test_norm_dist_basics():
     assert ar.norm_dist(0.5) == 0.5
@@ -39,7 +41,9 @@ def test_rational_input_rejected():
     with pytest.raises(RationalAlphaError):
         ar.expand_cf(0.5, 5)
     with pytest.raises(RationalAlphaError):
-        ar.expand_cf("0.333333333333333333333333333333333333", 30, dps=30)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ar, "DEFAULT_DPS", 30)
+            ar.expand_cf("0.333333333333333333333333333333333333", 30)
 
 
 def test_convergent_recursion_and_determinant(golden):
@@ -78,7 +82,7 @@ def test_estimate_beta_golden_small(golden):
 
 def test_estimate_beta_matches_brute_force(golden):
     est = ar.estimate_beta(golden, 2000)
-    brute, arg = ar.brute_force_beta(golden, est.k_lo, est.k_max)
+    brute, arg = brute_force_beta(golden, est.k_lo, est.k_max)
     assert brute == est.beta
     assert arg in set(golden.denominators())
 
@@ -89,7 +93,7 @@ def test_estimate_beta_brute_force_liouville():
     k_max = 2 * max(anchors)
     est = ar.estimate_beta(f, k_max)
     assert 0.45 <= est.beta <= 0.55
-    brute, _ = ar.brute_force_beta(f, est.k_lo, est.k_max)
+    brute, _ = brute_force_beta(f, est.k_lo, est.k_max)
     assert brute == est.beta
 
 
@@ -103,7 +107,7 @@ def test_synth_liouville_growth_law():
     for target, seed in [(0.3, 7), (0.2, 14), (0.6, 1)]:
         f = ar.synth_liouville(target, 4, seed=seed)
         assert f.growth_levels
-        for n, q_n, ratio in ar.growth_ratio_table(f):
+        for n, q_n, ratio in growth_ratio_table(f):
             assert target <= ratio <= target + math.log(2.0) / q_n
 
 

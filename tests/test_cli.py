@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qpgaps import cache, cli
+from qpgaps import cache, cli, reducibility
 from qpgaps.cocycle import amo_potential
 from qpgaps.duality import DUAL_START_N, BlochSolution
 from qpgaps.errors import CacheCorruptionError, ConfigError
@@ -176,6 +176,12 @@ def test_emit_plot_data_writes_two_table_columns(tmp_path, argv, table, columns,
 def test_numerical_stage_error_exits_3(tmp_path, capsys):
     assert run(["reduce", "--m", "40", "--q", "34", "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith("numerical-stage error [label]")
+
+
+def test_small_divisor_breach_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(reducibility, "DIVISOR_CUTOFF", 10.0)
+    assert run(["reduce", "--m", "1", "--q", "34", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("numerical-stage error [reduce]: small-divisor")
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -10,6 +10,8 @@ from qpgaps.cocycle import Cocycle, rotation_number, schrodinger_cocycle
 from qpgaps.errors import BlochError
 from qpgaps.fourier import FourierMap
 
+from oracles import dual_ids
+
 
 def test_dual_banded_free_is_diagonal(golden, amo):
     ab = du._dual_banded(0.0, amo, golden, 0.17, 8)
@@ -54,9 +56,10 @@ def test_find_bloch_for_a_complex_coefficient_potential(golden, amo):
     assert b.duality_residual < 1e-12
 
 
-def test_find_bloch_free_case(golden, amo):
+def test_find_bloch_free_case(golden, amo, monkeypatch):
     E = 2 * math.cos(2 * math.pi * 0.3)
-    sol = du.find_bloch(0.0, amo, golden, E, trunc=32, theta_grid=32)
+    monkeypatch.setattr(du, "BLOCH_THETA_GRID", 32)
+    sol = du.find_bloch(0.0, amo, golden, E, trunc=32)
     assert sol.energy == pytest.approx(E, abs=1e-9)
     assert sol.theta == pytest.approx(0.3, abs=1e-8)
     assert sol.duality_residual < 1e-12
@@ -87,25 +90,30 @@ def test_find_bloch_decay_stable_under_doubling(amo, upper_edge, monkeypatch):
     assert rates[0] == pytest.approx(rates[1], rel=0.2)
 
 
-def test_detect_resonance_trivial_cases(golden):
+def test_detect_resonance_trivial_cases(golden, monkeypatch):
+    monkeypatch.setattr(du, "RESONANCE_N_MAX", 4)
     sol = du.BlochSolution(energy=0.0, theta=(golden.value / 2.0) % 1.0,
                            u_hat=np.array([1.0 + 0j]), trunc=0)
-    assert du.detect_resonance(sol, golden, n_max=4) == 1
+    assert du.detect_resonance(sol, golden) == 1
     sol0 = du.BlochSolution(energy=0.0, theta=0.0,
                             u_hat=np.array([1.0 + 0j]), trunc=0)
-    assert du.detect_resonance(sol0, golden, n_max=4) == 0
+    assert du.detect_resonance(sol0, golden) == 0
 
 
-def test_detect_resonance_none_when_far(golden):
+def test_detect_resonance_none_when_far(golden, monkeypatch):
+    monkeypatch.setattr(du, "RESONANCE_N_MAX", 3)
+    monkeypatch.setattr(du, "RESONANCE_TOL", 1e-8)
     sol = du.BlochSolution(energy=0.0, theta=0.123456, u_hat=np.array([1.0 + 0j]),
                            trunc=0)
-    assert du.detect_resonance(sol, golden, n_max=3, tol=1e-8) is None
+    assert du.detect_resonance(sol, golden) is None
     assert sol.resonance_dist > 1e-8
 
 
-def test_assemble_wave_free_constant(golden, amo):
-    sol = du.find_bloch(0.0, amo, golden, 2.0, trunc=16, theta_grid=16)
-    du.detect_resonance(sol, golden, n_max=4)
+def test_assemble_wave_free_constant(golden, amo, monkeypatch):
+    monkeypatch.setattr(du, "BLOCH_THETA_GRID", 16)
+    monkeypatch.setattr(du, "RESONANCE_N_MAX", 4)
+    sol = du.find_bloch(0.0, amo, golden, 2.0, trunc=16)
+    du.detect_resonance(sol, golden)
     assert sol.n_tilde == 0
     wave = du.assemble_wave(sol, 0.0, amo, golden)
     assert wave.sign == 1
@@ -127,8 +135,10 @@ def test_assembled_wave_periods_and_parity(golden, amo, upper_edge):
 
 
 def test_assemble_wave_rejects_a_sign_against_the_parity(golden, amo, monkeypatch):
-    sol = du.find_bloch(0.0, amo, golden, 2.0, trunc=16, theta_grid=16)
-    du.detect_resonance(sol, golden, n_max=4)
+    monkeypatch.setattr(du, "BLOCH_THETA_GRID", 16)
+    monkeypatch.setattr(du, "RESONANCE_N_MAX", 4)
+    sol = du.find_bloch(0.0, amo, golden, 2.0, trunc=16)
+    du.detect_resonance(sol, golden)
 
     def negated(lam, f, energy):
         # -A keeps the half-period relation exact and flips the measured sign
@@ -155,16 +165,17 @@ def test_real_imag_split_satisfies_relation(golden, amo, upper_edge):
 def test_dual_ids_matches_direct_rotation_number(golden, amo):
     lam = 0.25
     for E in (-1.2, 0.4):
-        n_dual = du.dual_ids(lam, amo, golden, E, trunc=96, theta_samples=24)
+        n_dual = dual_ids(lam, amo, golden, E, trunc=96, theta_samples=24)
         r = rotation_number(schrodinger_cocycle(lam, amo, E, golden), target_err=1e-6)
         n_direct = 1.0 - 2.0 * r.value
         assert n_dual == pytest.approx(n_direct, abs=2.0 / 193 + 0.02)
 
 
-def test_find_bloch_deterministic(golden, amo):
+def test_find_bloch_deterministic(golden, amo, monkeypatch):
     E = 2 * math.cos(2 * math.pi * 0.41)
-    a = du.find_bloch(0.0, amo, golden, E, trunc=32, theta_grid=16)
-    b = du.find_bloch(0.0, amo, golden, E, trunc=32, theta_grid=16)
+    monkeypatch.setattr(du, "BLOCH_THETA_GRID", 16)
+    a = du.find_bloch(0.0, amo, golden, E, trunc=32)
+    b = du.find_bloch(0.0, amo, golden, E, trunc=32)
     assert a.energy == b.energy
     assert a.theta == b.theta
     assert np.array_equal(a.u_hat, b.u_hat)

@@ -41,7 +41,8 @@ def test_unused_imports_are_found():
     assert unused_imports(src) == ["json", "pi"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + [ROOT / "tests" / "oracles.py"],
+                         ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
@@ -214,7 +215,7 @@ def test_every_default_is_passed():
     assert unpassed_defaults(package, _outside_sources()) == []
 
 
-DEFAULTS_CEILING = 55         # defaulted parameters in the package at the last count
+DEFAULTS_CEILING = 40         # defaulted parameters in the package at the last count
 
 
 def defaulted_parameters(source):

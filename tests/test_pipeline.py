@@ -6,7 +6,7 @@ import scipy.linalg
 
 from qpgaps import arithmetic as ar
 from qpgaps import pipeline as pl
-from qpgaps.errors import ConfigError, StageError
+from qpgaps.errors import ConfigError, SmallDivisorError, StageError
 
 
 @pytest.fixture(scope="module")
@@ -106,11 +106,9 @@ def test_homogeneity_campaign_bounds(golden, amo):
     assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 
-def test_claims_report_structure(m1_dossier, golden, amo):
-    camp = pl.decay_campaign(0.25, amo, golden, range(1, 9),
-                             pl.PipelineConfig(q_target=150))
-    report = pl.claims_report([m1_dossier], camp)
-    assert report["total"] >= 5
+def test_claims_report_structure(m1_dossier):
+    report = pl.claims_report([m1_dossier])
+    assert report["total"] == 4
     names = {c["claim"] for c in report["claims"]}
     assert any("width <= |epsilon_m|" in n for n in names)
     failed = [c for c in report["claims"] if not c["passed"]]
@@ -235,16 +233,24 @@ def test_side_search_rung_keeps_stronger_liouville_dossiers(lam, m, n_tilde, amo
 
 
 def test_bloch_stage_lets_programming_errors_through(golden, amo, monkeypatch):
-    """A bug inside the dual search is not a numerical breakdown: the bloch
-    stage ends with it as the cause."""
+    """A bug inside the dual search is not a numerical breakdown: it leaves
+    the bloch stage as itself, not as a StageError."""
     def broken(*args, **kwargs):
         raise TypeError("bug in the dual search")
 
     monkeypatch.setattr(pl.duality, "find_bloch_resonant", broken)
+    with pytest.raises(TypeError, match="bug in the dual search"):
+        pl.analyze_gap(0.25, amo, golden, 1, pl.PipelineConfig(q_target=150))
+
+
+def test_small_divisor_breach_is_a_stage_error(golden, amo, monkeypatch):
+    """A numerical breakdown inside a stage is a StageError naming the
+    stage, with the typed error as its cause."""
+    monkeypatch.setattr(pl.reducibility, "DIVISOR_CUTOFF", 10.0)
     with pytest.raises(StageError) as err:
         pl.analyze_gap(0.25, amo, golden, 1, pl.PipelineConfig(q_target=150))
-    assert err.value.stage == "bloch"
-    assert isinstance(err.value.cause, TypeError)
+    assert err.value.stage == "reduce"
+    assert isinstance(err.value.cause, SmallDivisorError)
 
 
 @pytest.mark.parametrize("m, qp_width", [(5, 9.667619e-5), (7, 6.796420e-6),

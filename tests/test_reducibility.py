@@ -11,6 +11,8 @@ from qpgaps.cocycle import degree_of, schrodinger_cocycle
 from qpgaps.errors import FrameError, SmallDivisorError
 from qpgaps.fourier import FourierMap, matmul, mul
 
+from oracles import first_order_log_term
+
 
 def random_real_scalar(rng, band, scale=1.0):
     c = rng.standard_normal(2 * band + 1) + 1j * rng.standard_normal(2 * band + 1)
@@ -50,11 +52,21 @@ def test_scalar_solve_random_residuals(golden, sign):
         assert np.abs(lhs - rhs).max() < 1e-9 * sup
 
 
-def test_scalar_solve_names_breached_divisor():
-    near_third = ar.expand_cf(1.0 / 3.0 + 1e-13, 3, dps=40)
+def _near_third(monkeypatch):
+    """alpha = 1/3 + 1e-13 expanded in 40 digits, with the divisor cutoff
+    raised to 1e-6, which |e^{6 pi i alpha} - 1| ~ 2e-12 breaches."""
+    with monkeypatch.context() as mp:
+        mp.setattr(ar, "DEFAULT_DPS", 40)
+        near_third = ar.expand_cf(1.0 / 3.0 + 1e-13, 3)
+    monkeypatch.setattr(red, "DIVISOR_CUTOFF", 1e-6)
+    return near_third
+
+
+def test_scalar_solve_names_breached_divisor(monkeypatch):
+    near_third = _near_third(monkeypatch)
     nu = FourierMap.from_coeff_dict({3: 0.5, -3: 0.5})
     with pytest.raises(SmallDivisorError) as err:
-        red.solve_homological_scalar(nu, near_third, divisor_cutoff=1e-6)
+        red.solve_homological_scalar(nu, near_third)
     assert abs(err.value.k) == 3
 
 
@@ -67,7 +79,8 @@ def test_scalar_solve_requires_real_data(golden):
 
 def test_parabolic_solve_zero(golden):
     P = red.ParabolicForm(1, 0.1)
-    Y = red.solve_homological_parabolic(FourierMap.zero(3, shape=(2, 2)), P, golden)
+    Y = red.solve_homological_parabolic(FourierMap(np.zeros((7, 2, 2), dtype=complex)), P,
+                                        golden)
     assert np.abs(Y.coeffs).max() == 0.0
 
 
@@ -106,15 +119,14 @@ def test_parabolic_residual_random(golden, sign, mu):
     assert np.abs(lhs - rhs).max() < 1e-9 * np.abs(rhs).max()
 
 
-def test_parabolic_breach_names_entry(golden):
-    near_third = ar.expand_cf(1.0 / 3.0 + 1e-13, 3, dps=40)
+def test_parabolic_breach_names_entry(monkeypatch):
+    near_third = _near_third(monkeypatch)
     c = np.zeros((7, 2, 2), dtype=complex)
     c[0, 1, 0] = 0.5
     c[6, 1, 0] = 0.5
     pert = FourierMap(c)
     with pytest.raises(SmallDivisorError) as err:
-        red.solve_homological_parabolic(pert, red.ParabolicForm(1, 0.1), near_third,
-                                        divisor_cutoff=1e-6)
+        red.solve_homological_parabolic(pert, red.ParabolicForm(1, 0.1), near_third)
     assert abs(err.value.k) == 3
     assert err.value.entry is not None
 
@@ -162,7 +174,8 @@ def test_vectorized_solves_match_per_mode_loop(golden, sign, mu):
 
 def test_averaging_step_zero_pert(golden):
     P = red.ParabolicForm(1, 0.1)
-    st = red.averaging_step(P, FourierMap.zero(2, shape=(2, 2)), 1e-2, golden, 0.05)
+    st = red.averaging_step(P, FourierMap(np.zeros((5, 2, 2), dtype=complex)), 1e-2, golden,
+                            0.05)
     assert st.report.norm_step_minus_id == 0.0
     assert np.allclose(st.const_next, P.matrix)
     assert st.report.norm_pert_next == 0.0
@@ -242,7 +255,7 @@ def test_first_order_log_term_matches_finite_difference(golden, amo, upper_edge)
     reduction, ident = _reduced_m1(golden, amo, upper_edge)
     pert = red.perturbation_matrix(reduction, 0.25, amo, _reduced_m1.energy, golden)
     P = reduction.parabolic
-    closed = red.first_order_log_term(ident.averages, P.mu)
+    closed = first_order_log_term(ident.averages, P.mu)
     h = 1e-3
     Ls = {}
     for e in (h, -h):
@@ -311,9 +324,11 @@ def test_build_frame_rejects_vanishing_vector():
 
 # ---- full reduction -----------------------------------------------------------
 
-def test_reduce_free_edge_closed_form(golden, amo):
-    sol = du.find_bloch(0.0, amo, golden, 2.0, trunc=16, theta_grid=16)
-    du.detect_resonance(sol, golden, n_max=4)
+def test_reduce_free_edge_closed_form(golden, amo, monkeypatch):
+    monkeypatch.setattr(du, "BLOCH_THETA_GRID", 16)
+    monkeypatch.setattr(du, "RESONANCE_N_MAX", 4)
+    sol = du.find_bloch(0.0, amo, golden, 2.0, trunc=16)
+    du.detect_resonance(sol, golden)
     wave = du.assemble_wave(sol, 0.0, amo, golden)
     r = red.reduce_at_edge(sol.energy, wave, golden, 0.0, amo)
     assert r.parabolic.sign == 1

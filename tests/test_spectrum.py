@@ -13,6 +13,8 @@ from qpgaps.cocycle import (amo_potential, rotation_number, rotation_numbers,
 from qpgaps.errors import QPGapsError, SpectrumError
 from qpgaps.fourier import FourierMap
 
+from oracles import hausdorff_distance
+
 
 def test_free_operator_single_band(golden, amo):
     bs = sp.band_structure(0.0, amo, (55, 89))
@@ -157,7 +159,7 @@ def test_low_label_rho_residuals_small(golden, amo):
 
 
 def _rho_resid_at(energy, label, golden, amo):
-    """label_gaps' measurement at rho_tol = 1e-4, taken at a given energy
+    """label_gaps' measurement at RHO_TOL = 1e-4, taken at a given energy
     through the batched estimator label_gaps uses."""
     rr, = rotation_numbers(0.25, amo, golden, [energy], target_err=5e-6,
                            max_iterations=1 << 17)
@@ -166,11 +168,12 @@ def _rho_resid_at(energy, label, golden, amo):
 
 def test_thin_gaps_measured_at_extrapolated_center(golden, amo):
     """At 144/233 gap m's midpoint sits about |m| * 8.2e-6 off the true gap in
-    rotation units, past rho_tol = 1e-4 from |m| = 13 on: those labels are
+    rotation units, past RHO_TOL = 1e-4 from |m| = 13 on: those labels are
     measured at the center extrapolated through 89/144, the rest (and every
-    gap at 21/34, where |alpha - p/q| > rho_tol) at the midpoint."""
+    gap at 21/34, where |alpha - p/q| > RHO_TOL) at the midpoint."""
+    assert sp.RHO_TOL == 1e-4
     bs = sp.band_structure(0.25, amo, (144, 233))
-    recs = [r for r in sp.label_gaps(bs, golden, rho_tol=1e-4) if not r.below_floor]
+    recs = [r for r in sp.label_gaps(bs, golden) if not r.below_floor]
     thin = [r for r in recs if abs(r.label) >= 13]
     assert sorted(r.label for r in thin) == [-14, -13, 13, 14]
     for r in thin:
@@ -188,7 +191,7 @@ def test_thin_gaps_measured_at_extrapolated_center(golden, amo):
             assert r.rho_resid == _rho_resid_at(r.midpoint(), r.label, golden, amo)[0]
 
     bs34 = sp.band_structure(0.25, amo, (21, 34))
-    recs34 = [r for r in sp.label_gaps(bs34, golden, rho_tol=1e-4) if not r.below_floor]
+    recs34 = [r for r in sp.label_gaps(bs34, golden) if not r.below_floor]
     assert recs34
     for r in recs34:
         assert r.rho_energy == r.midpoint()
@@ -330,14 +333,14 @@ def test_holder_quotient_free_case(golden, amo):
 def test_hausdorff_distance_intervals():
     a = [(0.0, 1.0)]
     b = [(0.0, 0.4), (0.6, 1.0)]
-    assert sp.hausdorff_distance(a, b) == pytest.approx(0.1)
-    assert sp.hausdorff_distance(a, a) == 0.0
+    assert hausdorff_distance(a, b) == pytest.approx(0.1)
+    assert hausdorff_distance(a, a) == 0.0
 
 
 def test_band_unions_converge_along_convergents(golden, amo):
     pqs = [(8, 13), (13, 21), (21, 34), (34, 55)]
     unions = [sp.band_structure(0.25, amo, pq).bands for pq in pqs]
-    dists = [sp.hausdorff_distance(a, b) for a, b in zip(unions, unions[1:])]
+    dists = [hausdorff_distance(a, b) for a, b in zip(unions, unions[1:])]
     assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
 
 
@@ -350,11 +353,12 @@ def test_gap_csv_roundtrip_format(golden, amo):
     assert len(first.split(",")) == 7
 
 
-def test_extended_precision_refinement_agrees(golden, amo):
+def test_extended_precision_refinement_agrees(golden, amo, monkeypatch):
     bs = sp.band_structure(0.25, amo, (34, 55))
     recs = {r.label: r for r in bs.gaps()}
     r = recs[5]
-    refined = sp.refine_gap_extended(bs, r, dps=40)
+    monkeypatch.setattr(sp, "EXTENDED_DPS", 40)
+    refined = sp.refine_gap_extended(bs, r)
     assert abs(refined.e_minus - r.e_minus) < 1e-11
     assert abs(refined.e_plus - r.e_plus) < 1e-11
     assert refined.label == r.label and refined.ids == r.ids
