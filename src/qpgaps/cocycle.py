@@ -178,7 +178,7 @@ def _angle_increments(steps, w):
     positive-trace matrix -M.  This matches the oscillation-theory convention
     in which every deep-potential step advances the angle forward.
     """
-    # one contiguous row per cocycle: np.dot sums a strided row in another order
+    # (k, n): one contiguous row per cocycle
     d = np.diff(np.arctan2(w[..., 1].T, w[..., 0].T, out=np.empty(w.shape[1::-1])))
     d += math.pi                          # the wrap (d + pi) % 2 pi - pi, in place
     np.remainder(d, 2.0 * math.pi, out=d)
@@ -239,9 +239,11 @@ def _rotation_results(k, steps_of, target_err, max_iterations):
             wh = _bump_weights(h)
             for i in list(live):
                 d = incs[i]
-                est = float(np.dot(wts, d) / wts.sum()) / (2.0 * math.pi)
-                est1 = float(np.dot(wh, d[:h]) / wh.sum()) / (2.0 * math.pi)
-                est2 = float(np.dot(wh, d[h : 2 * h]) / wh.sum()) / (2.0 * math.pi)
+                # einsum sums in one fixed order; np.dot's BLAS ddot splits a
+                # long sum between threads, so its last bits follow the core count
+                est = float(np.einsum("i,i", wts, d) / wts.sum()) / (2.0 * math.pi)
+                est1 = float(np.einsum("i,i", wh, d[:h]) / wh.sum()) / (2.0 * math.pi)
+                est2 = float(np.einsum("i,i", wh, d[h : 2 * h]) / wh.sum()) / (2.0 * math.pi)
                 gap = abs(est1 - est2)
                 err = max(min(gap, abs(norm_dist(est1) - norm_dist(est2))), 1e-15)
                 if err <= target_err or n >= max_iterations:

@@ -426,9 +426,10 @@ def test_long_orbit_pair_peak_memory_and_bits():
     AMO): E stops at 4096 steps and E + eps_m runs to the 2^20-step cap,
     whose last extension, 786,432 steps, is one scan.  Its traced peak was
     66.1 MB with every scan buffer held until the next scan, 41.96 MB with
-    each freed after its last read.  Both results keep their bits.  A fresh
-    interpreter with one BLAS thread: np.dot splits a 2^20-term sum between
-    threads, which moves the last bits of rho."""
+    each freed after its last read.  A fresh interpreter per BLAS thread
+    count: the weighted sums run in one fixed order, so one and two threads
+    give the same bits (a BLAS ddot splits a 2^20-term sum between threads
+    and moved the last bits of rho)."""
     script = ("import json, tracemalloc\n"
               "from qpgaps import arithmetic, cocycle\n"
               "freq, f = arithmetic.golden_mean(40), cocycle.amo_potential()\n"
@@ -438,11 +439,12 @@ def test_long_orbit_pair_peak_memory_and_bits():
               "print(json.dumps([tracemalloc.get_traced_memory()[1],\n"
               "                  [[r.value, r.error, r.iterations, r.flagged] for r in rs]]))\n")
     src = os.path.dirname(os.path.dirname(cocycle.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    peak, results = json.loads(done.stdout.splitlines()[-1])
-    assert peak <= 1.05 * 41.96e6
-    assert results == [[0.16311860533113237, 3.736987996827423e-09, 4096, False],
-                       [0.16312013592458172, 7.8476241061054e-08, 1048576, True]]
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        peak, results = json.loads(done.stdout.splitlines()[-1])
+        assert peak <= 1.05 * 41.96e6
+        assert results == [[0.16311860533113243, 3.736988024582999e-09, 4096, False],
+                           [0.16312013592458197, 7.847624114432072e-08, 1048576, True]]
