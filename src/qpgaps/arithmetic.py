@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .errors import RationalAlphaError
+from .errors import ConfigError, RationalAlphaError
 
 DEFAULT_DPS = 80
 Q_CAP = 10**15          # convergent denominators beyond this are never built
@@ -58,12 +58,11 @@ class Frequency:
         return tuple(q for _, q in self.convergents)
 
     def largest_convergent(self, k_max):
-        """Largest (p, q) with q <= k_max, or None."""
-        best = None
-        for p, q in self.convergents:
-            if q <= k_max:
-                best = (p, q)
-        return best
+        """Largest (p, q) with q <= k_max; ConfigError when none is."""
+        fitting = [pq for pq in self.convergents if pq[1] <= k_max]
+        if not fitting:
+            raise ConfigError(f"no convergent with q <= {k_max}")
+        return fitting[-1]
 
     def to_record(self, beta=None):
         b = "nan" if beta is None else repr(float(beta))

@@ -70,13 +70,16 @@ def store_band_structure(cache_dir, key, bs):
 
 
 def load_band_structure(cache_dir, key, strict=False):
-    """None on any miss or damage unless strict, which raises on damage."""
+    """None on any miss or damage unless strict, which raises on damage: the
+    errors a bad file, payload, field or potential text raises; no other."""
     path = os.path.join(cache_dir, key + ".json")
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise CacheCorruptionError(f"payload of {path} is not a JSON object")
         if payload.get("key") != key:
             raise CacheCorruptionError(f"key mismatch in {path}")
         if payload.pop("checksum", None) != content_hash(payload):
@@ -94,7 +97,7 @@ def load_band_structure(cache_dir, key, strict=False):
         if strict:
             raise
         return None
-    except Exception as exc:
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         if strict:
             raise CacheCorruptionError(f"unreadable cache entry {path}: {exc}") from exc
         return None

@@ -178,17 +178,9 @@ def _common_setup(args):
     return opts, freq, f, h, cfg_dict
 
 
-def _convergent(freq, q):
-    """The largest convergent with denominator <= q; ConfigError when none is."""
-    pq = freq.largest_convergent(q)
-    if pq is None:
-        raise ConfigError(f"no convergent with q <= {q}")
-    return pq
-
-
 def cmd_spectrum(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
-    pq = _convergent(freq, opts["q"])
+    pq = freq.largest_convergent(opts["q"])
     bs = _band_structure_cached(opts["lam"], f, pq, opts["theta_samples"], 1e-12,
                                 args.cache_dir)
     out = os.path.join(opts["out"], "bands.csv")
@@ -202,7 +194,7 @@ def cmd_spectrum(args):
 
 def cmd_gaps(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
-    pq = _convergent(freq, opts["q"])
+    pq = freq.largest_convergent(opts["q"])
     bs = _band_structure_cached(opts["lam"], f, pq, opts["theta_samples"], 1e-12,
                                 args.cache_dir)
     records = spectrum.label_gaps(bs, freq)
@@ -220,9 +212,8 @@ def cmd_gaps(args):
 
 def cmd_decay(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
-    m_max = args.m_max if args.m_max is not None else 8
     cfg = pipeline.PipelineConfig(q_target=opts["q"], theta_samples=opts["theta_samples"])
-    camp = pipeline.decay_campaign(opts["lam"], f, freq, range(1, m_max + 1), cfg,
+    camp = pipeline.decay_campaign(opts["lam"], f, freq, range(1, args.m_max + 1), cfg,
                                    jobs=opts["jobs"])
     qs, rows = camp.table_rows()
     lines = ["m," + ",".join(f"w_q{q}" for q in qs) + ",stable"]
@@ -247,7 +238,7 @@ def cmd_decay(args):
 def cmd_homogeneity(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
     try:
-        sigmas = [float(s) for s in (args.sigmas or "1e-2,3e-3,1e-3").split(",")]
+        sigmas = [float(s) for s in args.sigmas.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--sigmas: {exc}") from exc
     if not all(0.0 < s < math.inf for s in sigmas):
@@ -268,14 +259,13 @@ def cmd_homogeneity(args):
 
 def cmd_reduce(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
-    m = args.m if args.m is not None else 1
     cfg = pipeline.PipelineConfig(q_target=opts["q"], theta_samples=opts["theta_samples"],
                                   run_averaging=args.with_averaging)
-    dossier = pipeline.analyze_gap(opts["lam"], f, freq, m, cfg)
-    _write(os.path.join(opts["out"], f"dossier_m{m}.json"), _json_out(dossier.to_dict(), h, run_cfg))
+    dossier = pipeline.analyze_gap(opts["lam"], f, freq, args.m, cfg)
+    _write(os.path.join(opts["out"], f"dossier_m{args.m}.json"), _json_out(dossier.to_dict(), h, run_cfg))
     claims = pipeline.claims_report([dossier])
     _write(os.path.join(opts["out"], "claims.json"), _json_out(claims, h))
-    print(f"wrote dossier_m{m}.json (width<=|eps|: {dossier.width_bounded}, "
+    print(f"wrote dossier_m{args.m}.json (width<=|eps|: {dossier.width_bounded}, "
           f"shift: {dossier.shift_differs}); claims {claims['passed']}/{claims['total']}")
     return 0
 
@@ -366,10 +356,10 @@ def build_parser():
                                      default="double")
     sub.choices["decay"].add_argument("--jobs", type=int, default=None,
                                       help="worker count (output independent of it)")
-    sub.choices["decay"].add_argument("--m-max", dest="m_max", type=int, default=None)
-    sub.choices["homogeneity"].add_argument("--sigmas", type=str, default=None,
+    sub.choices["decay"].add_argument("--m-max", dest="m_max", type=int, default=8)
+    sub.choices["homogeneity"].add_argument("--sigmas", type=str, default="1e-2,3e-3,1e-3",
                                             help="comma-separated window half-widths")
-    sub.choices["reduce"].add_argument("--m", type=int, default=None, help="gap label")
+    sub.choices["reduce"].add_argument("--m", type=int, default=1, help="gap label")
     sub.choices["reduce"].add_argument("--with-averaging", dest="with_averaging",
                                        action="store_true",
                                        help="drive the double averaging step at eps_m")

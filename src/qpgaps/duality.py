@@ -196,8 +196,7 @@ def find_bloch(lam, f, freq, energy, trunc=DUAL_START_N):
     hi = thetas[min(len(thetas) - 1, i0 + 1)]
     theta_star = _golden_minimize(objective, lo, hi, THETA_XTOL)
 
-    e_star, vec = _nearest_pair(lam, f, freq, theta_star, trunc, probe(theta_star),
-                                _PAIR_WINDOWS)
+    e_star, vec = _nearest_pair(lam, f, freq, theta_star, trunc, energy, _PROBE_WINDOWS)
     e_star, vec, trunc = _refine(lam, f, freq, theta_star, trunc, e_star, vec)
     return _normalized(lam, f, freq, theta_star, trunc, e_star, vec)[0]
 
@@ -338,8 +337,8 @@ def snap_to_resonance(sol, lam, f, freq):
 
 @dataclass
 class AssembledWave:
-    U: FourierMap               # period-1 C^2-valued wave (e^{2 pi i theta} u(x), u(x-alpha))
-    U_hat: FourierMap           # period-2 wave e^{i pi n x} U(x)
+    U_hat: FourierMap           # period-2 wave e^{i pi n x} U(x) of the period-1 wave
+                                # U(x) = (e^{2 pi i theta} u(x), u(x - alpha))
     sign: int                   # A(x) U_hat(x) = sign * U_hat(x+alpha)
     residual: float             # sup defect of that relation
     parity_integer: int         # round(2 theta - n alpha); sign = (-1)^parity
@@ -379,6 +378,6 @@ def assemble_wave(sol, lam, f, freq):
     if sign != (-1) ** parity:
         raise BlochError(f"measured wave sign {sign:+d} disagrees with (-1)^{parity} "
                          f"from 2 theta - n alpha")
-    return AssembledWave(U=U, U_hat=U_hat, sign=sign, residual=residual,
+    return AssembledWave(U_hat=U_hat, sign=sign, residual=residual,
                          parity_integer=parity, n_tilde=int(n_t))
 

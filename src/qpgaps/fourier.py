@@ -12,7 +12,7 @@ series directly at arbitrary complex points, O(points * N); the real points
 of an orbit are summed in real arithmetic in the cocycle module.  The way
 back, grid values to coefficients, is one FFT (`FourierMap.from_samples`);
 `assemble` builds a 2x2 map from entry or column maps.  Products are exact
-convolutions (direct O(N^2), fine at desk scale).
+convolutions in one 2x2 contraction (direct O(N^2), fine at desk scale).
 """
 
 from __future__ import annotations
@@ -403,29 +403,25 @@ def _pad(m, band_limit):
 
 
 def mul(a, b):
-    """Pointwise product as exact coefficient convolution.
-
-    Scalar*any, matrix@matrix and matrix@vector are supported; a vector
-    operand enters the 2x2 contraction as a one-column matrix.
+    """Pointwise product as exact coefficient convolution, one 2x2
+    contraction out_ij = sum_l a_il b_lj: scalar*any, matrix@matrix and
+    matrix@vector.  A scalar enters as a 1x1 matrix acting on every entry of
+    the other operand, a vector as a one-column matrix.
     """
     if a.period != b.period:
         raise ValueError("period mismatch: lift one operand first")
     if a.value_shape and not b.value_shape:
         a, b = b, a
-    n_out = a.band_limit + b.band_limit
-    if not a.value_shape:
-        flat = b.coeffs.reshape(b.coeffs.shape[0], -1)
-        cols = [np.convolve(a.coeffs, flat[:, j]) for j in range(flat.shape[1])]
-        out = np.stack(cols, axis=1)
-    elif a.is_matrix and (b.is_matrix or b.is_vector):
-        bm = b.coeffs.reshape(b.coeffs.shape[0], 2, -1)
-        out = np.zeros((2 * n_out + 1, 2, bm.shape[2]), dtype=complex)
-        for i in range(2):
-            for j in range(bm.shape[2]):
-                out[:, i, j] = sum(np.convolve(a.coeffs[:, i, l], bm[:, l, j])
-                                   for l in range(2))
-    else:
+    if a.value_shape and not (a.is_matrix and (b.is_matrix or b.is_vector)):
         raise ValueError(f"unsupported product shapes {a.value_shape} x {b.value_shape}")
+    rows = 2 if a.is_matrix else 1
+    am = a.coeffs.reshape(len(a.coeffs), rows, rows)
+    bm = b.coeffs.reshape(len(b.coeffs), rows, -1)
+    n_out = a.band_limit + b.band_limit
+    out = np.zeros((2 * n_out + 1, rows, bm.shape[2]), dtype=complex)
+    for i in range(rows):
+        for j in range(bm.shape[2]):
+            out[:, i, j] = sum(np.convolve(am[:, i, l], bm[:, l, j]) for l in range(rows))
     return FourierMap(out.reshape((2 * n_out + 1,) + b.value_shape), a.period,
                       entire=a.entire and b.entire)
 

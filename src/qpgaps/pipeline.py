@@ -87,8 +87,6 @@ def analyze_gap(lam, f, freq, m, config=None):
     if cfg.edge not in ("upper", "lower"):
         raise ValueError(f"edge must be 'upper' or 'lower', got {cfg.edge!r}")
     pq = freq.largest_convergent(cfg.q_target)
-    if pq is None:
-        raise ConfigError(f"no convergent with q <= {cfg.q_target}")
     bs = _stage("spectrum", spectrum.band_structure, lam, f, pq,
                 theta_samples=cfg.theta_samples)
     matches = [r for r in _stage("label", bs.gaps) if r.label == m]
@@ -328,8 +326,6 @@ def homogeneity_campaign(lam, f, freq, sigmas, config=None):
     argument runs on).  ConfigError when no convergent has q <= q_target."""
     cfg = config or PipelineConfig()
     pq = freq.largest_convergent(cfg.q_target)
-    if pq is None:
-        raise ConfigError(f"no convergent with q <= {cfg.q_target}")
     bs = spectrum.band_structure(lam, f, pq, theta_samples=cfg.theta_samples)
     rows = []
     for s in sigmas:

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .arithmetic import rotation_phase_fracs
-from .cocycle import _entries, _propagate, conjugate, degree_of, rotation_numbers, schrodinger_cocycle
-from .errors import FrameError, SmallDivisorError
+from .cocycle import _propagate, _real_values, conjugate, degree_of, rotation_numbers, schrodinger_cocycle
+from .errors import FrameError, SmallDivisorError, StripDomainError
 from .fourier import FourierMap, adjugate, assemble, matmul, matrix_exp, mul, strip_norm
 
 DIVISOR_CUTOFF = 1e-12
@@ -43,11 +43,11 @@ class ParabolicForm:
         return abs(self.mu) < MU_COLLAPSE_TOL
 
 
-def _divisors(freq, band_limit):
-    """e^{2 pi i k alpha} - 1 for |k| <= band_limit, from extended-precision
-    fractional parts so tiny divisors keep full relative accuracy."""
-    fr = np.asarray(rotation_phase_fracs(freq, band_limit))
-    return np.exp(2j * math.pi * fr) - 1.0, fr
+def _divisors(fracs):
+    """e^{2 pi i k alpha} - 1 from the signed fractional parts
+    k alpha - round(k alpha), which come in extended precision so tiny
+    divisors keep full relative accuracy."""
+    return np.exp(2j * math.pi * np.asarray(fracs)) - 1.0
 
 
 def _needed_modes(div, data, forced, entries):
@@ -83,14 +83,13 @@ def solve_homological_scalar(nu, freq, sign=1):
         raise ValueError("right-hand side must carry the real-valuedness symmetry")
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
-    div, fr = _divisors(freq, nu.band_limit)
+    div = _divisors(rotation_phase_fracs(freq, nu.band_limit))
     need = _needed_modes(div, nu.coeffs, False, None)
     coeffs = np.zeros_like(nu.coeffs)
     coeffs[need] = sign * nu.coeffs[need] / div[need]
     phi = FourierMap(coeffs, period=1, entire=nu.entire)
 
-    ph = np.exp(2j * math.pi * fr)
-    shifted = FourierMap(phi.coeffs * ph, period=1, entire=nu.entire)
+    shifted = FourierMap(phi.coeffs * (div + 1.0), period=1, entire=nu.entire)
     lhs = sign * (shifted.sample(FINE_GRID) - phi.sample(FINE_GRID))
     nu_vals = nu.sample(FINE_GRID)
     rhs = nu_vals - nu.average()
@@ -118,7 +117,7 @@ def solve_homological_parabolic(pert, parabolic, freq):
         raise ValueError("perturbation must be a 1-periodic matrix map")
     mu = parabolic.sign * parabolic.mu
     data = pert if parabolic.sign == 1 else -1.0 * pert
-    div, _ = _divisors(freq, pert.band_limit)
+    div = _divisors(rotation_phase_fracs(freq, pert.band_limit))
     lower = np.abs(data.coeffs[:, 1, 0])
     need = _needed_modes(div, data.coeffs, abs(mu) * lower != 0.0,
                          np.where(lower > 0, "21", "12"))
@@ -172,21 +171,25 @@ def _average(parabolic, const, pert, eps, order, freq, delta):
     parabolic form, moves the x-dependence up one order:
     result = (C + h [pert]) + eps^order * pert_next(x), exactly by
     construction; the identity is re-verified pointwise on a grid against an
-    independent evaluation.  Admissibility is gated on the measurable
-    ||h Y||_delta <= 0.5; divisor_min is the smallest divisor over Y's band.
+    independent evaluation.  Admissibility is gated on ||h Y||_delta <= 0.5,
+    a norm the strip check cannot measure failing too; divisor_min is the
+    smallest divisor over Y's band, at its largest convergent denominator
+    (best approximation).
     """
     # drop the convolution noise floor first: coefficients near 1e-16 of the
     # peak carry no content but explode under e^{2 pi delta k} on the strip
     pert = pert.trim(1e-13)
     Y = solve_homological_parabolic(pert, parabolic, freq).trim(1e-13)
-    div, _ = _divisors(freq, max(Y.band_limit, 1))
-    nonzero = np.abs(div) > 0
-    divisor_min = float(np.abs(div)[nonzero].min()) if nonzero.any() else math.inf
+    _, q = freq.largest_convergent(max(Y.band_limit, 1))
+    divisor_min = float(np.abs(_divisors(freq.signed_fracs((q,))))[0])
 
     h = eps ** (order - 1)
     hY = h * Y
     hY.strip_tol = 1e-5            # gate and report norms are diagnostics
-    norm_hY = strip_norm(hY, delta)
+    try:
+        norm_hY = strip_norm(hY, delta)
+    except StripDomainError as exc:
+        raise ArithmeticError(f"step size inadmissible: {exc}") from exc
     if norm_hY > 0.5:
         raise ArithmeticError(
             f"step size inadmissible: ||eps^{order - 1} Y||_delta = {norm_hY:.3f} > 0.5"
@@ -380,7 +383,7 @@ def reduce_at_edge(energy, wave, freq, lam, f):
         R=R, degree=degree_of(R),
         parabolic=ParabolicForm(sign=s, mu=mu),
         off_normal_residual=float(np.abs(M - target[None, :, :]).max()),
-        mu_iterate=_mu_from_iterate(R, A, alpha, s),
+        mu_iterate=_mu_from_iterate(R, lam, f, energy, alpha, s),
     )
 
 
@@ -393,13 +396,14 @@ def _conjugated(R, mats, shift):
     return np.matmul(adjugate(Rv_sh), np.matmul(mats, Rv))
 
 
-def _mu_from_iterate(R, A, alpha, sign):
+def _mu_from_iterate(R, lam, f, energy, alpha, sign):
     """Read l*mu from the corner of R^{-1}(x+l alpha) A_l(x) R(x), l = 64,
-    on 1024 grid points; A_l runs through the orbit engine."""
+    on 1024 grid points x_i: the Schrodinger stack E - lam f(x_i + j alpha),
+    j < l, runs through the orbit engine."""
     l, grid = 64, 1024
-    steps = np.stack([A.sample(A.period * grid, shift=j * alpha)[:grid].real
-                      for j in range(l)])
-    P, logs = _propagate(_entries(steps), np.broadcast_to(np.eye(2), (grid, 2, 2)))
+    x = np.arange(grid) / grid + alpha * np.arange(l)[:, None]
+    steps = energy - _real_values(lam, f, x.ravel()).reshape(l, grid)
+    P, logs = _propagate(steps, np.broadcast_to(np.eye(2), (grid, 2, 2)))
     corner = (np.exp(logs) * _conjugated(R, P, l * alpha)[:, 0, 1]).mean()
     return float(corner / (l * sign ** (l - 1)))
 

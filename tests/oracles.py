@@ -7,9 +7,10 @@ import math
 import numpy as np
 
 from qpgaps.arithmetic import _ratio, norm_dist
-from qpgaps.cocycle import RotationResult, _entries, _real_values, _scan_directions
+from qpgaps.cocycle import RotationResult, _entries, _propagate, _real_values, _scan_directions
 from qpgaps.duality import _dual_banded
 from qpgaps.fourier import FourierMap
+from qpgaps.reducibility import _conjugated
 
 
 def hausdorff_distance(bands_a, bands_b):
@@ -123,3 +124,43 @@ def fourier_from_function(fn, band_limit):
         m *= 2
     vals = np.asarray([fn(xi) for xi in np.arange(m) / m], dtype=complex)
     return FourierMap.from_samples(vals, band_limit, 1)
+
+
+def mul_reference(a, b):
+    """Pointwise product of two Fourier maps as exact coefficient
+    convolution, with a branch of its own for a scalar operand (one
+    convolution per entry of the other operand) next to the 2x2 contraction
+    of matrix@matrix and matrix@vector."""
+    if a.period != b.period:
+        raise ValueError("period mismatch: lift one operand first")
+    if a.value_shape and not b.value_shape:
+        a, b = b, a
+    n_out = a.band_limit + b.band_limit
+    if not a.value_shape:
+        flat = b.coeffs.reshape(b.coeffs.shape[0], -1)
+        cols = [np.convolve(a.coeffs, flat[:, j]) for j in range(flat.shape[1])]
+        out = np.stack(cols, axis=1)
+    elif a.is_matrix and (b.is_matrix or b.is_vector):
+        bm = b.coeffs.reshape(b.coeffs.shape[0], 2, -1)
+        out = np.zeros((2 * n_out + 1, 2, bm.shape[2]), dtype=complex)
+        for i in range(2):
+            for j in range(bm.shape[2]):
+                out[:, i, j] = sum(np.convolve(a.coeffs[:, i, l], bm[:, l, j])
+                                   for l in range(2))
+    else:
+        raise ValueError(f"unsupported product shapes {a.value_shape} x {b.value_shape}")
+    return FourierMap(out.reshape((2 * n_out + 1,) + b.value_shape), a.period,
+                      entire=a.entire and b.entire)
+
+
+def mu_iterate_reference(R, A, alpha, sign):
+    """mu from the corner of R^{-1}(x + l alpha) A_l(x) R(x), l = 64, on 1024
+    grid points, with the steps of A_l taken as 64 FFT grid samples of the
+    2x2 cocycle map A and pushed through the orbit engine as a general stack
+    of their four entries."""
+    l, grid = 64, 1024
+    steps = np.stack([A.sample(A.period * grid, shift=j * alpha)[:grid].real
+                      for j in range(l)])
+    P, logs = _propagate(_entries(steps), np.broadcast_to(np.eye(2), (grid, 2, 2)))
+    corner = (np.exp(logs) * _conjugated(R, P, l * alpha)[:, 0, 1]).mean()
+    return float(corner / (l * sign ** (l - 1)))

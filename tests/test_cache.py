@@ -1,12 +1,17 @@
-"""Round trip of band structures through the on-disk cache."""
+"""Round trip of band structures through the on-disk cache, and what a
+damaged entry reads as."""
 
+import json
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpgaps import cache
+from qpgaps.cocycle import amo_potential
+from qpgaps.errors import CacheCorruptionError
 from qpgaps.fourier import FourierMap
 from qpgaps.spectrum import BandStructure
 
@@ -48,3 +53,67 @@ def test_store_then_load_returns_the_band_structure(bs):
     assert got.potential.period == bs.potential.period
     assert got.potential.entire is bs.potential.entire
     assert np.array_equal(got.potential.coeffs, bs.potential.coeffs)
+
+
+def _stored_entry(cache_dir):
+    bs = BandStructure(approximant=(1, 1), lam=0.0, potential=amo_potential(),
+                       bands=((-2.0, 2.0),), theta_grid=1)
+    return cache.store_band_structure(str(cache_dir), "k", bs)
+
+
+def _forged(**fields):
+    """Damage that passes the key and checksum checks: the named payload
+    fields replaced (None deletes one) and the checksum recomputed."""
+    def damage(path):
+        with open(path) as fh:
+            payload = json.load(fh)
+        del payload["checksum"]
+        for name, value in fields.items():
+            if value is None:
+                del payload[name]
+            else:
+                payload[name] = value
+        payload["checksum"] = cache.content_hash(payload)
+        with open(path, "w") as fh:
+            fh.write(cache.canonical_json(payload))
+    return damage
+
+
+def _overwritten(data):
+    def damage(path):
+        with open(path, "rb") as fh:
+            text = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data(text))
+    return damage
+
+
+DAMAGE = {
+    "truncated file": _overwritten(lambda text: text[: len(text) // 2]),
+    "non-JSON bytes": _overwritten(lambda _text: b"\xff\xfe\x00 not json"),
+    "a JSON list": _overwritten(lambda _text: b"[1, 2, 3]"),
+    "a missing key": _forged(bands=None),
+    "wrong-typed bands": _forged(bands=5),
+    "potential row without values": _forged(potential="# period=1 shape=scalar entire=1\n0\n"),
+    "potential row with a bad float": _forged(potential="# period=1 shape=scalar entire=1\n0 zz 0\n"),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
+def test_damaged_entry_is_a_miss_or_a_corruption_error(tmp_path, damage):
+    damage(_stored_entry(tmp_path))
+    assert cache.load_band_structure(str(tmp_path), "k") is None
+    with pytest.raises(CacheCorruptionError):
+        cache.load_band_structure(str(tmp_path), "k", strict=True)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_programming_error_in_a_load_propagates(tmp_path, monkeypatch, strict):
+    _stored_entry(tmp_path)
+
+    def broken(**_fields):
+        raise AttributeError("programming error")
+
+    monkeypatch.setattr(cache, "BandStructure", broken)
+    with pytest.raises(AttributeError, match="programming error"):
+        cache.load_band_structure(str(tmp_path), "k", strict=strict)

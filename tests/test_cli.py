@@ -242,6 +242,16 @@ def test_reduce_subcommand_writes_dossier_and_claims(tmp_path):
     assert claims["passed"] == claims["total"]
 
 
+def test_reduce_with_averaging_records_an_inadmissible_step(tmp_path):
+    out = tmp_path / "o"
+    assert run(["reduce", "--m", "5", "--with-averaging", "--out", str(out)]) == 0
+    dossier = json.loads(read(out / "dossier_m5.json"))
+    assert dossier["rotation_form"] is None
+    assert "averaging-inadmissible" in dossier["flags"]
+    claims = json.loads(read(out / "claims.json"))
+    assert claims["passed"] == claims["total"] == 4
+
+
 def test_identical_config_hash_identical_bytes(tmp_path):
     texts = []
     for run_dir in ("a", "b"):

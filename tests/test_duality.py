@@ -118,8 +118,9 @@ def test_assemble_wave_free_constant(golden, amo, monkeypatch):
     wave = du.assemble_wave(sol, 0.0, amo, golden)
     assert wave.sign == 1
     assert wave.residual < 1e-7
-    assert wave.U.period == 1
     assert wave.U_hat.period == 2
+    # n_tilde = 0: the twist is trivial, so U_hat is the lift of a 1-periodic wave
+    assert wave.U_hat.collapse1().period == 1
 
 
 def test_assembled_wave_periods_and_parity(golden, amo, upper_edge):

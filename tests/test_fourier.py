@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qpgaps.errors import StripDomainError
 from qpgaps.fourier import (FourierMap, matmul, matrix_exp, mul, strip_norm)
 
-from oracles import fourier_from_function
+from oracles import fourier_from_function, mul_reference
 
 
 def random_real_map(rng, band, period=1, scale=1.0):
@@ -132,6 +132,58 @@ def test_products_are_the_plain_convolutions(shapes):
 def test_vector_times_a_vector_or_matrix_is_rejected(right):
     with pytest.raises(ValueError):
         mul(FourierMap.constant([1.0, 2.0]), right)
+
+
+SUPPORTED_PRODUCTS = (((), ()), ((), (2,)), ((), (2, 2)), ((2, 2), (2,)), ((2, 2), (2, 2)))
+
+
+def _random_map(seed, band, shape, period):
+    rng = np.random.default_rng(seed)
+    size = (2 * band + 1,) + shape
+    return FourierMap(rng.normal(size=size) + 1j * rng.normal(size=size), period)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.sampled_from(SUPPORTED_PRODUCTS), swap=st.booleans(),
+       period=st.sampled_from((1, 2)), bands=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+       seed=st.integers(0, 2**32 - 1), shift=st.floats(0.0, 1.0))
+def test_mul_is_the_reference_product(shapes, swap, period, bands, seed, shift):
+    """Every supported shape pair (a scalar on either side): the one 2x2
+    contraction equals the reference with its scalar branch exactly, and its
+    grid values are the pointwise products of the factors' grid values to
+    1e-12 of the product of the factors' l1 norms."""
+    a, b = (_random_map(seed + i, n, s, period) for i, (n, s) in enumerate(zip(bands, shapes)))
+    if swap and not shapes[0]:
+        a, b = b, a
+    p = mul(a, b)
+    assert np.array_equal(p.coeffs, mul_reference(a, b).coeffs)
+    assert p.period == period and p.value_shape == (b.value_shape or a.value_shape)
+    m = 16 * period
+    av, bv = a.sample(m, shift=shift), b.sample(m, shift=shift)
+    if not a.value_shape or not b.value_shape:
+        scal, other = (av, bv) if not a.value_shape else (bv, av)
+        want = scal.reshape((m,) + (1,) * (other.ndim - 1)) * other
+    else:
+        want = np.einsum("nij,nj...->ni...", av, bv)
+    got = p.sample(m, shift=shift)
+    assert np.abs(got - want).max() <= 1e-12 * a.l1_norm() * b.l1_norm()
+
+
+@settings(max_examples=30, deadline=None)
+@given(shapes=st.sampled_from(SUPPORTED_PRODUCTS + (((2,), (2,)), ((2,), (2, 2)))),
+       mismatch=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_mul_rejects_unsupported_shapes_and_mixed_periods(shapes, mismatch, seed):
+    """A vector on the left of a vector or a matrix has no product, and
+    factors of periods 1 and 2 must be lifted first: both raise ValueError,
+    as in the reference."""
+    supported = shapes in SUPPORTED_PRODUCTS
+    if supported and not mismatch:
+        return
+    a = _random_map(seed, 2, shapes[0], 1)
+    b = _random_map(seed + 1, 3, shapes[1], 2 if mismatch else 1)
+    for product in (mul, mul_reference):
+        with pytest.raises(ValueError):
+            product(a, b)
 
 
 def test_lift_collapse_roundtrip():

@@ -165,6 +165,19 @@ def test_rotation_form_inadmissible_at_m1(golden, amo):
     assert "averaging-inadmissible" in d.flags
 
 
+def test_unmeasurable_averaging_gate_is_inadmissible_at_m5(golden, amo):
+    """At m=5 the gate quantity ||Y||_delta cannot be measured on the strip
+    (its tail bound is infinite).  The dossier records the flag, as the gate
+    does at m=1, and every other field is that of the dossier without
+    averaging."""
+    plain = pl.analyze_gap(0.25, amo, golden, 5, pl.PipelineConfig(q_target=250))
+    d = pl.analyze_gap(0.25, amo, golden, 5,
+                       pl.PipelineConfig(q_target=250, run_averaging=True))
+    assert d.rotation_form is None
+    assert d.flags == plain.flags + ("averaging-inadmissible",)
+    assert repr(vars(d)) == repr({**vars(plain), "flags": d.flags})
+
+
 def test_dossier_displaced_tiny_gap_m7(golden, amo, monkeypatch):
     """A gap narrower than the approximant displacement is searched in one
     window spanning both approximant edges; the full dossier still closes,

@@ -11,7 +11,7 @@ from qpgaps.cocycle import degree_of, schrodinger_cocycle
 from qpgaps.errors import FrameError, SmallDivisorError
 from qpgaps.fourier import FourierMap, matmul, mul
 
-from oracles import first_order_log_term
+from oracles import first_order_log_term, mu_iterate_reference
 
 
 def random_real_scalar(rng, band, scale=1.0):
@@ -343,6 +343,23 @@ def test_reduce_m1_residuals_and_mu_cross_check(golden, amo, upper_edge):
     rel = abs(reduction.parabolic.mu - reduction.mu_iterate) / abs(reduction.parabolic.mu)
     assert rel < 1e-6
     assert reduction.parabolic.sign * reduction.parabolic.mu > 0
+
+
+@pytest.mark.parametrize("m", [1, 7])
+def test_mu_iterate_matches_the_general_stack_reference(m, golden, amo, upper_edge):
+    """The iterate's steps E - lam f(x_i + j alpha), summed in real
+    arithmetic and pushed as a Schrodinger stack, give the mu that 64 FFT
+    samples of the 2x2 cocycle map pushed as a general stack give, at the
+    dossier's m = 1 and m = 7 upper edges (q_target 250)."""
+    pq = golden.largest_convergent(250)
+    rec = [r for r in sp.band_structure(0.25, amo, pq).gaps() if r.label == m][0]
+    sol = upper_edge(rec, pq)
+    du.snap_to_resonance(sol, 0.25, amo, golden)
+    wave = du.assemble_wave(sol, 0.25, amo, golden)
+    reduction = red.reduce_at_edge(sol.energy, wave, golden, 0.25, amo)
+    A = schrodinger_cocycle(0.25, amo, sol.energy).A
+    ref = mu_iterate_reference(reduction.R, A, golden.value, reduction.parabolic.sign)
+    assert reduction.mu_iterate == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
 def test_select_frame_vector_enforces_the_sqrt2_bound():
