@@ -279,18 +279,15 @@ def rotation_numbers(lam, f, freq, energies, target_err=ROTATION_TARGET_ERR,
     """rotation_number of the Schrodinger cocycle at each energy, in order.
 
     The steps [[E - lam f(x), -1], [1, 0]] differ between energies only in
-    E, so each orbit segment is the Schrodinger stack E - lam f(x_j), with
-    lam f sampled once per segment in real arithmetic and shared by every
-    energy; each result is what a call with that energy alone returns.
+    E, so each scan's stack is E - lam f(x_j), with lam f sampled on the
+    scan's orbit segment in real arithmetic and shared by the energies it
+    carries; each result is what a call with that energy alone returns.
     """
     energies = np.asarray(energies, dtype=float)
     alpha = _alpha(freq)
-    potential = {}            # segment start -> lam f(j alpha) on the segment
 
     def steps_of(lo, hi, idx):
-        if lo not in potential:
-            potential[lo] = _real_values(lam, f, alpha * np.arange(lo, hi))
-        return energies[idx] - potential[lo][:, None]
+        return energies[idx] - _real_values(lam, f, alpha * np.arange(lo, hi))[:, None]
 
     return _rotation_results(len(energies), steps_of, target_err, max_iterations)
 

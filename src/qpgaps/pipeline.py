@@ -181,14 +181,17 @@ def rotation_form_at_edge(reduction, pert, eps_m, freq, delta, shift):
     normalize the constant part to the rotation form.
 
     Returns the summary: the trace-free generator D of the constant part
-    (`rotation_form_generator`), its positive determinant, the upper-right
-    sign condition, the third-order remainder, and the rotation-form
+    (`rotation_form_generator`), its positive determinant, its upper-right
+    entry (negative at an upper edge, positive at a lower one), the
+    third-order remainder, and the rotation-form
     prediction sqrt(det)/(2 pi) against the measured rotation-number shift
     at E + eps_m.
     """
     ds = reducibility.double_step(reduction.parabolic, pert, eps_m, freq, delta)
     D = reducibility.rotation_form_generator(reduction.parabolic, ds.const_final)
-    _, sqrt_det = reducibility.elliptic_normalize(D)
+    # a lower-edge step (eps_m > 0) crosses the gap upward, so its generator
+    # turns the other way: the mirror -D is the one in rotation orientation
+    _, sqrt_det = reducibility.elliptic_normalize(-D if eps_m > 0 else D)
     rem = reducibility.remainder_sup(reduction.parabolic, ds.const_final,
                                      ds.pert_final, eps_m, D)
     predicted = sqrt_det / (2.0 * math.pi)

@@ -2,11 +2,12 @@
 
 The chain: a half-period Bloch wave gives a frame whose first column is an
 invariant section; conjugating the Schrodinger cocycle by the frame leaves an
-upper-triangular cocycle whose off-diagonal is flattened by one small-divisor
-homological solve.  Around the reduced form, quantitative averaging steps
-push an energy perturbation from first to second to third order, and the
-averaged frame entries produce the explicit energy shift that caps the gap
-width.
+upper-triangular cocycle whose off-diagonal is flattened by a homological
+solve.  One small-divisor kernel solves every homological equation: the
+scalar one is its mu = 0 corner.  Around the reduced form, quantitative
+averaging steps push an energy perturbation from first to second to third
+order, and the averaged frame entries produce the explicit energy shift that
+caps the gap width.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .fourier import FourierMap, adjugate, assemble, matmul, matrix_exp, mul, st
 DIVISOR_CUTOFF = 1e-12
 MU_COLLAPSE_TOL = 1e-12
 FINE_GRID = 4096       # homological, frame and off-normal checks; frame averages
-CHECK_GRID = 2048      # parabolic-solve, averaging and perturbation identities
+CHECK_GRID = 2048      # averaging and perturbation identities
 
 
 @dataclass(frozen=True)
@@ -50,77 +51,55 @@ def _divisors(fracs):
     return np.exp(2j * math.pi * np.asarray(fracs)) - 1.0
 
 
-def _needed_modes(div, data, forced, entries):
-    """Mask of the modes k != 0 that need a divisor: those whose data
-    (coefficient array, mode first) exceeds 1e-18 of its peak floored at 1,
-    plus the `forced` ones.  The first such k whose divisor falls below
-    DIVISOR_CUTOFF raises SmallDivisorError naming k and, unless `entries`
-    is None, the entry `entries` gives at that mode."""
-    n = (len(div) - 1) // 2
-    mags = np.abs(data).reshape(len(data), -1).max(axis=1)
-    scale = float(mags.max()) if mags.size else 0.0
-    needed = ((mags > 1e-18 * max(scale, 1.0)) | forced) & (np.arange(-n, n + 1) != 0)
-    small = np.flatnonzero(needed & (np.abs(div) < DIVISOR_CUTOFF))
-    if small.size:
-        i = int(small[0])
-        raise SmallDivisorError(i - n, abs(div[i]), DIVISOR_CUTOFF,
-                                entry=None if entries is None else entries[i])
-    return needed
-
-
 def solve_homological_scalar(nu, freq, sign=1):
     """Zero-mean solution of  +-phi(x+alpha) -+ phi(x) = nu(x) - [nu].
 
-    Coefficients are nu_k / (e^{2 pi i k alpha} - 1) up to the overall sign;
-    any needed divisor below DIVISOR_CUTOFF raises SmallDivisorError naming k.
-    The reconstruction residual is checked on a grid against the data.
+    The (1, 2) entry of the parabolic solve for [[0, nu], [0, 0]] with
+    mu = 0, whose division there is exactly +-nu_k / (e^{2 pi i k alpha} - 1):
+    one small-divisor check (a breach names k and entry "12") and one
+    residual rule, those of `solve_homological_parabolic`.
     """
     if nu.value_shape:
         raise ValueError("scalar solver needs a scalar map")
-    if nu.period != 1:
-        raise ValueError("homological data must be 1-periodic")
     if not nu.is_real(1e-11):
         raise ValueError("right-hand side must carry the real-valuedness symmetry")
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
-    div = _divisors(rotation_phase_fracs(freq, nu.band_limit))
-    need = _needed_modes(div, nu.coeffs, False, None)
-    coeffs = np.zeros_like(nu.coeffs)
-    coeffs[need] = sign * nu.coeffs[need] / div[need]
-    phi = FourierMap(coeffs, period=1, entire=nu.entire)
-
-    shifted = FourierMap(phi.coeffs * (div + 1.0), period=1, entire=nu.entire)
-    lhs = sign * (shifted.sample(FINE_GRID) - phi.sample(FINE_GRID))
-    nu_vals = nu.sample(FINE_GRID)
-    rhs = nu_vals - nu.average()
-    sup_nu = max(float(np.abs(rhs).max()), float(np.abs(nu_vals).max()), 1e-300)
-    resid = float(np.abs(lhs - rhs).max())
-    if resid > 1e-10 * sup_nu:
-        raise ArithmeticError(
-            f"homological reconstruction residual {resid:.2e} above 1e-10 * ||nu||"
-        )
-    return phi
+    data = assemble([[0.0, nu], [0.0, 0.0]], nu.period, nu.entire)
+    return solve_homological_parabolic(data, ParabolicForm(sign, 0.0), freq).entry(0, 1)
 
 
 def solve_homological_parabolic(pert, parabolic, freq):
-    """Y with  Y(x+alpha) P - P Y(x) = pert - [pert]  and zero-mean entries.
+    """Y with  Y(x+alpha) P - P Y(x) = pert - [pert]  and zero-mean entries:
+    the package's one homological kernel.
 
     For P = [[1, mu], [0, 1]] the entries resolve in the order 21 (single
     divisor), then 11 and 22 (squared divisors carrying mu), then 12.  A
     negative sign reduces to the positive case with mu and the data negated.
-    Divisor breaches name both k and the entry.  Y lands in sl(2,R) exactly
-    when the data satisfies tr(pert)_k = mu * pert21_k (true for the
-    energy-perturbation matrix of a reduced cocycle); the grid residual check
-    validates the equation itself either way.
+    A mode k != 0 needs its divisor when its data exceeds 1e-18 of the peak
+    (floored at 1), or when mu != 0 and its 21 entry is nonzero; the first
+    needed divisor below DIVISOR_CUTOFF raises SmallDivisorError naming k
+    and the entry ("21" where that entry is nonzero, else "12").  Y lands in
+    sl(2,R) exactly when the data satisfies tr(pert)_k = mu * pert21_k (true
+    for the energy-perturbation matrix of a reduced cocycle).  The equation
+    itself is checked on FINE_GRID points: the sup of lhs - rhs must stay
+    within 1e-10 of the larger of the sups of rhs and pert.
     """
     if not pert.is_matrix or pert.period != 1:
         raise ValueError("perturbation must be a 1-periodic matrix map")
     mu = parabolic.sign * parabolic.mu
     data = pert if parabolic.sign == 1 else -1.0 * pert
-    div = _divisors(rotation_phase_fracs(freq, pert.band_limit))
+    n = pert.band_limit
+    div = _divisors(rotation_phase_fracs(freq, n))
     lower = np.abs(data.coeffs[:, 1, 0])
-    need = _needed_modes(div, data.coeffs, abs(mu) * lower != 0.0,
-                         np.where(lower > 0, "21", "12"))
+    mags = np.abs(data.coeffs).max(axis=(1, 2))
+    need = (((mags > 1e-18 * max(float(mags.max()), 1.0)) | (abs(mu) * lower != 0.0))
+            & (np.arange(-n, n + 1) != 0))
+    small = np.flatnonzero(need & (np.abs(div) < DIVISOR_CUTOFF))
+    if small.size:
+        i = int(small[0])
+        raise SmallDivisorError(i - n, abs(div[i]), DIVISOR_CUTOFF,
+                                entry="21" if lower[i] > 0 else "12")
     d = div[need]
     e = d + 1.0                        # e^{2 pi i k alpha}
     d2 = d**2
@@ -133,13 +112,16 @@ def solve_homological_parabolic(pert, parabolic, freq):
     Y[need] = np.moveaxis(np.array([[y11, y12], [y21, y22]]), -1, 0)
     Y = FourierMap(Y, period=1, entire=pert.entire)
 
+    # tensordot makes each side one BLAS product over the grid; a stacked
+    # matmul of 2x2 blocks costs ten times as much here
     P = parabolic.matrix
-    lhs = (np.matmul(Y.sample(CHECK_GRID, shift=freq.value), P)
-           - np.matmul(P, Y.sample(CHECK_GRID)))
-    rhs = pert.sample(CHECK_GRID) - pert.average()
-    resid = float(np.abs(lhs - rhs).max()) / max(float(np.abs(rhs).max()), 1e-300)
-    if resid > 1e-9:
-        raise ArithmeticError(f"matrix homological residual {resid:.2e} above 1e-09")
+    lhs = (np.tensordot(Y.sample(FINE_GRID, shift=freq.value), P, axes=1)
+           - np.tensordot(P, Y.sample(FINE_GRID), axes=(1, 1)).swapaxes(0, 1))
+    vals = pert.sample(FINE_GRID)
+    rhs = vals - pert.average()
+    resid = float(np.abs(lhs - rhs).max())
+    if resid > 1e-10 * max(float(np.abs(rhs).max()), float(np.abs(vals).max()), 1e-300):
+        raise ArithmeticError(f"homological residual {resid:.2e} above 1e-10 * ||data||")
     return Y
 
 
@@ -164,6 +146,17 @@ class AveragingStep:
     report: AveragingReport
 
 
+def _diagnostic_norm(a, delta):
+    """strip_norm(a, delta) under the diagnostic strip tolerance 1e-5 (set
+    on a); a norm that the strip check cannot measure is an inadmissible
+    step, raised as ArithmeticError."""
+    a.strip_tol = 1e-5
+    try:
+        return strip_norm(a, delta)
+    except StripDomainError as exc:
+        raise ArithmeticError(f"step size inadmissible: {exc}") from exc
+
+
 def _average(parabolic, const, pert, eps, order, freq, delta):
     """One averaging step for the cocycle C + h * pert(x), h = eps^(order-1).
 
@@ -171,10 +164,11 @@ def _average(parabolic, const, pert, eps, order, freq, delta):
     parabolic form, moves the x-dependence up one order:
     result = (C + h [pert]) + eps^order * pert_next(x), exactly by
     construction; the identity is re-verified pointwise on a grid against an
-    independent evaluation.  Admissibility is gated on ||h Y||_delta <= 0.5,
-    a norm the strip check cannot measure failing too; divisor_min is the
-    smallest divisor over Y's band, at its largest convergent denominator
-    (best approximation).
+    independent evaluation.  Admissibility is gated on ||h Y||_delta <= 0.5;
+    a gate or report norm that the strip check cannot measure makes the step
+    inadmissible too (see _diagnostic_norm).  divisor_min is the smallest
+    divisor over Y's band, at its largest convergent denominator (best
+    approximation).
     """
     # drop the convolution noise floor first: coefficients near 1e-16 of the
     # peak carry no content but explode under e^{2 pi delta k} on the strip
@@ -185,11 +179,7 @@ def _average(parabolic, const, pert, eps, order, freq, delta):
 
     h = eps ** (order - 1)
     hY = h * Y
-    hY.strip_tol = 1e-5            # gate and report norms are diagnostics
-    try:
-        norm_hY = strip_norm(hY, delta)
-    except StripDomainError as exc:
-        raise ArithmeticError(f"step size inadmissible: {exc}") from exc
+    norm_hY = _diagnostic_norm(hY, delta)
     if norm_hY > 0.5:
         raise ArithmeticError(
             f"step size inadmissible: ||eps^{order - 1} Y||_delta = {norm_hY:.3f} > 0.5"
@@ -216,15 +206,11 @@ def _average(parabolic, const, pert, eps, order, freq, delta):
     if resid > 1e-9:
         raise ArithmeticError(f"averaging identity residual {resid:.2e} above 1e-09")
 
-    step_dev = R_step - FourierMap.identity()
-    step_dev.strip_tol = 1e-5
-    pert_diag = pert_next.trim(1e-13)
-    pert_diag.strip_tol = 1e-5
     report = AveragingReport(
         eps=eps, delta=delta,
-        norm_step_minus_id=strip_norm(step_dev, delta),
+        norm_step_minus_id=_diagnostic_norm(R_step - FourierMap.identity(), delta),
         norm_const_change=float(np.linalg.norm(const_next - const, 2)),
-        norm_pert_next=strip_norm(pert_diag, delta),
+        norm_pert_next=_diagnostic_norm(pert_next.trim(1e-13), delta),
         divisor_min=divisor_min,
     )
     return AveragingStep(const_next=const_next, pert_next=pert_next,
@@ -367,9 +353,7 @@ def reduce_at_edge(energy, wave, freq, lam, f):
     cocycle = schrodinger_cocycle(lam, f, energy, freq)
     A = cocycle.A
     alpha = freq.value
-    nu2 = conjugate(cocycle, R1).A.entry(0, 1)
-    nu = nu2.collapse1(tol=1e-7) if nu2.period == 2 else nu2
-    nu = nu.real_part().trim(1e-16)
+    nu = conjugate(cocycle, R1).A.entry(0, 1).collapse1(tol=1e-7).real_part().trim(1e-16)
 
     phi = solve_homological_scalar(nu, freq, sign=s)
     mu = float(nu.average().real)
@@ -480,9 +464,7 @@ def perturbation_matrix(reduction, lam, f, energy, freq):
     top = (float(s) * r12) - (mu * r11)
     pert = assemble([[mul(top, r11), mul(top, r12)],
                      [-float(s) * mul(r11, r11), -float(s) * mul(r11, r12)]],
-                    R.period, False).trim(1e-16)
-    if pert.period == 2:
-        pert = pert.collapse1(tol=1e-7)
+                    R.period, False).trim(1e-16).collapse1(tol=1e-7)
 
     alpha = freq.value
     A_eps = schrodinger_cocycle(lam, f, energy + 1e-4).A

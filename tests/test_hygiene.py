@@ -1,7 +1,8 @@
 """Static checks on the package source: every imported name is used, every
 class and function it defines is named somewhere else, every module-level
 constant it assigns is read somewhere, every parameter is read by its
-function's body, and every defaulted parameter is passed by some call."""
+function's body, every defaulted parameter is passed by some call, and no
+broad except clause swallows what it catches."""
 
 import ast
 import collections
@@ -237,3 +238,40 @@ def test_defaulted_parameters_do_not_grow():
     count = sum(defaulted_parameters(path.read_text()) for path in MODULES)
     print(f"defaulted parameters in src/qpgaps: {count}")
     assert count <= DEFAULTS_CEILING, f"{count} defaulted parameters, ceiling {DEFAULTS_CEILING}"
+
+
+BROAD_EXCEPTIONS = {"Exception", "BaseException"}
+
+
+def swallowing_handlers(source):
+    """Lines of the except clauses that catch everything, Exception or
+    BaseException (alone or in a tuple) and do not end in a bare raise: such
+    a handler would hide a programming error along with the failure it means."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = ([] if node.type is None
+                  else node.type.elts if isinstance(node.type, ast.Tuple) else [node.type])
+        broad = node.type is None or any(
+            (getattr(t, "id", None) or getattr(t, "attr", None)) in BROAD_EXCEPTIONS
+            for t in caught)
+        last = node.body[-1]
+        if broad and not (isinstance(last, ast.Raise) and last.exc is None):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_swallowing_handlers_are_found():
+    src = ("try:\n    f()\nexcept Exception:\n    pass\n"
+           "try:\n    f()\nexcept:\n    log()\n    raise\n"
+           "try:\n    f()\nexcept (ValueError, BaseException) as e:\n    g(e)\n"
+           "try:\n    f()\nexcept ValueError:\n    pass\n"
+           "try:\n    f()\nexcept:\n    raise RuntimeError()\n"
+           "try:\n    f()\nexcept builtins.Exception:\n    return None\n")
+    assert swallowing_handlers(src) == [3, 12, 20, 24]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_broad_handler_swallows(path):
+    assert swallowing_handlers(path.read_text()) == []

@@ -178,6 +178,33 @@ def test_unmeasurable_averaging_gate_is_inadmissible_at_m5(golden, amo):
     assert repr(vars(d)) == repr({**vars(plain), "flags": d.flags})
 
 
+def test_lower_edge_rotation_form_m3(golden, amo):
+    """A lower-edge step (eps_m > 0) crosses the gap upward, so the generator
+    D turns the other way (D[0,1] > 0); its mirror -D is normalized, and the
+    rotation form predicts the measured shift at E + eps_m."""
+    cfg = pl.PipelineConfig(q_target=250, edge="lower", run_averaging=True)
+    d = pl.analyze_gap(0.25, amo, golden, 3, cfg)
+    assert d.epsilon_m > 0.0
+    rf = d.rotation_form
+    assert rf is not None
+    assert rf["upper_right"] > 0.0
+    assert rf["det"] > 0.0
+    report = pl.claims_report([d])
+    assert (report["passed"], report["total"]) == (5, 5)
+
+
+def test_unmeasurable_averaging_report_is_inadmissible(golden, amo):
+    """At lam = 0.1, m = 6 the gate passes but the report norms of the step
+    cannot be measured on the strip.  The dossier records the flag, and
+    every other field is that of the dossier without averaging."""
+    plain = pl.analyze_gap(0.1, amo, golden, 6, pl.PipelineConfig(q_target=250))
+    d = pl.analyze_gap(0.1, amo, golden, 6,
+                       pl.PipelineConfig(q_target=250, run_averaging=True))
+    assert d.rotation_form is None
+    assert d.flags == plain.flags + ("averaging-inadmissible",)
+    assert repr(vars(d)) == repr({**vars(plain), "flags": d.flags})
+
+
 def test_dossier_displaced_tiny_gap_m7(golden, amo, monkeypatch):
     """A gap narrower than the approximant displacement is searched in one
     window spanning both approximant edges; the full dossier still closes,

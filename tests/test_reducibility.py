@@ -68,6 +68,7 @@ def test_scalar_solve_names_breached_divisor(monkeypatch):
     with pytest.raises(SmallDivisorError) as err:
         red.solve_homological_scalar(nu, near_third)
     assert abs(err.value.k) == 3
+    assert err.value.entry == "12"
 
 
 def test_scalar_solve_requires_real_data(golden):
@@ -129,6 +130,20 @@ def test_parabolic_breach_names_entry(monkeypatch):
         red.solve_homological_parabolic(pert, red.ParabolicForm(1, 0.1), near_third)
     assert abs(err.value.k) == 3
     assert err.value.entry is not None
+
+
+def test_residual_rule_catches_a_perturbed_divisor(golden, monkeypatch):
+    """One residual rule serves both solves, and it checks the equation
+    against an independent evaluation at x + alpha: divisors off by a
+    relative 1e-6 make both solves raise."""
+    exact = red._divisors
+    monkeypatch.setattr(red, "_divisors", lambda fracs: exact(fracs) * (1.0 + 1e-6))
+    rng = np.random.default_rng(5)
+    with pytest.raises(ArithmeticError, match="homological residual"):
+        red.solve_homological_scalar(random_real_scalar(rng, 6), golden, sign=-1)
+    with pytest.raises(ArithmeticError, match="homological residual"):
+        red.solve_homological_parabolic(random_real_matrix(rng, 6), red.ParabolicForm(1, 0.1),
+                                        golden)
 
 
 def loop_parabolic_coeffs(pert, parabolic, freq):
