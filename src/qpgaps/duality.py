@@ -13,11 +13,14 @@ eigenpair nearest the previous eigenvalue (`_nearest_pair`), and
 have one search: `find_bloch_resonant`, the dossier's Bloch stage, solves
 the label's resonant phases 2 theta = +-m alpha once each, takes the pair
 of theta-extremal eigenvalues (`_slope`) that are both edges of the gap, and
-returns the resonance integer it solved at.  `find_bloch`, which
+returns the resonance integer it solved at.  The wanted member is refined;
+the other one is returned as the search solved it, with a Weinstein bound
+on its distance to the spectrum (`PairPartner`), from which the dossier
+certifies that its energy step crosses the gap.  `find_bloch`, which
 `qpgaps dual` runs from an energy with no label, minimizes the distance of
 the nearest dual eigenvalue to that energy over theta; `detect_resonance`
 then looks for its resonance.  `snap_to_resonance` re-solves at the exact
-resonant phase and normalizes without refining.
+resonant phase and normalizes without refining, keeping the partner.
 """
 
 from __future__ import annotations
@@ -91,6 +94,51 @@ def _nearest_pair(lam, f, freq, theta, trunc, energy, windows):
                      f"E={energy} at theta={theta} (trunc {trunc})")
 
 
+@dataclass(frozen=True)
+class PairPartner:
+    """The other member of the pair a gap-edge search chose, unrefined: its
+    eigenvalue at the search truncation, the phase it was solved at, its unit
+    eigenvector on sites -trunc..trunc, and a Weinstein bound: the spectrum
+    meets [energy - bound, energy + bound]."""
+    energy: float
+    bound: float
+    theta: float
+    vec: np.ndarray
+
+    def crossing_margin(self, e_edge, eps_m):
+        """How far e_edge + eps_m lies past [energy - bound, energy + bound],
+        on the far side from e_edge; -inf unless that interval lies strictly
+        on the step's side of e_edge.  A positive margin puts a point of the
+        spectrum strictly between e_edge and e_edge + eps_m, so the rotation
+        number differs there: it is constant only on gap closures and
+        strictly monotone across the spectrum (Johnson-Moser 1982)."""
+        s = math.copysign(1.0, eps_m)
+        if s * (self.energy - e_edge) <= self.bound:
+            return -math.inf
+        return s * (e_edge + eps_m - self.energy) - self.bound
+
+
+def _weinstein_bound(lam, f, freq, theta, energy, vec):
+    """r with dist(energy, Sigma) <= r, from `vec` on sites -trunc..trunc
+    zero-padded into l2(Z): every dual phase has spectrum Sigma, and
+    dist(E, Sigma) <= ||(H - E) v|| / ||v||.  The untruncated operator moves
+    only the `band` outermost sites at each end outside, by at most
+    lam ||f||_1 times their l2 mass (Young), so r is the truncated residual
+    plus that term plus a rounding allowance, over ||v||."""
+    band, trunc = f.band_limit, (len(vec) - 1) // 2
+    ns = np.arange(-trunc, trunc + 1)
+    resid = np.convolve(lam * f.coeffs, vec)[band:band + len(vec)]
+    resid += (2.0 * np.cos(2.0 * math.pi * (theta + ns * freq.value)) - energy) * vec
+    l1 = lam * float(np.abs(f.coeffs).sum())
+    spill = l1 * math.hypot(np.linalg.norm(vec[:band]), np.linalg.norm(vec[len(vec) - band:]))
+    # the residual's sums (Young again), and each site's phase theta + n alpha,
+    # off by about eps (|n alpha| + 1), which moves 2 cos by up to 4 pi times that
+    eps = float(np.finfo(float).eps)
+    rounding = eps * ((2 * band + 3) * (l1 + 2.0 + abs(energy)) + 4.0 * math.pi
+                      * float(np.linalg.norm((np.abs(ns * freq.value) + 1.0) * vec)))
+    return (float(np.linalg.norm(resid)) + spill + rounding) / float(np.linalg.norm(vec))
+
+
 @dataclass
 class BlochSolution:
     energy: float                # achieved dual eigenvalue
@@ -102,6 +150,7 @@ class BlochSolution:
     decay_onset: int = 0
     n_tilde: object = None       # resonance integer: 2 theta = n_tilde alpha (mod 1)
     resonance_dist: float = math.nan
+    partner: PairPartner = None  # the gap's other edge, from find_bloch_resonant
 
     def u_map(self):
         return FourierMap(self.u_hat.copy(), period=1, entire=False)
@@ -224,10 +273,13 @@ def find_bloch_resonant(lam, f, freq, gap, m, reach, member, trunc):
     form a pair, scored by how far its splitting and midpoint miss the
     approximant gap's.  The first pair in the phase order (m, 0), (m, 1),
     (-m, 0), (-m, 1) that ties the best score wins: at an exact resonance the
-    mirror phase gives the same pair, and the order keeps +m.  Only the
-    wanted member is refined (`_refine`) and normalized (`_normalized`).
-    The solution carries its resonance: recentering by n0 sites moves 2 theta
-    by 2 n0 alpha, so n_tilde = n + 2 n0.
+    mirror phase gives the same pair, and the order keeps +m.  The wanted
+    member is refined (`_refine`) and normalized (`_normalized`).  The other
+    member, the gap's other edge, comes back as `sol.partner` as the search
+    solved it, with a Weinstein bound (`_weinstein_bound`) from its own
+    eigenvector, so it costs no further solve.  The solution carries its
+    resonance: recentering by n0 sites moves 2 theta by 2 n0 alpha, so
+    n_tilde = n + 2 n0.
     """
     e_minus, e_plus = gap
     width, mid = e_plus - e_minus, 0.5 * (e_minus + e_plus)
@@ -242,15 +294,20 @@ def find_bloch_resonant(lam, f, freq, gap, m, reach, member, trunc):
         flat = np.array([abs(_slope(freq, theta, trunc, v)) <= 2e-2 for v in vecs.T], dtype=bool)
         for k in np.flatnonzero(flat[:-1] & flat[1:]):
             score = abs(vals[k + 1] - vals[k] - width) + abs(0.5 * (vals[k] + vals[k + 1]) - mid)
-            pairs.append((score, n, theta, k + (member == "upper"), vals, vecs))
+            pairs.append((score, n, theta, k, vals, vecs))
     if not pairs:
         raise BlochError(f"no theta-extremal dual eigenvalue pair within {reach:.1e} of the "
                          f"gap ({e_minus}, {e_plus}) at 2 theta = +-{m} alpha")
     best = min(p[0] for p in pairs)
     _, n, theta, k, vals, vecs = next(p for p in pairs
                                       if p[0] <= best + 1e-12 * max(1.0, abs(mid)))
+    k, k_other = (k + 1, k) if member == "upper" else (k, k + 1)
+    e_other, v_other = float(vals[k_other]), vecs[:, k_other]
+    partner = PairPartner(energy=e_other, theta=theta, vec=v_other,
+                          bound=_weinstein_bound(lam, f, freq, theta, e_other, v_other))
     energy, vec, trunc = _refine(lam, f, freq, theta, trunc, float(vals[k]), vecs[:, k])
     sol, n0 = _normalized(lam, f, freq, theta, trunc, energy, vec)
+    sol.partner = partner
     sol.n_tilde = n + 2 * n0
     sol.resonance_dist = norm_dist(2.0 * sol.theta - sol.n_tilde * freq.value)
     return sol
@@ -331,6 +388,7 @@ def snap_to_resonance(sol, lam, f, freq):
     snapped, n0 = _normalized(lam, f, freq, theta_s, sol.trunc, e_star, vec)
     snapped.n_tilde = sol.n_tilde + 2 * n0
     snapped.resonance_dist = norm_dist(2.0 * snapped.theta - snapped.n_tilde * freq.value)
+    snapped.partner = sol.partner
     vars(sol).update(vars(snapped))
     return sol
 

@@ -3,9 +3,10 @@
 A dossier walks one labeled gap through the whole machine: approximant
 spectrum, dual eigenpair at the chosen edge, resonance, frame reduction,
 average identities, the first-order perturbation matrix, the certified energy
-step, and the rotation-number shift test.  Campaigns sweep labels or window
-sizes and return tables; claims_report turns dossiers into the pass/fail
-map that `qpgaps reduce` writes as claims.json.
+step, and the shift test: the step must land past the gap's other edge.
+Campaigns sweep labels or window sizes and return tables; claims_report
+turns dossiers into the pass/fail map that `qpgaps reduce` writes as
+claims.json.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import duality, reducibility, spectrum
+from . import cocycle, duality, reducibility, spectrum
 from .errors import ConfigError, QPGapsError, StageError
 
 WIDTH_STABLE_REL = 0.10
@@ -154,17 +155,14 @@ def analyze_gap(lam, f, freq, m, config=None):
     dossier.width_bounded = dossier.width <= abs(eps_m)
     dossier.width_slack = abs(eps_m) - dossier.width
 
-    shift = _stage("shift", reducibility.rotation_shift_check, sol.energy, eps_m,
-                   freq, lam, f)
-    dossier.shift_differs = shift.differs
-    dossier.rho_edge = shift.rho_edge
-    dossier.rho_shifted = shift.rho_shifted
+    # the step crosses the gap when it lands past the pair's other edge,
+    # beyond that edge's residual bound: spectral data, no orbit needed
+    dossier.shift_differs = sol.partner.crossing_margin(sol.energy, eps_m) > 0.0
 
     if cfg.run_averaging:
         try:
             dossier.rotation_form = _stage(
-                "averaging", rotation_form_at_edge, red, pert, eps_m, freq,
-                STRIP_DELTA, shift)
+                "averaging", rotation_form_at_edge, red, pert, eps_m, freq, STRIP_DELTA)
         except StageError as exc:
             # inadmissible step size (|eps_m| too large at small labels) is an
             # expected outcome, recorded rather than fatal
@@ -172,11 +170,23 @@ def analyze_gap(lam, f, freq, m, config=None):
                 flags.append("averaging-inadmissible")
             else:
                 raise
+
+    # the rho pair is measured once: to the full cap where the rotation form's
+    # 1e-3 claim reads its difference, otherwise as the capped cross-check
+    if dossier.rotation_form is None:
+        shift = _stage("shift", reducibility.rotation_shift_check, sol.energy, eps_m,
+                       freq, lam, f)
+        dossier.rho_edge, dossier.rho_shifted = shift.rho_edge, shift.rho_shifted
+    else:
+        r1, r2 = _stage("shift", cocycle.rotation_numbers, lam, f, freq,
+                        [sol.energy, sol.energy + eps_m])
+        dossier.rho_edge, dossier.rho_shifted = r1.value, r2.value
+        dossier.rotation_form["rho_shift_measured"] = abs(r2.value - r1.value)
     dossier.flags = tuple(flags)
     return dossier
 
 
-def rotation_form_at_edge(reduction, pert, eps_m, freq, delta, shift):
+def rotation_form_at_edge(reduction, pert, eps_m, freq, delta):
     """Drive the double averaging step at the certified energy step and
     normalize the constant part to the rotation form.
 
@@ -184,8 +194,8 @@ def rotation_form_at_edge(reduction, pert, eps_m, freq, delta, shift):
     (`rotation_form_generator`), its positive determinant, its upper-right
     entry (negative at an upper edge, positive at a lower one), the
     third-order remainder, and the rotation-form
-    prediction sqrt(det)/(2 pi) against the measured rotation-number shift
-    at E + eps_m.
+    prediction sqrt(det)/(2 pi); `analyze_gap` fills in the measured
+    rotation-number shift at E + eps_m.
     """
     ds = reducibility.double_step(reduction.parabolic, pert, eps_m, freq, delta)
     D = reducibility.rotation_form_generator(reduction.parabolic, ds.const_final)
@@ -195,14 +205,12 @@ def rotation_form_at_edge(reduction, pert, eps_m, freq, delta, shift):
     rem = reducibility.remainder_sup(reduction.parabolic, ds.const_final,
                                      ds.pert_final, eps_m, D)
     predicted = sqrt_det / (2.0 * math.pi)
-    measured = abs(shift.rho_shifted - shift.rho_edge)
     return {
         "upper_right": float(D[0, 1]),
         "det": float(np.linalg.det(D)),
         "sqrt_det": float(sqrt_det),
         "remainder_times_eps3": float(abs(eps_m) ** 3 * rem),
         "rho_prime_predicted": float(predicted),
-        "rho_shift_measured": float(measured),
         "reports": [r.to_dict() for r in ds.reports],
     }
 

@@ -26,6 +26,7 @@ DIVISOR_CUTOFF = 1e-12
 MU_COLLAPSE_TOL = 1e-12
 FINE_GRID = 4096       # homological, frame and off-normal checks; frame averages
 CHECK_GRID = 2048      # averaging and perturbation identities
+SHIFT_MAX_ITERATIONS = 1 << 16   # orbit cap of the rotation shift cross-check
 
 
 @dataclass(frozen=True)
@@ -524,14 +525,19 @@ class ShiftCheck:
 
 
 def rotation_shift_check(e_edge, eps_m, freq, lam, f):
-    """Whether the rotation number moves between E and E + eps_m.
+    """Whether the rotation number moves between E and E + eps_m, compared
+    within 3 (err1 + err2).
 
     A genuine (non-collapsed) gap must see the rotation number change when
     stepping across its certified width bound; a collapsed gap (eps_m = 0)
     must not.  Both energies are measured in one cocycle.rotation_numbers
-    call on a shared orbit.
+    call on a shared orbit of at most SHIFT_MAX_ITERATIONS steps.  The
+    dossier certifies the crossing from the dual pair
+    (`duality.PairPartner.crossing_margin`) and reports these two values as
+    its cross-check; near a tiny gap the capped pair may end flagged.
     """
-    r1, r2 = rotation_numbers(lam, f, freq, [e_edge, e_edge + eps_m])
+    r1, r2 = rotation_numbers(lam, f, freq, [e_edge, e_edge + eps_m],
+                              max_iterations=SHIFT_MAX_ITERATIONS)
     bars = 3.0 * (r1.error + r2.error) + 1e-12
     return ShiftCheck(differs=abs(r1.value - r2.value) > bars,
                       rho_edge=r1.value, rho_shifted=r2.value)

@@ -276,3 +276,40 @@ def test_snap_needs_a_resonance(golden, amo):
     assert sol.n_tilde is None
     with pytest.raises(BlochError, match="no resonance"):
         du.snap_to_resonance(sol, 0.25, amo, golden)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7, 9])
+def test_pair_partner_bound_holds_in_a_larger_truncation(golden, amo, m):
+    """The pair's other member is the gap's lower edge, and its Weinstein
+    bound covers the residual of its own eigenvector zero-padded into a 4x
+    truncation, with the operator built densely from the banded storage.
+    The snap keeps it."""
+    gap, reach = _gap_233(golden, amo, m)
+    sol = du.find_bloch_resonant(0.25, amo, golden, gap, m, reach, "upper", 128)
+    p = sol.partner
+    assert p.energy < sol.energy
+    trunc = (len(p.vec) - 1) // 2
+    big, band = 4 * trunc, amo.band_limit
+    ab = du._dual_banded(0.25, amo, golden, p.theta, big)
+    H = np.diag(ab[band]).astype(complex)
+    for k in range(1, band + 1):
+        H += np.diag(ab[band - k, k:], k) + np.diag(ab[band - k, k:].conj(), -k)
+    v = np.zeros(2 * big + 1, dtype=complex)
+    v[big - trunc:big + trunc + 1] = p.vec
+    residual = np.linalg.norm(H @ v - p.energy * v) / np.linalg.norm(v)
+    assert residual <= p.bound < 1e-13
+    du.snap_to_resonance(sol, 0.25, amo, golden)
+    assert sol.partner is p
+
+
+def test_crossing_margin_needs_the_partner_between_the_energies():
+    """The margin is how far E + eps lies past [E' - r', E' + r'] on the far
+    side from E, and -inf when that interval is not strictly on the step's
+    side of E (a step the wrong way, or a partner within r' of E)."""
+    p = du.PairPartner(energy=1.0, bound=0.01, theta=0.0, vec=np.ones(1))
+    assert p.crossing_margin(1.5, -0.7) == pytest.approx(0.19)
+    assert p.crossing_margin(1.5, -0.49) < 0.0
+    assert p.crossing_margin(0.5, 0.7) == pytest.approx(0.19)
+    assert p.crossing_margin(1.5, 0.7) == -math.inf
+    assert p.crossing_margin(1.005, -0.7) == -math.inf
+    assert p.crossing_margin(1.5, 0.0) == -math.inf

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from qpgaps import arithmetic as ar
 from qpgaps import pipeline as pl
+from qpgaps.cocycle import rotation_numbers
 from qpgaps.errors import ConfigError, SmallDivisorError, StageError
 
 
@@ -295,13 +296,67 @@ def test_small_divisor_breach_is_a_stage_error(golden, amo, monkeypatch):
 
 @pytest.mark.parametrize("m, qp_width", [(5, 9.667619e-5), (7, 6.796420e-6),
                                          (9, 9.735913e-7)])
-def test_lower_edge_dossier_anchors_on_its_own_edge(m, qp_width, golden, amo):
+def test_lower_edge_dossier_anchors_on_its_own_edge(m, qp_width, golden, amo, upper_edge):
     """Both edges of the quasi-periodic gap are the resonant dual pair; a
     lower-edge dossier takes the pair's lower member, a quasi-periodic width
-    below the upper-edge dossier's energy, with the mirrored sign pattern."""
+    below the upper-edge dossier's energy, with the mirrored sign pattern.
+    The upper search's unrefined partner is that lower edge, within its bound."""
     upper = pl.analyze_gap(0.25, amo, golden, m, pl.PipelineConfig(q_target=250))
     lower = pl.analyze_gap(0.25, amo, golden, m,
                            pl.PipelineConfig(q_target=250, edge="lower"))
     assert "edge-sign-pattern" not in lower.flags
     assert lower.epsilon_m > 0.0
     assert upper.edge_energy - lower.edge_energy == pytest.approx(qp_width, rel=1e-6)
+    partner = upper_edge(upper, upper.approximant).partner
+    assert abs(partner.energy - lower.edge_energy) <= partner.bound + 1e-9
+
+
+@pytest.mark.parametrize("lam, m, edge", [(0.25, 2, "upper"), (0.25, 4, "upper"),
+                                          (0.25, 4, "lower"), (0.1, 1, "upper"),
+                                          (0.1, 2, "upper"), (0.1, 3, "upper"),
+                                          (0.1, 3, "lower")])
+def test_rotation_form_claim_holds_on_golden_averaging_dossiers(lam, m, edge, golden, amo):
+    """The rotation form's claim compares the measured shift at 1e-3
+    relative, so its rho pair runs to the full orbit cap: at the shift
+    cross-check's 2^16 steps, four of these miss by 1.35e-3 to 6.1e-3."""
+    cfg = pl.PipelineConfig(q_target=250, edge=edge, run_averaging=True)
+    d = pl.analyze_gap(lam, amo, golden, m, cfg)
+    assert d.rotation_form is not None
+    assert d.rotation_form["rho_shift_measured"] == abs(d.rho_shifted - d.rho_edge)
+    report = pl.claims_report([d])
+    assert (report["passed"], report["total"]) == (5, 5)
+
+
+@pytest.mark.parametrize("lam, freq_name, q_target, m, edge, differs", [
+    (0.25, "golden", 250, 1, "upper", True),
+    (0.25, "golden", 250, 5, "upper", True),
+    (0.25, "golden", 250, 7, "upper", True),
+    (0.25, "golden", 250, 9, "upper", True),
+    (0.25, "golden", 250, 7, "lower", True),
+    (0.25, "golden", 150, 1, "lower", True),
+    (0.1, "golden", 250, 6, "upper", True),
+    (0.01, "liouville", 500, 1, "upper", True),
+    (0.01, "liouville", 500, 2, "upper", True),
+    (0.01, "liouville", 500, 3, "upper", True),
+    (0.01, "liouville", 500, 4, "upper", True),
+    (0.05, "liouville", 500, 1, "upper", False),
+    (0.25, "liouville", 500, 3, "upper", False),
+])
+def test_crossing_agrees_with_full_rotation_comparison(lam, freq_name, q_target, m, edge,
+                                                       differs, amo, request, monkeypatch):
+    """shift_differs comes from the pair's other edge: E + eps_m lies past
+    [E' - r', E' + r'].  It agrees with comparing rho(E) and rho(E + eps_m)
+    to the full 2^20-step cap within 3 (err1 + err2).  At the golden m = 7
+    upper edge the margin is the quasi-periodic width, 6.796420e-6."""
+    margins = []
+    crossing = pl.duality.PairPartner.crossing_margin
+    monkeypatch.setattr(pl.duality.PairPartner, "crossing_margin",
+                        lambda *a: margins.append(crossing(*a)) or margins[-1])
+    freq = request.getfixturevalue(freq_name)
+    d = pl.analyze_gap(lam, amo, freq, m, pl.PipelineConfig(q_target=q_target, edge=edge))
+    assert d.shift_differs is differs
+    assert (margins[0] > 0.0) is differs
+    r1, r2 = rotation_numbers(lam, amo, freq, [d.edge_energy, d.edge_energy + d.epsilon_m])
+    assert (abs(r1.value - r2.value) > 3.0 * (r1.error + r2.error) + 1e-12) is differs
+    if (lam, freq_name, m, edge) == (0.25, "golden", 7, "upper"):
+        assert f"{margins[0]:.4e}" == "6.7965e-06"
