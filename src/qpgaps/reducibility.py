@@ -287,9 +287,9 @@ def build_frame(V):
     det == 1 pointwise by construction.  The second column needs 1/||V||^2 as
     a series, recovered by FFT on a grid of FINE_GRID points or more; a
     near-vanishing ||V|| squeezes the analyticity strip of that reciprocal, so
-    the grid and band double until the frame determinant holds to 1e-10, or
-    the grid reaches 2^16 points.  An inf ||V|| below 1e-8 is an error naming
-    where the vector field nearly vanishes.
+    the grid and band double until the frame determinant holds to 1e-10.  A
+    frame still off at 2^16 points, or an inf ||V|| below 1e-8, is a
+    FrameError naming the deviation or where the vector field nearly vanishes.
     """
     if not V.is_vector:
         raise ValueError("frame needs an R^2-valued map")
@@ -311,8 +311,11 @@ def build_frame(V):
         col2 = mul(inv_map, TV).trim(1e-17)
         frame = assemble([V, col2], V.period, False).trim(1e-17)
         det_dev = np.abs(np.linalg.det(frame.sample(1024).real) - 1.0).max()
-        if det_dev <= 1e-10 or m >= 1 << 16:
+        if det_dev <= 1e-10:
             return frame
+        if m >= 1 << 16:
+            raise FrameError(f"frame determinant strays from 1 by {det_dev:.2e} "
+                             f"on the {m}-point grid cap")
         m *= 2
 
 
@@ -344,8 +347,9 @@ def reduce_at_edge(energy, wave, freq, lam, f):
     wave is an AssembledWave at that energy.  Steps: split the half-period
     wave into real/imaginary parts, select the frame vector, build the frame,
     conjugate (upper triangular with +-1 diagonal), flatten the off-diagonal
-    by a homological solve, and read off mu.  The corner of the l-fold
-    iterate cross-checks mu; the winding of the final map fixes the degree.
+    by a homological solve, and read off mu (ArithmeticError when the reduced
+    cocycle misses [[s, mu], [0, s]] by more than 1e-8).  The corner of the
+    l-fold iterate cross-checks mu; the winding of the final map fixes the degree.
     """
     s = wave.sign
     V = select_frame_vector(wave.U_hat.real_part(), wave.U_hat.imag_part(), wave.n_tilde)
@@ -364,10 +368,13 @@ def reduce_at_edge(energy, wave, freq, lam, f):
 
     target = np.array([[s, mu], [0.0, s]])
     M = _conjugated(R, A.sample(A.period * FINE_GRID)[:FINE_GRID].real, alpha)
+    off_normal = float(np.abs(M - target[None, :, :]).max())
+    if off_normal > 1e-8:
+        raise ArithmeticError(f"off-normal-form residual {off_normal:.2e} above 1e-08")
     return Reduction(
         R=R, degree=degree_of(R),
         parabolic=ParabolicForm(sign=s, mu=mu),
-        off_normal_residual=float(np.abs(M - target[None, :, :]).max()),
+        off_normal_residual=off_normal,
         mu_iterate=_mu_from_iterate(R, lam, f, energy, alpha, s),
     )
 

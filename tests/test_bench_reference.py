@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from qpgaps import cli
+
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -43,6 +45,16 @@ def test_labeling_workload_matches_the_reference(reference):
     problems = [problem for name, op in workloads.library_ops("labeling", freq, f)
                 for problem in workloads.check_library(name, reference["labeling"][name], op())]
     assert problems == []
+
+
+@pytest.mark.parametrize("name", ["dual", "reduce"])
+def test_cli_workload_outputs_match_the_reference(name, reference, tmp_path):
+    """The cli workload's `dual` and `reduce` commands, run in process, write
+    the files bench/reference.json holds, as its own check reads them."""
+    argv = dict(workloads.CLI_COMMANDS)[name]
+    got = {"rc": cli.main(argv + ["--out", str(tmp_path)]),
+           "files": workloads.read_outputs(str(tmp_path))}
+    assert workloads.check_cli(name, reference["cli"][name], got) == []
 
 
 def test_trace_harness_installs():

@@ -278,28 +278,65 @@ def test_snap_needs_a_resonance(golden, amo):
         du.snap_to_resonance(sol, 0.25, amo, golden)
 
 
+def _padded_residual(golden, amo, theta, energy, vec):
+    """||(H - E) v|| / ||v|| of `vec` on sites -trunc..trunc zero-padded into
+    a 4x truncation at phase theta, with the operator built densely from the
+    banded storage."""
+    trunc = (len(vec) - 1) // 2
+    big, band = 4 * trunc, amo.band_limit
+    ab = du._dual_banded(0.25, amo, golden, theta, big)
+    H = np.diag(ab[band])
+    for k in range(1, band + 1):
+        H += np.diag(ab[band - k, k:], k) + np.diag(ab[band - k, k:].conj(), -k)
+    v = np.zeros(2 * big + 1, dtype=complex)
+    v[big - trunc:big + trunc + 1] = vec
+    return np.linalg.norm(H @ v - energy * v) / np.linalg.norm(v)
+
+
 @pytest.mark.parametrize("m", [1, 3, 5, 7, 9])
 def test_pair_partner_bound_holds_in_a_larger_truncation(golden, amo, m):
     """The pair's other member is the gap's lower edge, and its Weinstein
     bound covers the residual of its own eigenvector zero-padded into a 4x
-    truncation, with the operator built densely from the banded storage.
-    The snap keeps it."""
+    truncation.  The snap keeps it, and the wanted member's duality residual
+    is the same bound, on its normalized coefficients at its own phase."""
     gap, reach = _gap_233(golden, amo, m)
     sol = du.find_bloch_resonant(0.25, amo, golden, gap, m, reach, "upper", 128)
     p = sol.partner
     assert p.energy < sol.energy
-    trunc = (len(p.vec) - 1) // 2
-    big, band = 4 * trunc, amo.band_limit
-    ab = du._dual_banded(0.25, amo, golden, p.theta, big)
-    H = np.diag(ab[band]).astype(complex)
-    for k in range(1, band + 1):
-        H += np.diag(ab[band - k, k:], k) + np.diag(ab[band - k, k:].conj(), -k)
-    v = np.zeros(2 * big + 1, dtype=complex)
-    v[big - trunc:big + trunc + 1] = p.vec
-    residual = np.linalg.norm(H @ v - p.energy * v) / np.linalg.norm(v)
+    residual = _padded_residual(golden, amo, p.theta, p.energy, p.vec)
     assert residual <= p.bound < 1e-13
     du.snap_to_resonance(sol, 0.25, amo, golden)
     assert sol.partner is p
+    residual = _padded_residual(golden, amo, sol.theta, sol.energy, sol.u_hat)
+    assert residual <= sol.duality_residual < 1e-13
+
+
+def test_snapped_resonance_signs_are_pinned(golden, amo):
+    """At an exact resonance the dual eigenvector has two mirror peaks of
+    equal size, so the sign of a Bloch stage's n_tilde, m or -m, comes from
+    the last bits of the eigenvector.  The 32 golden stages (m = 1-8, both
+    edges, q_target 250), run as analyze_gap runs them, keep their signs;
+    the bench pins -1, +3 and -7 of them."""
+    expected = {
+        (0.25, "upper"): [-1, 2, 3, 4, 5, 6, -7, -8],
+        (0.25, "lower"): [1, 2, 3, 4, -5, 6, 7, -8],
+        (0.1, "upper"): [-1, 2, 3, 4, 5, 6, -7, 8],
+        (0.1, "lower"): [1, 2, 3, 4, -5, 6, 7, -8],
+    }
+    pq = golden.largest_convergent(250)
+    reach = max(100.0 * abs(golden.value - pq[0] / pq[1]), 1e-6)
+    got = {}
+    for lam in (0.25, 0.1):
+        gaps = sp.band_structure(lam, amo, pq).gaps()
+        for member in ("upper", "lower"):
+            got[lam, member] = []
+            for m in range(1, 9):
+                rec = next(r for r in gaps if r.label == m)
+                sol = du.find_bloch_resonant(lam, amo, golden, (rec.e_minus, rec.e_plus), m,
+                                             reach, member, du.DUAL_START_N)
+                du.snap_to_resonance(sol, lam, amo, golden)
+                got[lam, member].append(sol.n_tilde)
+    assert got == expected
 
 
 def test_crossing_margin_needs_the_partner_between_the_energies():

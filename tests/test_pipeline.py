@@ -7,7 +7,7 @@ import scipy.linalg
 from qpgaps import arithmetic as ar
 from qpgaps import pipeline as pl
 from qpgaps.cocycle import rotation_numbers
-from qpgaps.errors import ConfigError, SmallDivisorError, StageError
+from qpgaps.errors import ConfigError, FrameError, SmallDivisorError, StageError
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +292,18 @@ def test_small_divisor_breach_is_a_stage_error(golden, amo, monkeypatch):
         pl.analyze_gap(0.25, amo, golden, 1, pl.PipelineConfig(q_target=150))
     assert err.value.stage == "reduce"
     assert isinstance(err.value.cause, SmallDivisorError)
+
+
+def test_frame_at_its_grid_cap_is_a_stage_error(amo):
+    """Golden partial quotients up to q = 144, then one deep quotient: at
+    lam = 0.1 the m = 2 frame still misses det = 1 at the 2^16-point grid
+    cap, and the reduce stage says so instead of conjugating by it."""
+    alpha = ar.from_cf([1] * 11 + [4428663269] + [1] * 8)
+    with pytest.raises(StageError) as err:
+        pl.analyze_gap(0.1, amo, alpha, 2, pl.PipelineConfig(q_target=144))
+    assert err.value.stage == "reduce"
+    assert isinstance(err.value.cause, FrameError)
+    assert "65536-point grid cap" in str(err.value.cause)
 
 
 @pytest.mark.parametrize("m, qp_width", [(5, 9.667619e-5), (7, 6.796420e-6),

@@ -337,6 +337,18 @@ def test_build_frame_rejects_vanishing_vector():
         red.build_frame(V)
 
 
+def test_build_frame_raises_at_its_grid_cap():
+    V = FourierMap.from_coeff_dict(
+        {0: np.array([0.5, 1e-6]), 1: np.array([0.25, 0.0]), -1: np.array([0.25, 0.0])},
+        period=2, shape=(2,),
+    )
+    # V_2 = 1e-6 keeps ||V|| above the vanishing bound where V_1 vanishes,
+    # but 1/||V||^2 has poles 4.5e-4 off the axis: more modes than the
+    # 2^16-point grid resolves
+    with pytest.raises(FrameError, match="65536-point grid cap"):
+        red.build_frame(V)
+
+
 # ---- full reduction -----------------------------------------------------------
 
 def test_reduce_free_edge_closed_form(golden, amo, monkeypatch):
