@@ -3,8 +3,8 @@
 A frequency alpha in (0,1) is carried together with its partial quotients and
 convergents p_k/q_k.  The quotient extraction runs in mpmath extended precision
 so that deep convergents of synthesized (fast-growing) expansions stay exact;
-the float image of alpha is kept for the dynamical routines that do not need
-more than double precision.
+||k alpha|| is exact integer arithmetic on alpha's decimal string, rounded once
+to float; the float image of alpha serves the dynamical routines.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from mpmath import mp, mpf
 
@@ -44,14 +45,15 @@ class Frequency:
     growth_levels: tuple = ()
 
     def signed_fracs(self, ks):
-        """k alpha - round(k alpha) for each k in ks, as floats, computed in
-        extended precision from one parse of value_str."""
-        with mp.workdps(max(DEFAULT_DPS, len(self.value_str) + 10)):
-            alpha = mpf(self.value_str)
-            return [float(t - mp.nint(t)) for t in (alpha * k for k in ks)]
+        """k alpha - round(k alpha) for each k in ks, correctly rounded from
+        value_str's exact fraction num / den: r / den for r = k num mod den
+        moved into (-den/2, den/2], a tie rounding k alpha to even (mp.nint)."""
+        num, den = Fraction(self.value_str).as_integer_ratio()
+        qr = [divmod(k * num, den) for k in ks]
+        return [(r - den if 2 * r > den or (2 * r == den and q % 2) else r) / den for q, r in qr]
 
     def norm_kalpha(self, k):
-        """||k alpha||_{R/Z} in extended precision, returned as a float."""
+        """||k alpha||_{R/Z}, exact and then rounded once to a float."""
         return abs(self.signed_fracs((k,))[0])
 
     def denominators(self):
@@ -271,11 +273,7 @@ def synth_liouville(target_beta, levels, seed):
 
 
 def rotation_phase_fracs(freq, band_limit):
-    """Signed fractional parts r_k = k alpha - round(k alpha) for |k| <= band_limit.
-
-    Computed in extended precision (freq.signed_fracs) so that
-    e^{2 pi i k alpha} - 1 divisors keep full relative accuracy even when
-    ||k alpha|| is tiny.
-    """
+    """freq.signed_fracs for |k| <= band_limit, whose exactness keeps the
+    divisors e^{2 pi i k alpha} - 1 accurate even when ||k alpha|| is tiny."""
     pos = freq.signed_fracs(range(1, band_limit + 1))
     return [-r for r in reversed(pos)] + [0.0] + pos

@@ -24,7 +24,7 @@ which `qpgaps dual` runs from an energy with no label, minimizes the
 distance of the nearest dual eigenvalue to that energy over theta;
 `detect_resonance` then looks for its resonance.  `snap_to_resonance`
 re-solves at the exact resonant phase and normalizes without refining,
-keeping the partner.
+keeping the partner and whether `_refine` stopped at its cap unconverged.
 """
 
 from __future__ import annotations
@@ -155,6 +155,7 @@ class BlochSolution:
     n_tilde: object = None       # resonance integer: 2 theta = n_tilde alpha (mod 1)
     resonance_dist: float = math.nan
     partner: PairPartner = None  # the gap's other edge, from find_bloch_resonant
+    truncation_capped: bool = False  # _refine stopped at DUAL_MAX_TRUNC, unconverged
 
     def to_dict(self):
         return {
@@ -190,7 +191,8 @@ def _refine(lam, f, freq, theta, trunc, energy, vec):
     nearest the previous eigenvalue, until the eigenvalue moves by less than
     1e-9 and the outer quarters of the eigenvector sum to less than
     DUAL_TAIL_TOL, or the truncation reaches DUAL_MAX_TRUNC.  BlochError when
-    a doubled truncation loses the eigenvalue.  Returns (energy, vec, trunc).
+    a doubled truncation loses the eigenvalue.  Returns (energy, vec, trunc,
+    capped), capped when the cap came first.
     """
     while trunc < DUAL_MAX_TRUNC:
         e_next, vec = _nearest_pair(lam, f, freq, theta, 2 * trunc, energy, _PAIR_WINDOWS)
@@ -199,16 +201,16 @@ def _refine(lam, f, freq, theta, trunc, energy, vec):
         quarter = (2 * trunc + 1) // 4
         tail = float(np.abs(vec[:quarter]).max() + np.abs(vec[-quarter:]).max())
         if moved < 1e-9 and tail < DUAL_TAIL_TOL:
-            break
-    return energy, vec, trunc
+            return energy, vec, trunc, False
+    return energy, vec, trunc, True
 
 
-def _normalized(lam, f, freq, theta, trunc, energy, vec, n):
+def _normalized(lam, f, freq, theta, trunc, energy, vec, n, capped):
     """The eigenvector shifted to its largest entry n0 (theta moves by
     n0 alpha) and scaled so u_0 = 1, as a BlochSolution with its Weinstein
-    bound as duality residual and its decay fit.  A phase solved at the
-    resonance 2 theta = n alpha (n None: none known) keeps it: recentering
-    by n0 sites moves 2 theta by 2 n0 alpha, so n_tilde = n + 2 n0."""
+    bound, decay fit and `_refine`'s cap flag.  A phase solved at the resonance
+    2 theta = n alpha (n None: none known) keeps it: recentering by n0 sites
+    moves 2 theta by 2 n0 alpha, so n_tilde = n + 2 n0."""
     center = int(np.argmax(np.abs(vec)))
     n0 = center - trunc
     if abs(vec[center]) < 1e-12:
@@ -221,7 +223,7 @@ def _normalized(lam, f, freq, theta, trunc, energy, vec, n):
     if np.abs(u_hat).max() > 1.0 + 1e-6:
         raise BlochError("normalized Bloch coefficients exceed 1")
     sol = BlochSolution(energy=energy, theta=float((theta + n0 * freq.value) % 1.0),
-                        u_hat=u_hat, trunc=trunc)
+                        u_hat=u_hat, trunc=trunc, truncation_capped=capped)
     sol.duality_residual = _weinstein_bound(lam, f, freq, sol.theta, energy, u_hat)
     sol.decay_rate, sol.decay_onset = _decay_fit(u_hat, trunc)
     if n is not None:
@@ -252,8 +254,8 @@ def find_bloch(lam, f, freq, energy, trunc=DUAL_START_N):
     theta_star = _golden_minimize(objective, lo, hi, THETA_XTOL)
 
     e_star, vec = _nearest_pair(lam, f, freq, theta_star, trunc, energy, _PROBE_WINDOWS)
-    e_star, vec, trunc = _refine(lam, f, freq, theta_star, trunc, e_star, vec)
-    return _normalized(lam, f, freq, theta_star, trunc, e_star, vec, None)
+    e_star, vec, trunc, capped = _refine(lam, f, freq, theta_star, trunc, e_star, vec)
+    return _normalized(lam, f, freq, theta_star, trunc, e_star, vec, None, capped)
 
 
 def _slope(freq, theta, trunc, vec):
@@ -310,8 +312,8 @@ def find_bloch_resonant(lam, f, freq, gap, m, reach, member, trunc):
     e_other, v_other = float(vals[k_other]), vecs[:, k_other]
     partner = PairPartner(energy=e_other, theta=theta, vec=v_other,
                           bound=_weinstein_bound(lam, f, freq, theta, e_other, v_other))
-    energy, vec, trunc = _refine(lam, f, freq, theta, trunc, float(vals[k]), vecs[:, k])
-    sol = _normalized(lam, f, freq, theta, trunc, energy, vec, n)
+    energy, vec, trunc, capped = _refine(lam, f, freq, theta, trunc, float(vals[k]), vecs[:, k])
+    sol = _normalized(lam, f, freq, theta, trunc, energy, vec, n, capped)
     sol.partner = partner
     return sol
 
@@ -373,7 +375,8 @@ def snap_to_resonance(sol, lam, f, freq):
     # at an exact resonance the eigenvector has two mirror peaks of equal
     # size, so recentering may land on -n_tilde instead: the +-m tie.  The
     # sign each dossier reports comes from here, and the bench pins it
-    snapped = _normalized(lam, f, freq, theta_s, sol.trunc, e_star, vec, sol.n_tilde)
+    snapped = _normalized(lam, f, freq, theta_s, sol.trunc, e_star, vec, sol.n_tilde,
+                          sol.truncation_capped)
     snapped.partner = sol.partner
     vars(sol).update(vars(snapped))
     return sol

@@ -11,8 +11,8 @@ the sites of a rational approximant included; calling the map sums the
 series directly at arbitrary complex points, O(points * N); the real points
 of an orbit are summed in real arithmetic in the cocycle module.  The way
 back, grid values to coefficients, is one FFT (`FourierMap.from_samples`);
-`assemble` builds a 2x2 map from entry or column maps.  Products are exact
-convolutions in one 2x2 contraction (direct O(N^2), fine at desk scale).
+`assemble` builds a 2x2 map from entry or column maps.  `mul` multiplies by
+exact O(N^2) convolutions; one entry of a product is a product of entry maps.
 """
 
 from __future__ import annotations
@@ -267,15 +267,15 @@ class FourierMap:
         return c0 if self.value_shape else complex(c0)
 
     def trim(self, tol=1e-17):
-        """Drop a negligible outer fringe of coefficients (relative tol)."""
+        """Keep the widest band whose outer pair is not both <= tol * peak
+        (a relative tol; a NaN stops the trim)."""
         mags = self.magnitudes()
         peak = mags.max()
         if peak == 0.0:
             return FourierMap(self.coeffs[:1].copy() * 0, self.period)
         n = self.band_limit
-        keep = n
-        while keep > 0 and mags[n + keep] <= tol * peak and mags[n - keep] <= tol * peak:
-            keep -= 1
+        wide = np.flatnonzero(~((mags[n + 1:] <= tol * peak) & (mags[:n][::-1] <= tol * peak)))
+        keep = int(wide[-1]) + 1 if wide.size else 0
         if keep == n:
             return self
         return FourierMap(self.coeffs[n - keep : n + keep + 1].copy(), self.period,

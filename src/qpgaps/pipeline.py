@@ -112,6 +112,8 @@ def analyze_gap(lam, f, freq, m, config=None):
     dossier.n_tilde = sol.n_tilde
     dossier.duality_residual = sol.duality_residual
     dossier.label_over_resonance = abs(m) / max(abs(sol.n_tilde), 1)
+    if sol.truncation_capped:
+        flags.append("dual-truncation-cap")
     if abs(sol.n_tilde) != abs(m):
         # the wave belongs to another gap's resonance
         flags.append("resonance-label-mismatch")

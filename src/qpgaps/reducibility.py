@@ -2,12 +2,12 @@
 
 The chain: a half-period Bloch wave gives a frame whose first column is an
 invariant section; conjugating the Schrodinger cocycle by the frame leaves an
-upper-triangular cocycle whose off-diagonal is flattened by a homological
-solve.  One small-divisor kernel solves every homological equation: the
-scalar one is its mu = 0 corner.  Around the reduced form, quantitative
-averaging steps push an energy perturbation from first to second to third
-order, and the averaged frame entries produce the explicit energy shift that
-caps the gap width.
+upper-triangular cocycle whose off-diagonal, its one entry computed, is
+flattened by a homological solve.  One small-divisor kernel solves every
+homological equation: the scalar one is its mu = 0 corner.  Around the
+reduced form, quantitative averaging steps push an energy perturbation from
+first to second to third order, and the averaged frame entries produce the
+explicit energy shift that caps the gap width.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .arithmetic import rotation_phase_fracs
-from .cocycle import _propagate, _real_values, conjugate, degree_of, rotation_numbers, schrodinger_cocycle
+from .cocycle import _propagate, _real_values, degree_of, rotation_numbers, schrodinger_cocycle
 from .errors import FrameError, SmallDivisorError, StripDomainError
 from .fourier import FourierMap, adjugate, assemble, matmul, matrix_exp, mul, strip_norm
 
@@ -47,7 +47,7 @@ class ParabolicForm:
 
 def _divisors(fracs):
     """e^{2 pi i k alpha} - 1 from the signed fractional parts
-    k alpha - round(k alpha), which come in extended precision so tiny
+    k alpha - round(k alpha), exact before their one rounding, so tiny
     divisors keep full relative accuracy."""
     return np.exp(2j * math.pi * np.asarray(fracs)) - 1.0
 
@@ -345,26 +345,23 @@ def reduce_at_edge(energy, wave, freq, lam, f):
     """Full reduction of the Schrodinger cocycle at a gap-edge energy.
 
     wave is an AssembledWave at that energy.  Steps: split the half-period
-    wave into real/imaginary parts, select the frame vector, build the frame,
-    conjugate (upper triangular with +-1 diagonal), flatten the off-diagonal
-    by a homological solve, and read off mu (ArithmeticError when the reduced
-    cocycle misses [[s, mu], [0, s]] by more than 1e-8).  The corner of the
-    l-fold iterate cross-checks mu; the winding of the final map fixes the degree.
+    wave into real/imaginary parts, select the frame vector, build the frame
+    R1, compute only the off-diagonal nu of the conjugated cocycle (upper
+    triangular, +-1 diagonal), flatten nu by a homological solve phi, shear R1
+    by phi, read off mu (ArithmeticError when the reduced cocycle misses
+    [[s, mu], [0, s]] by more than 1e-8).  The l-fold iterate cross-checks mu.
     """
     s = wave.sign
     V = select_frame_vector(wave.U_hat.real_part(), wave.U_hat.imag_part(), wave.n_tilde)
     R1 = build_frame(V)
 
-    cocycle = schrodinger_cocycle(lam, f, energy, freq)
-    A = cocycle.A
+    A = schrodinger_cocycle(lam, f, energy).A
     alpha = freq.value
-    nu = conjugate(cocycle, R1).A.entry(0, 1).collapse1(tol=1e-7).real_part().trim(1e-16)
+    nu = _conjugated_corner(R1, A, alpha).collapse1(tol=1e-7).real_part().trim(1e-16)
 
     phi = solve_homological_scalar(nu, freq, sign=s)
     mu = float(nu.average().real)
-
-    shear = assemble([[1.0, phi], [0.0, 1.0]], 1, phi.entire)
-    R = matmul(R1, shear.lift2() if R1.period == 2 else shear).trim(1e-16)
+    R = _sheared(R1, phi).trim(1e-16)
 
     target = np.array([[s, mu], [0.0, s]])
     M = _conjugated(R, A.sample(A.period * FINE_GRID)[:FINE_GRID].real, alpha)
@@ -377,6 +374,21 @@ def reduce_at_edge(energy, wave, freq, lam, f):
         off_normal_residual=off_normal,
         mu_iterate=_mu_from_iterate(R, lam, f, energy, alpha, s),
     )
+
+
+def _conjugated_corner(R, A, alpha):
+    """Entry (0, 1) of matmul(R.shift(alpha).adjugate(), A, R), in its sums:
+    row 0 of the first product, short since A's band is, times R's column 1."""
+    X, A = R.shift(alpha).adjugate(), A.lift2() if R.period == 2 else A
+    row = [mul(X.entry(0, 0), A.entry(0, j)) + mul(X.entry(0, 1), A.entry(1, j)) for j in (0, 1)]
+    return mul(row[0], R.entry(0, 1)) + mul(row[1], R.entry(1, 1))
+
+
+def _sheared(R, phi):
+    """R [[1, phi], [0, 1]] as the column update [R e1, R e2 + phi R e1]."""
+    e1, e2 = (FourierMap(R.coeffs[..., j], R.period, entire=R.entire) for j in (0, 1))
+    phi = phi.lift2() if R.period == 2 else phi
+    return assemble([e1, e2 + mul(phi, e1)], R.period, R.entire and phi.entire)
 
 
 def _conjugated(R, mats, shift):

@@ -5,11 +5,12 @@ a second route to a number the package computes, or builds test data."""
 import math
 
 import numpy as np
+from mpmath import mp, mpf
 
-from qpgaps.arithmetic import _ratio, norm_dist
+from qpgaps.arithmetic import DEFAULT_DPS, _ratio, norm_dist
 from qpgaps.cocycle import RotationResult, _entries, _propagate, _real_values, _scan_directions
 from qpgaps.duality import _dual_banded
-from qpgaps.fourier import FourierMap
+from qpgaps.fourier import FourierMap, assemble, matmul
 from qpgaps.reducibility import _conjugated
 
 
@@ -164,3 +165,41 @@ def mu_iterate_reference(R, A, alpha, sign):
     P, logs = _propagate(_entries(steps), np.broadcast_to(np.eye(2), (grid, 2, 2)))
     corner = (np.exp(logs) * _conjugated(R, P, l * alpha)[:, 0, 1]).mean()
     return float(corner / (l * sign ** (l - 1)))
+
+
+def signed_fracs_reference(freq, ks, extra_dps=0):
+    """k alpha - round(k alpha) for each k in ks, as floats, computed in
+    mpmath with value_str's length plus ten digits, and extra_dps more (with
+    none, the body that Frequency.signed_fracs had before it went to integer
+    arithmetic)."""
+    with mp.workdps(max(DEFAULT_DPS, len(freq.value_str) + 10) + extra_dps):
+        alpha = mpf(freq.value_str)
+        return [float(t - mp.nint(t)) for t in (alpha * k for k in ks)]
+
+
+def trim_reference(m, tol):
+    """FourierMap.trim as a loop: narrow the band while both outer
+    coefficients stay <= tol * peak."""
+    mags = m.magnitudes()
+    peak = mags.max()
+    if peak == 0.0:
+        return FourierMap(m.coeffs[:1].copy() * 0, m.period)
+    n = m.band_limit
+    keep = n
+    while keep > 0 and mags[n + keep] <= tol * peak and mags[n - keep] <= tol * peak:
+        keep -= 1
+    if keep == n:
+        return m
+    return FourierMap(m.coeffs[n - keep : n + keep + 1].copy(), m.period, entire=m.entire)
+
+
+def conjugated_reference(R, A, alpha):
+    """The full conjugated cocycle adj(R(x + alpha)) A(x) R(x) as three 2x2
+    map products, A lifted to R's period, untrimmed."""
+    return matmul(R.shift(alpha).adjugate(), A.lift2() if R.period == 2 else A, R)
+
+
+def sheared_reference(R, phi):
+    """R [[1, phi], [0, 1]] as a 2x2 map product, the shear lifted to R's period."""
+    shear = assemble([[1.0, phi], [0.0, 1.0]], 1, phi.entire)
+    return matmul(R, shear.lift2() if R.period == 2 else shear)

@@ -2,11 +2,22 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpgaps import arithmetic as ar
 from qpgaps.errors import RationalAlphaError
 
-from oracles import brute_force_beta, growth_ratio_table
+from oracles import brute_force_beta, growth_ratio_table, signed_fracs_reference
+
+# golden mean, sqrt(2) - 1, a Liouville-type synthesis and a golden head
+# broken by one deep quotient (||q alpha|| down to about 1e-25)
+FRACS_FREQUENCIES = {
+    "golden": ar.golden_mean(40),
+    "sqrt2_minus_1": ar.sqrt2_minus_1(),
+    "liouville": ar.synth_liouville(0.2, 3, seed=14),
+    "deep_quotient": ar.from_cf([1] * 11 + [4428663269] + [1] * 8),
+}
 
 
 def test_norm_dist_basics():
@@ -158,3 +169,34 @@ def test_rotation_phase_fracs(golden):
     for k in range(1, 6):
         assert fr[5 + k] == -fr[5 - k]
         assert abs(fr[5 + k]) == pytest.approx(golden.norm_kalpha(k), abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(FRACS_FREQUENCIES)),
+       ks=st.lists(st.integers(1, 4096).flatmap(lambda k: st.sampled_from([k, -k])),
+                   min_size=1, max_size=64))
+def test_signed_fracs_match_the_extended_precision_reference(name, ks):
+    freq = FRACS_FREQUENCIES[name]
+    assert freq.signed_fracs(ks) == signed_fracs_reference(freq, ks)
+
+
+@pytest.mark.parametrize("name", sorted(FRACS_FREQUENCIES))
+def test_signed_fracs_match_the_reference_at_convergent_denominators(name):
+    """Up to 4096 against the reference at its own precision.  Past that it
+    runs with 60 more digits: at its own precision the product q alpha is off
+    by about q 10^-dps, a few 1e-14 of ||q alpha|| where that falls to value_str's
+    resolution (the Liouville and deep-quotient frequencies' last denominators)."""
+    freq = FRACS_FREQUENCIES[name]
+    ks = [s * q for q in freq.denominators() for s in (1, -1)]
+    small = [k for k in ks if abs(k) <= 4096]
+    assert freq.signed_fracs(small) == signed_fracs_reference(freq, small)
+    assert freq.signed_fracs(ks) == signed_fracs_reference(freq, ks, extra_dps=60)
+
+
+def test_signed_fracs_break_ties_to_even():
+    """At alpha = 1/4, k alpha - round(k alpha) is a tie at every k = 2 mod 4:
+    rounded to the even integer, as mpmath's nint rounds it."""
+    freq = ar.Frequency(value=0.25, cf=(4,), convergents=((0, 1), (1, 4)), value_str="0.25")
+    ks = [2, -2, 6, -6, 10, 4, 1, -3]
+    assert freq.signed_fracs(ks) == signed_fracs_reference(freq, ks)
+    assert freq.signed_fracs(ks[:4]) == [0.5, -0.5, -0.5, 0.5]

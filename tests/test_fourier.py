@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qpgaps.errors import StripDomainError
 from qpgaps.fourier import (FourierMap, matmul, matrix_exp, mul, strip_norm)
 
-from oracles import fourier_from_function, mul_reference
+from oracles import fourier_from_function, mul_reference, trim_reference
 
 
 def random_real_map(rng, band, period=1, scale=1.0):
@@ -184,6 +184,31 @@ def test_mul_rejects_unsupported_shapes_and_mixed_periods(shapes, mismatch, seed
     for product in (mul, mul_reference):
         with pytest.raises(ValueError):
             product(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(((), (2,), (2, 2))), band=st.integers(0, 12),
+       seed=st.integers(0, 2**32 - 1), tol=st.sampled_from((1e-17, 1e-16, 1e-13, 0.3)),
+       zeros=st.sampled_from(("none", "fringe", "all")), nan=st.booleans())
+def test_trim_is_the_loop_form(shape, band, seed, tol, zeros, nan):
+    """The vectorized cut equals the loop that narrows the band while both
+    outer coefficients stay <= tol * peak: coefficients spread over twenty
+    decades, a zero fringe on one or both sides, an all-zero map, and a NaN
+    anywhere, which stops the loop where it stands."""
+    rng = np.random.default_rng(seed)
+    size = (2 * band + 1,) + shape
+    c = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 10.0 ** rng.uniform(-20, 0, size)
+    if zeros == "all":
+        c[:] = 0.0
+    elif zeros == "fringe":
+        c[: rng.integers(0, band + 1)] = 0.0
+        c[2 * band + 1 - rng.integers(0, band + 1):] = 0.0
+    if nan:
+        c[(rng.integers(0, 2 * band + 1),) + tuple(rng.integers(0, 2, len(shape)))] = np.nan
+    m = FourierMap(c, period=int(rng.integers(1, 3)), entire=bool(rng.integers(0, 2)))
+    got, want = m.trim(tol), trim_reference(m, tol)
+    assert np.array_equal(got.coeffs, want.coeffs, equal_nan=True)
+    assert (got.period, got.entire, got is m) == (want.period, want.entire, want is m)
 
 
 def test_lift_collapse_roundtrip():

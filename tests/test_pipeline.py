@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from qpgaps import arithmetic as ar
+from qpgaps import duality as du
 from qpgaps import pipeline as pl
 from qpgaps.cocycle import rotation_numbers
 from qpgaps.errors import ConfigError, FrameError, SmallDivisorError, StageError
@@ -222,6 +223,24 @@ def test_dossier_displaced_tiny_gap_m7(golden, amo, monkeypatch):
     assert d.shift_differs
     assert abs(d.degree) == 7
     assert len(calls) <= 6
+
+
+def test_refinement_stopped_by_its_cap_is_flagged(golden, amo, monkeypatch):
+    """A dual refinement that reaches DUAL_MAX_TRUNC before its stopping rule
+    holds marks the dossier "dual-truncation-cap", through the snap.  The
+    golden m = 7 refinement meets the rule at truncation 256, one doubling,
+    so only the cap at 256 with DUAL_TAIL_TOL at 0 stops it there unmet:
+    the dossier then completes with the same numbers and the flag."""
+    cfg = pl.PipelineConfig(q_target=250)
+    plain = pl.analyze_gap(0.25, amo, golden, 7, cfg)
+    assert "dual-truncation-cap" not in plain.flags
+    monkeypatch.setattr(du, "DUAL_MAX_TRUNC", 256)
+    assert pl.analyze_gap(0.25, amo, golden, 7, cfg).flags == plain.flags
+    monkeypatch.setattr(du, "DUAL_TAIL_TOL", 0.0)
+    capped = pl.analyze_gap(0.25, amo, golden, 7, cfg)
+    assert capped.flags == ("dual-truncation-cap",) + plain.flags
+    assert repr(capped.to_dict() | {"flags": ()}) == repr(plain.to_dict() | {"flags": ()})
+    assert set(capped.to_dict()) == set(plain.to_dict())
 
 
 def test_dossier_m9_certifies_its_upper_edge(golden, amo):

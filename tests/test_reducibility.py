@@ -11,7 +11,8 @@ from qpgaps.cocycle import degree_of, schrodinger_cocycle
 from qpgaps.errors import FrameError, SmallDivisorError
 from qpgaps.fourier import FourierMap, matmul, mul
 
-from oracles import first_order_log_term, mu_iterate_reference
+from oracles import (conjugated_reference, first_order_log_term, mu_iterate_reference,
+                     sheared_reference)
 
 
 def random_real_scalar(rng, band, scale=1.0):
@@ -372,21 +373,67 @@ def test_reduce_m1_residuals_and_mu_cross_check(golden, amo, upper_edge):
     assert reduction.parabolic.sign * reduction.parabolic.mu > 0
 
 
+def _edge_wave(m, golden, amo, upper_edge):
+    """The snapped Bloch solution and wave at the upper edge of the dossier's
+    gap m (golden mean, lam = 0.25, AMO, q_target 250), built once per m."""
+    cache = _edge_wave.__dict__.setdefault("cache", {})
+    if m not in cache:
+        pq = golden.largest_convergent(250)
+        rec = [r for r in sp.band_structure(0.25, amo, pq).gaps() if r.label == m][0]
+        sol = upper_edge(rec, pq)
+        du.snap_to_resonance(sol, 0.25, amo, golden)
+        cache[m] = sol, du.assemble_wave(sol, 0.25, amo, golden)
+    return cache[m]
+
+
 @pytest.mark.parametrize("m", [1, 7])
 def test_mu_iterate_matches_the_general_stack_reference(m, golden, amo, upper_edge):
     """The iterate's steps E - lam f(x_i + j alpha), summed in real
     arithmetic and pushed as a Schrodinger stack, give the mu that 64 FFT
     samples of the 2x2 cocycle map pushed as a general stack give, at the
     dossier's m = 1 and m = 7 upper edges (q_target 250)."""
-    pq = golden.largest_convergent(250)
-    rec = [r for r in sp.band_structure(0.25, amo, pq).gaps() if r.label == m][0]
-    sol = upper_edge(rec, pq)
-    du.snap_to_resonance(sol, 0.25, amo, golden)
-    wave = du.assemble_wave(sol, 0.25, amo, golden)
+    sol, wave = _edge_wave(m, golden, amo, upper_edge)
     reduction = red.reduce_at_edge(sol.energy, wave, golden, 0.25, amo)
     A = schrodinger_cocycle(0.25, amo, sol.energy).A
     ref = mu_iterate_reference(reduction.R, A, golden.value, reduction.parabolic.sign)
     assert reduction.mu_iterate == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 3, 7])
+def test_reduction_products_are_the_full_matrix_products(m, golden, amo, upper_edge):
+    """On the dossier's m = 1, 3 and 7 frames, bit for bit: the untrimmed nu
+    is entry (0, 1) of the full conjugated cocycle, and the column update is
+    the product with the shear [[1, phi], [0, 1]]; trimmed, it is the map
+    that reduce_at_edge returns."""
+    sol, wave = _edge_wave(m, golden, amo, upper_edge)
+    R1 = red.build_frame(red.select_frame_vector(wave.U_hat.real_part(),
+                                                 wave.U_hat.imag_part(), wave.n_tilde))
+    A = schrodinger_cocycle(0.25, amo, sol.energy).A
+    nu = red._conjugated_corner(R1, A, golden.value)
+    assert np.array_equal(nu.coeffs, conjugated_reference(R1, A, golden.value).coeffs[:, 0, 1])
+    nu = nu.collapse1(tol=1e-7).real_part().trim(1e-16)
+    phi = red.solve_homological_scalar(nu, golden, sign=wave.sign)
+    R = red._sheared(R1, phi)
+    assert np.array_equal(R.coeffs, sheared_reference(R1, phi).coeffs)
+    reduced = red.reduce_at_edge(sol.energy, wave, golden, 0.25, amo).R
+    assert np.array_equal(reduced.coeffs, R.trim(1e-16).coeffs)
+
+
+def test_reduce_stage_makes_few_long_convolutions(golden, amo, upper_edge, monkeypatch):
+    """A guard on the work of the reduction at the dossier's m = 7 edge:
+    np.convolve calls with both operands longer than 512 coefficients.  Two
+    build the frame's second column, two the off-diagonal nu and two the
+    sheared frame, 6 in all; full 2x2 products there made 18."""
+    sol, wave = _edge_wave(7, golden, amo, upper_edge)
+    convolve, long = np.convolve, []
+
+    def counting(a, v, *args, **kwargs):
+        long.append(min(len(a), len(v)) > 512)
+        return convolve(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counting)
+    red.reduce_at_edge(sol.energy, wave, golden, 0.25, amo)
+    assert 0 < sum(long) <= 6
 
 
 def test_select_frame_vector_enforces_the_sqrt2_bound():
