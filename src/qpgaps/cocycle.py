@@ -22,7 +22,7 @@ import numpy as np
 
 from .arithmetic import Frequency, norm_dist
 from .errors import DegreeError
-from .fourier import FourierMap, matmul
+from .fourier import FourierMap
 
 RENORM_EVERY = 32
 ROTATION_START_ITERATIONS = 4096
@@ -320,25 +320,3 @@ def degree_of(R):
             return k
     raise DegreeError("projective winding ill-defined after 3 draws")
 
-
-def conjugate(c, R):
-    """The conjugated cocycle (alpha, R^{-1}(x+alpha) A(x) R(x)).
-
-    R is a matrix map with det == 1 (its adjugate is then the pointwise
-    inverse).  Raises when det R strays from 1 on the axis.
-    """
-    dets = np.linalg.det(R.sample(512))
-    if np.abs(dets - 1.0).max() > 1e-8:
-        raise ValueError(f"conjugacy determinant strays from 1 by {np.abs(dets-1).max():.2e}")
-    A = c.A
-    if R.period == 2 and A.period == 1:
-        A = A.lift2()
-    elif R.period == 1 and A.period == 2:
-        R = R.lift2()
-    B = matmul(R.shift(c.alpha).adjugate(), A, R).trim(1e-16)
-    if B.period == 2:
-        try:
-            B = B.collapse1(tol=1e-9)
-        except ValueError:
-            pass
-    return Cocycle(c.freq, B)

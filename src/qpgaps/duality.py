@@ -15,9 +15,10 @@ carries one certificate: every dual phase has spectrum Sigma, so the
 Weinstein bound ||(H - E) v|| / ||v|| (`_weinstein_bound`) bounds
 dist(E, Sigma); it is a solution's `duality_residual` and a pair partner's
 `bound`.  Gap edges have one search: `find_bloch_resonant`, the dossier's
-Bloch stage, solves the label's resonant phases 2 theta = +-m alpha once
-each and takes the pair of theta-extremal eigenvalues (`_slope`) that are
-both edges of the gap.  The wanted member is refined; the other one is
+Bloch stage, solves the label's resonant phases 2 theta = m alpha once
+each (for a real potential the mirror phases -theta carry the same
+spectrum) and takes the pair of theta-extremal eigenvalues (`_slope`) that
+are both edges of the gap.  The wanted member is refined; the other one is
 returned as the search solved it, with its bound (`PairPartner`), from which
 the dossier certifies that its energy step crosses the gap.  `find_bloch`,
 which `qpgaps dual` runs from an energy with no label, minimizes the
@@ -267,53 +268,54 @@ def _slope(freq, theta, trunc, vec):
     return float(-4.0 * math.pi * np.dot(np.abs(vec) ** 2, sines))
 
 
-def find_bloch_resonant(lam, f, freq, gap, m, reach, member, trunc):
+def find_bloch_resonant(lam, f, freq, gap, m, pq, member, trunc):
     """Dual eigenpair at the `member` ("upper" or "lower") edge of the gap
-    with label m.
+    with label m, from the edges `gap` of its p/q approximant `pq`.
 
     Both edges of the quasi-periodic gap share the rotation number, so both
-    are dual eigenvalues at the resonant phases theta = (n alpha + j)/2,
-    n = +-m, j in {0, 1}.  Each phase is solved once, within `reach` (the
-    approximant's displacement bound) of the approximant edges `gap`, in one
-    window when the gap is narrower than 2 reach.  Adjacent eigenvalues that
-    are both theta-extremal (`_slope` at most 2e-2: an in-band eigenvalue,
-    or a branch crossing another at that phase, moves at order-one speed)
-    form a pair, scored by how far its splitting and midpoint miss the
-    approximant gap's.  The first pair in the phase order (m, 0), (m, 1),
-    (-m, 0), (-m, 1) that ties the best score wins: at an exact resonance the
-    mirror phase gives the same pair, and the order keeps +m.  The wanted
-    member is refined (`_refine`) and normalized (`_normalized`).  The other
-    member, the gap's other edge, comes back as `sol.partner` as the search
-    solved it, with a Weinstein bound (`_weinstein_bound`) from its own
-    eigenvector, so it costs no further solve.  The solution carries the
-    resonance n it was solved at, recentered by `_normalized`.
+    are dual eigenvalues at the resonant phases 2 theta = +-m alpha.  For a
+    real potential the dual operator at -theta is antiunitarily equivalent to
+    the one at theta ((Ru)_n = conj u_{-n}), so the phases
+    theta = (m alpha + j)/2, j in {0, 1}, carry every such eigenvalue.  Each
+    is solved once, within `reach` of the approximant edges, in one window
+    when the gap is narrower than 2 reach.  Adjacent eigenvalues that are
+    both theta-extremal (`_slope` at most 2e-2: an in-band eigenvalue, or a
+    branch crossing another at that phase, moves at order-one speed) form a
+    pair, scored by how far its splitting and midpoint miss the approximant
+    gap's; the least score wins.  The wanted member is refined (`_refine`)
+    and normalized (`_normalized`), which recenters the resonance m it was
+    solved at.  The other member, the gap's other edge, comes back as
+    `sol.partner` as the search solved it, with a Weinstein bound
+    (`_weinstein_bound`) from its own eigenvector, so it costs no further
+    solve.
     """
     e_minus, e_plus = gap
     width, mid = e_plus - e_minus, 0.5 * (e_minus + e_plus)
+    # the approximant displaces tiny gaps by up to ~|alpha - p/q| times the
+    # local state density (at most 50); the search reaches twice that
+    reach = max(100.0 * abs(freq.value - pq[0] / pq[1]), 1e-6)
     lo, hi = e_minus - reach, e_plus + reach
     windows = [(lo, hi)] if width < 2.0 * reach else [(lo, e_minus + reach), (e_plus - reach, hi)]
     pairs = []
-    for n, j in ((m, 0), (m, 1), (-m, 0), (-m, 1)):
-        theta = ((n * freq.value + j) / 2.0) % 1.0
+    for j in (0, 1):
+        theta = ((m * freq.value + j) / 2.0) % 1.0
         solved = [_interior_eigs(lam, f, freq, theta, trunc, *w) for w in windows]
         vals = np.concatenate([w for w, _ in solved])
         vecs = np.concatenate([v for _, v in solved], axis=1)
         flat = np.array([abs(_slope(freq, theta, trunc, v)) <= 2e-2 for v in vecs.T], dtype=bool)
         for k in np.flatnonzero(flat[:-1] & flat[1:]):
             score = abs(vals[k + 1] - vals[k] - width) + abs(0.5 * (vals[k] + vals[k + 1]) - mid)
-            pairs.append((score, n, theta, k, vals, vecs))
+            pairs.append((score, theta, k, vals, vecs))
     if not pairs:
         raise BlochError(f"no theta-extremal dual eigenvalue pair within {reach:.1e} of the "
-                         f"gap ({e_minus}, {e_plus}) at 2 theta = +-{m} alpha")
-    best = min(p[0] for p in pairs)
-    _, n, theta, k, vals, vecs = next(p for p in pairs
-                                      if p[0] <= best + 1e-12 * max(1.0, abs(mid)))
+                         f"gap ({e_minus}, {e_plus}) at 2 theta = {m} alpha")
+    _, theta, k, vals, vecs = min(pairs, key=lambda p: p[0])
     k, k_other = (k + 1, k) if member == "upper" else (k, k + 1)
     e_other, v_other = float(vals[k_other]), vecs[:, k_other]
     partner = PairPartner(energy=e_other, theta=theta, vec=v_other,
                           bound=_weinstein_bound(lam, f, freq, theta, e_other, v_other))
     energy, vec, trunc, capped = _refine(lam, f, freq, theta, trunc, float(vals[k]), vecs[:, k])
-    sol = _normalized(lam, f, freq, theta, trunc, energy, vec, n, capped)
+    sol = _normalized(lam, f, freq, theta, trunc, energy, vec, m, capped)
     sol.partner = partner
     return sol
 

@@ -100,12 +100,8 @@ def analyze_gap(lam, f, freq, m, config=None):
     )
     flags = []
 
-    # the approximant displaces tiny gaps by up to ~|alpha - p/q| times the
-    # local state density (at most 50); the search reaches twice that
-    reach = max(100.0 * abs(freq.value - pq[0] / pq[1]), 1e-6)
-
     sol = _stage("bloch", duality.find_bloch_resonant, lam, f, freq, (rec.e_minus, rec.e_plus),
-                 m, reach, cfg.edge, duality.DUAL_START_N)
+                 m, pq, cfg.edge, duality.DUAL_START_N)
     _stage("bloch", duality.snap_to_resonance, sol, lam, f, freq)
     dossier.edge_energy = sol.energy
     dossier.theta = sol.theta

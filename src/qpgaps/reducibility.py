@@ -13,7 +13,7 @@ explicit energy shift that caps the gap width.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -148,12 +148,11 @@ class AveragingStep:
 
 
 def _diagnostic_norm(a, delta):
-    """strip_norm(a, delta) under the diagnostic strip tolerance 1e-5 (set
-    on a); a norm that the strip check cannot measure is an inadmissible
-    step, raised as ArithmeticError."""
-    a.strip_tol = 1e-5
+    """strip_norm(a, delta) under the diagnostic strip tolerance 1e-5, on a
+    copy of a, whose own tolerance stays; a norm that the strip check cannot
+    measure is an inadmissible step, raised as ArithmeticError."""
     try:
-        return strip_norm(a, delta)
+        return strip_norm(replace(a, strip_tol=1e-5), delta)
     except StripDomainError as exc:
         raise ArithmeticError(f"step size inadmissible: {exc}") from exc
 

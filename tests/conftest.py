@@ -17,10 +17,9 @@ def amo():
 @pytest.fixture(scope="session")
 def upper_edge(golden, amo):
     """The dossier's Bloch search at lam = 0.25 (AMO, golden mean): the upper
-    edge of the gap `rec` of the p/q approximant, searched within the reach
-    `analyze_gap` uses around its edges."""
+    edge of the gap `rec` of the p/q approximant, searched as `analyze_gap`
+    searches it."""
     def search(rec, pq, trunc=duality.DUAL_START_N):
-        reach = max(100.0 * abs(golden.value - pq[0] / pq[1]), 1e-6)
         return duality.find_bloch_resonant(0.25, amo, golden, (rec.e_minus, rec.e_plus),
-                                           rec.label, reach, "upper", trunc)
+                                           rec.label, pq, "upper", trunc)
     return search

@@ -5,10 +5,12 @@ a second route to a number the package computes, or builds test data."""
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from qpgaps.arithmetic import DEFAULT_DPS, _ratio, norm_dist
-from qpgaps.cocycle import RotationResult, _entries, _propagate, _real_values, _scan_directions
+from qpgaps.cocycle import (Cocycle, RotationResult, _entries, _propagate, _real_values,
+                            _scan_directions)
 from qpgaps.duality import _dual_banded
 from qpgaps.fourier import FourierMap, assemble, matmul
 from qpgaps.reducibility import _conjugated
@@ -203,3 +205,50 @@ def sheared_reference(R, phi):
     """R [[1, phi], [0, 1]] as a 2x2 map product, the shear lifted to R's period."""
     shear = assemble([[1.0, phi], [0.0, 1.0]], 1, phi.entire)
     return matmul(R, shear.lift2() if R.period == 2 else shear)
+
+
+def conjugate(c, R):
+    """The conjugated cocycle (alpha, R^{-1}(x+alpha) A(x) R(x)).
+
+    R is a matrix map with det == 1 (its adjugate is then the pointwise
+    inverse).  Raises when det R strays from 1 on the axis.
+    """
+    dets = np.linalg.det(R.sample(512))
+    if np.abs(dets - 1.0).max() > 1e-8:
+        raise ValueError(f"conjugacy determinant strays from 1 by {np.abs(dets-1).max():.2e}")
+    A = c.A
+    if R.period == 2 and A.period == 1:
+        A = A.lift2()
+    elif R.period == 1 and A.period == 2:
+        R = R.lift2()
+    B = matmul(R.shift(c.alpha).adjugate(), A, R).trim(1e-16)
+    if B.period == 2:
+        try:
+            B = B.collapse1(tol=1e-9)
+        except ValueError:
+            pass
+    return Cocycle(c.freq, B)
+
+
+@st.composite
+def real_trig_potentials(draw):
+    """A real trigonometric polynomial of degree at most 3; an even one
+    (real c_k = c_-k) when the drawn flag is set."""
+    part = st.floats(-1.0, 1.0)
+    even = draw(st.booleans())
+    coeffs = {0: complex(draw(part))}
+    for k in range(1, draw(st.integers(1, 3)) + 1):
+        coeffs[k] = complex(draw(part), 0.0 if even else draw(part))
+        coeffs[-k] = coeffs[k].conjugate()
+    return FourierMap.from_coeff_dict(coeffs)
+
+
+def amo_gap_law(lam, m, alpha):
+    """Leading-order width of the AMO gap with label m at weak coupling,
+    2 lam^m / prod_{k=1}^{m-1} 4 |sin pi k alpha sin pi (m-k) alpha|: the one
+    path of m harmonic steps from offset 0 to offset m, each intermediate
+    plane wave k off the degenerate energy -2 cos pi m alpha by
+    4 sin pi k alpha sin pi (m-k) alpha."""
+    return 2.0 * lam ** m / math.prod(
+        4.0 * abs(math.sin(math.pi * k * alpha) * math.sin(math.pi * (m - k) * alpha))
+        for k in range(1, m))

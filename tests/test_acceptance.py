@@ -107,7 +107,7 @@ def test_criterion_02_rotation_degree_algebra(golden):
         A = mul(_const_rotation(theta), matrix_exp(0.08 * gen))
         cA = Cocycle(golden, A)
         rA = rotation_number(cA, target_err=1e-9)
-        from qpgaps.cocycle import conjugate
+        from oracles import conjugate
         rB = rotation_number(conjugate(cA, R2), target_err=1e-9)
         resid = min(
             _circ(s1 * 2 * rA.value - s2 * 2 * rB.value - 2 * golden.value)

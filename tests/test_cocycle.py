@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from qpgaps import arithmetic as ar
 from qpgaps import cocycle
 from qpgaps.cocycle import (Cocycle, _angle_increments, _bump_weights, _entries, _propagate,
-                            _real_values, _scan_directions, amo_potential, conjugate, degree_of,
+                            _real_values, _scan_directions, amo_potential, degree_of,
                             rotation_number, rotation_numbers, schrodinger_cocycle)
 from qpgaps.errors import DegreeError
 from qpgaps.fourier import FourierMap, matrix_exp, mul
 
-from oracles import rotation_number_counting
+from oracles import conjugate, rotation_number_counting
 
 
 def rotation_map(scale=1.0, period=1):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpgaps import duality as du
 from qpgaps import spectrum as sp
@@ -10,7 +12,7 @@ from qpgaps.cocycle import Cocycle, rotation_number, schrodinger_cocycle
 from qpgaps.errors import BlochError
 from qpgaps.fourier import FourierMap
 
-from oracles import dual_ids
+from oracles import amo_gap_law, dual_ids, real_trig_potentials
 
 
 def test_dual_banded_free_is_diagonal(golden, amo):
@@ -183,17 +185,17 @@ def test_find_bloch_deterministic(golden, amo, monkeypatch):
 
 
 def _gap_233(golden, amo, label):
-    """The approximant gap with `label` at 144/233 and the dossier's reach."""
+    """The approximant gap with `label` at 144/233, and the approximant."""
     bs = sp.band_structure(0.25, amo, (144, 233), e_resolution=1e-12)
     rec = [r for r in bs.gaps() if r.label == label][0]
-    return (rec.e_minus, rec.e_plus), 100.0 * abs(golden.value - 144 / 233)
+    return (rec.e_minus, rec.e_plus), (144, 233)
 
 
 def test_find_bloch_resonant_at_displaced_m7_gap(golden, amo):
     # the 144/233 m = 7 gap lies ~2.3e-4 below the approximant's, 30 times
     # its width; the pair search still lands on its upper edge
-    gap, reach = _gap_233(golden, amo, 7)
-    sol = du.find_bloch_resonant(0.25, amo, golden, gap, 7, reach, "upper", 128)
+    gap, pq = _gap_233(golden, amo, 7)
+    sol = du.find_bloch_resonant(0.25, amo, golden, gap, 7, pq, "upper", 128)
     assert sol.u_hat[sol.trunc] == 1.0
     assert np.abs(sol.u_hat).max() <= 1.0
     assert sol.duality_residual < 1e-12
@@ -207,11 +209,44 @@ def test_find_bloch_resonant_at_displaced_m7_gap(golden, amo):
 def test_pair_search_returns_its_resonance(golden, amo, m, member):
     """The pair search knows the n it solved at: its n_tilde is the one
     detect_resonance finds on the same solution."""
-    gap, reach = _gap_233(golden, amo, m)
-    sol = du.find_bloch_resonant(0.25, amo, golden, gap, m, reach, member, 128)
+    gap, pq = _gap_233(golden, amo, m)
+    sol = du.find_bloch_resonant(0.25, amo, golden, gap, m, pq, member, 128)
     n_tilde = sol.n_tilde
     assert n_tilde is not None and abs(n_tilde) == m
     assert du.detect_resonance(sol, golden) == n_tilde
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=real_trig_potentials(), lam=st.floats(0.01, 1.0),
+       theta=st.floats(0.0, 1.0, exclude_max=True), trunc=st.integers(16, 64))
+def test_mirror_phase_has_the_same_interior_spectrum(golden, f, lam, theta, trunc):
+    """For a real potential the dual operator at -theta is antiunitarily
+    equivalent to the one at theta ((Ru)_n = conj u_{-n}), so the pair search
+    needs only the phases (m alpha + j)/2 and not their mirrors: both keep
+    the same interior eigenvalues."""
+    top = 2.0 + lam * float(np.abs(f.coeffs).sum())
+    here, _ = du._interior_eigs(lam, f, golden, theta, trunc, -top - 1.0, top + 1.0)
+    mirror, _ = du._interior_eigs(lam, f, golden, -theta % 1.0, trunc, -top - 1.0, top + 1.0)
+    assert len(here) == len(mirror)
+    assert np.abs(here - mirror).max(initial=0.0) <= 1e-12 * max(1.0, top)
+
+
+def test_pair_width_follows_the_amo_gap_law(golden, amo):
+    """The pair's splitting w = E - E' at weak coupling misses the one-path
+    law 2 lam^m / prod 4 |sin pi k alpha sin pi (m-k) alpha| from below at
+    order lam^2: halving lam divides the relative miss by 4."""
+    miss = {}
+    for lam in (0.05, 0.025):
+        gaps = sp.band_structure(lam, amo, (144, 233)).gaps()
+        for m in (1, 2, 3, 5):
+            rec = next(r for r in gaps if r.label == m)
+            sol = du.find_bloch_resonant(lam, amo, golden, (rec.e_minus, rec.e_plus), m,
+                                         (144, 233), "upper", du.DUAL_START_N)
+            w = sol.energy - sol.partner.energy
+            miss[lam, m] = w / amo_gap_law(lam, m, golden.value) - 1.0
+    for m in (1, 2, 3, 5):
+        assert -2e-3 < miss[0.05, m] < 0.0
+        assert 3.9 <= miss[0.05, m] / miss[0.025, m] <= 4.1
 
 
 @pytest.mark.parametrize("f", [FourierMap.from_coeff_dict({1: 1.0, -1: 1.0}),
@@ -243,16 +278,16 @@ def test_find_bloch_resonant_skips_branches_crossing_at_the_phase(golden, amo):
     vals, vecs = du._interior_eigs(0.25, amo, golden, theta_c, 128, -0.5009, -0.5007)
     slopes = sorted(du._slope(golden, theta_c, 128, vecs[:, k]) for k in range(len(vals)))
     assert slopes == pytest.approx([-0.8728, 0.8728], abs=1e-4)
-    gap, reach = _gap_233(golden, amo, 1)
-    assert gap[1] - reach < -0.5008055186 < gap[1] + reach
-    sol = du.find_bloch_resonant(0.25, amo, golden, gap, 1, reach, "upper", 128)
+    gap, pq = _gap_233(golden, amo, 1)
+    assert abs(-0.5008055186 - gap[1]) < 8.2e-4       # the search reaches 8.24e-4 at 144/233
+    sol = du.find_bloch_resonant(0.25, amo, golden, gap, 1, pq, "upper", 128)
     assert sol.energy == pytest.approx(-0.5014840613, abs=1e-9)
     assert du.detect_resonance(sol, golden) == -1
 
 
 def test_find_bloch_resonant_far_from_spectrum(golden, amo):
     with pytest.raises(BlochError):
-        du.find_bloch_resonant(0.25, amo, golden, (10.0, 10.5), 7, 1e-3, "upper", 64)
+        du.find_bloch_resonant(0.25, amo, golden, (10.0, 10.5), 7, (144, 233), "upper", 64)
 
 
 def test_resonant_refinement_raises_when_doubling_loses_the_pair(golden, amo, monkeypatch):
@@ -262,12 +297,12 @@ def test_resonant_refinement_raises_when_doubling_loses_the_pair(golden, amo, mo
         w, v = interior_eigs(lam, f, freq, theta, trunc, e_lo, e_hi)
         return (w, v) if trunc <= 128 else (w[:0], v[:, :0])
 
-    gap, reach = _gap_233(golden, amo, 7)
-    sol = du.find_bloch_resonant(0.25, amo, golden, gap, 7, reach, "upper", 128)
+    gap, pq = _gap_233(golden, amo, 7)
+    sol = du.find_bloch_resonant(0.25, amo, golden, gap, 7, pq, "upper", 128)
     assert sol.trunc > 128
     monkeypatch.setattr(du, "_interior_eigs", lost_above_128)
     with pytest.raises(BlochError, match="trunc 256"):
-        du.find_bloch_resonant(0.25, amo, golden, gap, 7, reach, "upper", 128)
+        du.find_bloch_resonant(0.25, amo, golden, gap, 7, pq, "upper", 128)
 
 
 def test_snap_needs_a_resonance(golden, amo):
@@ -299,8 +334,8 @@ def test_pair_partner_bound_holds_in_a_larger_truncation(golden, amo, m):
     bound covers the residual of its own eigenvector zero-padded into a 4x
     truncation.  The snap keeps it, and the wanted member's duality residual
     is the same bound, on its normalized coefficients at its own phase."""
-    gap, reach = _gap_233(golden, amo, m)
-    sol = du.find_bloch_resonant(0.25, amo, golden, gap, m, reach, "upper", 128)
+    gap, pq = _gap_233(golden, amo, m)
+    sol = du.find_bloch_resonant(0.25, amo, golden, gap, m, pq, "upper", 128)
     p = sol.partner
     assert p.energy < sol.energy
     residual = _padded_residual(golden, amo, p.theta, p.energy, p.vec)
@@ -324,7 +359,6 @@ def test_snapped_resonance_signs_are_pinned(golden, amo):
         (0.1, "lower"): [1, 2, 3, 4, -5, 6, 7, -8],
     }
     pq = golden.largest_convergent(250)
-    reach = max(100.0 * abs(golden.value - pq[0] / pq[1]), 1e-6)
     got = {}
     for lam in (0.25, 0.1):
         gaps = sp.band_structure(lam, amo, pq).gaps()
@@ -333,7 +367,7 @@ def test_snapped_resonance_signs_are_pinned(golden, amo):
             for m in range(1, 9):
                 rec = next(r for r in gaps if r.label == m)
                 sol = du.find_bloch_resonant(lam, amo, golden, (rec.e_minus, rec.e_plus), m,
-                                             reach, member, du.DUAL_START_N)
+                                             pq, member, du.DUAL_START_N)
                 du.snap_to_resonance(sol, lam, amo, golden)
                 got[lam, member].append(sol.n_tilde)
     assert got == expected

@@ -9,6 +9,7 @@ from qpgaps import duality as du
 from qpgaps import pipeline as pl
 from qpgaps.cocycle import rotation_numbers
 from qpgaps.errors import ConfigError, FrameError, SmallDivisorError, StageError
+from qpgaps.fourier import DEFAULT_STRIP_TOL
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +159,20 @@ def test_rotation_form_prediction_m3(golden, amo, monkeypatch):
     assert rf["rho_prime_predicted"] == 0.0012681061652292354
 
 
+def test_averaging_keeps_the_strip_tolerance_of_its_remainder(golden, amo, monkeypatch):
+    """The averaging report norms run under the loose diagnostic tolerance on
+    copies.  At golden m = 3 the second step's remainder comes through its
+    report's trim unchanged, and the double step still returns it with the
+    default strip tolerance."""
+    steps = []
+    original = pl.reducibility.double_step
+    monkeypatch.setattr(pl.reducibility, "double_step",
+                        lambda *a, **k: steps.append(original(*a, **k)) or steps[-1])
+    d = pl.analyze_gap(0.25, amo, golden, 3, pl.PipelineConfig(q_target=250, run_averaging=True))
+    assert d.rotation_form is not None and len(steps) == 1
+    assert steps[0].pert_final.strip_tol == DEFAULT_STRIP_TOL
+
+
 def test_rotation_form_inadmissible_at_m1(golden, amo):
     """At m=1 the certified step is order one; the averaging gate refuses it
     and the dossier records the flag instead of failing."""
@@ -210,7 +225,7 @@ def test_unmeasurable_averaging_report_is_inadmissible(golden, amo):
 def test_dossier_displaced_tiny_gap_m7(golden, amo, monkeypatch):
     """A gap narrower than the approximant displacement is searched in one
     window spanning both approximant edges; the full dossier still closes,
-    and the Bloch stage costs four solves at the resonant phases, one
+    and the Bloch stage costs two solves at the resonant phases, one
     doubling and the snap."""
     calls = []
     original = scipy.linalg.eig_banded
@@ -222,6 +237,19 @@ def test_dossier_displaced_tiny_gap_m7(golden, amo, monkeypatch):
     assert d.width_bounded
     assert d.shift_differs
     assert abs(d.degree) == 7
+    assert len(calls) <= 4
+
+
+def test_bloch_stage_solves_two_resonant_phases(golden, amo, monkeypatch):
+    """The m = 1 gap is wider than twice the search's reach, so each of the
+    two resonant phases (m alpha + j)/2 is solved in two windows; with one
+    doubling and the snap the dossier makes at most six banded solves."""
+    calls = []
+    original = scipy.linalg.eig_banded
+    monkeypatch.setattr(scipy.linalg, "eig_banded",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    d = pl.analyze_gap(0.25, amo, golden, 1, pl.PipelineConfig(q_target=250))
+    assert abs(d.n_tilde) == 1
     assert len(calls) <= 6
 
 

@@ -9,7 +9,7 @@ from qpgaps import reducibility as red
 from qpgaps import spectrum as sp
 from qpgaps.cocycle import degree_of, schrodinger_cocycle
 from qpgaps.errors import FrameError, SmallDivisorError
-from qpgaps.fourier import FourierMap, matmul, mul
+from qpgaps.fourier import DEFAULT_STRIP_TOL, FourierMap, matmul, mul
 
 from oracles import (conjugated_reference, first_order_log_term, mu_iterate_reference,
                      sheared_reference)
@@ -255,6 +255,14 @@ def test_double_step_degree_preserved(golden):
     P = red.ParabolicForm(1, 0.1)
     d = red.double_step(P, pert, 1e-3, golden, 0.05)
     assert degree_of(d.composite_map) == 0
+
+
+def test_diagnostic_norm_leaves_the_tolerance_of_its_map():
+    """The report norm is measured under the loose diagnostic tolerance on a
+    copy, so the map keeps its own strip check."""
+    a = FourierMap.cosine()
+    assert red._diagnostic_norm(a, 0.05) == pytest.approx(math.cosh(0.1 * math.pi), rel=1e-12)
+    assert a.strip_tol == DEFAULT_STRIP_TOL
 
 
 def test_averaging_step_admissibility_gate(golden):

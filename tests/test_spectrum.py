@@ -13,7 +13,7 @@ from qpgaps.cocycle import (amo_potential, rotation_number, rotation_numbers,
 from qpgaps.errors import QPGapsError, SpectrumError
 from qpgaps.fourier import FourierMap
 
-from oracles import hausdorff_distance
+from oracles import hausdorff_distance, real_trig_potentials
 
 
 def test_free_operator_single_band(golden, amo):
@@ -455,19 +455,6 @@ def test_amo_union_holds_the_bands_at_an_off_grid_phase(amo):
 
 SMALL_CONVERGENTS = sorted({pq for freq in (ar.golden_mean(), ar.sqrt2_minus_1())
                             for pq in freq.convergents if pq[1] <= 34})
-
-
-@st.composite
-def real_trig_potentials(draw):
-    """A real trigonometric polynomial of degree at most 3; an even one
-    (real c_k = c_-k) when the drawn flag is set."""
-    part = st.floats(-1.0, 1.0)
-    even = draw(st.booleans())
-    coeffs = {0: complex(draw(part))}
-    for k in range(1, draw(st.integers(1, 3)) + 1):
-        coeffs[k] = complex(draw(part), 0.0 if even else draw(part))
-        coeffs[-k] = coeffs[k].conjugate()
-    return FourierMap.from_coeff_dict(coeffs)
 
 
 @settings(max_examples=60, deadline=None)
