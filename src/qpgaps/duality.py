@@ -21,11 +21,13 @@ spectrum) and takes the pair of theta-extremal eigenvalues (`_slope`) that
 are both edges of the gap.  The wanted member is refined; the other one is
 returned as the search solved it, with its bound (`PairPartner`), from which
 the dossier certifies that its energy step crosses the gap.  `find_bloch`,
-which `qpgaps dual` runs from an energy with no label, minimizes the
-distance of the nearest dual eigenvalue to that energy over theta;
-`detect_resonance` then looks for its resonance.  `snap_to_resonance`
-re-solves at the exact resonant phase and normalizes without refining,
-keeping the partner and whether `_refine` stopped at its cap unconverged.
+which `qpgaps dual` runs from an energy with no label, takes its phase from
+Aubry duality: at a reducible energy (the Schrodinger side subcritical) the
+dual Bloch eigenvector sits at theta = rho(E), the fibered rotation number,
+up to translations by alpha and the mirror -theta; `detect_resonance` then
+looks for its resonance.  `snap_to_resonance` re-solves at the exact
+resonant phase and normalizes without refining, keeping the partner and
+whether `_refine` stopped at its cap unconverged.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import norm_dist
-from .cocycle import schrodinger_cocycle
+from .cocycle import rotation_numbers, schrodinger_cocycle
 from .errors import BlochError
 from .fourier import FourierMap, mul
 
@@ -44,8 +46,7 @@ DUAL_START_N = 128             # starting truncation of every dual search
 DUAL_MAX_TRUNC = 4096
 DUAL_TAIL_TOL = 1e-10
 WAVE_GRID = 1024            # grid of the half-period wave relation in assemble_wave
-THETA_XTOL = 1e-12
-BLOCH_THETA_GRID = 64       # find_bloch's scan points on theta in [0, 1/2]
+THETA_XTOL = 1e-12          # error bar of find_bloch's rotation number
 RESONANCE_N_MAX = 64        # detect_resonance tries |n| <= this
 RESONANCE_TOL = 1e-5        # and accepts a circle distance below this
 EDGE_MARGIN = 4             # fewest sites an eigenvector's peak keeps from each boundary
@@ -171,22 +172,6 @@ class BlochSolution:
         }
 
 
-def _golden_minimize(fn, a, b, xtol):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while abs(b - a) > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0
-
-
 def _refine(lam, f, freq, theta, trunc, energy, vec):
     """Doubles the truncation at the fixed phase theta, re-solving the pair
     nearest the previous eigenvalue, until the eigenvalue moves by less than
@@ -234,29 +219,24 @@ def _normalized(lam, f, freq, theta, trunc, energy, vec, n, capped):
 
 
 def find_bloch(lam, f, freq, energy, trunc=DUAL_START_N):
-    """Dual eigenpair whose eigenvalue comes nearest `energy` over theta.
+    """Dual eigenpair at `energy`, solved at the phase Aubry duality assigns it.
 
-    The phase minimizing the distance of the closest interior eigenvalue to
-    `energy` is located once at the starting truncation, on a
-    BLOCH_THETA_GRID-point scan of [0, 1/2] and then by golden section;
-    `_refine` then doubles the truncation (stopping rule in its docstring)
-    and `_normalized` recenters the eigenvector at its largest entry
-    (shifting theta by a multiple of alpha) and scales it so u_0 = 1, all
-    |u_k| <= 1.  Gap edges of a labeled gap come from `find_bloch_resonant`
-    instead.
+    At a reducible energy, where the Schrodinger side is subcritical, the
+    dual Bloch eigenvector sits at theta = rho(E), the fibered rotation number
+    of the Schrodinger cocycle, up to the translations theta + n alpha that
+    `_normalized` recenters and the mirror -theta, which for a real potential
+    carries the same spectrum.  rho(E) comes from one `rotation_numbers` call
+    to THETA_XTOL; the interior eigenpair nearest `energy` at that phase is
+    solved at the starting truncation, `_refine` doubles the truncation
+    (stopping rule in its docstring) and `_normalized` recenters the
+    eigenvector at its largest entry (shifting theta by a multiple of alpha)
+    and scales it so u_0 = 1, all |u_k| <= 1.  Gap edges of a labeled gap
+    come from `find_bloch_resonant` instead.
     """
-    probe = lambda th: _nearest_pair(lam, f, freq, th, trunc, energy, _PROBE_WINDOWS)[0]
-    objective = lambda th: abs(probe(th) - energy)
-    thetas = (np.arange(BLOCH_THETA_GRID) + 0.5) / (2.0 * BLOCH_THETA_GRID)   # [0, 1/2]
-    vals = [objective(t) for t in thetas]
-    i0 = int(np.argmin(vals))
-    lo = thetas[max(0, i0 - 1)]
-    hi = thetas[min(len(thetas) - 1, i0 + 1)]
-    theta_star = _golden_minimize(objective, lo, hi, THETA_XTOL)
-
-    e_star, vec = _nearest_pair(lam, f, freq, theta_star, trunc, energy, _PROBE_WINDOWS)
-    e_star, vec, trunc, capped = _refine(lam, f, freq, theta_star, trunc, e_star, vec)
-    return _normalized(lam, f, freq, theta_star, trunc, e_star, vec, None, capped)
+    theta = rotation_numbers(lam, f, freq, [energy], target_err=THETA_XTOL)[0].value
+    e_star, vec = _nearest_pair(lam, f, freq, theta, trunc, energy, _PROBE_WINDOWS)
+    e_star, vec, trunc, capped = _refine(lam, f, freq, theta, trunc, e_star, vec)
+    return _normalized(lam, f, freq, theta, trunc, e_star, vec, None, capped)
 
 
 def _slope(freq, theta, trunc, vec):
@@ -343,8 +323,9 @@ def detect_resonance(sol, freq):
     """Integer n, |n| <= RESONANCE_N_MAX, with 2 theta = n alpha (mod 1) to
     within RESONANCE_TOL, or None if nothing passes.
 
-    Returns the minimizing candidate and stores the achieved circle distance;
-    callers compare |m| against |n| for the label-vs-resonance ratio.
+    Returns the minimizing candidate and stores the achieved circle distance.
+    Its one caller is `qpgaps dual`, whose phase comes with no label; the
+    dossier's phase carries the resonance of its label from the pair search.
     """
     two_theta = (2.0 * sol.theta) % 1.0
     best_n, best_d = None, math.inf

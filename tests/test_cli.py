@@ -56,6 +56,13 @@ def test_dual_writes_the_bloch_solution(tmp_path):
     assert payload["n_tilde"] is None
 
 
+def test_dual_in_a_gap_reports_its_resonance(tmp_path):
+    """0.77 lies in the m = -1 gap at lam = 0.25: the dual phase is resonant."""
+    out = tmp_path / "o"
+    assert run(["dual", "--energy", "0.77", "--out", str(out)]) == 0
+    assert abs(json.loads(read(out / "bloch.json"))["n_tilde"]) == 1
+
+
 def test_spectrum_free_single_band(tmp_path):
     out = tmp_path / "o"
     rc = run(["spectrum", "--lam", "0", "--freq", "golden", "--q", "89",

@@ -60,7 +60,6 @@ def test_find_bloch_for_a_complex_coefficient_potential(golden, amo):
 
 def test_find_bloch_free_case(golden, amo, monkeypatch):
     E = 2 * math.cos(2 * math.pi * 0.3)
-    monkeypatch.setattr(du, "BLOCH_THETA_GRID", 32)
     sol = du.find_bloch(0.0, amo, golden, E, trunc=32)
     assert sol.energy == pytest.approx(E, abs=1e-9)
     assert sol.theta == pytest.approx(0.3, abs=1e-8)
@@ -112,7 +111,6 @@ def test_detect_resonance_none_when_far(golden, monkeypatch):
 
 
 def test_assemble_wave_free_constant(golden, amo, monkeypatch):
-    monkeypatch.setattr(du, "BLOCH_THETA_GRID", 16)
     monkeypatch.setattr(du, "RESONANCE_N_MAX", 4)
     sol = du.find_bloch(0.0, amo, golden, 2.0, trunc=16)
     du.detect_resonance(sol, golden)
@@ -138,7 +136,6 @@ def test_assembled_wave_periods_and_parity(golden, amo, upper_edge):
 
 
 def test_assemble_wave_rejects_a_sign_against_the_parity(golden, amo, monkeypatch):
-    monkeypatch.setattr(du, "BLOCH_THETA_GRID", 16)
     monkeypatch.setattr(du, "RESONANCE_N_MAX", 4)
     sol = du.find_bloch(0.0, amo, golden, 2.0, trunc=16)
     du.detect_resonance(sol, golden)
@@ -176,12 +173,37 @@ def test_dual_ids_matches_direct_rotation_number(golden, amo):
 
 def test_find_bloch_deterministic(golden, amo, monkeypatch):
     E = 2 * math.cos(2 * math.pi * 0.41)
-    monkeypatch.setattr(du, "BLOCH_THETA_GRID", 16)
     a = du.find_bloch(0.0, amo, golden, E, trunc=32)
     b = du.find_bloch(0.0, amo, golden, E, trunc=32)
     assert a.energy == b.energy
     assert a.theta == b.theta
     assert np.array_equal(a.u_hat, b.u_hat)
+
+
+def test_find_bloch_solves_one_phase(golden, amo, monkeypatch):
+    """The phase is the rotation number, so no theta search: one banded solve
+    at the starting truncation and one per doubling of `_refine`."""
+    calls = []
+    original = scipy.linalg.eig_banded
+    monkeypatch.setattr(scipy.linalg, "eig_banded",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    du.find_bloch(0.25, amo, golden, -0.5)
+    assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("energy, member", [(0.77, "upper"), (-0.9, "lower")])
+def test_find_bloch_in_a_gap_lands_on_the_nearer_edge(golden, amo, energy, member):
+    """In the m = +-1 gaps the rotation number is the gap's, 2 rho = +-alpha
+    (mod 1), and the dual eigenvalue nearest the energy at that phase is the
+    nearer edge that the pair search finds."""
+    pq = (89, 144)
+    rec = [r for r in sp.band_structure(0.25, amo, pq).gaps() if r.e_minus < energy < r.e_plus][0]
+    assert abs(rec.label) == 1
+    edge = du.find_bloch_resonant(0.25, amo, golden, (rec.e_minus, rec.e_plus), rec.label, pq,
+                                  member, du.DUAL_START_N)
+    sol = du.find_bloch(0.25, amo, golden, energy)
+    assert sol.energy == pytest.approx(edge.energy, abs=1e-9)
+    assert abs(du.detect_resonance(sol, golden)) == 1
 
 
 def _gap_233(golden, amo, label):

@@ -361,7 +361,6 @@ def test_build_frame_raises_at_its_grid_cap():
 # ---- full reduction -----------------------------------------------------------
 
 def test_reduce_free_edge_closed_form(golden, amo, monkeypatch):
-    monkeypatch.setattr(du, "BLOCH_THETA_GRID", 16)
     monkeypatch.setattr(du, "RESONANCE_N_MAX", 4)
     sol = du.find_bloch(0.0, amo, golden, 2.0, trunc=16)
     du.detect_resonance(sol, golden)
