@@ -230,12 +230,21 @@ def find_bloch(lam, f, freq, energy, trunc=DUAL_START_N):
     solved at the starting truncation, `_refine` doubles the truncation
     (stopping rule in its docstring) and `_normalized` recenters the
     eigenvector at its largest entry (shifting theta by a multiple of alpha)
-    and scales it so u_0 = 1, all |u_k| <= 1.  Gap edges of a labeled gap
-    come from `find_bloch_resonant` instead.
+    and scales it so u_0 = 1, all |u_k| <= 1.  When no eigenpair is found
+    and rho(E) came back flagged, the BlochError names that rho.  Gap edges
+    of a labeled gap come from `find_bloch_resonant` instead.
     """
-    theta = rotation_numbers(lam, f, freq, [energy], target_err=THETA_XTOL)[0].value
-    e_star, vec = _nearest_pair(lam, f, freq, theta, trunc, energy, _PROBE_WINDOWS)
-    e_star, vec, trunc, capped = _refine(lam, f, freq, theta, trunc, e_star, vec)
+    rho = rotation_numbers(lam, f, freq, [energy], target_err=THETA_XTOL)[0]
+    theta = rho.value
+    try:
+        e_star, vec = _nearest_pair(lam, f, freq, theta, trunc, energy, _PROBE_WINDOWS)
+        e_star, vec, trunc, capped = _refine(lam, f, freq, theta, trunc, e_star, vec)
+    except BlochError as exc:
+        if not rho.flagged:
+            raise
+        raise BlochError(f"rho(E={energy}) = {theta} is flagged (error bar {rho.error:.1e} "
+                         f"after {rho.iterations} steps), and theta = rho(E) holds only where "
+                         f"the Schrodinger side is subcritical: {exc}") from exc
     return _normalized(lam, f, freq, theta, trunc, e_star, vec, None, capped)
 
 

@@ -28,7 +28,7 @@ STRIP_DELTA = 0.05               # strip half-width for the averaging steps
 @dataclass
 class PipelineConfig:
     q_target: int = 250              # use the largest convergent with q <= this
-    theta_samples: int = None        # per band_structure default when None
+    theta_samples: int = None        # phase grid at band limit >= 2; band_structure default when None
     edge: str = "upper"              # anchor at E_m^+; "lower" at E_m^-
     run_averaging: bool = False      # drive the double step at eps_m when admissible
 

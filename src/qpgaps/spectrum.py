@@ -12,6 +12,12 @@ theta onto the one at -theta, antiperiodic twist included (it moves to the
 mirror bond), so the two phases share their edges and each mirror pair is
 solved once.  Over theta, elementary band i sweeps out one interval, its
 hull, and the union is the q hulls cut wherever one ends below the next.
+The hull ends are found on a doubling grid of phases, except for a
+potential of band limit <= 1, AMO up to an energy shift and a phase
+theta_0: Chambers' formula makes its discriminant depend on theta only
+through (lam |c_1|)^q cos(2 pi q (theta - theta_0)), so every hull end
+sits at theta_0 or theta_0 + 1/(2q), and those two phases give the union
+exactly.
 
 Gaps are labeled in one place, `BandStructure.gaps()`: the elementary band
 count j below a gap, the position of its cut, gives its label m by the
@@ -122,6 +128,15 @@ def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL)
     j/(Tq) reuses the edges of its mirror (T - j)/(Tq) = -theta (mod 1/q),
     solved in the same pass (reflection n -> -n, see the module note), so
     T = 4 -> 8 takes 5 solves rather than 8.
+
+    A potential of band limit <= 1 is Re f = c_0 + 2|c_1| cos(2 pi x + psi),
+    AMO shifted in energy and phase, and skips the grid: by Chambers'
+    formula its discriminant depends on theta only through
+    cos(2 pi q (theta - theta_0)), theta_0 = -psi/(2 pi), and each Floquet
+    edge, a simple root of Delta = +-2, is monotone in that cosine.  So every
+    hull end is attained at theta_0 or theta_0 + 1/(2q) (mod 1/q); those two
+    phases are solved, theta_grid is 2, the union is never flagged and
+    theta_samples is not read.  For AMO, theta_0 = 0.
     """
     p, q = p_over_q
     if q < 1 or math.gcd(p, q) != 1:
@@ -142,19 +157,26 @@ def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL)
         cut = np.flatnonzero(lo[1:] > hi[:-1] + tol) + 1
         return np.column_stack([lo[np.r_[0, cut]], hi[np.r_[cut - 1, q - 1]]]), cut
 
-    edges = np.array(solve(range(t_count), t_count))      # (phases, 2q)
-    bands, cut = union(edges)
     flagged = False
-    for _ in range(5):
-        t_count *= 2
-        edges = np.vstack([edges] + solve(range(1, t_count, 2), t_count))
-        nxt, cut = union(edges)
-        stable = nxt.shape == bands.shape and np.abs(nxt - bands).max() <= tol
-        bands = nxt
-        if stable:
-            break
+    if f.band_limit <= 1:
+        # the solved potential Re f has c_1 = (f_1 + conj f_-1)/2 = |c_1| e^{i psi}
+        theta0 = (-np.angle(f.coeff(1) + np.conj(f.coeff(-1))) / (2 * np.pi)) % (1 / q)
+        t_count = 2
+        edges = np.array([floquet_edges(lam, f, p, q, theta0 + j / (2 * q)) for j in (0, 1)])
+        bands, cut = union(edges)
     else:
-        flagged = True
+        edges = np.array(solve(range(t_count), t_count))      # (phases, 2q)
+        bands, cut = union(edges)
+        for _ in range(5):
+            t_count *= 2
+            edges = np.vstack([edges] + solve(range(1, t_count, 2), t_count))
+            nxt, cut = union(edges)
+            stable = nxt.shape == bands.shape and np.abs(nxt - bands).max() <= tol
+            bands = nxt
+            if stable:
+                break
+        else:
+            flagged = True
 
     bs = BandStructure(
         approximant=(p, q), lam=lam, potential=f,

@@ -191,6 +191,15 @@ def test_find_bloch_solves_one_phase(golden, amo, monkeypatch):
     assert len(calls) <= 4
 
 
+def test_find_bloch_names_a_flagged_rotation_number(golden, amo):
+    """At lam = 2 the Schrodinger side is supercritical: rho(-0.5) exhausts its
+    orbit budget and comes back flagged, and no dual eigenvalue sits near E
+    at theta = rho, so the error names that rho and the identity's regime."""
+    with pytest.raises(BlochError, match=r"flagged \(error bar .* after \d+ steps\).*"
+                                         r"subcritical: no interior dual eigenvalue"):
+        du.find_bloch(2.0, amo, golden, -0.5)
+
+
 @pytest.mark.parametrize("energy, member", [(0.77, "upper"), (-0.9, "lower")])
 def test_find_bloch_in_a_gap_lands_on_the_nearer_edge(golden, amo, energy, member):
     """In the m = +-1 gaps the rotation number is the gap's, 2 rho = +-alpha

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpgaps import arithmetic as ar
@@ -413,16 +413,17 @@ def test_localized_union_keeps_at_most_q_intervals():
     assert len(bs.bands) <= 144 and not bs.flagged
 
 
-@pytest.mark.parametrize("coeffs, solves", [
-    ({1: 1.0, -1: 1.0}, 5),
-    ({1: 1.0, -1: 1.0, 2: 0.3, -2: 0.3}, 5),
-    ({1: 1.0, -1: 1.0, 2: 0.3j, -2: -0.3j}, 8),
+@pytest.mark.parametrize("coeffs, solves, theta_grid", [
+    ({1: 1.0, -1: 1.0}, 2, 2),
+    ({1: 1.0, -1: 1.0, 2: 0.3, -2: 0.3}, 5, 8),
+    ({1: 1.0, -1: 1.0, 2: 0.3j, -2: -0.3j}, 8, 8),
 ], ids=["amo", "even", "not-even"])
-def test_even_potentials_solve_each_mirror_pair_once(monkeypatch, coeffs, solves):
+def test_even_potentials_solve_each_mirror_pair_once(monkeypatch, coeffs, solves, theta_grid):
     """At 144/233 the phase grid exits at T = 8: phases {0, 1, 2} of T = 4 and
     {1, 3} of T = 8 for an even potential, all 8 for 2 cos 2 pi x - 0.6 sin
     4 pi x.  The reuse rests on equal edges at theta and 1/q - theta, which
-    the sin term breaks."""
+    the sin term breaks.  AMO has band limit 1 and solves only its two
+    extremal phases 0 and 1/(2q)."""
     f = FourierMap.from_coeff_dict(coeffs)
     calls = []
     solve = sp.floquet_edges
@@ -433,10 +434,10 @@ def test_even_potentials_solve_each_mirror_pair_once(monkeypatch, coeffs, solves
 
     monkeypatch.setattr(sp, "floquet_edges", counted)
     bs = sp.band_structure(0.25, f, (144, 233))
-    assert len(calls) == solves and bs.theta_grid == 8
+    assert len(calls) == solves and bs.theta_grid == theta_grid
     theta = 0.37 / 233
     gap = np.abs(solve(1.0, f, 144, 233, theta) - solve(1.0, f, 144, 233, 1 / 233 - theta)).max()
-    assert gap <= 1e-12 if solves == 5 else gap > 1e-6
+    assert gap <= 1e-12 if solves < 8 else gap > 1e-6
 
 
 def inside_union(bs, edges):
@@ -477,3 +478,48 @@ def test_band_union_invariants(amo, pq, lam, f, u):
         assert inside_union(bs, sp.floquet_edges(lam, f, p, q, u / q))
     for r, jr in zip(bs.gaps(), j):
         assert (r.label * p + jr) % q == 0 and r.ids == Fraction(jr, q)
+
+
+def one_harmonic(c0, r, psi):
+    """c0 + 2 r cos(2 pi x + psi)."""
+    return FourierMap.from_coeff_dict({0: c0, 1: r * np.exp(1j * psi), -1: r * np.exp(-1j * psi)})
+
+
+@pytest.mark.parametrize("lam, pq, count", [(1.5, (89, 144), 111), (3.0, (55, 89), 47)])
+def test_phase_shifted_amo_has_the_amo_union(amo, lam, pq, count):
+    """Shifting the potential's argument moves every phase by the same amount,
+    so 2 cos(2 pi x + 0.7) has AMO's union over theta, band for band."""
+    bs, ref = (sp.band_structure(lam, f, pq) for f in (one_harmonic(0.0, 1.0, 0.7), amo))
+    assert len(ref.bands) == len(bs.bands) == count and not bs.flagged
+    assert bs.bands_below == ref.bands_below
+    assert np.abs(np.array(bs.bands) - np.array(ref.bands)).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(pq=st.sampled_from(SMALL_CONVERGENTS), lam=st.floats(0.0, 3.0),
+       c0=st.floats(-1.0, 1.0), r=st.floats(0.0, 1.5), psi=st.floats(0.0, 2 * math.pi),
+       theta=st.floats(0.0, 1.0, exclude_max=True))
+@example(pq=(0, 1), lam=1.0, c0=0.0, r=1.0, psi=3.0, theta=0.03125)
+def test_one_harmonic_union_holds_the_bands_at_every_phase(pq, lam, c0, r, psi, theta):
+    """For band limit 1 the two solved phases carry every hull end, so the
+    bands at any phase lie inside the union.  The explicit example is
+    2 cos(2 pi x + 3) at q = 1, whose union is [-4, 4]: no dyadic phase j/T
+    hits its extremes, which sit at theta = -3/(2 pi) + k/2."""
+    p, q = pq
+    f = one_harmonic(c0, r, psi)
+    bs = sp.band_structure(lam, f, pq)
+    assert bs.theta_grid == 2 and not bs.flagged
+    assert inside_union(bs, sp.floquet_edges(lam, f, p, q, theta))
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 3.0])
+def test_amo_union_matches_an_eight_phase_grid(amo, lam):
+    """The two-phase AMO union equals the union over the phases j/(8q)."""
+    p, q = 89, 144
+    edges = np.array([sp.floquet_edges(lam, amo, p, q, j / (8 * q)) for j in range(8)])
+    lo, hi = edges[:, 0::2].min(axis=0), edges[:, 1::2].max(axis=0)
+    cut = np.flatnonzero(lo[1:] > hi[:-1] + sp.MERGE_TOL) + 1
+    bs = sp.band_structure(lam, amo, (p, q))
+    assert bs.bands_below == tuple(cut.tolist())
+    ref = np.column_stack([lo[np.r_[0, cut]], hi[np.r_[cut - 1, q - 1]]])
+    assert np.abs(np.array(bs.bands) - ref).max() <= 1e-12
