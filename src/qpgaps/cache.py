@@ -3,9 +3,10 @@
 The cache is advisory: a missing, unreadable or mismatched entry means
 recompute, never a wrong answer.  Keys are SHA-256 of the canonical JSON of
 every numeric input, the potential in its exact `FourierMap.to_text` form,
-which the entry also stores; entries embed the key and a checksum of their
-canonical payload, so a changed digit is detected as well as a renamed or
-unparseable file.  Entries are written through a unique temporary file and
+which the entry also stores, and `spectrum.UNION_METHOD`, so an entry built
+by an earlier union method is never served.  Entries embed the key and a
+checksum of their canonical payload, so a changed digit is detected as well
+as a renamed or unparseable file.  Entries are written through a unique temporary file and
 renamed into place, so concurrent writers of one key never share a partial
 file.
 """
@@ -20,7 +21,7 @@ import tempfile
 from . import __version__
 from .errors import CacheCorruptionError
 from .fourier import FourierMap
-from .spectrum import BandStructure
+from .spectrum import UNION_METHOD, BandStructure
 
 
 def canonical_json(obj):
@@ -35,6 +36,7 @@ def band_structure_key(lam, f, pq, theta_samples, e_resolution):
     return content_hash({
         "kind": "band_structure",
         "version": __version__,
+        "union": UNION_METHOD,
         "lambda": float(lam),
         "potential": f.to_text(),
         "p": pq[0], "q": pq[1],

@@ -180,8 +180,12 @@ def _angle_increments(steps, w):
     """
     # (k, n): one contiguous row per cocycle
     d = np.diff(np.arctan2(w[..., 1].T, w[..., 0].T, out=np.empty(w.shape[1::-1])))
-    d += math.pi                          # the wrap (d + pi) % 2 pi - pi, in place
-    np.remainder(d, 2.0 * math.pi, out=d)
+    # the wrap (d + pi) % 2 pi - pi, in place and bit for bit: d + pi lies in
+    # [-pi, 3 pi], where subtracting 2 pi from d >= 2 pi is exact (Sterbenz)
+    # and adding 2 pi to d < 0 is the add np.remainder makes
+    d += math.pi
+    np.subtract(d, 2.0 * math.pi, out=d, where=d >= 2.0 * math.pi)
+    np.add(d, 2.0 * math.pi, out=d, where=d < 0.0)
     d -= math.pi
     neg = (steps[0] + steps[3] if isinstance(steps, tuple) else steps).T <= -2.0
     if np.any(neg):

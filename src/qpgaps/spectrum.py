@@ -2,22 +2,25 @@
 
 For alpha = p/q the spectrum is the union over the phase theta of the q
 Floquet bands; band edges are eigenvalues of the periodic and antiperiodic
-q x q problems, each found by one banded solve of bandwidth 2 after the
-sites are interleaved as 0, 1, q-1, 2, q-2, ...  The per-theta band set is
-(1/q)-periodic in theta (cyclic invariance of the transfer trace), so only
-theta in [0, 1/q) is ever sampled: a grid of T distinct values there carries
-the same information as T*q values around the whole circle.  For an even
-potential (c_k = c_-k) reflecting the sites n -> -n maps the operator at
-theta onto the one at -theta, antiperiodic twist included (it moves to the
-mirror bond), so the two phases share their edges and each mirror pair is
-solved once.  Over theta, elementary band i sweeps out one interval, its
+q x q problems.  On the phase grid each is one banded solve of bandwidth 2
+after the sites are interleaved as 0, 1, q-1, 2, q-2, ...  The per-theta
+band set is (1/q)-periodic in theta (cyclic invariance of the transfer
+trace), so the grid samples only theta in [0, 1/q): T distinct values there
+carry the same information as T*q values around the whole circle.  For an
+even potential (c_k = c_-k) reflecting the sites n -> -n maps the operator
+at theta onto the one at -theta, antiperiodic twist included (it moves to
+the mirror bond), so the two phases share their edges and each mirror pair
+is solved once.  Over theta, elementary band i sweeps out one interval, its
 hull, and the union is the q hulls cut wherever one ends below the next.
 The hull ends are found on a doubling grid of phases, except for a
-potential of band limit <= 1, AMO up to an energy shift and a phase
-theta_0: Chambers' formula makes its discriminant depend on theta only
-through (lam |c_1|)^q cos(2 pi q (theta - theta_0)), so every hull end
-sits at theta_0 or theta_0 + 1/(2q), and those two phases give the union
-exactly.
+potential of band limit <= 1, lam Re f = lam c_0 + 2 |lam c_1| cos(2 pi
+(x - theta_p)), AMO up to an energy shift and a phase: by Chambers' formula
+its discriminant is D(E) - 2 |lam c_1|^q cos(2 pi q (theta - theta_p)), so
+the union is {E : |D(E)| <= 2 + 2 |lam c_1|^q}.  Its lower hull ends and
+upper hull ends together are the periodic edges at theta_p and the
+antiperiodic edges at theta_p + 1/(2q), which give the union exactly.  At
+both phases the sites are mirror symmetric, so each of the two problems
+splits into two tridiagonal problems of about q/2 sites.
 
 Gaps are labeled in one place, `BandStructure.gaps()`: the elementary band
 count j below a gap, the position of its cut, gives its label m by the
@@ -46,6 +49,8 @@ WIDTH_FLOOR = 1e-12          # double-precision floor for trustworthy widths
 RHO_SKIP_WIDTH = 1e-10       # gaps thinner than this skip the rotation check
 RHO_TOL = 1e-4               # label_gaps' bound on |2 rho - m alpha| (mod 1)
 EXTENDED_DPS = 50            # decimal digits of refine_gap_extended
+# names how band_structure builds a union, for the cache keys of its results
+UNION_METHOD = "band limit <= 1: two mirror-split Chambers problems; else a doubling phase grid"
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,51 @@ def floquet_edges(lam, f, p, q, theta):
     return np.sort(np.concatenate(edges))
 
 
+def _mirror_edges(lam, f, p, q, theta_p, bc):
+    """Eigenvalues of the periodic problem (bc = +1) at theta_p or of the
+    antiperiodic one (bc = -1) at theta_p + 1/(2q), where lam Re f, of band
+    limit <= 1, peaks at theta_p.
+
+    There the sites are mirror symmetric, v_{c-k} = v_k, with c = 0 and c =
+    -p^{-1} (mod q) respectively, c taken even for odd q.  With the boundary
+    sign on a bond that k -> c - k fixes, the problem splits into a
+    symmetric and an antisymmetric tridiagonal problem over the pairs
+    {k, c - k}, k = c//2 + 1, ..., each one banded solve of bandwidth 1.
+    For even c the reflection fixes site c/2, and also the opposite bond
+    (odd q; it takes the sign) or site c/2 + q/2; for odd c it fixes bond
+    (c//2, c//2 + 1), which takes the sign, and the opposite bond.  A fixed
+    site couples to its pair by sqrt 2 in the symmetric sector and is absent
+    from the antisymmetric one; a fixed bond of hopping t adds +t to its
+    pair's diagonal in the symmetric sector and -t in the antisymmetric one.
+    Below q = 3 there are no pairs and the problem is solved whole.
+    """
+    import scipy.linalg
+    # grid values: site k is grid point (k p) mod q, as in floquet_edges
+    v = lam * f.sample(q, shift=theta_p if bc > 0 else theta_p + 0.5 / q).real
+    if q <= 2:
+        # the cycle's bonds merge: a self-loop counted twice at q = 1, a double bond at q = 2
+        sectors = [(v + (2.0 * bc if q == 1 else 0.0), np.full(q - 1, 1.0 + bc))]
+    else:
+        c = 0 if bc > 0 else -pow(p, -1, q) % q
+        if q % 2 and c % 2:
+            c += q
+        h = c // 2
+        n = q // 2 if c % 2 else (q - 1) // 2
+        pair = v[((h + 1 + np.arange(n)) * p) % q]
+        bond = np.zeros(n)               # hopping of a fixed bond, on its pair
+        bond[-1] = bc if q % 2 else c % 2  # the far bond, opposite site h or bond (h, h + 1)
+        if c % 2:
+            bond[0] += bc                   # bond (h, h + 1)
+        lead = [] if c % 2 else [v[(h * p) % q]]
+        tail = [v[((h + n + 1) * p) % q]] if q % 2 == 0 and c % 2 == 0 else []
+        root2 = math.sqrt(2.0)
+        sectors = [(np.concatenate([lead, pair + bond, tail]),
+                    np.concatenate([[root2] * len(lead), np.ones(n - 1), [root2] * len(tail)])),
+                   (pair - bond, np.ones(n - 1))]
+    return np.concatenate([scipy.linalg.eigvals_banded(np.vstack([d, np.append(o, 0.0)]), lower=True)
+                           for d, o in sectors])
+
+
 def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL):
     """Union of Floquet bands over the phase for the approximant p/q.
 
@@ -131,12 +181,14 @@ def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL)
 
     A potential of band limit <= 1 is Re f = c_0 + 2|c_1| cos(2 pi x + psi),
     AMO shifted in energy and phase, and skips the grid: by Chambers'
-    formula its discriminant depends on theta only through
-    cos(2 pi q (theta - theta_0)), theta_0 = -psi/(2 pi), and each Floquet
-    edge, a simple root of Delta = +-2, is monotone in that cosine.  So every
-    hull end is attained at theta_0 or theta_0 + 1/(2q) (mod 1/q); those two
-    phases are solved, theta_grid is 2, the union is never flagged and
-    theta_samples is not read.  For AMO, theta_0 = 0.
+    formula its discriminant is D(E) - 2 |lam c_1|^q cos(2 pi q (theta -
+    theta_p)), where lam Re f peaks at theta_p = -psi/(2 pi), + 1/2 when lam
+    < 0.  So the union is {E : |D(E)| <= 2 + 2 |lam c_1|^q}, and its 2q hull
+    ends, sorted together, are the periodic edges at theta_p and the
+    antiperiodic edges at theta_p + 1/(2q).  Those two problems are solved,
+    each split by its mirror symmetry into two of about q/2 sites
+    (`_mirror_edges`); theta_grid is 2, the union is never flagged and
+    theta_samples is not read.  For AMO at lam >= 0, theta_p = 0.
     """
     p, q = p_over_q
     if q < 1 or math.gcd(p, q) != 1:
@@ -159,11 +211,13 @@ def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL)
 
     flagged = False
     if f.band_limit <= 1:
-        # the solved potential Re f has c_1 = (f_1 + conj f_-1)/2 = |c_1| e^{i psi}
-        theta0 = (-np.angle(f.coeff(1) + np.conj(f.coeff(-1))) / (2 * np.pi)) % (1 / q)
+        # the solved potential Re f has c_1 = (f_1 + conj f_-1)/2 = |c_1| e^{i psi};
+        # a negative lam turns its peak into a trough, half a period away
+        theta_p = -np.angle(f.coeff(1) + np.conj(f.coeff(-1))) / (2 * np.pi) + (lam < 0) / 2
         t_count = 2
-        edges = np.array([floquet_edges(lam, f, p, q, theta0 + j / (2 * q)) for j in (0, 1)])
-        bands, cut = union(edges)
+        edges = np.sort(np.concatenate([_mirror_edges(lam, f, p, q, theta_p, bc)
+                                        for bc in (1.0, -1.0)]))
+        bands, cut = union(edges[np.newaxis])
     else:
         edges = np.array(solve(range(t_count), t_count))      # (phases, 2q)
         bands, cut = union(edges)

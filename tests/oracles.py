@@ -14,6 +14,7 @@ from qpgaps.cocycle import (Cocycle, RotationResult, _entries, _propagate, _real
 from qpgaps.duality import _dual_banded
 from qpgaps.fourier import FourierMap, assemble, matmul
 from qpgaps.reducibility import _conjugated
+from qpgaps.spectrum import floquet_edges
 
 
 def hausdorff_distance(bands_a, bands_b):
@@ -252,3 +253,13 @@ def amo_gap_law(lam, m, alpha):
     return 2.0 * lam ** m / math.prod(
         4.0 * abs(math.sin(math.pi * k * alpha) * math.sin(math.pi * (m - k) * alpha))
         for k in range(1, m))
+
+
+def four_solve_hulls(lam, f, p, q):
+    """Hull ends (lo_i, hi_i) of each elementary band of a potential of band
+    limit <= 1 over theta, from both boundary conditions at both Chambers
+    phases theta_0 and theta_0 + 1/(2q), theta_0 = -psi/(2 pi) mod 1/q: four
+    q-site Floquet solves, the earlier route of `band_structure`."""
+    theta0 = (-np.angle(f.coeff(1) + np.conj(f.coeff(-1))) / (2 * np.pi)) % (1 / q)
+    edges = np.array([floquet_edges(lam, f, p, q, theta0 + j / (2 * q)) for j in (0, 1)])
+    return edges[:, 0::2].min(axis=0), edges[:, 1::2].max(axis=0)

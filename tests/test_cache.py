@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpgaps import cache
+from qpgaps import __version__, cache, spectrum
+from qpgaps.cli import _band_structure_cached
 from qpgaps.cocycle import amo_potential
 from qpgaps.errors import CacheCorruptionError
 from qpgaps.fourier import FourierMap
@@ -117,3 +118,20 @@ def test_programming_error_in_a_load_propagates(tmp_path, monkeypatch, strict):
     monkeypatch.setattr(cache, "BandStructure", broken)
     with pytest.raises(AttributeError, match="programming error"):
         cache.load_band_structure(str(tmp_path), "k", strict=strict)
+
+
+def test_an_entry_keyed_without_the_union_method_is_not_served(tmp_path):
+    """A cache written before the key named the union method holds, under
+    the key of the same inputs, a band structure that is no longer served."""
+    f = amo_potential()
+    old_key = cache.content_hash({
+        "kind": "band_structure", "version": __version__, "lambda": 0.25,
+        "potential": f.to_text(), "p": 8, "q": 13, "theta_samples": None, "e_resolution": 1e-12,
+    })
+    stale = BandStructure(approximant=(8, 13), lam=0.25, potential=f, bands=((-9.0, 9.0),),
+                          theta_grid=8)
+    cache.store_band_structure(str(tmp_path), old_key, stale)
+    assert cache.load_band_structure(str(tmp_path), old_key, strict=True).bands == stale.bands
+    assert cache.band_structure_key(0.25, f, (8, 13), None, 1e-12) != old_key
+    got = _band_structure_cached(0.25, f, (8, 13), None, 1e-12, str(tmp_path))
+    assert got.bands == spectrum.band_structure(0.25, f, (8, 13)).bands

@@ -310,6 +310,25 @@ def test_angle_increments_equal_the_plain_formula(n, k, schrodinger, seed):
     assert np.array_equal(got, plain_angle_increments(steps, w))
 
 
+def test_angle_increments_at_the_wrap_boundaries_equal_the_plain_formula():
+    """Directions at angles +-pi, +-0, +-pi/2 and +-(pi - 2 ulp), each
+    followed by each, so consecutive angles differ by exactly +-pi, +-0 and
+    +-(2 pi - ulp), the ends of the wrap's branches; bit for bit, with the
+    sign of zero, for steps of trace 0 and of trace -3 (forward lift)."""
+    tiny = 2.0 * np.spacing(math.pi)
+    dirs = np.array([(-1.0, 0.0), (-1.0, -0.0), (1.0, 0.0), (1.0, -0.0),
+                     (0.0, 1.0), (0.0, -1.0), (-1.0, tiny), (-1.0, -tiny)])
+    order = [i for a in range(len(dirs)) for b in range(len(dirs)) for i in (a, b)]
+    w = np.repeat(dirs[order][:, np.newaxis], 2, axis=1)
+    raw = set(np.diff(np.arctan2(w[:, 0, 1], w[:, 0, 0])).tolist())
+    below = float(np.nextafter(2.0 * math.pi, 0.0))
+    assert {math.pi, -math.pi, 0.0, below, -below} <= raw
+    steps = np.zeros((len(order) - 1, 2))
+    steps[:, 1] = -3.0
+    got = _angle_increments(steps, w)
+    assert np.array_equal(got.view(np.int64), plain_angle_increments(steps, w).view(np.int64))
+
+
 @settings(max_examples=20, deadline=None)
 @given(n=st.sampled_from(ORBIT_LENGTHS + [1 << 20]))
 def test_bump_weights_equal_the_plain_formula(n):

@@ -13,7 +13,7 @@ from qpgaps.cocycle import (amo_potential, rotation_number, rotation_numbers,
 from qpgaps.errors import QPGapsError, SpectrumError
 from qpgaps.fourier import FourierMap
 
-from oracles import hausdorff_distance, real_trig_potentials
+from oracles import four_solve_hulls, hausdorff_distance, real_trig_potentials
 
 
 def test_free_operator_single_band(golden, amo):
@@ -24,25 +24,29 @@ def test_free_operator_single_band(golden, amo):
     assert hi == pytest.approx(2.0, abs=1e-10)
 
 
-def plain_floquet_edges(lam, f, p, q, theta):
-    """Reference: the dense periodic and antiperiodic q x q Jacobi matrices in
-    site order, each solved by eigvalsh.  Site n is summed directly at its
-    exact phase theta + ((n p) mod q)/q, independently of `sample`."""
+def plain_bloch_eigenvalues(lam, f, p, q, theta, bc):
+    """Reference: the dense q x q Jacobi matrix in site order, with boundary
+    sign bc (+1 periodic, -1 antiperiodic), solved by eigvalsh.  Site n is
+    summed directly at its exact phase theta + ((n p) mod q)/q, independently
+    of `sample`."""
     ns = np.arange(q)
-    diag = lam * f(theta + ((ns * p) % q) / q).real
-    edges = []
-    for bc in (+1.0, -1.0):
-        H = np.diag(diag)
-        if q == 1:
-            H[0, 0] += 2.0 * bc
-        elif q == 2:
-            H[0, 1] = H[1, 0] = 1.0 + bc
-        else:
-            idx = np.arange(q - 1)
-            H[idx, idx + 1] = H[idx + 1, idx] = 1.0
-            H[0, q - 1] = H[q - 1, 0] = bc
-        edges.append(np.linalg.eigvalsh(H))
-    return np.sort(np.concatenate(edges))
+    H = np.diag(lam * f(theta + ((ns * p) % q) / q).real)
+    if q == 1:
+        H[0, 0] += 2.0 * bc
+    elif q == 2:
+        H[0, 1] = H[1, 0] = 1.0 + bc
+    else:
+        idx = np.arange(q - 1)
+        H[idx, idx + 1] = H[idx + 1, idx] = 1.0
+        H[0, q - 1] = H[q - 1, 0] = bc
+    return np.linalg.eigvalsh(H)
+
+
+def plain_floquet_edges(lam, f, p, q, theta):
+    """Reference: the periodic and antiperiodic dense problems' eigenvalues,
+    sorted together."""
+    return np.sort(np.concatenate([plain_bloch_eigenvalues(lam, f, p, q, theta, bc)
+                                   for bc in (+1.0, -1.0)]))
 
 
 def random_trig(seed):
@@ -265,8 +269,8 @@ def test_homogeneity_minimum_between_band_endpoints(amo):
     inside a band, away from every band endpoint."""
     bs = sp.band_structure(1.0, amo, (144, 233))
     res = sp.homogeneity_scan(bs, 1e-3)
-    assert res.min_ratio == 0.21314460182031425
-    assert res.argmin_energy == 2.3446911732379982
+    assert res.min_ratio == 0.2131446018220906
+    assert res.argmin_energy == -2.3448095752310376
     assert sp.window_band_measure(bs.bands, res.argmin_energy, 1e-3) / 1e-3 == res.min_ratio
 
 
@@ -413,31 +417,61 @@ def test_localized_union_keeps_at_most_q_intervals():
     assert len(bs.bands) <= 144 and not bs.flagged
 
 
-@pytest.mark.parametrize("coeffs, solves, theta_grid", [
-    ({1: 1.0, -1: 1.0}, 2, 2),
-    ({1: 1.0, -1: 1.0, 2: 0.3, -2: 0.3}, 5, 8),
-    ({1: 1.0, -1: 1.0, 2: 0.3j, -2: -0.3j}, 8, 8),
+@pytest.mark.parametrize("coeffs, solves, problems, theta_grid", [
+    ({1: 1.0, -1: 1.0}, 0, 2, 2),
+    ({1: 1.0, -1: 1.0, 2: 0.3, -2: 0.3}, 5, 0, 8),
+    ({1: 1.0, -1: 1.0, 2: 0.3j, -2: -0.3j}, 8, 0, 8),
 ], ids=["amo", "even", "not-even"])
-def test_even_potentials_solve_each_mirror_pair_once(monkeypatch, coeffs, solves, theta_grid):
+def test_even_potentials_solve_each_mirror_pair_once(monkeypatch, coeffs, solves, problems,
+                                                     theta_grid):
     """At 144/233 the phase grid exits at T = 8: phases {0, 1, 2} of T = 4 and
     {1, 3} of T = 8 for an even potential, all 8 for 2 cos 2 pi x - 0.6 sin
     4 pi x.  The reuse rests on equal edges at theta and 1/q - theta, which
-    the sin term breaks.  AMO has band limit 1 and solves only its two
-    extremal phases 0 and 1/(2q)."""
+    the sin term breaks.  AMO has band limit 1 and makes no Floquet solve:
+    its two Chambers problems split into four tridiagonal solves."""
+    import scipy.linalg
     f = FourierMap.from_coeff_dict(coeffs)
-    calls = []
-    solve = sp.floquet_edges
+    calls, split, banded = [], [], []
+    solve, mirror, eigvals = sp.floquet_edges, sp._mirror_edges, scipy.linalg.eigvals_banded
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
+    def counted_split(*args):
+        split.append(args)
+        return mirror(*args)
+
+    def counted_banded(*args, **kwargs):
+        banded.append(args)
+        return eigvals(*args, **kwargs)
+
     monkeypatch.setattr(sp, "floquet_edges", counted)
+    monkeypatch.setattr(sp, "_mirror_edges", counted_split)
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", counted_banded)
     bs = sp.band_structure(0.25, f, (144, 233))
-    assert len(calls) == solves and bs.theta_grid == theta_grid
+    assert len(calls) == solves and len(split) == problems and bs.theta_grid == theta_grid
+    assert len(banded) == 2 * solves + 2 * problems
     theta = 0.37 / 233
     gap = np.abs(solve(1.0, f, 144, 233, theta) - solve(1.0, f, 144, 233, 1 / 233 - theta)).max()
     assert gap <= 1e-12 if solves < 8 else gap > 1e-6
+
+
+def test_amo_union_makes_no_q_site_solve(monkeypatch, amo):
+    """At 610/987 each of the four eigen-solves has at most ceil(q/2) + 1
+    sites: the mirror split halves both Chambers problems."""
+    import scipy.linalg
+    sizes = []
+    eigvals = scipy.linalg.eigvals_banded
+
+    def counted_banded(ab, **kwargs):
+        sizes.append(ab.shape[1])
+        return eigvals(ab, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", counted_banded)
+    monkeypatch.setattr(sp, "floquet_edges", None)
+    bs = sp.band_structure(0.25, amo, (610, 987))
+    assert sorted(sizes) == [493, 493, 494, 494] and bs.theta_grid == 2
 
 
 def inside_union(bs, edges):
@@ -523,3 +557,47 @@ def test_amo_union_matches_an_eight_phase_grid(amo, lam):
     assert bs.bands_below == tuple(cut.tolist())
     ref = np.column_stack([lo[np.r_[0, cut]], hi[np.r_[cut - 1, q - 1]]])
     assert np.abs(np.array(bs.bands) - ref).max() <= 1e-12
+
+
+CHAMBERS_CASES = dict(q=st.integers(1, 64), lam=st.floats(-3.0, 3.0), c0=st.floats(-1.0, 1.0),
+                      r=st.floats(0.0, 1.5), psi=st.floats(0.0, 2 * math.pi))
+
+
+def coprime_p(data, q):
+    return data.draw(st.sampled_from([p for p in range(q) if math.gcd(p, q) == 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), **CHAMBERS_CASES)
+@example(data=None, q=7, lam=0.0, c0=0.3, r=1.0, psi=2.0)
+@example(data=None, q=12, lam=-1.5, c0=0.0, r=1.0, psi=0.7)
+def test_mirror_split_matches_the_dense_problem_at_the_chambers_phases(data, q, lam, c0, r,
+                                                                      psi):
+    """Each half-size split gives the eigenvalues of the whole q-site problem:
+    periodic at theta_p = -psi/(2 pi) (+ 1/2 for lam < 0), where lam Re f
+    peaks, and antiperiodic at theta_p + 1/(2q), for both parities of q."""
+    p = 1 if data is None else coprime_p(data, q)
+    f = one_harmonic(c0, r, psi)
+    theta_p = -psi / (2 * math.pi) + (0.5 if lam < 0 else 0.0)
+    for bc, theta in ((1.0, theta_p), (-1.0, theta_p + 0.5 / q)):
+        got = np.sort(sp._mirror_edges(lam, f, p, q, theta_p, bc))
+        assert np.abs(got - plain_bloch_eigenvalues(lam, f, p, q, theta, bc)).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), **CHAMBERS_CASES)
+def test_two_split_problems_give_the_four_solve_hulls(data, q, lam, c0, r, psi):
+    """The hull ends of every elementary band, from the two problems that
+    band_structure solves, equal those of both boundary conditions at both
+    Chambers phases.  Compared per elementary band, so a gap near MERGE_TOL
+    cannot flip the comparison."""
+    from unittest import mock
+    p = coprime_p(data, q)
+    f = one_harmonic(c0, r, psi)
+    with mock.patch.object(sp, "_mirror_edges", wraps=sp._mirror_edges) as spy:
+        bs = sp.band_structure(lam, f, (p, q))
+    edges = np.sort(np.concatenate([sp._mirror_edges(*c.args) for c in spy.call_args_list]))
+    lo, hi = four_solve_hulls(lam, f, p, q)
+    assert spy.call_count == 2 and len(edges) == 2 * q
+    assert np.abs(edges[0::2] - lo).max() <= 1e-12 and np.abs(edges[1::2] - hi).max() <= 1e-12
+    assert bs.bands[0][0] == edges[0] and bs.bands[-1][1] == edges[-1]
