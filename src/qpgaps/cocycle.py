@@ -1,10 +1,10 @@
 """SL(2,R) cocycles over an irrational rotation.
 
 One engine, _propagate, pushes vectors or products through a stack of steps
-with a separate log-scale, so hyperbolic growth never overflows.  It updates
-the two rows of its vectors elementwise: a Schrodinger orbit segment is
-carried as its diagonal entries E - lam f(x_j), never as 2x2 matrices, and a
-general cocycle as the four entries of its steps.
+with a separate log-scale, so hyperbolic growth never overflows.  A
+Schrodinger orbit segment is carried as its diagonal entries E - lam f(x_j),
+never as 2x2 matrices, and updates the two rows of its vectors elementwise; a
+general cocycle is the stack of its 2x2 steps, each one batched matmul.
 The fibered rotation number is a weighted Birkhoff average of the lifted
 projective angle increments along directions from a blocked prefix scan built
 on the engine.
@@ -66,44 +66,54 @@ def _propagate(steps, V, out=None):
     """V <- M_j V for each step of a stack; V is (*batch, 2, m).
 
     A Schrodinger stack is the (n, *batch) array of diagonal entries a_j of
-    the steps [[a_j, -1], [1, 0]]; a general stack is a tuple (a, b, c, d) of
-    (n, *batch) arrays, the entries of the steps [[a_j, b_j], [c_j, d_j]].
-    The rows x, y of V go (x, y) -> (a_j x - y, x) or (a_j x + b_j y,
-    c_j x + d_j y).  Every RENORM_EVERY steps and after the last, V is divided
-    by its largest entry magnitude, a positive scale that keeps directions and
-    signs.  Returns (V, log_scale): the true result is exp(log_scale) * V.
-    out[j], when given, receives a positive multiple of V after step j.
+    the steps [[a_j, -1], [1, 0]], and the rows x, y of V go
+    (x, y) -> (a_j x - y, x).  A general stack is the (n, *batch, 2, 2) array
+    of the steps, and each step is one batched matmul.  With V in extended
+    precision, as every scan carries it, matmul sums a_j x + b_j y from +0 in
+    that order, so it gives the entry-wise update's bits, up to the sign of a
+    zero sum of zeros; in double it may go through BLAS, whose fused
+    multiply-adds round differently.  Every RENORM_EVERY steps and after the
+    last, V is divided by its largest entry magnitude, a positive scale that
+    keeps directions and signs.  Returns (V, log_scale): the true result is
+    exp(log_scale) * V.  out[j], when given, receives a positive multiple of V
+    after step j.
     """
-    general = isinstance(steps, tuple)
-    n = len(steps[0]) if general else len(steps)
-    x, y = np.moveaxis(V, (-2, -1), (0, 1))      # the rows, as (m, *batch)
-    rows_out = None if out is None else np.moveaxis(out, (-2, -1), (1, 2))
+    general = steps.ndim > V.ndim
+    n = len(steps)
+    if not general:
+        x, y = np.moveaxis(V, (-2, -1), (0, 1))      # the rows, as (m, *batch)
+        rows_out = None if out is None else np.moveaxis(out, (-2, -1), (1, 2))
     log_scale = np.zeros(V.shape[:-2])
     for j in range(n):
+        renorm = (j + 1) % RENORM_EVERY == 0 or j == n - 1
         if general:
-            a, b, c, d = (e[j] for e in steps)
-            x, y = a * x + b * y, c * x + d * y
+            V = np.matmul(steps[j], V)
+            if renorm:
+                s = np.abs(V).max(axis=(-2, -1))
+                s = np.where(s == 0.0, 1.0, s)
+                V = V / s[..., None, None]
+                log_scale += np.log(s)
+            if out is not None:
+                out[j] = V
         else:
             x, y = steps[j] * x - y, x
-        if (j + 1) % RENORM_EVERY == 0 or j == n - 1:
-            s = np.maximum(np.abs(x).max(axis=0), np.abs(y).max(axis=0))
-            s = np.where(s == 0.0, 1.0, s)
-            x, y = x / s, y / s
-            log_scale += np.log(s)
-        if out is not None:
-            rows_out[j, 0], rows_out[j, 1] = x, y
-    return np.moveaxis(np.stack((x, y), axis=-1), 0, -1), log_scale
-
-
-def _entries(mats):
-    """The general stack (a, b, c, d) of an (n, *batch, 2, 2) array of steps."""
-    return tuple(np.moveaxis(mats, (-2, -1), (0, 1)).reshape((4,) + mats.shape[:-2]))
+            if renorm:
+                s = np.maximum(np.abs(x).max(axis=0), np.abs(y).max(axis=0))
+                s = np.where(s == 0.0, 1.0, s)
+                x, y = x / s, y / s
+                log_scale += np.log(s)
+            if out is not None:
+                rows_out[j, 0], rows_out[j, 1] = x, y
+    if not general:
+        V = np.moveaxis(np.stack((x, y), axis=-1), 0, -1)
+    return V, log_scale
 
 
 def _scan_directions(steps, start=(1.0, 0.0)):
     """Positive multiples of v, M_0 v, M_1 M_0 v, ... for a stack of n steps
-    (see _propagate) and a start v of shape (*batch, 2) or (2,), as an
-    (n + 1, *batch, 2) array, by a blocked prefix scan: the steps, padded
+    (see _propagate) with a batch of at most one axis, so that a stack of more
+    than two axes is general, and a start v of shape (*batch, 2) or (2,), as
+    an (n + 1, *batch, 2) array, by a blocked prefix scan: the steps, padded
     into B blocks of L ~ sqrt(n), give the block totals; v chained through
     the totals gives each block's start, and the starts pushed through their
     blocks fill in the rest.
@@ -114,22 +124,17 @@ def _scan_directions(steps, start=(1.0, 0.0)):
     plain step-by-step push keeps, and a later run of steps can magnify that
     loss, or a double push's own rounding, well past the plain push's error.
     """
-    general = isinstance(steps, tuple)
-    first = steps[0] if general else steps
-    n, tail = len(first), first.shape[1:]
+    n = len(steps)
+    tail = steps.shape[1:-2] if steps.ndim > 2 else steps.shape[1:]
     L = math.isqrt(n) + 1
     B = -(-n // L)
-    pad = np.zeros((B * L - n,) + tail)          # feeds only discarded outputs
-
-    def blocked(e):                              # (L, B, *tail)
-        return np.concatenate([e, pad]).reshape((B, L) + tail).swapaxes(0, 1)
-
-    blocks = tuple(map(blocked, steps)) if general else blocked(steps)
+    pad = np.zeros((B * L - n,) + steps.shape[1:])      # feeds only discarded outputs
+    blocks = np.concatenate([steps, pad]).reshape((B, L) + steps.shape[1:]).swapaxes(0, 1)
     wide_eye = np.broadcast_to(np.eye(2, dtype=np.longdouble), (B,) + tail + (2, 2))
     totals, _ = _propagate(blocks, wide_eye)
     starts = np.empty((B,) + tail + (2, 1), dtype=np.longdouble)
     starts[0] = np.asarray(start)[..., None]
-    _propagate(_entries(totals[:-1]), starts[0], out=starts[1:])
+    _propagate(totals[:-1], starts[0], out=starts[1:])
     w = np.empty((B * L + 1,) + tail + (2,))
     w[0] = start
     _propagate(blocks, starts, out=w[1:].reshape((B, L) + tail + (2, 1)).swapaxes(0, 1))
@@ -168,7 +173,7 @@ def _bump_weights(n):
 
 def _angle_increments(steps, w):
     """Canonically lifted angle increments of the projective action of a
-    stack of n steps on k cocycles (see _propagate) between its n + 1
+    stack of n steps on k cocycles (see _scan_directions) between its n + 1
     directions w, as (k, n).
 
     For an SL(2,R) step with trace > -2 the displacement of any direction is
@@ -187,7 +192,8 @@ def _angle_increments(steps, w):
     np.subtract(d, 2.0 * math.pi, out=d, where=d >= 2.0 * math.pi)
     np.add(d, 2.0 * math.pi, out=d, where=d < 0.0)
     d -= math.pi
-    neg = (steps[0] + steps[3] if isinstance(steps, tuple) else steps).T <= -2.0
+    trace = steps[..., 0, 0] + steps[..., 1, 1] if steps.ndim > 2 else steps
+    neg = trace.T <= -2.0
     if np.any(neg):
         d[neg] = d[neg] % (2.0 * math.pi)     # lift to [0, 2 pi): forward passage
     return d
@@ -201,8 +207,9 @@ class RotationResult:
     flagged: bool = False
 
 
-def _rotation_results(k, steps_of, target_err, max_iterations):
-    """Rotation numbers of k cocycles over one rotation, each on its own.
+def _rotation_results(names, steps_of, target_err, max_iterations):
+    """Rotation numbers of the cocycles names[i] over one rotation, each on
+    its own.
 
     steps_of(lo, hi, idx) gives the real steps lo, ..., hi - 1 of the
     cocycles idx as a stack (see _propagate) with batch (len(idx),).
@@ -215,12 +222,18 @@ def _rotation_results(k, steps_of, target_err, max_iterations):
     max_iterations steps, is one scan, and on a long orbit that scan sets the
     peak memory.  A scan's steps and directions are freed once its increments
     are taken, the increments once appended to the member's one increment
-    array, and the bump weights once the estimates are made.
-    Each member's numbers depend on its own steps only, never on the group.
+    array.  The first orbit's bump weights are made once per call, a longer
+    orbit's per stage and freed once its estimates are made, and a stage's
+    weight sums once per stage.  Each member's numbers depend on its own
+    steps only, never on the group.  ValueError naming the cocycle when its
+    increments are not finite: its steps overflowed even extended precision
+    between two renormalizations.
     """
+    k = len(names)
     n0 = min(ROTATION_START_ITERATIONS, max_iterations)
     if n0 < 2:
         raise ValueError(f"rotation number needs at least 2 orbit steps, got {n0}")
+    first_weights = _bump_weights(n0), _bump_weights(n0 // 2)
     results = [None] * k
     group = max(1, ROTATION_BATCH_STEPS // n0)
     for first in range(0, k, group):
@@ -239,15 +252,19 @@ def _rotation_results(k, steps_of, target_err, max_iterations):
                 del steps, w
                 incs.update((i, np.concatenate((incs[i], row))) for i, row in zip(idx, d))
                 del d
-            wts, h = _bump_weights(n), n // 2
-            wh = _bump_weights(h)
+            h = n // 2
+            wts, wh = first_weights if n == n0 else (_bump_weights(n), _bump_weights(h))
+            wsum, whsum = wts.sum(), wh.sum()
             for i in list(live):
                 d = incs[i]
                 # einsum sums in one fixed order; np.dot's BLAS ddot splits a
                 # long sum between threads, so its last bits follow the core count
-                est = float(np.einsum("i,i", wts, d) / wts.sum()) / (2.0 * math.pi)
-                est1 = float(np.einsum("i,i", wh, d[:h]) / wh.sum()) / (2.0 * math.pi)
-                est2 = float(np.einsum("i,i", wh, d[h : 2 * h]) / wh.sum()) / (2.0 * math.pi)
+                est = float(np.einsum("i,i", wts, d) / wsum) / (2.0 * math.pi)
+                if not math.isfinite(est):
+                    raise ValueError(f"rotation number of {names[i]}: the orbit's angle "
+                                     "increments are not finite (its steps overflow)")
+                est1 = float(np.einsum("i,i", wh, d[:h]) / whsum) / (2.0 * math.pi)
+                est2 = float(np.einsum("i,i", wh, d[h : 2 * h]) / whsum) / (2.0 * math.pi)
                 gap = abs(est1 - est2)
                 err = max(min(gap, abs(norm_dist(est1) - norm_dist(est2))), 1e-15)
                 if err <= target_err or n >= max_iterations:
@@ -273,9 +290,9 @@ def rotation_number(c, target_err=ROTATION_TARGET_ERR, max_iterations=ROTATION_M
     two halves.
     """
     def steps_of(lo, hi, _idx):
-        return _entries(_real_values(1.0, c.A, c.alpha * np.arange(lo, hi))[:, None])
+        return _real_values(1.0, c.A, c.alpha * np.arange(lo, hi))[:, None]
 
-    return _rotation_results(1, steps_of, target_err, max_iterations)[0]
+    return _rotation_results(["the cocycle"], steps_of, target_err, max_iterations)[0]
 
 
 def rotation_numbers(lam, f, freq, energies, target_err=ROTATION_TARGET_ERR,
@@ -286,14 +303,21 @@ def rotation_numbers(lam, f, freq, energies, target_err=ROTATION_TARGET_ERR,
     E, so each scan's stack is E - lam f(x_j), with lam f sampled on the
     scan's orbit segment in real arithmetic and shared by the energies it
     carries; each result is what a call with that energy alone returns.
+    ValueError naming the energy, before any orbit, for a non-finite energy,
+    and at the estimate for an orbit whose increments are not finite (|E|
+    past about 1e154, where |E|^32 overflows extended precision).
     """
     energies = np.asarray(energies, dtype=float)
+    names = [f"E = {e!r}" for e in energies.tolist()]
+    bad = np.flatnonzero(~np.isfinite(energies))
+    if bad.size:
+        raise ValueError(f"rotation number needs a finite energy, got {names[bad[0]]}")
     alpha = _alpha(freq)
 
     def steps_of(lo, hi, idx):
         return energies[idx] - _real_values(lam, f, alpha * np.arange(lo, hi))[:, None]
 
-    return _rotation_results(len(energies), steps_of, target_err, max_iterations)
+    return _rotation_results(names, steps_of, target_err, max_iterations)
 
 
 def degree_of(R):

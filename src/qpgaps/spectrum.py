@@ -82,9 +82,18 @@ class BandStructure:
         return records
 
 
+def norm_bound(lam, f):
+    """2 + |lam| sum |c_k|, with sum |c_k| >= sup |f|: the spectrum lies in
+    [-bound, bound], and past it every step's diagonal E - lam f(x) is >= 2
+    (E >= bound) or <= -2 (E <= -bound).  Then the cone {x >= y >= 0} is
+    invariant, after the half-turn conjugation in the second case, so rho is
+    exactly 0 or exactly 1/2 (Johnson-Moser 1982)."""
+    return 2.0 + abs(lam) * f.l1_norm()
+
+
 def bracket_interval(lam, f):
-    s = abs(lam) * f.l1_norm()          # sum |c_k| >= sup |f|
-    return (-2.0 - s - 1.0, 2.0 + s + 1.0)
+    bound = norm_bound(lam, f)
+    return (-bound - 1.0, bound + 1.0)
 
 
 def floquet_edges(lam, f, p, q, theta):
@@ -239,7 +248,7 @@ def band_structure(lam, f, p_over_q, theta_samples=None, e_resolution=MERGE_TOL)
         bands_below=tuple(cut.tolist()),
         flagged=flagged,
     )
-    cap = 4.0 + 2.0 * abs(lam) * f.l1_norm()
+    cap = 2.0 * norm_bound(lam, f)
     if bs.measure > cap + 1e-6:
         raise SpectrumError("measure-bound",
                             f"band measure {bs.measure} exceeds the norm bound {cap}")
@@ -547,13 +556,13 @@ def holder_check(lam, f, freq, e_pairs=64, seed=0, rho_target_err=1e-8):
     """Largest observed |d rho| / |dE|^(1/2) over sampled energy pairs.
 
     Each pair's first energy is uniform over bracket_interval, which reaches
-    1 past the norm bound 2 + |lam| sum |c_k| on each side, and its second
-    lies a log-uniform distance in [1e-7, 1e-1] above or below it.  So some
-    first energies fall outside the spectrum, where rho is exactly 0 or 1/2:
-    at least 2/7 of them for lam = 0.25 AMO, drawn from [-3.5, 3.5] against
-    a spectrum inside [-2.5, 2.5].  All pairs are drawn first, then one
-    cocycle.rotation_numbers call measures every energy; the first pair
-    attaining the maximum wins.
+    1 past norm_bound on each side, and its second lies a log-uniform
+    distance in [1e-7, 1e-1] above or below it.  So some energies fall past
+    the norm bound, where rho is exactly 0 or 1/2 and is taken so: at least
+    2/7 of the first energies for lam = 0.25 AMO, drawn from [-3.5, 3.5]
+    against a bound of 2.5.  All pairs are drawn first, then one
+    cocycle.rotation_numbers call measures every energy inside the bound;
+    the first pair attaining the maximum wins.
     """
     rng = np.random.default_rng(seed)
     lo, hi = bracket_interval(lam, f)
@@ -562,11 +571,15 @@ def holder_check(lam, f, freq, e_pairs=64, seed=0, rho_target_err=1e-8):
         e1 = rng.uniform(lo, hi)
         de = 10.0 ** rng.uniform(math.log10(1e-7), math.log10(1e-1))
         energies += [e1, e1 + de * rng.choice((-1.0, 1.0))]
-    rhos = rotation_numbers(lam, f, freq, energies, target_err=rho_target_err)
+    bound = norm_bound(lam, f)
+    inside = [e for e in energies if abs(e) < bound]
+    measured = iter(rotation_numbers(lam, f, freq, inside, target_err=rho_target_err))
+    rhos = [next(measured).value if abs(e) < bound else 0.0 if e > 0.0 else 0.5
+            for e in energies]
     best = 0.0
     arg = (math.nan, math.nan)
     for e1, e2, r1, r2 in zip(energies[::2], energies[1::2], rhos[::2], rhos[1::2]):
-        quot = abs(r1.value - r2.value) / math.sqrt(abs(e2 - e1))
+        quot = abs(r1 - r2) / math.sqrt(abs(e2 - e1))
         if quot > best:
             best, arg = quot, (e1, e2)
     return HolderReport(max_quotient=best, argmax_pair=arg, pairs_used=len(energies) // 2)

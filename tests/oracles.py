@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from qpgaps.arithmetic import DEFAULT_DPS, _ratio, norm_dist
-from qpgaps.cocycle import (Cocycle, RotationResult, _entries, _propagate, _real_values,
-                            _scan_directions)
+from qpgaps.cocycle import (RENORM_EVERY, Cocycle, RotationResult, _propagate, _real_values,
+                            _scan_directions, rotation_numbers)
 from qpgaps.duality import _dual_banded
 from qpgaps.fourier import FourierMap, assemble, matmul
 from qpgaps.reducibility import _conjugated
-from qpgaps.spectrum import floquet_edges
+from qpgaps.spectrum import bracket_interval, floquet_edges
 
 
 def hausdorff_distance(bands_a, bands_b):
@@ -76,6 +76,49 @@ def growth_ratio_table(freq):
     ]
 
 
+def entrywise_propagate(steps, V, out=None):
+    """_propagate on a general (n, *batch, 2, 2) stack as the entry-wise row
+    update (x, y) -> (a x + b y, c x + d y), with the engine's
+    renormalization: the general branch as it was before its steps became
+    batched matmuls."""
+    a, b, c, d = np.moveaxis(steps, (-2, -1), (0, 1)).reshape((4,) + steps.shape[:-2])
+    x, y = np.moveaxis(V, (-2, -1), (0, 1))      # the rows, as (m, *batch)
+    rows_out = None if out is None else np.moveaxis(out, (-2, -1), (1, 2))
+    log_scale = np.zeros(V.shape[:-2])
+    n = len(steps)
+    for j in range(n):
+        x, y = a[j] * x + b[j] * y, c[j] * x + d[j] * y
+        if (j + 1) % RENORM_EVERY == 0 or j == n - 1:
+            s = np.maximum(np.abs(x).max(axis=0), np.abs(y).max(axis=0))
+            s = np.where(s == 0.0, 1.0, s)
+            x, y = x / s, y / s
+            log_scale += np.log(s)
+        if out is not None:
+            rows_out[j, 0], rows_out[j, 1] = x, y
+    return np.moveaxis(np.stack((x, y), axis=-1), 0, -1), log_scale
+
+
+def holder_check_measuring_all(lam, f, freq, e_pairs, seed, rho_target_err):
+    """holder_check's maximum quotient and its pair, with the same draw but
+    every energy measured by rotation_numbers, the ones past the norm bound
+    included: the body holder_check had before it took rho = 0 or 1/2 there."""
+    rng = np.random.default_rng(seed)
+    lo, hi = bracket_interval(lam, f)
+    energies = []
+    for _ in range(e_pairs):
+        e1 = rng.uniform(lo, hi)
+        de = 10.0 ** rng.uniform(math.log10(1e-7), math.log10(1e-1))
+        energies += [e1, e1 + de * rng.choice((-1.0, 1.0))]
+    rhos = rotation_numbers(lam, f, freq, energies, target_err=rho_target_err)
+    best = 0.0
+    arg = (math.nan, math.nan)
+    for e1, e2, r1, r2 in zip(energies[::2], energies[1::2], rhos[::2], rhos[1::2]):
+        quot = abs(r1.value - r2.value) / math.sqrt(abs(e2 - e1))
+        if quot > best:
+            best, arg = quot, (e1, e2)
+    return best, arg
+
+
 def rotation_number_counting(c, iterations=1 << 18):
     """Rotation number through eigenvalue counting, as an independent route.
 
@@ -92,7 +135,7 @@ def rotation_number_counting(c, iterations=1 << 18):
     n = int(iterations)
     if n < 2:
         raise ValueError(f"rotation number needs at least 2 orbit steps, got {n}")
-    w = _scan_directions(_entries(_real_values(1.0, c.A, c.alpha * np.arange(n))))
+    w = _scan_directions(_real_values(1.0, c.A, c.alpha * np.arange(n)))
     signs = np.sign(w[:, 0])
     signs[signs == 0.0] = 1.0
     flips = np.count_nonzero(signs[1:] != signs[:-1])
@@ -161,11 +204,11 @@ def mu_iterate_reference(R, A, alpha, sign):
     """mu from the corner of R^{-1}(x + l alpha) A_l(x) R(x), l = 64, on 1024
     grid points, with the steps of A_l taken as 64 FFT grid samples of the
     2x2 cocycle map A and pushed through the orbit engine as a general stack
-    of their four entries."""
+    of 2x2 steps."""
     l, grid = 64, 1024
     steps = np.stack([A.sample(A.period * grid, shift=j * alpha)[:grid].real
                       for j in range(l)])
-    P, logs = _propagate(_entries(steps), np.broadcast_to(np.eye(2), (grid, 2, 2)))
+    P, logs = _propagate(steps, np.broadcast_to(np.eye(2), (grid, 2, 2)))
     corner = (np.exp(logs) * _conjugated(R, P, l * alpha)[:, 0, 1]).mean()
     return float(corner / (l * sign ** (l - 1)))
 

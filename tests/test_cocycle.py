@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from qpgaps import arithmetic as ar
 from qpgaps import cocycle
-from qpgaps.cocycle import (Cocycle, _angle_increments, _bump_weights, _entries, _propagate,
+from qpgaps.cocycle import (Cocycle, _angle_increments, _bump_weights, _propagate,
                             _real_values, _scan_directions, amo_potential, degree_of,
                             rotation_number, rotation_numbers, schrodinger_cocycle)
 from qpgaps.errors import DegreeError
 from qpgaps.fourier import FourierMap, matrix_exp, mul
 
-from oracles import conjugate, rotation_number_counting
+from oracles import conjugate, entrywise_propagate, rotation_number_counting
 
 
 def rotation_map(scale=1.0, period=1):
@@ -34,7 +34,7 @@ def const_rotation(theta):
 
 def test_transfer_determinant_long_product(golden, amo):
     c = schrodinger_cocycle(0.25, amo, 1.0, golden)
-    M, ls = _propagate(_entries(c.A(c.alpha * np.arange(1000))), np.eye(2))
+    M, ls = _propagate(c.A(c.alpha * np.arange(1000)), np.eye(2))
     # det of the true product is det(M) e^{2 ls}
     assert abs(np.linalg.det(M) * math.exp(2 * ls) - 1.0) < 1e-10
 
@@ -202,7 +202,7 @@ def random_sl2r(rng, shape):
 @example(n=1000, batch=(3,), seed=1413866)
 def test_scan_directions_match_plain_product(n, batch, seed):
     steps = random_sl2r(np.random.default_rng(seed), (n,) + batch)
-    got = _scan_directions(_entries(steps))
+    got = _scan_directions(steps)
     ref = plain_directions(steps)
     assert got.shape == ref.shape == (n + 1,) + batch + (2,)
     # directions as lines, mod pi
@@ -224,7 +224,7 @@ def test_transfer_matches_plain_product(golden, k, batch, seed):
     c = Cocycle(golden, FourierMap(coeffs))
     x = rng.uniform(0, 1, 3) if batch else float(rng.uniform(0, 1))
     steps = c.A(np.add.outer(c.alpha * np.arange(k), x))
-    M, ls = _propagate(_entries(steps), np.broadcast_to(np.eye(2), steps.shape[1:]))
+    M, ls = _propagate(steps, np.broadcast_to(np.eye(2), steps.shape[1:]))
     ref, ref_ls = plain_product(c, k, x)
     assert np.shape(M) == np.shape(ref) and np.shape(ls) == np.shape(ref_ls)
     got = M * np.exp(np.asarray(ls) - ref_ls)[..., None, None]
@@ -256,7 +256,7 @@ def test_scan_directions_from_a_start_match_plain_push(n, batch, seed):
     rng = np.random.default_rng(seed)
     steps = random_sl2r(rng, (n,) + batch)
     start = rng.normal(size=batch + (2,)) * 10.0 ** rng.uniform(-3, 3)
-    got = _scan_directions(_entries(steps), start)
+    got = _scan_directions(steps, start)
     ref = plain_directions(steps, start)
     assert got.shape == ref.shape == (n + 1,) + batch + (2,)
     assert np.array_equal(got[0], start)
@@ -270,13 +270,65 @@ def test_scan_directions_from_a_start_match_plain_push(n, batch, seed):
 @given(n=st.sampled_from(ORBIT_LENGTHS), batch=st.sampled_from([(), (3,)]),
        seed=st.integers(0, 2**32 - 1))
 def test_schrodinger_scan_equals_scan_of_its_general_entries(n, batch, seed):
-    """(x, y) -> (a x - y, x) is the general update on the entries (a, -1, 1, 0),
-    whose products by -1, 1 and 0 are exact, so both give the same bits."""
+    """(x, y) -> (a x - y, x) is the general update by the steps
+    [[a, -1], [1, 0]], whose products by -1, 1 and 0 are exact, so both give
+    the same bits."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(-3.0, 3.0, (n,) + batch)
     start = rng.normal(size=batch + (2,)) * 10.0 ** rng.uniform(-3, 3)
-    general = (a, -np.ones_like(a), np.ones_like(a), np.zeros_like(a))
+    general = np.stack((a, -np.ones_like(a), np.ones_like(a), np.zeros_like(a)), axis=-1)
+    general = general.reshape(a.shape + (2, 2))
     assert np.array_equal(_scan_directions(a, start), _scan_directions(general, start))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 100), batch=st.sampled_from([(), (3,)]), m=st.sampled_from([1, 2]),
+       dtype=st.sampled_from([np.float64, np.longdouble]), with_out=st.booleans(),
+       zeros=st.sampled_from([0.0, 0.3, 0.6]), seed=st.integers(0, 2**32 - 1))
+@example(n=64, batch=(3,), m=2, dtype=np.float64, with_out=True, zeros=0.6, seed=0)
+def test_general_steps_match_the_entrywise_update(n, batch, m, dtype, with_out, zeros, seed):
+    """One batched matmul per general step gives the entry-wise update's
+    numbers, V, log-scale and out, bit for bit: double and longdouble
+    stacks pushing an extended-precision V, as every scan carries it, with
+    entries of random sign and size and exact zeros of both signs among
+    them.  The one difference allowed is the sign of a zero: matmul sums
+    from +0, so a sum (-0) + (-0) comes out +0."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        v = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+        return np.where(rng.uniform(size=shape) < zeros, np.copysign(0.0, v), v)
+
+    steps = draw((n,) + batch + (2, 2)).astype(dtype)
+    V = draw(batch + (2, m)).astype(np.longdouble)
+    out, ref_out = (np.empty((n,) + batch + (2, m), dtype) for _ in range(2))
+    got = _propagate(steps, V, out=out if with_out else None)
+    ref = entrywise_propagate(steps, V, out=ref_out if with_out else None)
+    pairs = list(zip(got, ref)) + ([(out, ref_out)] if with_out else [])
+    for g, r in pairs:
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert np.array_equal(g, r)
+        flipped = np.signbit(g) != np.signbit(r)
+        assert (r[flipped] == 0.0).all() and not np.signbit(g[flipped]).any()
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_energy_is_named_before_any_orbit(golden, amo, monkeypatch, energy):
+    def no_scan(*args):
+        raise AssertionError("an orbit was scanned")
+
+    monkeypatch.setattr(cocycle, "_scan_directions", no_scan)
+    with pytest.raises(ValueError, match=f"finite energy, got E = {energy!r}$"):
+        rotation_numbers(0.25, amo, golden, [0.5, energy])
+
+
+def test_an_overflowing_orbit_is_named_at_its_estimate(golden, amo):
+    """|E|^32 overflows extended precision between two renormalizations, so
+    the increments of E = 1e200 are not finite; E = 1e154 still measures."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"rotation number of E = 1e\+200: "):
+            rotation_numbers(0.25, amo, golden, [0.5, 1e200])
+        assert rotation_numbers(0.25, amo, golden, [1e154])[0].value <= 1e-15
 
 
 def plain_angle_increments(steps, w):
@@ -286,7 +338,7 @@ def plain_angle_increments(steps, w):
     w = w.transpose(1, 2, 0).copy()
     d = np.diff(np.arctan2(w[:, 1], w[:, 0]))
     d = (d + math.pi) % (2.0 * math.pi) - math.pi
-    neg = (steps[0] + steps[3] if isinstance(steps, tuple) else steps).T <= -2.0
+    neg = (steps[..., 0, 0] + steps[..., 1, 1] if steps.ndim > 2 else steps).T <= -2.0
     d[neg] = d[neg] % (2.0 * math.pi)
     return d
 
@@ -303,7 +355,7 @@ def test_angle_increments_equal_the_plain_formula(n, k, schrodinger, seed):
         steps = rng.uniform(-3.0, 3.0, (n, k))
     else:
         signs = rng.choice((-1.0, 1.0), (n, k, 1, 1))
-        steps = _entries(signs * random_sl2r(rng, (n, k)))
+        steps = signs * random_sl2r(rng, (n, k))
     w = _scan_directions(steps, rng.normal(size=(k, 2)))
     got = _angle_increments(steps, w)
     assert got.flags.c_contiguous

@@ -13,7 +13,8 @@ from qpgaps.cocycle import (amo_potential, rotation_number, rotation_numbers,
 from qpgaps.errors import QPGapsError, SpectrumError
 from qpgaps.fourier import FourierMap
 
-from oracles import four_solve_hulls, hausdorff_distance, real_trig_potentials
+from oracles import (four_solve_hulls, hausdorff_distance, holder_check_measuring_all,
+                     real_trig_potentials)
 
 
 def test_free_operator_single_band(golden, amo):
@@ -332,6 +333,35 @@ def test_holder_quotient_free_case(golden, amo):
     rep = sp.holder_check(0.0, amo, golden, e_pairs=48, seed=1)
     # closed form: quotient peaks near 1/(2 pi) at the band edge
     assert 0.0 < rep.max_quotient < 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=real_trig_potentials(), lam=st.floats(-1.0, 1.0), past=st.floats(0.0, 3.0),
+       upper=st.booleans())
+@example(f=None, lam=0.25, past=0.0, upper=False)
+@example(f=None, lam=0.0, past=0.0, upper=False)
+def test_rho_past_the_norm_bound_is_zero_or_a_half(golden, amo, f, lam, past, upper):
+    """Past norm_bound every step's diagonal is >= 2 (or <= -2), so rho is
+    exactly 0 above the spectrum and 1/2 below it.  The measured orbit reads
+    that to the rounding of its weighted sum, or within its own error bar
+    where the bound touches the spectrum: at lam = 0 (or for a nearly constant
+    potential) E = +-bound is a parabolic band edge, and 16384 steps miss
+    rho = 1/2 there by 1.6e-9 with a bar of 5.8e-9."""
+    f = amo if f is None else f
+    bound = sp.norm_bound(lam, f)
+    energy = bound + past if upper else -bound - past
+    r = rotation_numbers(lam, f, golden, [energy])[0]
+    assert abs(r.value - (0.0 if upper else 0.5)) <= max(1e-14, r.error)
+
+
+@pytest.mark.parametrize("lam,pairs,seed", [(0.25, 64, 9), (0.25, 64, 23), (0.0, 48, 1)])
+def test_holder_exact_branch_matches_measuring_every_energy(golden, amo, lam, pairs, seed):
+    """Taking rho = 0 or 1/2 past the norm bound, instead of measuring it,
+    leaves the maximum quotient and its pair as they were."""
+    rep = sp.holder_check(lam, amo, golden, e_pairs=pairs, seed=seed, rho_target_err=1e-7)
+    best, arg = holder_check_measuring_all(lam, amo, golden, pairs, seed, 1e-7)
+    assert rep.max_quotient == pytest.approx(best, rel=0.0, abs=1e-15)
+    assert rep.argmax_pair == arg
 
 
 def test_hausdorff_distance_intervals():
