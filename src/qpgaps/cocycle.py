@@ -76,16 +76,22 @@ def _propagate(steps, V, out=None):
     last, V is divided by its largest entry magnitude, a positive scale that
     keeps directions and signs.  Returns (V, log_scale): the true result is
     exp(log_scale) * V.  out[j], when given, receives a positive multiple of V
-    after step j.
+    after step j.  A double out gets a shorter interval where V's growth until
+    the next renormalization, at most g = max |a_j| + 1 a step (general: 2 max
+    |entry| + 1), could pass 2^1000, so that it stays finite.
     """
     general = steps.ndim > V.ndim
     n = len(steps)
+    every = RENORM_EVERY
+    if out is not None and out.dtype == np.float64 and n:
+        growth = math.log2(max(steps.max(), -steps.min()) * (2.0 if general else 1.0) + 1.0)
+        every = max(1, int(1000.0 // growth)) if growth * every > 1000.0 else every
     if not general:
         x, y = np.moveaxis(V, (-2, -1), (0, 1))      # the rows, as (m, *batch)
         rows_out = None if out is None else np.moveaxis(out, (-2, -1), (1, 2))
     log_scale = np.zeros(V.shape[:-2])
     for j in range(n):
-        renorm = (j + 1) % RENORM_EVERY == 0 or j == n - 1
+        renorm = (j + 1) % every == 0 or j == n - 1
         if general:
             V = np.matmul(steps[j], V)
             if renorm:

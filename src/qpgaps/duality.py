@@ -312,13 +312,8 @@ def find_bloch_resonant(lam, f, freq, gap, m, pq, member, trunc):
 def _decay_fit(u_hat, trunc):
     mags = np.abs(u_hat)
     ks = np.arange(-trunc, trunc + 1)
-    onset = 0
-    for k0 in range(0, trunc):
-        if mags[np.abs(ks) >= k0].max(initial=0.0) < 0.5:
-            onset = k0
-            break
-    else:
-        onset = trunc // 2
+    onset = next((k0 for k0 in range(trunc) if mags[np.abs(ks) >= k0].max(initial=0.0) < 0.5),
+                 trunc // 2)
     # stay above the eigensolver noise floor so the fitted rate is the decay,
     # not the flat numerical tail
     sel = (np.abs(ks) >= max(onset, 1)) & (mags > 1e-13)

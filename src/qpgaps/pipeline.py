@@ -3,7 +3,8 @@
 A dossier walks one labeled gap through the whole machine: approximant
 spectrum, dual eigenpair at the chosen edge, resonance, frame reduction,
 average identities, the first-order perturbation matrix, the certified energy
-step, and the shift test: the step must land past the gap's other edge.
+step, and the shift test: the step must land past the gap's other edge.  rho
+at the edge is the label's frac(m alpha) / 2; one orbit measures rho(E + eps_m).
 Campaigns sweep labels or window sizes and return tables; claims_report
 turns dossiers into the pass/fail map that `qpgaps reduce` writes as
 claims.json.
@@ -59,8 +60,8 @@ class GapDossier:
     width_bounded: bool = False             # width <= |epsilon_m|
     width_slack: float = math.nan
     shift_differs: bool = False
-    rho_edge: float = math.nan
-    rho_shifted: float = math.nan
+    rho_edge: float = math.nan              # frac(m alpha) / 2, from the label
+    rho_shifted: float = math.nan           # measured at E + eps_m
     collapsed: bool = False
     flags: tuple = ()
     rotation_form: dict = None       # deep-averaging results when run_averaging is set
@@ -161,22 +162,19 @@ def analyze_gap(lam, f, freq, m, config=None):
         except StageError as exc:
             # inadmissible step size (|eps_m| too large at small labels) is an
             # expected outcome, recorded rather than fatal
-            if isinstance(exc.cause, ArithmeticError):
-                flags.append("averaging-inadmissible")
-            else:
+            if not isinstance(exc.cause, ArithmeticError):
                 raise
+            flags.append("averaging-inadmissible")
 
-    # the rho pair is measured once: to the full cap where the rotation form's
-    # 1e-3 claim reads its difference, otherwise as the capped cross-check
-    if dossier.rotation_form is None:
-        shift = _stage("shift", reducibility.rotation_shift_check, sol.energy, eps_m,
-                       freq, lam, f)
-        dossier.rho_edge, dossier.rho_shifted = shift.rho_edge, shift.rho_shifted
-    else:
-        r1, r2 = _stage("shift", cocycle.rotation_numbers, lam, f, freq,
-                        [sol.energy, sol.energy + eps_m])
-        dossier.rho_edge, dossier.rho_shifted = r1.value, r2.value
-        dossier.rotation_form["rho_shift_measured"] = abs(r2.value - r1.value)
+    # rho is constant on the gap's closure, and the label fixes it there:
+    # 2 rho = m alpha (mod 1) (`spectrum._label_from_ids`); only E + eps_m takes an orbit
+    cap = (cocycle.ROTATION_MAX_ITERATIONS if dossier.rotation_form is not None
+           else reducibility.SHIFT_MAX_ITERATIONS)
+    (shifted,) = _stage("shift", cocycle.rotation_numbers, lam, f, freq, [sol.energy + eps_m],
+                        max_iterations=cap)
+    dossier.rho_edge, dossier.rho_shifted = (m * freq.value) % 1.0 / 2.0, shifted.value
+    if dossier.rotation_form is not None:
+        dossier.rotation_form["rho_shift_measured"] = abs(shifted.value - dossier.rho_edge)
     dossier.flags = tuple(flags)
     return dossier
 
@@ -298,13 +296,11 @@ def decay_campaign(lam, f, freq, m_values, config=None, jobs=1):
     fit_widths = {m: w for m, w in stable_widths.items() if stable[m]}
     fit = spectrum.gap_decay_fit(fit_widths) if len(fit_widths) >= 4 else None
 
-    ms = sorted(m for m in stable_widths)
-    monotone_from = None
-    for start in ms:
-        seq = [stable_widths[m] for m in ms if m >= start]
-        if len(seq) >= 2 and all(a > b for a, b in zip(seq, seq[1:])):
-            monotone_from = start
-            break
+    ms = sorted(stable_widths)
+    k = len(ms) - 1                  # widths fall strictly from ms[k] on
+    while k > 0 and stable_widths[ms[k - 1]] > stable_widths[ms[k]]:
+        k -= 1
+    monotone_from = ms[k] if k < len(ms) - 1 else None
     return DecayCampaign(convergents=tuple(pqs), widths=widths,
                          stable_widths=stable_widths, stable=stable, fit=fit,
                          monotone_from=monotone_from)
@@ -357,8 +353,9 @@ def claims_report(dossiers):
         add(f"{tag}: width <= |epsilon_m|", d.width_bounded, d.width, abs(d.epsilon_m))
         add(f"{tag}: rotation number moves at E+eps", d.shift_differs,
             abs(d.rho_shifted - d.rho_edge), 0.0)
-        add(f"{tag}: mu sign pattern at upper edge",
-            "edge-sign-pattern" not in d.flags, d.sign * d.mu, 0.0)
+        pattern_ok = "edge-sign-pattern" not in d.flags    # sign * mu > 0 at an upper edge
+        edge = "upper" if (d.sign * d.mu > 0.0) == pattern_ok else "lower"
+        add(f"{tag}: mu sign pattern at {edge} edge", pattern_ok, d.sign * d.mu, 0.0)
         add(f"{tag}: average Gram determinant positive", d.gram_det > 0.0,
             d.gram_det, 0.0)
         if d.rotation_form is not None:

@@ -26,7 +26,7 @@ DIVISOR_CUTOFF = 1e-12
 MU_COLLAPSE_TOL = 1e-12
 FINE_GRID = 4096       # homological, frame and off-normal checks; frame averages
 CHECK_GRID = 2048      # averaging and perturbation identities
-SHIFT_MAX_ITERATIONS = 1 << 16   # orbit cap of the rotation shift cross-check
+SHIFT_MAX_ITERATIONS = 1 << 16   # orbit cap of the shift check and of a dossier's rho(E + eps_m)
 
 
 @dataclass(frozen=True)
@@ -549,10 +549,11 @@ def rotation_shift_check(e_edge, eps_m, freq, lam, f):
     A genuine (non-collapsed) gap must see the rotation number change when
     stepping across its certified width bound; a collapsed gap (eps_m = 0)
     must not.  Both energies are measured in one cocycle.rotation_numbers
-    call on a shared orbit of at most SHIFT_MAX_ITERATIONS steps.  The
-    dossier certifies the crossing from the dual pair
-    (`duality.PairPartner.crossing_margin`) and reports these two values as
-    its cross-check; near a tiny gap the capped pair may end flagged.
+    call on a shared orbit of at most SHIFT_MAX_ITERATIONS steps; near a
+    tiny gap the capped pair may end flagged.  The dossier certifies the
+    crossing from the dual pair (`duality.PairPartner.crossing_margin`),
+    takes rho(E) from the gap label and measures only E + eps_m, to this
+    cap (to the full one when a rotation form reads the shift).
     """
     r1, r2 = rotation_numbers(lam, f, freq, [e_edge, e_edge + eps_m],
                               max_iterations=SHIFT_MAX_ITERATIONS)

@@ -331,6 +331,26 @@ def test_an_overflowing_orbit_is_named_at_its_estimate(golden, amo):
         assert rotation_numbers(0.25, amo, golden, [1e154])[0].value <= 1e-15
 
 
+@pytest.mark.parametrize("energy", [1e11, -1e11])
+def test_a_huge_energy_scans_to_a_finite_trail(golden, amo, energy):
+    """Between two renormalizations a vector grows by up to (|E| + 1)^31,
+    which leaves double range once |E| passes about 1e10 (4096 steps at
+    E = 1e11 left 630 non-finite trail entries).  With a double out the
+    push renormalizes often enough to keep that growth below 2^1000, so both
+    stack forms scan to a finite trail with the step-by-step push's
+    directions."""
+    a = energy - _real_values(0.25, amo, golden.value * np.arange(4096))
+    general = np.stack((a, -np.ones_like(a), np.ones_like(a), np.zeros_like(a)), axis=-1)
+    general = general.reshape(a.shape + (2, 2))
+    ref = plain_directions(general)
+    for steps in (a, general):
+        got = _scan_directions(steps)
+        assert np.isfinite(got).all()
+        d = np.arctan2(got[:, 1], got[:, 0]) - np.arctan2(ref[:, 1], ref[:, 0])
+        assert np.abs((d + math.pi / 2) % math.pi - math.pi / 2).max() <= 1e-10
+        assert (np.einsum("...i,...i->...", got, ref) > 0.0).all()
+
+
 def plain_angle_increments(steps, w):
     """Reference: a transposed copy of the directions, np.diff of their
     arctan2, the wrap (d + pi) % 2 pi - pi, then the forward lift of the

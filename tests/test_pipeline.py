@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -40,12 +41,43 @@ def test_dossier_consistency_epsilon_sign(m1_dossier):
 
 
 def test_dossier_degree_matches_label(m1_dossier):
-    # rotation-number bookkeeping: 2 rho(E_1^+) = deg(R) alpha mod 1
-    assert d_label_degree_consistent(m1_dossier)
+    # rotation-number bookkeeping: 2 rho(E_1^+) = deg(R) alpha = m alpha mod 1,
+    # so the frame's degree is the label up to sign (rho_edge is the label's)
+    assert m1_dossier.degree in (m1_dossier.label, -m1_dossier.label)
 
 
-def d_label_degree_consistent(d):
-    return abs(2 * d.rho_edge - ((d.degree * 0.6180339887498949) % 1.0)) < 1e-6
+@pytest.fixture(scope="module")
+def bench_dossiers(golden, amo):
+    """The bench's three dossiers: lambda = 0.25, q_target = 250, m = 1, m = 3
+    with averaging, and m = 7."""
+    return {name: pl.analyze_gap(0.25, amo, golden, m,
+                                 pl.PipelineConfig(q_target=250, run_averaging=averaging))
+            for name, m, averaging in (("m1", 1, False), ("m3_avg", 3, True), ("m7", 7, False))}
+
+
+def test_bench_dossiers_keep_their_measured_rho_and_claims(bench_dossiers):
+    """Only E + eps_m takes an orbit; its rho keeps its bits, rho at the edge
+    is the label's frac(m alpha) / 2, and the claims still all pass."""
+    alpha = 0.6180339887498949
+    pinned = {"m1": (0.3819660112501056, 4), "m3_avg": (0.428319099779856, 5),
+              "m7": (0.1631204651732958, 4)}
+    for name, (rho_shifted, total) in pinned.items():
+        d = bench_dossiers[name]
+        assert d.rho_shifted == rho_shifted
+        assert d.rho_edge == (d.label * alpha) % 1.0 / 2.0
+        report = pl.claims_report([d])
+        assert (report["passed"], report["total"]) == (total, total)
+
+
+@pytest.mark.parametrize("name", ["m1", "m3_avg"])
+def test_label_rho_is_the_measured_edge_rho(name, bench_dossiers, golden, amo):
+    """The oracle of the label's rho: an orbit at the edge energy, to the
+    full cap, reads frac(m alpha) / 2 within 3 times its own error bar
+    (7.5e-10 off with a bar of 2.7e-9 at m = 1, 2.2e-9 off with 8.2e-9 at
+    m = 3).  m = 7 is left out: its bar understates that orbit's error."""
+    d = bench_dossiers[name]
+    (r,) = rotation_numbers(0.25, amo, golden, [d.edge_energy])
+    assert abs(r.value - d.rho_edge) <= 3.0 * r.error
 
 
 def test_dossier_serializes(m1_dossier):
@@ -125,6 +157,27 @@ def test_mirrored_edge_config(golden, amo):
     assert d.epsilon_m > 0.0
     assert d.shift_differs
     assert d.width <= abs(d.epsilon_m)
+
+
+def test_sign_pattern_claim_names_the_dossier_edge(bench_dossiers, golden, amo):
+    """The sign-pattern claim names the edge the dossier anchored on, read
+    from sign * mu and whether the pattern held.  The m = 7 dual edges lie
+    about 33 approximant widths below the approximant gap, so the upper one
+    is nearer e_minus: the approximant edges cannot name it."""
+    def claim(d):
+        return next(c for c in pl.claims_report([d])["claims"] if "sign pattern" in c["claim"])
+
+    cfg = pl.PipelineConfig(q_target=150, edge="lower")
+    lower = pl.analyze_gap(0.25, amo, golden, 1, cfg)
+    assert claim(lower)["claim"] == "m=1: mu sign pattern at lower edge"
+    assert claim(lower)["passed"]
+    upper = bench_dossiers["m7"]
+    assert abs(upper.edge_energy - upper.e_minus) < abs(upper.edge_energy - upper.e_plus)
+    assert claim(upper)["claim"] == "m=7: mu sign pattern at upper edge"
+    # a broken pattern: sign * mu has the other edge's sign, and the flag says so
+    broken = dataclasses.replace(lower, mu=-lower.mu, flags=("edge-sign-pattern",))
+    assert claim(broken)["claim"] == "m=1: mu sign pattern at lower edge"
+    assert not claim(broken)["passed"]
 
 
 def test_unknown_edge_is_rejected(golden, amo):
@@ -373,11 +426,14 @@ def test_lower_edge_dossier_anchors_on_its_own_edge(m, qp_width, golden, amo, up
 @pytest.mark.parametrize("lam, m, edge", [(0.25, 2, "upper"), (0.25, 4, "upper"),
                                           (0.25, 4, "lower"), (0.1, 1, "upper"),
                                           (0.1, 2, "upper"), (0.1, 3, "upper"),
-                                          (0.1, 3, "lower")])
+                                          (0.1, 3, "lower"), (0.25, 6, "upper"),
+                                          (0.25, 6, "lower"), (0.1, 4, "upper")])
 def test_rotation_form_claim_holds_on_golden_averaging_dossiers(lam, m, edge, golden, amo):
     """The rotation form's claim compares the measured shift at 1e-3
-    relative, so its rho pair runs to the full orbit cap: at the shift
-    cross-check's 2^16 steps, four of these miss by 1.35e-3 to 6.1e-3."""
+    relative, so rho(E + eps_m) runs to the full orbit cap (at the shift
+    cross-check's 2^16 steps, four of the first seven missed by 1.35e-3 to
+    6.1e-3), and rho(E) is the label's.  The last three failed while rho(E)
+    was measured too: relative misses 1.26e-3, 1.43e-3 and 0.71."""
     cfg = pl.PipelineConfig(q_target=250, edge=edge, run_averaging=True)
     d = pl.analyze_gap(lam, amo, golden, m, cfg)
     assert d.rotation_form is not None
