@@ -8,9 +8,10 @@ general cocycle is the stack of its 2x2 steps, each one batched matmul.
 The fibered rotation number is a weighted Birkhoff average of the lifted
 projective angle increments along directions from a blocked prefix scan built
 on the engine.
-One estimator core serves a single cocycle and a batch of Schrodinger
-energies on one orbit, whose steps every route evaluates in real arithmetic
-by _real_values; it extends an unfinished orbit from its last direction.
+One estimator core serves a step map A over freq (rotation_number(A, freq))
+and a batch of Schrodinger energies on one orbit, whose steps every route
+evaluates in real arithmetic by _real_values; it extends an unfinished orbit
+from its last direction.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import Frequency, norm_dist
+from .arithmetic import norm_dist
 from .errors import DegreeError
 from .fourier import FourierMap
 
@@ -31,35 +32,20 @@ ROTATION_TARGET_ERR = 1e-8
 ROTATION_BATCH_STEPS = 1 << 16      # orbit steps x cocycles per scan, one cocycle at least
 
 
-def _alpha(freq):
-    return freq.value if isinstance(freq, Frequency) else float(freq)
-
-
-@dataclass
-class Cocycle:
-    freq: object                 # Frequency or plain float alpha
-    A: FourierMap
-
-    @property
-    def alpha(self):
-        return _alpha(self.freq)
-
-
 def amo_potential():
     """2 cos(2 pi x)"""
     return FourierMap.from_coeff_dict({1: 1.0, -1: 1.0})
 
 
-def schrodinger_cocycle(lam, f, energy, freq=None):
-    """Cocycle with one-step matrix [[E - lam f(x), -1], [1, 0]]."""
+def schrodinger_cocycle(lam, f, energy):
+    """Schrodinger step map A_E(x) = [[E - lam f(x), -1], [1, 0]], a FourierMap."""
     n = f.band_limit
     c = np.zeros((2 * n + 1, 2, 2), dtype=complex)
     c[:, 0, 0] = -lam * f.coeffs
     c[n, 0, 0] += energy
     c[n, 0, 1] = -1.0
     c[n, 1, 0] = 1.0
-    A = FourierMap(c, f.period, entire=f.entire)
-    return Cocycle(freq if freq is not None else 0.0, A)
+    return FourierMap(c, f.period, entire=f.entire)
 
 
 def _propagate(steps, V, out=None):
@@ -283,8 +269,9 @@ def _rotation_results(names, steps_of, target_err, max_iterations):
     return results
 
 
-def rotation_number(c, target_err=ROTATION_TARGET_ERR, max_iterations=ROTATION_MAX_ITERATIONS):
-    """Fibered rotation number of (alpha, A), A homotopic to the identity.
+def rotation_number(A, freq, target_err=ROTATION_TARGET_ERR,
+                    max_iterations=ROTATION_MAX_ITERATIONS):
+    """Fibered rotation number of (freq.value, A), A homotopic to the identity.
 
     Weighted Birkhoff average of the lifted angle increments of the projective
     action, folded to [0, 1/2].  The error bar is the disagreement between the
@@ -296,7 +283,7 @@ def rotation_number(c, target_err=ROTATION_TARGET_ERR, max_iterations=ROTATION_M
     two halves.
     """
     def steps_of(lo, hi, _idx):
-        return _real_values(1.0, c.A, c.alpha * np.arange(lo, hi))[:, None]
+        return _real_values(1.0, A, freq.value * np.arange(lo, hi))[:, None]
 
     return _rotation_results(["the cocycle"], steps_of, target_err, max_iterations)[0]
 
@@ -318,10 +305,9 @@ def rotation_numbers(lam, f, freq, energies, target_err=ROTATION_TARGET_ERR,
     bad = np.flatnonzero(~np.isfinite(energies))
     if bad.size:
         raise ValueError(f"rotation number needs a finite energy, got {names[bad[0]]}")
-    alpha = _alpha(freq)
 
     def steps_of(lo, hi, idx):
-        return energies[idx] - _real_values(lam, f, alpha * np.arange(lo, hi))[:, None]
+        return energies[idx] - _real_values(lam, f, freq.value * np.arange(lo, hi))[:, None]
 
     return _rotation_results(names, steps_of, target_err, max_iterations)
 

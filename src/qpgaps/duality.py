@@ -53,7 +53,6 @@ EDGE_MARGIN = 4             # fewest sites an eigenvector's peak keeps from each
 # half-widths of the energy windows tried in turn, by caller
 _PROBE_WINDOWS = (0.5, 2.0, 8.0, 32.0)
 _PAIR_WINDOWS = (1e-9, 1e-6)
-_SNAP_WINDOWS = tuple(1e-9 * 32.0 ** k for k in range(6))
 
 
 def _dual_banded(lam, f, freq, theta, trunc):
@@ -350,15 +349,17 @@ def snap_to_resonance(sol, lam, f, freq):
 
     The pair search's recentered phase carries rounding fuzz, which
     otherwise caps every downstream identity at that level.
-    The eigenpair is recomputed at the snapped phase; if its peak sits away
-    from the center the phase is recentered (which shifts the resonance
-    integer by twice the offset and keeps 2 theta - n alpha an integer).
+    The eigenpair is re-solved at the snapped phase within `_refine`'s
+    windows (_PAIR_WINDOWS): an eigenvalue that moved by more than 1e-6 is
+    another pair, a BlochError.  If its peak sits away from the center the
+    phase is recentered (which shifts the resonance integer by twice the
+    offset and keeps 2 theta - n alpha an integer).
     """
     if sol.n_tilde is None:
         raise BlochError("no resonance to snap to")
     j = round(2.0 * sol.theta - sol.n_tilde * freq.value)
     theta_s = ((sol.n_tilde * freq.value + j) / 2.0) % 1.0
-    e_star, vec = _nearest_pair(lam, f, freq, theta_s, sol.trunc, sol.energy, _SNAP_WINDOWS)
+    e_star, vec = _nearest_pair(lam, f, freq, theta_s, sol.trunc, sol.energy, _PAIR_WINDOWS)
     # at an exact resonance the eigenvector has two mirror peaks of equal
     # size, so recentering may land on -n_tilde instead: the +-m tie.  The
     # sign each dossier reports comes from here, and the bench pins it
@@ -391,12 +392,11 @@ def assemble_wave(sol, lam, f, freq):
         raise BlochError("Bloch solution carries no resonance integer")
     n_t = sol.n_tilde
     phase = np.exp(2j * math.pi * sol.theta)
-    shift_ph = np.exp(-2j * math.pi * np.arange(-sol.trunc, sol.trunc + 1) * freq.value)
-    U = FourierMap(np.stack([phase * sol.u_hat, sol.u_hat * shift_ph], axis=1), period=1,
-                   entire=False)
+    u_back = FourierMap(sol.u_hat, period=1, entire=False).shift(-freq.value)   # u(x - alpha)
+    U = FourierMap(np.stack([phase * sol.u_hat, u_back.coeffs], axis=1), period=1, entire=False)
     U_hat = mul(FourierMap.harmonic(n_t, period=2), U.lift2())
 
-    A = schrodinger_cocycle(lam, f, sol.energy).A
+    A = schrodinger_cocycle(lam, f, sol.energy)
     Av = A.sample(A.period * WAVE_GRID)[:WAVE_GRID]
     Uv = U_hat.sample(2 * WAVE_GRID)[:WAVE_GRID]     # x in [0, 1) of the period-2 wave
     Uv_sh = U_hat.sample(2 * WAVE_GRID, shift=freq.value)[:WAVE_GRID]

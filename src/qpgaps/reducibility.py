@@ -354,7 +354,7 @@ def reduce_at_edge(energy, wave, freq, lam, f):
     V = select_frame_vector(wave.U_hat.real_part(), wave.U_hat.imag_part(), wave.n_tilde)
     R1 = build_frame(V)
 
-    A = schrodinger_cocycle(lam, f, energy).A
+    A = schrodinger_cocycle(lam, f, energy)
     alpha = freq.value
     nu = _conjugated_corner(R1, A, alpha).collapse1(tol=1e-7).real_part().trim(1e-16)
 
@@ -486,7 +486,7 @@ def perturbation_matrix(reduction, lam, f, energy, freq):
                     R.period, False).trim(1e-16).collapse1(tol=1e-7)
 
     alpha = freq.value
-    A_eps = schrodinger_cocycle(lam, f, energy + 1e-4).A
+    A_eps = schrodinger_cocycle(lam, f, energy + 1e-4)
     lhs = _conjugated(R, A_eps.sample(A_eps.period * CHECK_GRID)[:CHECK_GRID].real, alpha)
     rhs = reduction.parabolic.matrix[None, :, :] + 1e-4 * pert.sample(CHECK_GRID).real
     resid = float(np.abs(lhs - rhs).max())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from qpgaps.arithmetic import DEFAULT_DPS, _ratio, norm_dist
-from qpgaps.cocycle import (RENORM_EVERY, Cocycle, RotationResult, _propagate, _real_values,
+from qpgaps.cocycle import (RENORM_EVERY, RotationResult, _propagate, _real_values,
                             _scan_directions, rotation_numbers)
 from qpgaps.duality import _dual_banded
 from qpgaps.fourier import FourierMap, assemble, matmul
@@ -119,7 +119,7 @@ def holder_check_measuring_all(lam, f, freq, e_pairs, seed, rho_target_err):
     return best, arg
 
 
-def rotation_number_counting(c, iterations=1 << 18):
+def rotation_number_counting(A, freq, iterations=1 << 18):
     """Rotation number through eigenvalue counting, as an independent route.
 
     The leading principal minors of the Dirichlet box of size n satisfy the
@@ -135,7 +135,7 @@ def rotation_number_counting(c, iterations=1 << 18):
     n = int(iterations)
     if n < 2:
         raise ValueError(f"rotation number needs at least 2 orbit steps, got {n}")
-    w = _scan_directions(_real_values(1.0, c.A, c.alpha * np.arange(n)))
+    w = _scan_directions(_real_values(1.0, A, freq.value * np.arange(n)))
     signs = np.sign(w[:, 0])
     signs[signs == 0.0] = 1.0
     flips = np.count_nonzero(signs[1:] != signs[:-1])
@@ -251,8 +251,9 @@ def sheared_reference(R, phi):
     return matmul(R, shear.lift2() if R.period == 2 else shear)
 
 
-def conjugate(c, R):
-    """The conjugated cocycle (alpha, R^{-1}(x+alpha) A(x) R(x)).
+def conjugate(A, freq, R):
+    """The step map R^{-1}(x+alpha) A(x) R(x) of the conjugated cocycle, over
+    alpha = freq.value.
 
     R is a matrix map with det == 1 (its adjugate is then the pointwise
     inverse).  Raises when det R strays from 1 on the axis.
@@ -260,18 +261,17 @@ def conjugate(c, R):
     dets = np.linalg.det(R.sample(512))
     if np.abs(dets - 1.0).max() > 1e-8:
         raise ValueError(f"conjugacy determinant strays from 1 by {np.abs(dets-1).max():.2e}")
-    A = c.A
     if R.period == 2 and A.period == 1:
         A = A.lift2()
     elif R.period == 1 and A.period == 2:
         R = R.lift2()
-    B = matmul(R.shift(c.alpha).adjugate(), A, R).trim(1e-16)
+    B = matmul(R.shift(freq.value).adjugate(), A, R).trim(1e-16)
     if B.period == 2:
         try:
             B = B.collapse1(tol=1e-9)
         except ValueError:
             pass
-    return Cocycle(c.freq, B)
+    return B
 
 
 @st.composite

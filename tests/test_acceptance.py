@@ -19,8 +19,7 @@ from qpgaps import duality as du
 from qpgaps import pipeline as pl
 from qpgaps import reducibility as red
 from qpgaps import spectrum as sp
-from qpgaps.cocycle import (Cocycle, amo_potential, degree_of, rotation_number,
-                            schrodinger_cocycle)
+from qpgaps.cocycle import amo_potential, degree_of, rotation_number, schrodinger_cocycle
 from qpgaps.errors import SmallDivisorError
 from qpgaps.fourier import FourierMap, matrix_exp, mul
 
@@ -55,7 +54,7 @@ def test_criterion_01_free_operator_suite(golden, amo):
 
     rho_dev = 0.0
     for E in np.linspace(-1.95, 1.95, 50):
-        r = rotation_number(schrodinger_cocycle(0.0, amo, float(E), golden))
+        r = rotation_number(schrodinger_cocycle(0.0, amo, float(E)), golden)
         rho_dev = max(rho_dev, abs(r.value - math.acos(E / 2) / (2 * math.pi)))
     rho_ok = rho_dev < 1e-6
 
@@ -105,10 +104,9 @@ def test_criterion_02_rotation_degree_algebra(golden):
             shape=(2, 2),
         )
         A = mul(_const_rotation(theta), matrix_exp(0.08 * gen))
-        cA = Cocycle(golden, A)
-        rA = rotation_number(cA, target_err=1e-9)
+        rA = rotation_number(A, golden, target_err=1e-9)
         from oracles import conjugate
-        rB = rotation_number(conjugate(cA, R2), target_err=1e-9)
+        rB = rotation_number(conjugate(A, golden, R2), golden, target_err=1e-9)
         resid = min(
             _circ(s1 * 2 * rA.value - s2 * 2 * rB.value - 2 * golden.value)
             for s1 in (1, -1) for s2 in (1, -1)
@@ -126,7 +124,7 @@ def test_criterion_02_rotation_degree_algebra(golden):
     for eps in (1e-2, 1e-3, 1e-4):
         A = mul(_const_rotation(theta), matrix_exp(eps * gen))
         dist = float(np.abs(A.sample(512) - _const_rotation(theta)(0.0)).max())
-        r = rotation_number(Cocycle(golden, A), target_err=1e-10)
+        r = rotation_number(A, golden, target_err=1e-10)
         devs.append(abs(r.value - theta))
         dists.append(dist)
     slope = float(np.polyfit(np.log(dists), np.log(devs), 1)[0])

@@ -371,3 +371,24 @@ def test_real_potential_file_is_accepted(tmp_path):
     assert cli.resolve_potential(spec).coeff(1) == -0.5j
     rc = run(["spectrum", "--q", "21", "--potential", spec, "--out", str(tmp_path / "o")])
     assert rc == 0
+
+
+def test_output_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """`reduce --m 3 --with-averaging` and `gaps --q 233`, each run in a
+    fresh interpreter under one and then two BLAS and OpenMP threads, write
+    byte-identical files."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    commands = (["reduce", "--m", "3", "--with-averaging"], ["gaps", "--q", "233"])
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        root = tmp_path / threads
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "qpgaps.cli", *argv,
+                            "--out", str(root / argv[0])],
+                           env=env, capture_output=True, timeout=300, check=True)
+        written.append({p.relative_to(root): p.read_bytes()
+                        for p in sorted(root.rglob("*")) if p.is_file()})
+    assert {p.parts[0] for p in written[0]} == {"reduce", "gaps"}
+    assert written[0] == written[1]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qpgaps import arithmetic as ar
 from qpgaps import cocycle
-from qpgaps.cocycle import (Cocycle, _angle_increments, _bump_weights, _propagate,
+from qpgaps.cocycle import (_angle_increments, _bump_weights, _propagate,
                             _real_values, _scan_directions, amo_potential, degree_of,
                             rotation_number, rotation_numbers, schrodinger_cocycle)
 from qpgaps.errors import DegreeError
@@ -33,8 +33,8 @@ def const_rotation(theta):
 
 
 def test_transfer_determinant_long_product(golden, amo):
-    c = schrodinger_cocycle(0.25, amo, 1.0, golden)
-    M, ls = _propagate(c.A(c.alpha * np.arange(1000)), np.eye(2))
+    A = schrodinger_cocycle(0.25, amo, 1.0)
+    M, ls = _propagate(A(golden.value * np.arange(1000)), np.eye(2))
     # det of the true product is det(M) e^{2 ls}
     assert abs(np.linalg.det(M) * math.exp(2 * ls) - 1.0) < 1e-10
 
@@ -42,21 +42,21 @@ def test_transfer_determinant_long_product(golden, amo):
 def test_rotation_number_free_points(golden, amo):
     cases = [(0.0, 0.25), (-2.0, 0.5), (2 * math.cos(2 * math.pi * 0.3), 0.3)]
     for E, expect in cases:
-        r = rotation_number(schrodinger_cocycle(0.0, amo, E, golden))
+        r = rotation_number(schrodinger_cocycle(0.0, amo, E), golden)
         assert r.value == pytest.approx(expect, abs=1e-6)
         assert r.error < 1e-6
 
 
 def test_rotation_number_free_closed_form_grid(golden, amo):
     for E in np.linspace(-1.95, 1.95, 21):
-        r = rotation_number(schrodinger_cocycle(0.0, amo, E, golden))
+        r = rotation_number(schrodinger_cocycle(0.0, amo, E), golden)
         assert r.value == pytest.approx(math.acos(E / 2) / (2 * math.pi), abs=1e-6)
 
 
 def test_rotation_number_monotone_in_energy(golden, amo):
     vals = []
     for E in np.linspace(-2.6, 2.6, 27):
-        r = rotation_number(schrodinger_cocycle(0.25, amo, float(E), golden),
+        r = rotation_number(schrodinger_cocycle(0.25, amo, float(E)), golden,
                             target_err=1e-6)
         vals.append((r.value, r.error))
     for (v1, e1), (v2, e2) in zip(vals, vals[1:]):
@@ -65,9 +65,9 @@ def test_rotation_number_monotone_in_energy(golden, amo):
 
 def test_rotation_number_agrees_with_counting(golden, amo):
     for E in (-1.54, 0.33, 1.8376):
-        c = schrodinger_cocycle(0.25, amo, E, golden)
-        r1 = rotation_number(c, target_err=1e-7)
-        r2 = rotation_number_counting(c, iterations=1 << 18)
+        A = schrodinger_cocycle(0.25, amo, E)
+        r1 = rotation_number(A, golden, target_err=1e-7)
+        r2 = rotation_number_counting(A, golden, iterations=1 << 18)
         assert r1.value == pytest.approx(r2.value, abs=5e-5)
 
 
@@ -77,22 +77,22 @@ def test_rotation_routes_reject_complex_cocycle(golden, amo, route):
     1e-6 added to one entry of its e^{2 pi i x} coefficient only."""
     tilted = rotation_map()
     tilted.coeffs[2, 0, 1] += 1e-6
-    for c in (schrodinger_cocycle(0.25, amo, 0.33 + 0.1j, golden), Cocycle(golden, tilted)):
+    for A in (schrodinger_cocycle(0.25, amo, 0.33 + 0.1j), tilted):
         with pytest.raises(ValueError, match="real cocycle"):
-            route(c)
+            route(A, golden)
 
 
 def test_conjugate_by_identity(golden, amo):
-    c = schrodinger_cocycle(0.25, amo, 1.0, golden)
-    cc = conjugate(c, FourierMap.identity())
-    assert np.abs(cc.A.trim(1e-14).coeffs - c.A.coeffs).max() < 1e-14
+    A = schrodinger_cocycle(0.25, amo, 1.0)
+    B = conjugate(A, golden, FourierMap.identity())
+    assert np.abs(B.trim(1e-14).coeffs - A.coeffs).max() < 1e-14
 
 
 def test_conjugate_by_constant_rotation_keeps_rho(golden, amo):
-    c = schrodinger_cocycle(0.0, amo, 0.7, golden)
-    r0 = rotation_number(c)
-    cc = conjugate(c, const_rotation(0.2))
-    r1 = rotation_number(cc)
+    A = schrodinger_cocycle(0.0, amo, 0.7)
+    r0 = rotation_number(A, golden)
+    B = conjugate(A, golden, const_rotation(0.2))
+    r1 = rotation_number(B, golden)
     assert r1.value == pytest.approx(r0.value, abs=1e-7)
 
 
@@ -102,10 +102,10 @@ def _circle_residual(x):
 
 
 def test_degree_two_conjugation_shifts_rho(golden, amo):
-    c = schrodinger_cocycle(0.0, amo, 2 * math.cos(2 * math.pi * 0.23), golden)
-    rA = rotation_number(c)
-    cB = conjugate(c, rotation_map())
-    rB = rotation_number(cB)
+    A = schrodinger_cocycle(0.0, amo, 2 * math.cos(2 * math.pi * 0.23))
+    rA = rotation_number(A, golden)
+    B = conjugate(A, golden, rotation_map())
+    rB = rotation_number(B, golden)
     best = min(
         _circle_residual(s1 * 2 * rA.value - s2 * 2 * rB.value - 2 * golden.value)
         for s1 in (1, -1) for s2 in (1, -1)
@@ -142,7 +142,7 @@ def test_near_rotation_linear_response(golden):
     for eps in (1e-2, 1e-3, 1e-4):
         A = mul(const_rotation(theta), matrix_exp(eps * gen))
         dist = float(np.abs(A.sample(512) - const_rotation(theta)(0.0)).max())
-        r = rotation_number(Cocycle(golden, A), target_err=1e-10)
+        r = rotation_number(A, golden, target_err=1e-10)
         devs.append(abs(r.value - theta))
         dists.append(dist)
     slope = np.polyfit(np.log(dists), np.log(devs), 1)[0]
@@ -169,13 +169,13 @@ def plain_directions(steps, start=(1.0, 0.0)):
     return np.array(out, dtype=float)
 
 
-def plain_product(c, k, x):
+def plain_product(A, freq, k, x):
     """Reference: A(x+(k-1)a) ... A(x), one evaluation and one product per
     step, normalized after every step; returns (matrix, log scale)."""
     P = np.broadcast_to(np.eye(2, dtype=complex), np.shape(x) + (2, 2))
     logs = np.zeros(np.shape(x))
     for j in range(k):
-        P = c.A(np.asarray(x) + j * c.alpha) @ P
+        P = A(np.asarray(x) + j * freq.value) @ P
         s = np.linalg.norm(P, axis=(-2, -1))
         P = P / s[..., None, None]
         logs = logs + np.log(s)
@@ -221,11 +221,11 @@ def test_transfer_matches_plain_product(golden, k, batch, seed):
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
     coeffs *= np.array([0.25, 0.5, 1.0, 0.5, 0.25])[:, None, None]
-    c = Cocycle(golden, FourierMap(coeffs))
+    A = FourierMap(coeffs)
     x = rng.uniform(0, 1, 3) if batch else float(rng.uniform(0, 1))
-    steps = c.A(np.add.outer(c.alpha * np.arange(k), x))
+    steps = A(np.add.outer(golden.value * np.arange(k), x))
     M, ls = _propagate(steps, np.broadcast_to(np.eye(2), steps.shape[1:]))
-    ref, ref_ls = plain_product(c, k, x)
+    ref, ref_ls = plain_product(A, golden, k, x)
     assert np.shape(M) == np.shape(ref) and np.shape(ls) == np.shape(ref_ls)
     got = M * np.exp(np.asarray(ls) - ref_ls)[..., None, None]
     assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
@@ -237,8 +237,8 @@ def test_rotation_number_is_nonincreasing_in_energy(golden, amo, e1, u):
     """rho(E1) >= rho(E2) for E1 < E2, up to the bar 3 (err1 + err2) that
     rotation_shift_check uses (AMO, lambda = 0.25, golden mean)."""
     e2 = e1 + 10.0**u
-    r1 = rotation_number(schrodinger_cocycle(0.25, amo, e1, golden), target_err=1e-6)
-    r2 = rotation_number(schrodinger_cocycle(0.25, amo, e2, golden), target_err=1e-6)
+    r1 = rotation_number(schrodinger_cocycle(0.25, amo, e1), golden, target_err=1e-6)
+    r2 = rotation_number(schrodinger_cocycle(0.25, amo, e2), golden, target_err=1e-6)
     assert r1.value >= r2.value - 3.0 * (r1.error + r2.error)
 
 
@@ -435,10 +435,10 @@ def test_rotation_numbers_reject_a_potential_not_real_on_the_axis(golden, delta,
     batched route and both general routes run one check, the coefficient
     bound on Im f against 1e-9 of the values, and give one verdict."""
     f = FourierMap.from_coeff_dict({1: 1.0, -1: 1.0 + delta})
-    c = schrodinger_cocycle(0.25, f, 0.33, golden)
+    A = schrodinger_cocycle(0.25, f, 0.33)
     routes = [lambda: rotation_numbers(0.25, f, golden, [0.33], max_iterations=1024),
-              lambda: rotation_number(c, max_iterations=1024),
-              lambda: rotation_number_counting(c, iterations=1024)]
+              lambda: rotation_number(A, golden, max_iterations=1024),
+              lambda: rotation_number_counting(A, golden, iterations=1024)]
     for route in routes:
         if real:
             route()
@@ -471,7 +471,7 @@ def test_rotation_numbers_match_rotation_number(golden, amo, energies):
     """The batched Schrodinger route agrees with the general cocycle route."""
     batch = rotation_numbers(0.25, amo, golden, energies, target_err=1e-7)
     for E, r in zip(energies, batch):
-        ref = rotation_number(schrodinger_cocycle(0.25, amo, E, golden), target_err=1e-7)
+        ref = rotation_number(schrodinger_cocycle(0.25, amo, E), golden, target_err=1e-7)
         assert abs(r.value - ref.value) <= 1e-13
         assert (r.iterations, r.flagged) == (ref.iterations, ref.flagged)
 
@@ -482,24 +482,24 @@ def test_extended_orbit_matches_fixed_length_run(golden, amo, monkeypatch):
     r, = rotation_numbers(0.25, amo, golden, [1.9582425], target_err=1e-8)
     assert r.iterations == 1 << 20 and not r.flagged
     monkeypatch.setattr(cocycle, "ROTATION_START_ITERATIONS", 1 << 20)
-    fixed = rotation_number(schrodinger_cocycle(0.25, amo, 1.9582425, golden))
+    fixed = rotation_number(schrodinger_cocycle(0.25, amo, 1.9582425), golden)
     assert abs(r.value - fixed.value) <= 1e-13
 
 
 def test_rotation_number_needs_two_steps(golden, amo):
-    c = schrodinger_cocycle(0.25, amo, 0.33, golden)
+    A = schrodinger_cocycle(0.25, amo, 0.33)
     with pytest.raises(ValueError, match="at least 2"):
-        rotation_number(c, max_iterations=1)
+        rotation_number(A, golden, max_iterations=1)
     with pytest.raises(ValueError, match="at least 2"):
         rotation_numbers(0.25, amo, golden, [0.33], max_iterations=1)
     for n in (0, 1):
         with pytest.raises(ValueError, match="at least 2"):
-            rotation_number_counting(c, iterations=n)
+            rotation_number_counting(A, golden, iterations=n)
 
 
 def test_first_orbit_respects_max_iterations(golden, amo):
-    c = schrodinger_cocycle(0.25, amo, 1.9582425, golden)
-    r = rotation_number(c, target_err=1e-12, max_iterations=1024)
+    A = schrodinger_cocycle(0.25, amo, 1.9582425)
+    r = rotation_number(A, golden, target_err=1e-12, max_iterations=1024)
     assert r.iterations == 1024 and r.flagged
 
 

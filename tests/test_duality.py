@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qpgaps import duality as du
 from qpgaps import spectrum as sp
-from qpgaps.cocycle import Cocycle, rotation_number, schrodinger_cocycle
+from qpgaps.cocycle import rotation_number, schrodinger_cocycle
 from qpgaps.errors import BlochError
 from qpgaps.fourier import FourierMap
 
@@ -142,7 +142,7 @@ def test_assemble_wave_rejects_a_sign_against_the_parity(golden, amo, monkeypatc
 
     def negated(lam, f, energy):
         # -A keeps the half-period relation exact and flips the measured sign
-        return Cocycle(0.0, -1.0 * schrodinger_cocycle(lam, f, energy).A)
+        return -1.0 * schrodinger_cocycle(lam, f, energy)
 
     monkeypatch.setattr(du, "schrodinger_cocycle", negated)
     with pytest.raises(BlochError, match="disagrees"):
@@ -153,7 +153,7 @@ def test_real_imag_split_satisfies_relation(golden, amo, upper_edge):
     sol = upper_edge(_gap_144(amo), (89, 144))
     du.snap_to_resonance(sol, 0.25, amo, golden)
     wave = du.assemble_wave(sol, 0.25, amo, golden)
-    A = schrodinger_cocycle(0.25, amo, sol.energy).A
+    A = schrodinger_cocycle(0.25, amo, sol.energy)
     xs = np.arange(512) / 512.0
     for part in (wave.U_hat.real_part(), wave.U_hat.imag_part()):
         lhs = np.einsum("nij,nj->ni", A(xs).real, part(xs).real)
@@ -166,7 +166,7 @@ def test_dual_ids_matches_direct_rotation_number(golden, amo):
     lam = 0.25
     for E in (-1.2, 0.4):
         n_dual = dual_ids(lam, amo, golden, E, trunc=96, theta_samples=24)
-        r = rotation_number(schrodinger_cocycle(lam, amo, E, golden), target_err=1e-6)
+        r = rotation_number(schrodinger_cocycle(lam, amo, E), golden, target_err=1e-6)
         n_direct = 1.0 - 2.0 * r.value
         assert n_dual == pytest.approx(n_direct, abs=2.0 / 193 + 0.02)
 
@@ -341,6 +341,23 @@ def test_snap_needs_a_resonance(golden, amo):
                            trunc=0)
     assert sol.n_tilde is None
     with pytest.raises(BlochError, match="no resonance"):
+        du.snap_to_resonance(sol, 0.25, amo, golden)
+
+
+def test_snap_raises_when_the_eigenvalue_left_the_pair(golden, amo, monkeypatch):
+    """The snap follows the searched pair within `_refine`'s windows: with
+    every dual eigenvalue reported 1e-4 above its true value, the nearest
+    one is another eigenpair, and the snap raises instead of returning it."""
+    interior_eigs = du._interior_eigs
+
+    def shifted(lam, f, freq, theta, trunc, e_lo, e_hi):
+        w, v = interior_eigs(lam, f, freq, theta, trunc, e_lo - 1e-4, e_hi - 1e-4)
+        return w + 1e-4, v
+
+    gap, pq = _gap_233(golden, amo, 1)
+    sol = du.find_bloch_resonant(0.25, amo, golden, gap, 1, pq, "upper", 128)
+    monkeypatch.setattr(du, "_interior_eigs", shifted)
+    with pytest.raises(BlochError, match="no interior dual eigenvalue within 1.0e-06"):
         du.snap_to_resonance(sol, 0.25, amo, golden)
 
 

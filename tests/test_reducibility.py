@@ -401,7 +401,7 @@ def test_mu_iterate_matches_the_general_stack_reference(m, golden, amo, upper_ed
     dossier's m = 1 and m = 7 upper edges (q_target 250)."""
     sol, wave = _edge_wave(m, golden, amo, upper_edge)
     reduction = red.reduce_at_edge(sol.energy, wave, golden, 0.25, amo)
-    A = schrodinger_cocycle(0.25, amo, sol.energy).A
+    A = schrodinger_cocycle(0.25, amo, sol.energy)
     ref = mu_iterate_reference(reduction.R, A, golden.value, reduction.parabolic.sign)
     assert reduction.mu_iterate == pytest.approx(ref, rel=1e-11, abs=0.0)
 
@@ -415,7 +415,7 @@ def test_reduction_products_are_the_full_matrix_products(m, golden, amo, upper_e
     sol, wave = _edge_wave(m, golden, amo, upper_edge)
     R1 = red.build_frame(red.select_frame_vector(wave.U_hat.real_part(),
                                                  wave.U_hat.imag_part(), wave.n_tilde))
-    A = schrodinger_cocycle(0.25, amo, sol.energy).A
+    A = schrodinger_cocycle(0.25, amo, sol.energy)
     nu = red._conjugated_corner(R1, A, golden.value)
     assert np.array_equal(nu.coeffs, conjugated_reference(R1, A, golden.value).coeffs[:, 0, 1])
     nu = nu.collapse1(tol=1e-7).real_part().trim(1e-16)

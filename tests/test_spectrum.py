@@ -219,7 +219,7 @@ def test_rho_locked_to_label_inside_gap(golden, amo, low_gaps_233, label, u):
     interior points of the approximant gap can lie in the true spectrum.
     """
     r = low_gaps_233[label]
-    rr = rotation_number(schrodinger_cocycle(0.25, amo, r.e_minus + u * r.width, golden),
+    rr = rotation_number(schrodinger_cocycle(0.25, amo, r.e_minus + u * r.width), golden,
                          target_err=1e-8)
     assert ar.norm_dist(2.0 * rr.value - (label * golden.value) % 1.0) <= 1e-9
 
