@@ -32,7 +32,7 @@ def content_hash(obj):
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:24]
 
 
-def band_structure_key(lam, f, pq, theta_samples, e_resolution):
+def band_structure_key(lam, f, pq, theta_samples):
     return content_hash({
         "kind": "band_structure",
         "version": __version__,
@@ -41,7 +41,6 @@ def band_structure_key(lam, f, pq, theta_samples, e_resolution):
         "potential": f.to_text(),
         "p": pq[0], "q": pq[1],
         "theta_samples": theta_samples,
-        "e_resolution": float(e_resolution),
     })
 
 

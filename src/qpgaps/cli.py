@@ -139,14 +139,13 @@ def _json_out(payload, config_hash, config=None):
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def _band_structure_cached(lam, f, pq, theta_samples, e_resolution, cache_dir):
+def _band_structure_cached(lam, f, pq, theta_samples, cache_dir):
     if cache_dir:
-        key = cache.band_structure_key(lam, f, pq, theta_samples, e_resolution)
+        key = cache.band_structure_key(lam, f, pq, theta_samples)
         hit = cache.load_band_structure(cache_dir, key)
         if hit is not None:
             return hit
-    bs = spectrum.band_structure(lam, f, pq, theta_samples=theta_samples,
-                                 e_resolution=e_resolution)
+    bs = spectrum.band_structure(lam, f, pq, theta_samples=theta_samples)
     if cache_dir:
         cache.store_band_structure(cache_dir, key, bs)
     return bs
@@ -181,8 +180,7 @@ def _common_setup(args):
 def cmd_spectrum(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
     pq = freq.largest_convergent(opts["q"])
-    bs = _band_structure_cached(opts["lam"], f, pq, opts["theta_samples"], 1e-12,
-                                args.cache_dir)
+    bs = _band_structure_cached(opts["lam"], f, pq, opts["theta_samples"], args.cache_dir)
     out = os.path.join(opts["out"], "bands.csv")
     _write(out, _stamp(h) + spectrum.bands_to_csv(bs))
     if args.emit_plot_data:
@@ -195,8 +193,7 @@ def cmd_spectrum(args):
 def cmd_gaps(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
     pq = freq.largest_convergent(opts["q"])
-    bs = _band_structure_cached(opts["lam"], f, pq, opts["theta_samples"], 1e-12,
-                                args.cache_dir)
+    bs = _band_structure_cached(opts["lam"], f, pq, opts["theta_samples"], args.cache_dir)
     records = spectrum.label_gaps(bs, freq)
     if args.precision == "extended":
         records = [
@@ -274,10 +271,7 @@ def cmd_dual(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
     if args.energy is None or not math.isfinite(args.energy):
         raise ConfigError(f"dual needs a finite --energy, got {args.energy}")
-    if args.trunc < duality.EDGE_MARGIN:
-        # below the margin no site is far enough from the boundary to count
-        raise ConfigError(f"--trunc must be at least {duality.EDGE_MARGIN}, got {args.trunc}")
-    sol = duality.find_bloch(opts["lam"], f, freq, args.energy, trunc=args.trunc)
+    sol = duality.find_bloch(opts["lam"], f, freq, args.energy)
     duality.detect_resonance(sol, freq)
     _write(os.path.join(opts["out"], "bloch.json"), _json_out(sol.to_dict(), h, run_cfg))
     print(f"wrote bloch.json (E={sol.energy!r}, theta={sol.theta!r}, "
@@ -364,7 +358,6 @@ def build_parser():
                                        action="store_true",
                                        help="drive the double averaging step at eps_m")
     sub.choices["dual"].add_argument("--energy", type=float, default=None)
-    sub.choices["dual"].add_argument("--trunc", type=int, default=duality.DUAL_START_N)
 
     sp = sub.add_parser("beta")
     sp.add_argument("--alpha", type=str, default=None)

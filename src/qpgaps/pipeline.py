@@ -23,7 +23,6 @@ from .errors import ConfigError, QPGapsError, StageError
 
 WIDTH_STABLE_REL = 0.10
 WIDTH_STABLE_ABS = 1e-13
-STRIP_DELTA = 0.05               # strip half-width for the averaging steps
 
 
 @dataclass
@@ -158,7 +157,7 @@ def analyze_gap(lam, f, freq, m, config=None):
     if cfg.run_averaging:
         try:
             dossier.rotation_form = _stage(
-                "averaging", rotation_form_at_edge, red, pert, eps_m, freq, STRIP_DELTA)
+                "averaging", rotation_form_at_edge, red, pert, eps_m, freq)
         except StageError as exc:
             # inadmissible step size (|eps_m| too large at small labels) is an
             # expected outcome, recorded rather than fatal
@@ -179,7 +178,7 @@ def analyze_gap(lam, f, freq, m, config=None):
     return dossier
 
 
-def rotation_form_at_edge(reduction, pert, eps_m, freq, delta):
+def rotation_form_at_edge(reduction, pert, eps_m, freq):
     """Drive the double averaging step at the certified energy step and
     normalize the constant part to the rotation form.
 
@@ -190,7 +189,7 @@ def rotation_form_at_edge(reduction, pert, eps_m, freq, delta):
     prediction sqrt(det)/(2 pi); `analyze_gap` fills in the measured
     rotation-number shift at E + eps_m.
     """
-    ds = reducibility.double_step(reduction.parabolic, pert, eps_m, freq, delta)
+    ds = reducibility.double_step(reduction.parabolic, pert, eps_m, freq)
     D = reducibility.rotation_form_generator(reduction.parabolic, ds.const_final)
     # a lower-edge step (eps_m > 0) crosses the gap upward, so its generator
     # turns the other way: the mirror -D is the one in rotation orientation

@@ -27,6 +27,7 @@ MU_COLLAPSE_TOL = 1e-12
 FINE_GRID = 4096       # homological, frame and off-normal checks; frame averages
 CHECK_GRID = 2048      # averaging and perturbation identities
 SHIFT_MAX_ITERATIONS = 1 << 16   # orbit cap of the shift check and of a dossier's rho(E + eps_m)
+STRIP_DELTA = 0.05     # strip half-width of the first averaging step
 
 
 @dataclass(frozen=True)
@@ -217,10 +218,11 @@ def _average(parabolic, const, pert, eps, order, freq, delta):
                          step_map=R_step, report=report)
 
 
-def averaging_step(parabolic, pert, eps, freq, delta):
-    """One quadratic averaging step for the cocycle P + eps * pert(x):
-    result = (P + eps [pert]) + eps^2 * pert_next(x) (see _average)."""
-    return _average(parabolic, parabolic.matrix, pert, eps, 2, freq, delta)
+def averaging_step(parabolic, pert, eps, freq):
+    """One quadratic averaging step for the cocycle P + eps * pert(x), on the
+    strip STRIP_DELTA: result = (P + eps [pert]) + eps^2 * pert_next(x)
+    (see _average)."""
+    return _average(parabolic, parabolic.matrix, pert, eps, 2, freq, STRIP_DELTA)
 
 
 @dataclass(frozen=True)
@@ -231,15 +233,15 @@ class DoubleStep:
     reports: tuple
 
 
-def double_step(parabolic, pert, eps, freq, delta):
-    """Two averaging steps: first on the strip delta, second on the axis.
+def double_step(parabolic, pert, eps, freq):
+    """Two averaging steps: first on the strip STRIP_DELTA, second on the axis.
 
     After step one the constant part is no longer parabolic; the second
     homological solve still uses the original parabolic matrix, which leaves
     an extra third-order contribution that the remainder absorbs:
     result = const_final + eps^3 * pert_final(x).
     """
-    s1 = averaging_step(parabolic, pert, eps, freq, delta)
+    s1 = averaging_step(parabolic, pert, eps, freq)
     s2 = _average(parabolic, s1.const_next, s1.pert_next, eps, 3, freq, 0.0)
     composite = matmul(s1.step_map, s2.step_map).trim(1e-18)
     return DoubleStep(const_final=s2.const_next, pert_final=s2.pert_next,

@@ -49,7 +49,8 @@ WIDTH_FLOOR = 1e-12          # double-precision floor for trustworthy widths
 RHO_SKIP_WIDTH = 1e-10       # gaps thinner than this skip the rotation check
 RHO_TOL = 1e-4               # label_gaps' bound on |2 rho - m alpha| (mod 1)
 EXTENDED_DPS = 50            # decimal digits of refine_gap_extended
-# names how band_structure builds a union, for the cache keys of its results
+# names how band_structure builds a union, for the cache keys of its results;
+# the keys do not hash MERGE_TOL, so a new MERGE_TOL needs a new name here
 UNION_METHOD = "band limit <= 1: two mirror-split Chambers problems; else a doubling phase grid"
 
 

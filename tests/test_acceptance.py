@@ -182,9 +182,9 @@ def test_criterion_04_averaging_law(golden):
     step_resid, double_resid = {}, {}
     degs = []
     for eps in (1e-2, 1e-3):
-        st = red.averaging_step(P, pert, eps, golden, 0.05)
+        st = red.averaging_step(P, pert, eps, golden)
         step_resid[eps] = eps**2 * st.report.norm_pert_next
-        d = red.double_step(P, pert, eps, golden, 0.05)
+        d = red.double_step(P, pert, eps, golden)
         double_resid[eps] = eps**3 * d.reports[1].norm_pert_next
         degs.append(degree_of(d.composite_map))
     r1 = step_resid[1e-2] / step_resid[1e-3]

@@ -1,7 +1,7 @@
-"""The benchmark's dossier and labeling operations reproduce
+"""The benchmark's dossier, labeling and cli operations reproduce
 bench/reference.json, so a change that moves a checked dossier, gap label,
-gap width or campaign output fails here as well as in the benchmark's own
-output check."""
+gap width, campaign output or CLI output file fails here as well as in the
+benchmark's own output check."""
 
 import importlib.util
 import json
@@ -47,14 +47,33 @@ def test_labeling_workload_matches_the_reference(reference):
     assert problems == []
 
 
-@pytest.mark.parametrize("name", ["dual", "reduce"])
-def test_cli_workload_outputs_match_the_reference(name, reference, tmp_path):
-    """The cli workload's `dual` and `reduce` commands, run in process, write
-    the files bench/reference.json holds, as its own check reads them."""
-    argv = dict(workloads.CLI_COMMANDS)[name]
-    got = {"rc": cli.main(argv + ["--out", str(tmp_path)]),
-           "files": workloads.read_outputs(str(tmp_path))}
-    assert workloads.check_cli(name, reference["cli"][name], got) == []
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory):
+    """{name: exit code and files} of the cli workload's commands, run in
+    process and in bench order in one working directory, so that the cache
+    `gaps_cold` writes is the one `gaps_warm`, `spectrum_warm` and
+    `cache_verify` read.  Each command but `cache` writes to out_<name>, as
+    the bench worker runs them."""
+    got = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path_factory.mktemp("cli"))
+        for name, argv in workloads.CLI_COMMANDS:
+            out_dir = f"out_{name}"
+            argv = argv if argv[0] == "cache" else argv + ["--out", out_dir]
+            got[name] = {"rc": cli.main(argv), "files": workloads.read_outputs(out_dir)}
+    return got
+
+
+@pytest.mark.parametrize("name", [name for name, _ in workloads.CLI_COMMANDS])
+def test_cli_workload_outputs_match_the_reference(name, reference, cli_outputs):
+    """Each cli workload command writes the files bench/reference.json holds,
+    as its own check reads them."""
+    assert workloads.check_cli(name, reference["cli"][name], cli_outputs[name]) == []
+
+
+def test_cli_workload_decay_does_not_depend_on_jobs(cli_outputs):
+    decay = [cli_outputs[name]["files"]["decay.json"] for name in ("decay_jobs1", "decay_jobs2")]
+    assert decay[0] == decay[1]
 
 
 def test_trace_harness_installs():

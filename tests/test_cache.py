@@ -132,6 +132,6 @@ def test_an_entry_keyed_without_the_union_method_is_not_served(tmp_path):
                           theta_grid=8)
     cache.store_band_structure(str(tmp_path), old_key, stale)
     assert cache.load_band_structure(str(tmp_path), old_key, strict=True).bands == stale.bands
-    assert cache.band_structure_key(0.25, f, (8, 13), None, 1e-12) != old_key
-    got = _band_structure_cached(0.25, f, (8, 13), None, 1e-12, str(tmp_path))
+    assert cache.band_structure_key(0.25, f, (8, 13), None) != old_key
+    got = _band_structure_cached(0.25, f, (8, 13), None, str(tmp_path))
     assert got.bands == spectrum.band_structure(0.25, f, (8, 13)).bands

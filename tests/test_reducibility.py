@@ -190,8 +190,7 @@ def test_vectorized_solves_match_per_mode_loop(golden, sign, mu):
 
 def test_averaging_step_zero_pert(golden):
     P = red.ParabolicForm(1, 0.1)
-    st = red.averaging_step(P, FourierMap(np.zeros((5, 2, 2), dtype=complex)), 1e-2, golden,
-                            0.05)
+    st = red.averaging_step(P, FourierMap(np.zeros((5, 2, 2), dtype=complex)), 1e-2, golden)
     assert st.report.norm_step_minus_id == 0.0
     assert np.allclose(st.const_next, P.matrix)
     assert st.report.norm_pert_next == 0.0
@@ -201,7 +200,7 @@ def test_averaging_step_constant_pert_is_exact(golden):
     P = red.ParabolicForm(1, 0.1)
     pert = FourierMap.constant(np.array([[0.3, -0.2], [0.1, -0.3]]))
     eps = 1e-2
-    st = red.averaging_step(P, pert, eps, golden, 0.05)
+    st = red.averaging_step(P, pert, eps, golden)
     assert st.report.norm_step_minus_id == 0.0        # k = 0 mode gives Y = 0
     assert np.allclose(st.const_next, P.matrix + eps * pert(0.0).real)
     assert st.report.norm_pert_next < 1e-14
@@ -213,7 +212,7 @@ def test_averaging_step_eps_squared_law(golden):
     P = red.ParabolicForm(1, 0.1)
     resid = {}
     for eps in (1e-2, 1e-3):
-        st = red.averaging_step(P, pert, eps, golden, 0.05)
+        st = red.averaging_step(P, pert, eps, golden)
         resid[eps] = eps**2 * st.report.norm_pert_next
     ratio = resid[1e-2] / resid[1e-3]
     assert 50.0 <= ratio <= 200.0
@@ -225,7 +224,7 @@ def test_double_step_eps_cubed_law(golden):
     P = red.ParabolicForm(1, 0.1)
     resid = {}
     for eps in (1e-2, 1e-3):
-        d = red.double_step(P, pert, eps, golden, 0.05)
+        d = red.double_step(P, pert, eps, golden)
         resid[eps] = eps**3 * d.reports[1].norm_pert_next
     ratio = resid[1e-2] / resid[1e-3]
     assert 300.0 <= ratio <= 3000.0
@@ -240,8 +239,8 @@ def test_double_step_second_report_has_its_own_divisor_min(golden):
     pert = FourierMap(0.3 * 0.5 * (c + c[::-1].conj()))
     P = red.ParabolicForm(1, 0.1)
     eps = 1e-3
-    d = red.double_step(P, pert, eps, golden, 0.05)
-    s1 = red.averaging_step(P, pert, eps, golden, 0.05)
+    d = red.double_step(P, pert, eps, golden)
+    s1 = red.averaging_step(P, pert, eps, golden)
     Y2 = red.solve_homological_parabolic(s1.pert_next.trim(1e-13), P, golden).trim(1e-13)
     ks = np.arange(1, Y2.band_limit + 1)
     expected = np.abs(np.exp(2j * math.pi * ks * golden.value) - 1.0).min()
@@ -253,7 +252,7 @@ def test_double_step_degree_preserved(golden):
     rng = np.random.default_rng(8)
     pert = random_real_matrix(rng, 6, scale=0.3)
     P = red.ParabolicForm(1, 0.1)
-    d = red.double_step(P, pert, 1e-3, golden, 0.05)
+    d = red.double_step(P, pert, 1e-3, golden)
     assert degree_of(d.composite_map) == 0
 
 
@@ -269,7 +268,7 @@ def test_averaging_step_admissibility_gate(golden):
     rng = np.random.default_rng(2)
     pert = random_real_matrix(rng, 6, scale=50.0)
     with pytest.raises(ArithmeticError):
-        red.averaging_step(red.ParabolicForm(1, 0.1), pert, 0.5, golden, 0.05)
+        red.averaging_step(red.ParabolicForm(1, 0.1), pert, 0.5, golden)
 
 
 def test_first_order_log_term_matches_finite_difference(golden, amo, upper_edge):
@@ -283,7 +282,7 @@ def test_first_order_log_term_matches_finite_difference(golden, amo, upper_edge)
     h = 1e-3
     Ls = {}
     for e in (h, -h):
-        d = red.double_step(P, pert, e, golden, 0.05)
+        d = red.double_step(P, pert, e, golden)
         Ls[e] = red._log_2x2((P.sign * d.const_final)[None, :, :])[0]
     fd = (Ls[h] - Ls[-h]) / (2 * h)
     assert np.abs(fd - closed).max() < 1e-6
