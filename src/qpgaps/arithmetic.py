@@ -66,9 +66,9 @@ class Frequency:
             raise ConfigError(f"no convergent with q <= {k_max}")
         return fitting[-1]
 
-    def to_record(self, beta=None):
-        b = "nan" if beta is None else repr(float(beta))
-        return f"{float(self.value).hex()}, {b}, " + " ".join(str(a) for a in self.cf)
+    def to_record(self, beta):
+        return (f"{float(self.value).hex()}, {float(beta)!r}, "
+                + " ".join(str(a) for a in self.cf))
 
 
 def _convergents_from_cf(quotients):

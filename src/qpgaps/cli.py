@@ -3,8 +3,9 @@
 Configuration comes from an optional `key = value` file plus flags (flags
 win).  Every output file embeds the config hash and the tool version, and
 identical configs reproduce byte-identical outputs at any worker count.
-Exit codes: 0 success, 2 config error, 3 numerical-stage error (stage named
-on stderr), 4 cache corruption.
+Exit codes: 0 success, 2 config error, 3 numerical failure (each one is a
+StageError from `pipeline.stage`, and stderr names its stage), 4 cache
+corruption.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ def _band_structure_cached(lam, f, pq, theta_samples, cache_dir):
         hit = cache.load_band_structure(cache_dir, key)
         if hit is not None:
             return hit
-    bs = spectrum.band_structure(lam, f, pq, theta_samples=theta_samples)
+    bs = pipeline.stage("spectrum", spectrum.band_structure, lam, f, pq,
+                        theta_samples=theta_samples)
     if cache_dir:
         cache.store_band_structure(cache_dir, key, bs)
     return bs
@@ -194,10 +196,11 @@ def cmd_gaps(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
     pq = freq.largest_convergent(opts["q"])
     bs = _band_structure_cached(opts["lam"], f, pq, opts["theta_samples"], args.cache_dir)
-    records = spectrum.label_gaps(bs, freq)
+    records = pipeline.stage("label", spectrum.label_gaps, bs, freq)
     if args.precision == "extended":
         records = [
-            spectrum.refine_gap_extended(bs, r) if 0.0 < r.width < 1e-8 else r
+            pipeline.stage("extended", spectrum.refine_gap_extended, bs, r)
+            if 0.0 < r.width < 1e-8 else r
             for r in records
         ]
     _write(os.path.join(opts["out"], "gaps.csv"), _stamp(h) + spectrum.gaps_to_csv(records))
@@ -271,8 +274,8 @@ def cmd_dual(args):
     opts, freq, f, h, run_cfg = _common_setup(args)
     if args.energy is None or not math.isfinite(args.energy):
         raise ConfigError(f"dual needs a finite --energy, got {args.energy}")
-    sol = duality.find_bloch(opts["lam"], f, freq, args.energy)
-    duality.detect_resonance(sol, freq)
+    sol = pipeline.stage("bloch", duality.find_bloch, opts["lam"], f, freq, args.energy)
+    pipeline.stage("resonance", duality.detect_resonance, sol, freq)
     _write(os.path.join(opts["out"], "bloch.json"), _json_out(sol.to_dict(), h, run_cfg))
     print(f"wrote bloch.json (E={sol.energy!r}, theta={sol.theta!r}, "
           f"n_tilde={sol.n_tilde})")
@@ -285,7 +288,7 @@ def cmd_beta(args):
     if opts["kmax"] < 1:
         raise ConfigError(f"kmax must be positive, got {opts['kmax']}")
     freq = resolve_frequency(opts["alpha"])
-    est = estimate_beta(freq, opts["kmax"])
+    est = pipeline.stage("beta", estimate_beta, freq, opts["kmax"])
     h = cache.content_hash({"command": "beta", "alpha": opts["alpha"], "kmax": opts["kmax"]})
     payload = {
         "alpha": freq.value,
@@ -387,9 +390,6 @@ def main(argv=None):
     except CacheCorruptionError as exc:
         print(f"cache corruption: {exc}", file=sys.stderr)
         return 4
-    except QPGapsError as exc:
-        print(f"numerical-stage error [unspecified]: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -4,6 +4,11 @@
 class QPGapsError(Exception):
     """Base class for all package errors."""
 
+    def __reduce__(self):
+        # rebuild without __init__ (args holds the message, not its
+        # parameters), so an error raised in a worker reaches the parent whole
+        return Exception.__new__, (type(self), *self.args), self.__dict__
+
 
 class RationalAlphaError(QPGapsError):
     """Continued-fraction expansion hit a rational number (quotient overflow)."""
@@ -12,7 +17,7 @@ class RationalAlphaError(QPGapsError):
 class StripDomainError(QPGapsError):
     """Evaluation requested outside the reliable analytic strip of a map."""
 
-    def __init__(self, message, tail_bound=None):
+    def __init__(self, message, tail_bound):
         super().__init__(message)
         self.tail_bound = tail_bound
 
@@ -20,15 +25,13 @@ class StripDomainError(QPGapsError):
 class SmallDivisorError(QPGapsError):
     """A needed divisor e^{2 pi i k alpha} - 1 fell below the configured cutoff."""
 
-    def __init__(self, k, divisor, cutoff, entry=None):
+    def __init__(self, k, divisor, cutoff, entry):
         self.k = k
         self.divisor = divisor
         self.cutoff = cutoff
         self.entry = entry
-        where = f" in entry {entry}" if entry else ""
-        super().__init__(
-            f"small-divisor breach at k={k}{where}: |e^(2 pi i k alpha)-1|={divisor:.3e} < {cutoff:.3e}"
-        )
+        super().__init__(f"small-divisor breach at k={k} in entry {entry}: "
+                         f"|e^(2 pi i k alpha)-1|={divisor:.3e} < {cutoff:.3e}")
 
 
 class DegreeError(QPGapsError):

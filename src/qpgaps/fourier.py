@@ -266,7 +266,7 @@ class FourierMap:
         c0 = self.coeff(0)
         return c0 if self.value_shape else complex(c0)
 
-    def trim(self, tol=1e-17):
+    def trim(self, tol):
         """Keep the widest band whose outer pair is not both <= tol * peak
         (a relative tol; a NaN stops the trim)."""
         mags = self.magnitudes()

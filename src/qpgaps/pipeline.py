@@ -71,7 +71,7 @@ class GapDossier:
         return d
 
 
-def _stage(name, fn, *args, **kwargs):
+def stage(name, fn, *args, **kwargs):
     """fn(*args, **kwargs), with a numerical breakdown (a package error, an
     ArithmeticError, or a ValueError, numpy's LinAlgError included) raised as
     StageError(name); anything else, a programming error, passes unwrapped."""
@@ -81,16 +81,15 @@ def _stage(name, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def analyze_gap(lam, f, freq, m, config=None):
+def analyze_gap(lam, f, freq, m, config):
     """Full dossier for the gap with label m at the configured convergent.
     ConfigError when no convergent has q <= q_target."""
-    cfg = config or PipelineConfig()
-    if cfg.edge not in ("upper", "lower"):
-        raise ValueError(f"edge must be 'upper' or 'lower', got {cfg.edge!r}")
-    pq = freq.largest_convergent(cfg.q_target)
-    bs = _stage("spectrum", spectrum.band_structure, lam, f, pq,
-                theta_samples=cfg.theta_samples)
-    matches = [r for r in _stage("label", bs.gaps) if r.label == m]
+    if config.edge not in ("upper", "lower"):
+        raise ValueError(f"edge must be 'upper' or 'lower', got {config.edge!r}")
+    pq = freq.largest_convergent(config.q_target)
+    bs = stage("spectrum", spectrum.band_structure, lam, f, pq,
+                theta_samples=config.theta_samples)
+    matches = [r for r in stage("label", bs.gaps) if r.label == m]
     if not matches:
         raise StageError("label", ValueError(f"no gap with label {m} at q={pq[1]}"))
     rec = matches[0]
@@ -100,9 +99,9 @@ def analyze_gap(lam, f, freq, m, config=None):
     )
     flags = []
 
-    sol = _stage("bloch", duality.find_bloch_resonant, lam, f, freq, (rec.e_minus, rec.e_plus),
-                 m, pq, cfg.edge, duality.DUAL_START_N)
-    _stage("bloch", duality.snap_to_resonance, sol, lam, f, freq)
+    sol = stage("bloch", duality.find_bloch_resonant, lam, f, freq, (rec.e_minus, rec.e_plus),
+                 m, pq, config.edge, duality.DUAL_START_N)
+    stage("bloch", duality.snap_to_resonance, sol, lam, f, freq)
     dossier.edge_energy = sol.energy
     dossier.theta = sol.theta
     dossier.n_tilde = sol.n_tilde
@@ -114,17 +113,17 @@ def analyze_gap(lam, f, freq, m, config=None):
         # the wave belongs to another gap's resonance
         flags.append("resonance-label-mismatch")
 
-    wave = _stage("wave", duality.assemble_wave, sol, lam, f, freq)
+    wave = stage("wave", duality.assemble_wave, sol, lam, f, freq)
     dossier.wave_residual = wave.residual
 
-    red = _stage("reduce", reducibility.reduce_at_edge, sol.energy, wave, freq, lam, f)
+    red = stage("reduce", reducibility.reduce_at_edge, sol.energy, wave, freq, lam, f)
     dossier.sign = red.parabolic.sign
     dossier.mu = red.parabolic.mu
     dossier.mu_iterate = red.mu_iterate
     dossier.off_normal_residual = red.off_normal_residual
     dossier.degree = red.degree
     mu_eff = red.parabolic.sign * red.parabolic.mu
-    pattern_ok = red.parabolic.collapsed or (mu_eff < 0 if cfg.edge == "lower" else mu_eff > 0)
+    pattern_ok = red.parabolic.collapsed or (mu_eff < 0 if config.edge == "lower" else mu_eff > 0)
     if not pattern_ok:
         flags.append("edge-sign-pattern")
 
@@ -134,18 +133,18 @@ def analyze_gap(lam, f, freq, m, config=None):
         dossier.flags = tuple(flags)
         return dossier
 
-    ident = _stage("identities", reducibility.average_identities, red, freq)
+    ident = stage("identities", reducibility.average_identities, red, freq)
     dossier.averages = ident.averages
     dossier.identity_devs = (ident.shift_dev_21, ident.shift_dev_22, ident.wronskian_dev)
     dossier.gram_det = ident.gram_det
     dossier.lower_bound_ok = ident.lower_bound_ok
 
-    pert = _stage("perturbation", reducibility.perturbation_matrix, red, lam, f,
+    pert = stage("perturbation", reducibility.perturbation_matrix, red, lam, f,
                   sol.energy, freq)
 
     # the step self-orients: mu_eff > 0 at an upper edge gives eps < 0, and the
     # mirrored pattern at a lower edge gives eps > 0
-    eps_m = _stage("epsilon", reducibility.gap_edge_epsilon, ident.averages, red.parabolic)
+    eps_m = stage("epsilon", reducibility.gap_edge_epsilon, ident.averages, red.parabolic)
     dossier.epsilon_m = eps_m
     dossier.width_bounded = dossier.width <= abs(eps_m)
     dossier.width_slack = abs(eps_m) - dossier.width
@@ -154,9 +153,9 @@ def analyze_gap(lam, f, freq, m, config=None):
     # beyond that edge's residual bound: spectral data, no orbit needed
     dossier.shift_differs = sol.partner.crossing_margin(sol.energy, eps_m) > 0.0
 
-    if cfg.run_averaging:
+    if config.run_averaging:
         try:
-            dossier.rotation_form = _stage(
+            dossier.rotation_form = stage(
                 "averaging", rotation_form_at_edge, red, pert, eps_m, freq)
         except StageError as exc:
             # inadmissible step size (|eps_m| too large at small labels) is an
@@ -169,7 +168,7 @@ def analyze_gap(lam, f, freq, m, config=None):
     # 2 rho = m alpha (mod 1) (`spectrum._label_from_ids`); only E + eps_m takes an orbit
     cap = (cocycle.ROTATION_MAX_ITERATIONS if dossier.rotation_form is not None
            else reducibility.SHIFT_MAX_ITERATIONS)
-    (shifted,) = _stage("shift", cocycle.rotation_numbers, lam, f, freq, [sol.energy + eps_m],
+    (shifted,) = stage("shift", cocycle.rotation_numbers, lam, f, freq, [sol.energy + eps_m],
                         max_iterations=cap)
     dossier.rho_edge, dossier.rho_shifted = (m * freq.value) % 1.0 / 2.0, shifted.value
     if dossier.rotation_form is not None:
@@ -243,7 +242,7 @@ def _decay_convergent_worker(payload):
     return spectrum.band_structure(lam, f, tuple(pq), theta_samples=theta_samples).gaps()
 
 
-def decay_campaign(lam, f, freq, m_values, config=None, jobs=1):
+def decay_campaign(lam, f, freq, m_values, config, jobs=1):
     """Gap widths per label across convergents, with the exponential fit.
 
     The convergents used are the last four, at most, with 2 max|m| + 2 <=
@@ -254,25 +253,25 @@ def decay_campaign(lam, f, freq, m_values, config=None, jobs=1):
     per-convergent work over processes; results are merged in convergent
     order, so the output does not depend on the worker count.
     """
-    cfg = config or PipelineConfig()
     m_set = sorted({abs(int(m)) for m in m_values if m != 0})
     if not m_set:
         raise ConfigError("decay campaign needs at least one nonzero label")
     pqs = [pq for pq in freq.convergents
-           if 2 * max(m_set) + 2 <= pq[1] <= cfg.q_target]
+           if 2 * max(m_set) + 2 <= pq[1] <= config.q_target]
     if len(pqs) < 2:
         raise ConfigError(f"need at least 2 usable convergents with "
-                          f"{2 * max(m_set) + 2} <= q <= {cfg.q_target}, have {len(pqs)}")
+                          f"{2 * max(m_set) + 2} <= q <= {config.q_target}, have {len(pqs)}")
     pqs = pqs[-4:]
 
-    payloads = [(lam, f, pq, cfg.theta_samples) for pq in pqs]
+    payloads = [(lam, f, pq, config.theta_samples) for pq in pqs]
+    # list drains the lazy map inside the stage, so a worker's breakdown is named
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         importlib.import_module("scipy.linalg")   # once here: forked workers inherit it
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_pq = list(pool.map(_decay_convergent_worker, payloads))
+            per_pq = stage("spectrum", list, pool.map(_decay_convergent_worker, payloads))
     else:
-        per_pq = [_decay_convergent_worker(p) for p in payloads]
+        per_pq = stage("spectrum", list, map(_decay_convergent_worker, payloads))
 
     widths = {m: {} for m in m_set}
     for pq, records in zip(pqs, per_pq):
@@ -293,7 +292,7 @@ def decay_campaign(lam, f, freq, m_values, config=None, jobs=1):
         stable_widths[m] = w1
 
     fit_widths = {m: w for m, w in stable_widths.items() if stable[m]}
-    fit = spectrum.gap_decay_fit(fit_widths) if len(fit_widths) >= 4 else None
+    fit = stage("fit", spectrum.gap_decay_fit, fit_widths) if len(fit_widths) >= 4 else None
 
     ms = sorted(stable_widths)
     k = len(ms) - 1                  # widths fall strictly from ms[k] on
@@ -321,17 +320,17 @@ class HomogeneityCampaign:
         }
 
 
-def homogeneity_campaign(lam, f, freq, sigmas, config=None):
+def homogeneity_campaign(lam, f, freq, sigmas, config):
     """Window-measure ratios at the finest convergent, plus the summed width
     of gaps meeting the extremal window (the bookkeeping the homogeneity
     argument runs on).  ConfigError when no convergent has q <= q_target."""
-    cfg = config or PipelineConfig()
-    pq = freq.largest_convergent(cfg.q_target)
-    bs = spectrum.band_structure(lam, f, pq, theta_samples=cfg.theta_samples)
+    pq = freq.largest_convergent(config.q_target)
+    bs = stage("spectrum", spectrum.band_structure, lam, f, pq,
+               theta_samples=config.theta_samples)
     rows = []
     for s in sigmas:
-        res = spectrum.homogeneity_scan(bs, s)
-        gap_sum = spectrum.window_gap_sum(bs, res.argmin_energy, s)
+        res = stage("homogeneity", spectrum.homogeneity_scan, bs, s)
+        gap_sum = stage("homogeneity", spectrum.window_gap_sum, bs, res.argmin_energy, s)
         rows.append((s, res.min_ratio, res.argmin_energy, gap_sum, gap_sum / s))
     return HomogeneityCampaign(approximant=pq, rows=tuple(rows))
 

@@ -487,7 +487,6 @@ def window_gap_sum(bs, center, sigma):
 
 @dataclass(frozen=True)
 class HomogeneityResult:
-    sigma: float
     min_ratio: float
     argmin_energy: float
 
@@ -512,7 +511,7 @@ def homogeneity_scan(bs, sigma):
     ratios = [window_band_measure(bs.bands[i:j], e, sigma) / sigma
               for e, i, j in zip(cands.tolist(), first, last)]
     k = int(np.argmin(ratios))
-    return HomogeneityResult(sigma=sigma, min_ratio=ratios[k], argmin_energy=float(cands[k]))
+    return HomogeneityResult(min_ratio=ratios[k], argmin_energy=float(cands[k]))
 
 
 @dataclass(frozen=True)
@@ -523,8 +522,9 @@ class SeparationReport:
     pairs: tuple                    # ((m, m'), distance, rescaled)
 
 
-def gap_separation_check(records, beta=0.0):
-    """Pairwise gap distances, rescaled by e^{8 beta |m'|} for |m'| >= |m|."""
+def gap_separation_check(records, beta):
+    """Pairwise gap distances, rescaled by e^{8 beta |m'|} for |m'| >= |m|;
+    beta is alpha's Liouville exponent (0 for a Diophantine alpha)."""
     recs = [r for r in records if r.width > 0.0]
     if len(recs) < 2:
         raise ValueError("need at least two labeled gaps")
@@ -553,7 +553,7 @@ class HolderReport:
     pairs_used: int
 
 
-def holder_check(lam, f, freq, e_pairs=64, seed=0, rho_target_err=1e-8):
+def holder_check(lam, f, freq, e_pairs, seed=0, rho_target_err=1e-8):
     """Largest observed |d rho| / |dE|^(1/2) over sampled energy pairs.
 
     Each pair's first energy is uniform over bracket_interval, which reaches

@@ -185,6 +185,19 @@ def test_numerical_stage_error_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical-stage error [label]")
 
 
+@pytest.mark.parametrize("argv, stage", [
+    (["dual", "--energy", "1e20"], "bloch"),           # the probe window rounds to one point
+    (["dual", "--energy", "1e200"], "bloch"),          # the rotation orbit overflows
+    (["dual", "--lam", "1e300", "--energy", "0"], "bloch"),
+    (["gaps", "--lam", "1e300", "--q", "21"], "label"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_numerical_failure_exits_3_naming_its_stage(tmp_path, capsys, argv, stage):
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(f"numerical-stage error [{stage}]: ")
+
+
 def test_small_divisor_breach_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(reducibility, "DIVISOR_CUTOFF", 10.0)
     assert run(["reduce", "--m", "1", "--q", "34", "--out", str(tmp_path / "o")]) == 3
@@ -201,6 +214,12 @@ def test_config_file_with_flag_override(tmp_path):
     rows = [l for l in read(out / "bands.csv").splitlines()
             if l and not l.startswith(("#", "band"))]
     assert len(rows) == 1                     # lam 0 overrode the file
+
+    cfgfile.write_text("alpha = sqrt2m1\nkmax = 60\n")
+    assert run(["beta", "--config", str(cfgfile), "--kmax", "10000", "--out", str(out)]) == 0
+    payload = json.loads(read(out / "beta.json"))
+    assert payload["alpha"] == pytest.approx(2 ** 0.5 - 1, abs=1e-15)   # alpha from the file
+    assert payload["k_max"] == 10000                                    # kmax from the flag
 
 
 @pytest.mark.parametrize("text", ["lam = 0.1\nlam = 0.2\n",
@@ -333,10 +352,11 @@ def test_flag_on_a_subcommand_that_ignores_it_is_rejected(capsys, argv):
 
 
 @pytest.mark.parametrize("command, key", [("spectrum", "lamda"), ("reduce", "jobs"),
-                                          ("dual", "q")])
+                                          ("dual", "q"), ("beta", "lam")])
 def test_config_file_key_no_option_reads_is_rejected(tmp_path, capsys, command, key):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"lam = 0.25\n{key} = 5\n")
+    known = "alpha = golden" if command == "beta" else "lam = 0.25"
+    cfgfile.write_text(f"{known}\n{key} = 5\n")
     rc = run([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err

@@ -1,8 +1,9 @@
 """Static checks on the package source: every imported name is used, every
 class and function it defines is named somewhere else, every module-level
 constant it assigns is read somewhere, every parameter is read by its
-function's body, every defaulted parameter is passed by some call, and no
-broad except clause swallows what it catches."""
+function's body, every defaulted parameter is passed by some call and
+omitted by another, every dataclass field is read, and no broad except
+clause swallows what it catches."""
 
 import ast
 import collections
@@ -163,6 +164,46 @@ def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
 
 
+def _calls(trees):
+    """Callee name -> the calls of a function, method or class by that name."""
+    calls = collections.defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls[name].append(node)
+    return calls
+
+
+def _splat(call):
+    """Whether a call has a *args or **kwargs splat, which may pass anything."""
+    return None in {kw.arg for kw in call.keywords} or any(
+        isinstance(arg, ast.Starred) for arg in call.args)
+
+
+def _default_slots(tree):
+    """(callee name, slot, parameter) of every defaulted parameter of a
+    function or method in tree.  The slot is the parameter's index among the
+    positional arguments a call writes (past self for a bound method), or
+    math.inf for a keyword-only one; a class's __init__ goes by the class name."""
+    owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a, cls = node.args, owner.get(id(node))
+        bound = cls is not None and not any(
+            getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        name = cls.name if cls is not None and node.name == "__init__" else node.name
+        positional = (a.posonlyargs + a.args)[int(bound):]
+        for i, p in enumerate(positional):
+            if i >= len(positional) - len(a.defaults):
+                yield name, i, p.arg
+        for p, d in zip(a.kwonlyargs, a.kw_defaults):
+            if d is not None:
+                yield name, math.inf, p.arg
+
+
 def unpassed_defaults(package_sources, other_sources):
     """(function, parameter) of every defaulted parameter of a package
     function that no call in any of the sources passes.  A call passes p by
@@ -171,33 +212,12 @@ def unpassed_defaults(package_sources, other_sources):
     positional argument in p's slot; a call with a *args or **kwargs splat
     passes every parameter of the functions of that name."""
     trees = [ast.parse(src) for src in package_sources.values()]
-    calls = [node for tree in trees + [ast.parse(src) for src in other_sources]
-             for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    keywords = {kw.arg for call in calls for kw in call.keywords}
-    reach = collections.Counter()           # callee name -> most positional arguments
-    for call in calls:
-        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-        splat = None in {kw.arg for kw in call.keywords} or any(
-            isinstance(arg, ast.Starred) for arg in call.args)
-        reach[name] = max(reach[name], math.inf if splat else len(call.args))
-    unpassed = []
-    for tree in trees:
-        owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                 for fn in cls.body}
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            a, cls = node.args, owner.get(id(node))
-            bound = cls is not None and not any(
-                getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
-            name = cls.name if cls is not None and node.name == "__init__" else node.name
-            positional = (a.posonlyargs + a.args)[int(bound):]
-            slots = [(i, p) for i, p in enumerate(positional)
-                     if i >= len(positional) - len(a.defaults)]
-            slots += [(math.inf, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-            unpassed += [(name, p.arg) for i, p in slots
-                         if p.arg not in keywords and reach[name] <= i]
-    return sorted(unpassed)
+    calls = _calls(trees + [ast.parse(src) for src in other_sources])
+    keywords = {kw.arg for named in calls.values() for call in named for kw in call.keywords}
+    reach = {name: max(math.inf if _splat(call) else len(call.args) for call in named)
+             for name, named in calls.items()}          # most positional arguments
+    return sorted((name, p) for tree in trees for name, i, p in _default_slots(tree)
+                  if p not in keywords and reach.get(name, 0) <= i)
 
 
 def test_unpassed_defaults_are_found():
@@ -216,7 +236,77 @@ def test_every_default_is_passed():
     assert unpassed_defaults(package, _outside_sources()) == []
 
 
-DEFAULTS_CEILING = 39         # defaulted parameters in the package at the last count
+def untaken_defaults(package_sources, other_sources):
+    """(function, parameter) of every defaulted parameter of a package
+    function that no call in any of the sources omits: every call of a
+    function of that name (a class, for __init__) passes it, by keyword, by
+    a positional argument in its slot or by a *args or **kwargs splat.  A
+    function no call names takes none of its defaults."""
+    trees = [ast.parse(src) for src in package_sources.values()]
+    calls = _calls(trees + [ast.parse(src) for src in other_sources])
+    return sorted((name, p) for tree in trees for name, i, p in _default_slots(tree)
+                  if all(_splat(call) or len(call.args) > i
+                         or p in {kw.arg for kw in call.keywords} for call in calls[name]))
+
+
+def test_untaken_defaults_are_found():
+    src = ("def f(a, b=1, c=2, *, d=3):\n    pass\n\n"
+           "def g(k=1):\n    pass\n\n"
+           "def lone(v=0):\n    pass\n\n"
+           "class C:\n    def __init__(self, x=0):\n        pass\n\n"
+           "    def m(self, y=1, z=2):\n        pass\n\n"
+           "    @staticmethod\n    def s(w=0):\n        pass\n\n"
+           "f(0, 1, d=5)\nf(0, b=1, c=2, d=4)\nC(1).m(9, z=3)\nC(2).m(8)\nC.s()\n")
+    assert untaken_defaults({"m": src}, ["g(*ks)\n"]) == [
+        ("C", "x"), ("f", "b"), ("f", "d"), ("g", "k"), ("lone", "v"), ("m", "y")]
+
+
+def test_every_default_is_taken():
+    package = {path.name: path.read_text() for path in MODULES}
+    assert untaken_defaults(package, _outside_sources()) == []
+
+
+def unread_fields(package_sources, other_sources):
+    """(module, class, field) of every field of a package dataclass that no
+    code reads as an attribute, unless the class serializes itself whole
+    through asdict."""
+    trees = {name: ast.parse(src) for name, src in package_sources.items()}
+    reads = collections.Counter()
+    for tree in list(trees.values()) + [ast.parse(src) for src in other_sources]:
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                    getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                    for d in cls.decorator_list):
+                continue
+            if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "asdict"
+                   for n in ast.walk(cls)):
+                continue
+            unread += [(module, cls.name, node.target.id) for node in cls.body
+                       if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                       and not reads[node.target.id]]
+    return sorted(unread)
+
+
+def test_unread_fields_are_found():
+    src = ("from dataclasses import asdict, dataclass\n\n"
+           "@dataclass(frozen=True)\nclass A:\n    used: int\n    stale: float = 0.0\n\n"
+           "@dataclass\nclass B:\n    whole: int\n\n"
+           "    def to_dict(self):\n        return asdict(self)\n\n"
+           "class Plain:\n    note: str\n\n"
+           "def f(a):\n    a.stale = 1\n    return a.used\n")
+    assert unread_fields({"m": src}, ["print(x.other)\n"]) == [("m", "A", "stale")]
+
+
+def test_every_field_is_read():
+    package = {path.name: path.read_text() for path in MODULES}
+    assert unread_fields(package, _outside_sources()) == []
+
+
+DEFAULTS_CEILING = 30         # defaulted parameters in the package at the last count
 
 
 def defaulted_parameters(source):

@@ -9,7 +9,8 @@ from qpgaps import arithmetic as ar
 from qpgaps import duality as du
 from qpgaps import pipeline as pl
 from qpgaps.cocycle import rotation_numbers
-from qpgaps.errors import ConfigError, FrameError, SmallDivisorError, StageError
+from qpgaps.errors import (ConfigError, FrameError, SmallDivisorError, SpectrumError,
+                           StageError)
 from qpgaps.fourier import DEFAULT_STRIP_TOL
 
 
@@ -119,6 +120,22 @@ def test_decay_campaign_jobs_independent(golden, amo):
     b = pl.decay_campaign(0.25, amo, golden, range(1, 5), cfg, jobs=2)
     assert a.widths == b.widths
     assert a.fit.gamma == b.fit.gamma
+
+
+def test_decay_worker_breakdown_is_a_stage_error(golden, amo, monkeypatch):
+    """A typed error raised in a forked worker reaches the parent whole (one
+    that cannot be unpickled breaks the pool instead), and the campaign
+    names its stage."""
+    def broken(*args, **kwargs):
+        raise SpectrumError("measure-bound", "forced in a worker")
+
+    monkeypatch.setattr(pl.spectrum, "band_structure", broken)
+    with pytest.raises(StageError) as err:
+        pl.decay_campaign(0.25, amo, golden, range(1, 3), pl.PipelineConfig(q_target=100),
+                          jobs=2)
+    assert err.value.stage == "spectrum"
+    assert isinstance(err.value.cause, SpectrumError)
+    assert err.value.cause.check == "measure-bound"
 
 
 def test_homogeneity_campaign_free(golden, amo):
