@@ -1,10 +1,10 @@
 """The long-range dual operator, its eigenpairs at gap edges, and Bloch data.
 
 The dual of the Schrodinger operator acts on Fourier space: hopping by the
-potential coefficients, diagonal 2 cos 2 pi (theta + n alpha).  At a gap edge
-the band function over theta attains an extremum; the minimizing phase comes
-with an eigenvector localized around some site, which after recentering gives
-the normalized Bloch coefficients with u_0 = 1 and |u_k| <= 1.
+potential's modes k != 0, diagonal lam c_0 + 2 cos 2 pi (theta + n alpha).
+At a gap edge the band function over theta attains an extremum; the
+minimizing phase comes with an eigenvector localized around some site, which
+after recentering gives the normalized Bloch coefficients, u_0 = 1 >= |u_k|.
 
 One path refines and normalizes every eigenpair once its phase is chosen:
 `_refine` doubles the truncation at that phase, re-solving the interior
@@ -18,16 +18,16 @@ dist(E, Sigma); it is a solution's `duality_residual` and a pair partner's
 Bloch stage, solves the label's resonant phases 2 theta = m alpha once
 each (for a real potential the mirror phases -theta carry the same
 spectrum) and takes the pair of theta-extremal eigenvalues (`_slope`) that
-are both edges of the gap.  The wanted member is refined; the other one is
-returned as the search solved it, with its bound (`PairPartner`), from which
-the dossier certifies that its energy step crosses the gap.  `find_bloch`,
-which `qpgaps dual` runs from an energy with no label, takes its phase from
-Aubry duality: at a reducible energy (the Schrodinger side subcritical) the
-dual Bloch eigenvector sits at theta = rho(E), the fibered rotation number,
-up to translations by alpha and the mirror -theta; `detect_resonance` then
-looks for its resonance.  `snap_to_resonance` re-solves at the exact
-resonant phase and normalizes without refining, keeping the partner and
-whether `_refine` stopped at its cap unconverged.
+are both edges of the gap.  The wanted member is refined, then re-solved at
+the exact resonant phase and normalized once (`snap_to_resonance`); the
+other is returned as the search solved it, with its bound (`PairPartner`),
+from which the dossier certifies that its energy step crosses the gap.
+`find_bloch`, which `qpgaps dual` runs from an energy with no label, takes
+its phase from Aubry duality: at a reducible energy (the Schrodinger side
+subcritical) the dual Bloch eigenvector sits at theta = rho(E), the fibered
+rotation number, up to translations by alpha and the mirror -theta;
+`detect_resonance` then looks for its resonance.  The decay fit
+(`_decay_fit`) is computed only for bloch.json, by `BlochSolution.to_dict`.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .arithmetic import norm_dist
 from .cocycle import rotation_numbers, schrodinger_cocycle
 from .errors import BlochError
 from .fourier import FourierMap, mul
+from .spectrum import norm_bound
 
 DUAL_START_N = 128             # starting truncation of every dual search
 DUAL_MAX_TRUNC = 4096
@@ -58,7 +59,7 @@ _PAIR_WINDOWS = (1e-9, 1e-6)
 def _dual_banded(lam, f, freq, theta, trunc):
     """Upper banded storage for scipy.linalg.eig_banded of the dual operator
     on sites -trunc..trunc: entry (n, n - k) is lam f_k, so the k-th upper
-    band holds lam f_{-k}; the diagonal is 2 cos 2 pi (theta + n alpha).
+    band holds lam f_{-k}; the diagonal is 2 cos 2 pi (theta + n alpha) + lam f_0.
     Real coefficients keep real storage; otherwise the storage is complex
     (Hermitian, since a real potential has f_{-k} = conj(f_k))."""
     size = 2 * trunc + 1
@@ -67,7 +68,7 @@ def _dual_banded(lam, f, freq, theta, trunc):
     coeffs = [lam * f.coeff(k) for k in range(1, band + 1)]
     real = all(abs(c.imag) <= 1e-14 * max(abs(c), 1.0) for c in coeffs)
     ab = np.zeros((band + 1, size), dtype=float if real else complex)
-    ab[band] = 2.0 * np.cos(2.0 * math.pi * (theta + ns * freq.value))
+    ab[band] = 2.0 * np.cos(2.0 * math.pi * (theta + ns * freq.value)) + (lam * f.coeff(0)).real
     for k, c in enumerate(coeffs, 1):
         ab[band - k, k:] = c.real if real else lam * f.coeff(-k)
     return ab
@@ -151,21 +152,20 @@ class BlochSolution:
     u_hat: np.ndarray            # coefficients, index k in [-trunc, trunc], u_hat[trunc] = 1
     trunc: int
     duality_residual: float = math.nan   # Weinstein bound: dist(energy, Sigma) <= this
-    decay_rate: float = math.nan
-    decay_onset: int = 0
     n_tilde: object = None       # resonance integer: 2 theta = n_tilde alpha (mod 1)
     resonance_dist: float = math.nan
     partner: PairPartner = None  # the gap's other edge, from find_bloch_resonant
     truncation_capped: bool = False  # _refine stopped at DUAL_MAX_TRUNC, unconverged
 
     def to_dict(self):
+        decay_rate, decay_onset = _decay_fit(self.u_hat, self.trunc)
         return {
             "E": self.energy,
             "theta": self.theta,
             "trunc": self.trunc,
             "duality_residual": self.duality_residual,
-            "decay_rate": self.decay_rate,
-            "decay_onset": self.decay_onset,
+            "decay_rate": decay_rate,
+            "decay_onset": decay_onset,
             "n_tilde": self.n_tilde,
             "resonance_dist": None if math.isnan(self.resonance_dist) else self.resonance_dist,
         }
@@ -193,7 +193,7 @@ def _refine(lam, f, freq, theta, trunc, energy, vec):
 def _normalized(lam, f, freq, theta, trunc, energy, vec, n, capped):
     """The eigenvector shifted to its largest entry n0 (theta moves by
     n0 alpha) and scaled so u_0 = 1, as a BlochSolution with its Weinstein
-    bound, decay fit and `_refine`'s cap flag.  A phase solved at the resonance
+    bound and `_refine`'s cap flag.  A phase solved at the resonance
     2 theta = n alpha (n None: none known) keeps it: recentering by n0 sites
     moves 2 theta by 2 n0 alpha, so n_tilde = n + 2 n0."""
     center = int(np.argmax(np.abs(vec)))
@@ -210,7 +210,6 @@ def _normalized(lam, f, freq, theta, trunc, energy, vec, n, capped):
     sol = BlochSolution(energy=energy, theta=float((theta + n0 * freq.value) % 1.0),
                         u_hat=u_hat, trunc=trunc, truncation_capped=capped)
     sol.duality_residual = _weinstein_bound(lam, f, freq, sol.theta, energy, u_hat)
-    sol.decay_rate, sol.decay_onset = _decay_fit(u_hat, trunc)
     if n is not None:
         sol.n_tilde = n + 2 * n0
         sol.resonance_dist = norm_dist(2.0 * sol.theta - sol.n_tilde * freq.value)
@@ -230,9 +229,14 @@ def find_bloch(lam, f, freq, energy, trunc=DUAL_START_N):
     (stopping rule in its docstring) and `_normalized` recenters the
     eigenvector at its largest entry (shifting theta by a multiple of alpha)
     and scales it so u_0 = 1, all |u_k| <= 1.  When no eigenpair is found
-    and rho(E) came back flagged, the BlochError names that rho.  Gap edges
-    of a labeled gap come from `find_bloch_resonant` instead.
+    and rho(E) came back flagged, the BlochError names that rho; past
+    `spectrum.norm_bound` plus the widest probe window no truncated dual
+    eigenvalue lies (Gershgorin), so such an energy is refused up front.
+    Gap edges of a labeled gap come from `find_bloch_resonant` instead.
     """
+    bound = norm_bound(lam, f) + _PROBE_WINDOWS[-1]
+    if abs(energy) > bound:
+        raise BlochError(f"no dual eigenvalue lies past {bound} = norm bound + window: E={energy}")
     rho = rotation_numbers(lam, f, freq, [energy], target_err=THETA_XTOL)[0]
     theta = rho.value
     try:
@@ -270,9 +274,10 @@ def find_bloch_resonant(lam, f, freq, gap, m, pq, member, trunc):
     both theta-extremal (`_slope` at most 2e-2: an in-band eigenvalue, or a
     branch crossing another at that phase, moves at order-one speed) form a
     pair, scored by how far its splitting and midpoint miss the approximant
-    gap's; the least score wins.  The wanted member is refined (`_refine`)
-    and normalized (`_normalized`), which recenters the resonance m it was
-    solved at.  The other member, the gap's other edge, comes back as
+    gap's; the least score wins.  The wanted member is refined (`_refine`),
+    then snapped to the exact resonant phase and normalized
+    (`snap_to_resonance`), which recenters the resonance m it was solved at.
+    The other member, the gap's other edge, comes back as
     `sol.partner` as the search solved it, with a Weinstein bound
     (`_weinstein_bound`) from its own eigenvector, so it costs no further
     solve.
@@ -303,7 +308,7 @@ def find_bloch_resonant(lam, f, freq, gap, m, pq, member, trunc):
     partner = PairPartner(energy=e_other, theta=theta, vec=v_other,
                           bound=_weinstein_bound(lam, f, freq, theta, e_other, v_other))
     energy, vec, trunc, capped = _refine(lam, f, freq, theta, trunc, float(vals[k]), vecs[:, k])
-    sol = _normalized(lam, f, freq, theta, trunc, energy, vec, m, capped)
+    sol = snap_to_resonance(lam, f, freq, theta, trunc, energy, vec, m, capped)
     sol.partner = partner
     return sol
 
@@ -344,30 +349,23 @@ def detect_resonance(sol, freq):
     return None
 
 
-def snap_to_resonance(sol, lam, f, freq):
-    """Move theta onto the exact resonant value (n alpha + j)/2 and re-solve.
-
-    The pair search's recentered phase carries rounding fuzz, which
-    otherwise caps every downstream identity at that level.
-    The eigenpair is re-solved at the snapped phase within `_refine`'s
-    windows (_PAIR_WINDOWS): an eigenvalue that moved by more than 1e-6 is
-    another pair, a BlochError.  If its peak sits away from the center the
-    phase is recentered (which shifts the resonance integer by twice the
-    offset and keeps 2 theta - n alpha an integer).
+def snap_to_resonance(lam, f, freq, theta, trunc, energy, vec, n, capped):
+    """The refined eigenpair (energy, vec) at theta, with 2 theta = n alpha,
+    re-solved at the exact resonant phase and normalized.  Recentering at
+    the peak n0 gives theta + n0 alpha and n~ = n + 2 n0, which carry
+    rounding fuzz that would cap every downstream identity; the pair is
+    re-solved at (n~ alpha + j)/2 within `_refine`'s windows, and an
+    eigenvalue that moved by more than 1e-6 is another pair, a BlochError.
     """
-    if sol.n_tilde is None:
-        raise BlochError("no resonance to snap to")
-    j = round(2.0 * sol.theta - sol.n_tilde * freq.value)
-    theta_s = ((sol.n_tilde * freq.value + j) / 2.0) % 1.0
-    e_star, vec = _nearest_pair(lam, f, freq, theta_s, sol.trunc, sol.energy, _PAIR_WINDOWS)
+    n0 = int(np.argmax(np.abs(vec))) - trunc
+    n_tilde = n + 2 * n0
+    j = round(2.0 * ((theta + n0 * freq.value) % 1.0) - n_tilde * freq.value)
+    theta_s = ((n_tilde * freq.value + j) / 2.0) % 1.0
+    e_star, vec = _nearest_pair(lam, f, freq, theta_s, trunc, energy, _PAIR_WINDOWS)
     # at an exact resonance the eigenvector has two mirror peaks of equal
     # size, so recentering may land on -n_tilde instead: the +-m tie.  The
     # sign each dossier reports comes from here, and the bench pins it
-    snapped = _normalized(lam, f, freq, theta_s, sol.trunc, e_star, vec, sol.n_tilde,
-                          sol.truncation_capped)
-    snapped.partner = sol.partner
-    vars(sol).update(vars(snapped))
-    return sol
+    return _normalized(lam, f, freq, theta_s, trunc, e_star, vec, n_tilde, capped)
 
 
 @dataclass

@@ -83,9 +83,11 @@ def stage(name, fn, *args, **kwargs):
 
 def analyze_gap(lam, f, freq, m, config):
     """Full dossier for the gap with label m at the configured convergent.
-    ConfigError when no convergent has q <= q_target."""
+    ConfigError for label 0 (no gap) or when no convergent has q <= q_target."""
     if config.edge not in ("upper", "lower"):
         raise ValueError(f"edge must be 'upper' or 'lower', got {config.edge!r}")
+    if m == 0:
+        raise ConfigError("label 0 names no gap")
     pq = freq.largest_convergent(config.q_target)
     bs = stage("spectrum", spectrum.band_structure, lam, f, pq,
                 theta_samples=config.theta_samples)
@@ -101,7 +103,6 @@ def analyze_gap(lam, f, freq, m, config):
 
     sol = stage("bloch", duality.find_bloch_resonant, lam, f, freq, (rec.e_minus, rec.e_plus),
                  m, pq, config.edge, duality.DUAL_START_N)
-    stage("bloch", duality.snap_to_resonance, sol, lam, f, freq)
     dossier.edge_energy = sol.energy
     dossier.theta = sol.theta
     dossier.n_tilde = sol.n_tilde

@@ -40,7 +40,6 @@ def m1_chain(golden, amo, q233_records, upper_edge):
     _, records = q233_records
     rec = [r for r in records if r.label == 1][0]
     sol = upper_edge(rec, (144, 233))
-    du.snap_to_resonance(sol, 0.25, amo, golden)
     wave = du.assemble_wave(sol, 0.25, amo, golden)
     reduction = red.reduce_at_edge(sol.energy, wave, golden, 0.25, amo)
     return rec, sol, wave, reduction

@@ -186,8 +186,8 @@ def test_numerical_stage_error_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, stage", [
-    (["dual", "--energy", "1e20"], "bloch"),           # the probe window rounds to one point
-    (["dual", "--energy", "1e200"], "bloch"),          # the rotation orbit overflows
+    (["dual", "--energy", "1e20"], "bloch"),           # past the norm bound: refused
+    (["dual", "--energy", "1e200"], "bloch"),
     (["dual", "--lam", "1e300", "--energy", "0"], "bloch"),
     (["gaps", "--lam", "1e300", "--q", "21"], "label"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
@@ -196,6 +196,16 @@ def test_numerical_stage_error_exits_3(tmp_path, capsys):
 def test_numerical_failure_exits_3_naming_its_stage(tmp_path, capsys, argv, stage):
     assert run(argv + ["--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith(f"numerical-stage error [{stage}]: ")
+
+
+def test_energy_past_the_norm_bound_never_reaches_lapack(tmp_path, capfd):
+    """No dual eigenvalue lies past the norm bound 2 + lam ||f||_1 = 2.5 plus
+    the widest probe window (32), so such an energy is refused before any
+    solve, and LAPACK writes nothing to stderr."""
+    assert run(["dual", "--energy", "1e20", "--out", str(tmp_path / "o")]) == 3
+    err = capfd.readouterr().err
+    assert err.startswith("numerical-stage error [bloch]: ") and "34.5" in err
+    assert "DSBEVX" not in err
 
 
 def test_small_divisor_breach_exits_3(tmp_path, capsys, monkeypatch):
@@ -311,6 +321,7 @@ def test_too_small_q_is_a_config_error(tmp_path, capsys, argv):
                                   ["homogeneity", "--sigmas", "abc"],
                                   ["homogeneity", "--sigmas", "1e-2,inf"],
                                   ["dual", "--energy", "nan"],
+                                  ["reduce", "--m", "0"],
                                   ["beta", "--kmax", "0"],
                                   ["spectrum", "--lam", "nan", "--q", "21"],
                                   ["spectrum", "--theta-samples", "0"],

@@ -86,7 +86,8 @@ def test_find_bloch_decay_stable_under_doubling(amo, upper_edge, monkeypatch):
     rates = []
     for t in (64, 128):
         monkeypatch.setattr(du, "DUAL_MAX_TRUNC", 2 * t)      # one doubling at most
-        rates.append(upper_edge(rec, (89, 144), t).decay_rate)
+        sol = upper_edge(rec, (89, 144), t)
+        rates.append(du._decay_fit(sol.u_hat, sol.trunc)[0])
     assert all(r < 0 for r in rates)
     assert rates[0] == pytest.approx(rates[1], rel=0.2)
 
@@ -125,7 +126,6 @@ def test_assemble_wave_free_constant(golden, amo, monkeypatch):
 
 def test_assembled_wave_periods_and_parity(golden, amo, upper_edge):
     sol = upper_edge(_gap_144(amo), (89, 144))
-    du.snap_to_resonance(sol, 0.25, amo, golden)
     wave = du.assemble_wave(sol, 0.25, amo, golden)
     # support parity: U_hat coefficients live on indices with the parity of n
     ks = np.arange(-wave.U_hat.band_limit, wave.U_hat.band_limit + 1)
@@ -151,7 +151,6 @@ def test_assemble_wave_rejects_a_sign_against_the_parity(golden, amo, monkeypatc
 
 def test_real_imag_split_satisfies_relation(golden, amo, upper_edge):
     sol = upper_edge(_gap_144(amo), (89, 144))
-    du.snap_to_resonance(sol, 0.25, amo, golden)
     wave = du.assemble_wave(sol, 0.25, amo, golden)
     A = schrodinger_cocycle(0.25, amo, sol.energy)
     xs = np.arange(512) / 512.0
@@ -230,9 +229,8 @@ def test_find_bloch_resonant_at_displaced_m7_gap(golden, amo):
     assert sol.u_hat[sol.trunc] == 1.0
     assert np.abs(sol.u_hat).max() <= 1.0
     assert sol.duality_residual < 1e-12
-    assert du.detect_resonance(sol, golden) == -7
-    du.snap_to_resonance(sol, 0.25, amo, golden)
     assert sol.resonance_dist == 0.0
+    assert du.detect_resonance(sol, golden) == -7
 
 
 @pytest.mark.parametrize("member", ["upper", "lower"])
@@ -260,6 +258,22 @@ def test_mirror_phase_has_the_same_interior_spectrum(golden, f, lam, theta, trun
     mirror, _ = du._interior_eigs(lam, f, golden, -theta % 1.0, trunc, -top - 1.0, top + 1.0)
     assert len(here) == len(mirror)
     assert np.abs(here - mirror).max(initial=0.0) <= 1e-12 * max(1.0, top)
+
+
+@settings(max_examples=50, deadline=None)
+@given(f=real_trig_potentials(), lam=st.floats(0.01, 1.0), c=st.floats(-1.0, 1.0),
+       theta=st.floats(0.0, 1.0, exclude_max=True), trunc=st.integers(16, 64))
+def test_a_constant_in_the_potential_shifts_the_dual_spectrum(golden, f, lam, c, theta, trunc):
+    """V + c is V with every energy moved by lam c, on the Schrodinger side
+    and so on the dual side: the dual diagonal carries lam c_0, and every
+    interior dual eigenvalue moves by exactly lam c (to rounding)."""
+    top = 2.0 + lam * float(np.abs(f.coeffs).sum()) + 1.0
+    here, _ = du._interior_eigs(lam, f, golden, theta, trunc, -top, top)
+    shift = lam * c
+    moved, _ = du._interior_eigs(lam, f + FourierMap.constant(c), golden, theta, trunc,
+                                 -top + shift, top + shift)
+    assert len(moved) == len(here)
+    assert np.abs(moved - here - shift).max(initial=0.0) <= 1e-12 * (top + 1.0)
 
 
 def test_pair_width_follows_the_amo_gap_law(golden, amo):
@@ -336,14 +350,6 @@ def test_resonant_refinement_raises_when_doubling_loses_the_pair(golden, amo, mo
         du.find_bloch_resonant(0.25, amo, golden, gap, 7, pq, "upper", 128)
 
 
-def test_snap_needs_a_resonance(golden, amo):
-    sol = du.BlochSolution(energy=0.0, theta=0.123456, u_hat=np.array([1.0 + 0j]),
-                           trunc=0)
-    assert sol.n_tilde is None
-    with pytest.raises(BlochError, match="no resonance"):
-        du.snap_to_resonance(sol, 0.25, amo, golden)
-
-
 def test_snap_raises_when_the_eigenvalue_left_the_pair(golden, amo, monkeypatch):
     """The snap follows the searched pair within `_refine`'s windows: with
     every dual eigenvalue reported 1e-4 above its true value, the nearest
@@ -354,11 +360,25 @@ def test_snap_raises_when_the_eigenvalue_left_the_pair(golden, amo, monkeypatch)
         w, v = interior_eigs(lam, f, freq, theta, trunc, e_lo - 1e-4, e_hi - 1e-4)
         return w + 1e-4, v
 
+    snap, refined = du.snap_to_resonance, []
+    monkeypatch.setattr(du, "snap_to_resonance", lambda *a: refined.append(a) or snap(*a))
     gap, pq = _gap_233(golden, amo, 1)
-    sol = du.find_bloch_resonant(0.25, amo, golden, gap, 1, pq, "upper", 128)
+    du.find_bloch_resonant(0.25, amo, golden, gap, 1, pq, "upper", 128)
     monkeypatch.setattr(du, "_interior_eigs", shifted)
     with pytest.raises(BlochError, match="no interior dual eigenvalue within 1.0e-06"):
-        du.snap_to_resonance(sol, 0.25, amo, golden)
+        snap(*refined[0])
+
+
+def test_find_bloch_resonant_normalizes_once_at_the_exact_resonance(golden, amo, monkeypatch):
+    """The refined pair is snapped to the exact resonant phase and
+    normalized there, once: the phase the search reached is never
+    normalized on its own."""
+    normalized, calls = du._normalized, []
+    monkeypatch.setattr(du, "_normalized", lambda *a: calls.append(a) or normalized(*a))
+    gap, pq = _gap_233(golden, amo, 3)
+    sol = du.find_bloch_resonant(0.25, amo, golden, gap, 3, pq, "upper", 128)
+    assert len(calls) == 1
+    assert sol.resonance_dist == 0.0
 
 
 def _padded_residual(golden, amo, theta, energy, vec):
@@ -380,16 +400,14 @@ def _padded_residual(golden, amo, theta, energy, vec):
 def test_pair_partner_bound_holds_in_a_larger_truncation(golden, amo, m):
     """The pair's other member is the gap's lower edge, and its Weinstein
     bound covers the residual of its own eigenvector zero-padded into a 4x
-    truncation.  The snap keeps it, and the wanted member's duality residual
-    is the same bound, on its normalized coefficients at its own phase."""
+    truncation.  The wanted member's duality residual is the same bound, on
+    its normalized coefficients at its own (snapped) phase."""
     gap, pq = _gap_233(golden, amo, m)
     sol = du.find_bloch_resonant(0.25, amo, golden, gap, m, pq, "upper", 128)
     p = sol.partner
     assert p.energy < sol.energy
     residual = _padded_residual(golden, amo, p.theta, p.energy, p.vec)
     assert residual <= p.bound < 1e-13
-    du.snap_to_resonance(sol, 0.25, amo, golden)
-    assert sol.partner is p
     residual = _padded_residual(golden, amo, sol.theta, sol.energy, sol.u_hat)
     assert residual <= sol.duality_residual < 1e-13
 
@@ -416,7 +434,6 @@ def test_snapped_resonance_signs_are_pinned(golden, amo):
                 rec = next(r for r in gaps if r.label == m)
                 sol = du.find_bloch_resonant(lam, amo, golden, (rec.e_minus, rec.e_plus), m,
                                              pq, member, du.DUAL_START_N)
-                du.snap_to_resonance(sol, lam, amo, golden)
                 got[lam, member].append(sol.n_tilde)
     assert got == expected
 

@@ -11,7 +11,7 @@ from qpgaps import pipeline as pl
 from qpgaps.cocycle import rotation_numbers
 from qpgaps.errors import (ConfigError, FrameError, SmallDivisorError, SpectrumError,
                            StageError)
-from qpgaps.fourier import DEFAULT_STRIP_TOL
+from qpgaps.fourier import DEFAULT_STRIP_TOL, FourierMap
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +79,19 @@ def test_label_rho_is_the_measured_edge_rho(name, bench_dossiers, golden, amo):
     d = bench_dossiers[name]
     (r,) = rotation_numbers(0.25, amo, golden, [d.edge_energy])
     assert abs(r.value - d.rho_edge) <= 3.0 * r.error
+
+
+def test_dossier_of_a_potential_with_a_mean(golden, amo):
+    """V = 2 cos 2 pi x + 0.4 is AMO moved in energy by lam c_0 = 0.1, and so
+    is its dual operator, whose diagonal carries lam c_0: the m = 3 dossier
+    lands on AMO's edge plus 0.1, certified and unflagged."""
+    f = amo + FourierMap.constant(0.4)
+    d = pl.analyze_gap(0.25, f, golden, 3, pl.PipelineConfig(q_target=250))
+    assert d.edge_energy == pytest.approx(-1.8328570689364616 + 0.1, abs=1e-15)
+    assert (d.n_tilde, d.flags) == (3, ())
+    assert d.duality_residual < 1e-13
+    report = pl.claims_report([d])
+    assert (report["passed"], report["total"]) == (4, 4)
 
 
 def test_dossier_serializes(m1_dossier):

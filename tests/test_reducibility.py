@@ -293,7 +293,6 @@ def _reduced_m1(golden, amo, upper_edge):
         bs = sp.band_structure(0.25, amo, (89, 144))
         rec = [r for r in bs.gaps() if r.label == 1][0]
         sol = upper_edge(rec, (89, 144))
-        du.snap_to_resonance(sol, 0.25, amo, golden)
         wave = du.assemble_wave(sol, 0.25, amo, golden)
         reduction = red.reduce_at_edge(sol.energy, wave, golden, 0.25, amo)
         ident = red.average_identities(reduction, golden)
@@ -387,7 +386,6 @@ def _edge_wave(m, golden, amo, upper_edge):
         pq = golden.largest_convergent(250)
         rec = [r for r in sp.band_structure(0.25, amo, pq).gaps() if r.label == m][0]
         sol = upper_edge(rec, pq)
-        du.snap_to_resonance(sol, 0.25, amo, golden)
         cache[m] = sol, du.assemble_wave(sol, 0.25, amo, golden)
     return cache[m]
 
