@@ -173,11 +173,12 @@ def fourier_from_function(fn, band_limit):
     return FourierMap.from_samples(vals, band_limit, 1)
 
 
-def mul_reference(a, b):
+def mul_unsplit_reference(a, b):
     """Pointwise product of two Fourier maps as exact coefficient
-    convolution, with a branch of its own for a scalar operand (one
-    convolution per entry of the other operand) next to the 2x2 contraction
-    of matrix@matrix and matrix@vector."""
+    convolution over the whole coefficient arrays, zeros included, with a
+    branch of its own for a scalar operand (one convolution per entry of the
+    other operand) next to the 2x2 contraction of matrix@matrix and
+    matrix@vector."""
     if a.period != b.period:
         raise ValueError("period mismatch: lift one operand first")
     if a.value_shape and not b.value_shape:
@@ -198,6 +199,39 @@ def mul_reference(a, b):
         raise ValueError(f"unsupported product shapes {a.value_shape} x {b.value_shape}")
     return FourierMap(out.reshape((2 * n_out + 1,) + b.value_shape), a.period,
                       entire=a.entire and b.entire)
+
+
+def mul_reference(a, b):
+    """The product entry by entry and class by class: for each output entry,
+    each pair of residue classes of k mod period that both hold a nonzero
+    coefficient of their operand adds the convolution of those classes
+    (summed over the contraction index) into its class of the output."""
+    if a.period != b.period:
+        raise ValueError("period mismatch: lift one operand first")
+    if a.value_shape and not b.value_shape:
+        a, b = b, a
+    if not a.value_shape:
+        out_shape = b.value_shape
+        def terms(idx):
+            return [(a.coeffs, b.coeffs[(slice(None),) + idx])]
+    elif a.is_matrix and (b.is_matrix or b.is_vector):
+        out_shape = b.value_shape
+        def terms(idx):
+            return [(a.coeffs[:, idx[0], l], b.coeffs[(slice(None), l) + idx[1:]])
+                    for l in range(2)]
+    else:
+        raise ValueError(f"unsupported product shapes {a.value_shape} x {b.value_shape}")
+    p = a.period
+    n_out = a.band_limit + b.band_limit
+    a_starts = [s for s in range(p) if np.any(a.coeffs[s::p])]
+    b_starts = [s for s in range(p) if np.any(b.coeffs[s::p])]
+    out = np.zeros((2 * n_out + 1,) + out_shape, dtype=complex)
+    for idx in np.ndindex(out_shape):
+        for sa in a_starts:
+            for sb in b_starts:
+                acc = sum(np.convolve(x[sa::p], y[sb::p]) for x, y in terms(idx))
+                out[(slice(sa + sb, None, p),) + idx][: len(acc)] += acc
+    return FourierMap(out, a.period, entire=a.entire and b.entire)
 
 
 def mu_iterate_reference(R, A, alpha, sign):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpgaps import fourier
 from qpgaps.errors import StripDomainError
 from qpgaps.fourier import (FourierMap, matmul, matrix_exp, mul, strip_norm)
 
-from oracles import fourier_from_function, mul_reference, trim_reference
+from oracles import (fourier_from_function, mul_reference, mul_unsplit_reference,
+                     trim_reference)
 
 
 def random_real_map(rng, band, period=1, scale=1.0):
@@ -184,6 +186,98 @@ def test_mul_rejects_unsupported_shapes_and_mixed_periods(shapes, mismatch, seed
     for product in (mul, mul_reference):
         with pytest.raises(ValueError):
             product(a, b)
+
+
+def _parity_map(seed, band, shape, parity):
+    """A random period-2 map, its coefficients spread over twenty decades,
+    with only the even or only the odd k kept (or both, "mixed")."""
+    m = _random_map(seed, band, shape, 2)
+    rng = np.random.default_rng(seed + 7)
+    m.coeffs *= 10.0 ** rng.uniform(-20, 0, m.coeffs.shape)
+    if parity != "mixed":
+        ks = np.arange(-band, band + 1)
+        m.coeffs[ks % 2 != (parity == "odd")] = 0.0
+    return m
+
+
+def _abs_product(a, b):
+    """sum |a_m| |b_{k-m}| over the contraction, coefficient by coefficient."""
+    return np.abs(mul_unsplit_reference(FourierMap(np.abs(a.coeffs), 2),
+                                        FourierMap(np.abs(b.coeffs), 2)).coeffs)
+
+
+PARITIES = st.sampled_from(("even", "odd", "mixed"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes=st.sampled_from(SUPPORTED_PRODUCTS), swap=st.booleans(),
+       parities=st.tuples(PARITIES, PARITIES),
+       bands=st.tuples(st.integers(0, 12), st.integers(0, 12)), seed=st.integers(0, 2**32 - 1))
+def test_class_by_class_product_is_the_unsplit_sum(shapes, swap, parities, bands, seed):
+    """Every supported shape pair at pure and mixed parity: the product
+    equals the class-split reference exactly, and each coefficient lies
+    within 4 eps * sum |a_m| |b_{k-m}| of the convolution over the whole
+    arrays (at most 3.1 eps was seen over 23000 random products); only the
+    summation order differs, since every skipped term is an exact zero."""
+    a, b = (_parity_map(seed + i, n, s, par)
+            for i, (n, s, par) in enumerate(zip(bands, shapes, parities)))
+    if swap and not shapes[0]:
+        a, b = b, a
+    p = mul(a, b)
+    assert np.array_equal(p.coeffs, mul_reference(a, b).coeffs)
+    unsplit = mul_unsplit_reference(a, b)
+    assert p.coeffs.shape == unsplit.coeffs.shape
+    eps = np.finfo(float).eps
+    assert (np.abs(p.coeffs - unsplit.coeffs) <= 4.0 * eps * _abs_product(a, b)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.sampled_from(SUPPORTED_PRODUCTS),
+       parities=st.tuples(st.sampled_from(("even", "odd")), st.sampled_from(("even", "odd"))),
+       bands=st.tuples(st.integers(0, 12), st.integers(0, 12)), seed=st.integers(0, 2**32 - 1))
+def test_factors_of_one_parity_give_exact_zeros_in_the_other_class(shapes, parities, bands,
+                                                                   seed):
+    """odd * odd and even * even hold only even k, odd * even only odd k:
+    the other class of the product is exactly zero."""
+    a, b = (_parity_map(seed + i, n, s, par)
+            for i, (n, s, par) in enumerate(zip(bands, shapes, parities)))
+    p = mul(a, b)
+    n = p.band_limit
+    ks = np.arange(-n, n + 1)
+    odd_out = parities.count("odd") == 1
+    assert not p.coeffs[ks % 2 != odd_out].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.sampled_from(SUPPORTED_PRODUCTS), swap=st.booleans(),
+       bands=st.tuples(st.integers(0, 8), st.integers(0, 8)), seed=st.integers(0, 2**32 - 1))
+def test_lifted_product_collapses_to_the_period_one_product(shapes, swap, bands, seed):
+    """Lifting both factors to period 2 puts them on the even k, so the
+    product convolves the even halves only: collapsed back to period 1 it
+    is the period-1 product bit for bit."""
+    a, b = (_random_map(seed + i, n, s, 1) for i, (n, s) in enumerate(zip(bands, shapes)))
+    if swap and not shapes[0]:
+        a, b = b, a
+    lifted = mul(a.lift2(), b.lift2()).collapse1()
+    assert lifted.period == 1
+    assert np.array_equal(lifted.coeffs, mul(a, b).coeffs)
+
+
+@pytest.mark.parametrize("band", [8, 9])
+def test_odd_products_convolve_only_the_odd_halves(band, monkeypatch):
+    """Two odd period-2 maps of band N (the shape of an antiperiodic frame)
+    hand np.convolve arrays of at most N + 1 entries, one class pair each:
+    8 convolutions for matrix@matrix, none of the full length 2N + 1."""
+    lengths = []
+    original = fourier.np.convolve
+    monkeypatch.setattr(fourier.np, "convolve",
+                        lambda x, y: lengths.append((len(x), len(y))) or original(x, y))
+    a, b = (_parity_map(seed, band, (2, 2), "odd") for seed in (3, 4))
+    p = mul(a, b)
+    assert len(lengths) == 8
+    assert max(max(pair) for pair in lengths) <= band + 1
+    monkeypatch.undo()
+    assert np.array_equal(p.coeffs, mul_reference(a, b).coeffs)
 
 
 @settings(max_examples=200, deadline=None)
